@@ -209,12 +209,8 @@ int main(int Argc, char **Argv) {
   // deterministic (catalog order), while parallel hit counts vary with
   // worker scheduling even though results are identical.
   const SolverStats &Cache = Serial.Solver;
-  std::uint64_t Consulted =
-      Cache.CacheHits + Cache.CacheMisses + Cache.CacheUnsatSubsumed;
-  double HitRate =
-      Consulted ? double(Cache.CacheHits + Cache.CacheUnsatSubsumed) /
-                      double(Consulted)
-                : 0;
+  std::uint64_t Consulted = Cache.CacheHits + Cache.CacheMisses;
+  double HitRate = Consulted ? double(Cache.CacheHits) / double(Consulted) : 0;
   double Speedup = ParallelMillis > 0 ? SerialMillis / ParallelMillis : 0;
 
   JsonValue V = JsonValue::object();
@@ -230,8 +226,6 @@ int main(int Argc, char **Argv) {
       .set("solver_queries", JsonValue::number(double(Cache.Queries)))
       .set("cache_hits", JsonValue::number(double(Cache.CacheHits)))
       .set("cache_misses", JsonValue::number(double(Cache.CacheMisses)))
-      .set("cache_unsat_subsumed",
-           JsonValue::number(double(Cache.CacheUnsatSubsumed)))
       .set("cache_hit_rate", JsonValue::number(HitRate))
       .set("trace_deterministic", JsonValue::boolean(TraceChecked));
   if (Profile)

@@ -1,27 +1,19 @@
-//===- bench/explore_hotpath.cpp - Incremental exploration effectiveness ------===//
+//===- bench/explore_hotpath.cpp - Exploration solver work-count guard --------===//
 //
-// Measures the hot path the incremental exploration engine optimises:
-// a serial full-catalog campaign, reporting paths/second and — the
-// numbers the memo layers exist for — *full* solver solves (whole
-// conjunct vector expanded from scratch, the only kind a pre-memo
-// engine issues) versus queries answered by a reuse tier: tier 0
-// re-evaluates banked models, tier 1 is the exact memo, tier 2 is
-// Unsat-core subsumption plus the shared proof index (all three skip
-// expansion and search entirely), and tier 3 is the assertion stack's
-// prefix reuse (searches, but expands only the pushed negation). Also
-// compiles per instruction for the compile-once code cache. Emits
-// BENCH_explore.json so the reuse trajectory is tracked from run to
-// run; CI uploads it next to BENCH_campaign.json.
+// Runs a serial full-catalog campaign and reports paths/second, the
+// solver's work counts (queries and search nodes) and compiles per
+// instruction for the compile-once code cache. Emits BENCH_explore.json;
+// CI uploads it next to BENCH_campaign.json.
 //
 // Usage: explore_hotpath [--max-bytecodes N] [--max-native-methods N]
 //                        [--smoke] [--out PATH] [--baseline PATH]
 //
-// --baseline points at a JSON file recording "full_solves" from a
-// blessed run; the bench fails (exit 2) when the current campaign
-// issues more than 5% above it — the solver-call-count regression
-// guard. Serial campaigns are deterministic, so the count is exact,
-// not a timing. Without --smoke the bench also enforces the headline
-// claim: at least 30% of solver calls answered without a full solve.
+// --baseline points at a JSON file recording "solver_queries" and
+// "solver_nodes" from a blessed run; the bench fails (exit 2) when the
+// current campaign's counts differ from them. Serial campaigns are
+// deterministic, so the counts are exact, not timings: any change is a
+// real change in exploration work (or an intentional catalog or solver
+// change — refresh the baseline in the same commit).
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,12 +56,12 @@ int main(int Argc, char **Argv) {
 
   CampaignRequest Request;
   FlagParser Flags("explore_hotpath",
-                   "Solver-call and compile reuse on the exploration hot path.");
+                   "Solver work counts on the exploration hot path.");
   requestFromFlags(Flags, Request);
-  Flags.add("smoke", &Smoke, "small catalog slice, no reuse-rate enforcement");
+  Flags.add("smoke", &Smoke, "small catalog slice");
   Flags.add("out", &OutPath, "JSON report path");
   Flags.add("baseline", &BaselinePath,
-            "blessed full_solves JSON; fail when exceeded by >5%");
+            "blessed solver-count JSON; fail when the counts differ");
   if (!Flags.parse(Argc, Argv))
     return Flags.helpRequested() ? 0 : 2;
 
@@ -115,24 +107,7 @@ int main(int Argc, char **Argv) {
   double PathsPerSec =
       ExploreMillis > 0 ? Paths / (ExploreMillis / 1000.0) : 0;
 
-  // Reuse accounting, by tier. "Avoided" queries were answered with no
-  // expansion or search at all: tier 0 re-used a banked model, tier 1
-  // an exact memoized answer, tier 2 an Unsat core (subsumption or a
-  // shared proof). "Prefix-reuse" queries did search, but expanded only
-  // the newly pushed negation against the assertion stack's cached
-  // prefix product. Full solves — queries that case-expanded their
-  // whole conjunct vector from scratch, as every query did pre-memo —
-  // are counted directly by the solver (subtraction would over-count:
-  // shared-proof hits are per-case and can land inside a prefix-reuse
-  // solve, so the tiers are not disjoint query sets).
   const SolverStats &Solver = Summary.Solver;
-  std::uint64_t Avoided =
-      Solver.ModelCacheHits + Solver.CacheHits + Solver.CacheUnsatSubsumed;
-  std::uint64_t FullSolves = Solver.FullSolves;
-  double AvoidedFraction =
-      Solver.Queries ? double(Avoided) / double(Solver.Queries) : 0;
-  double FullSolveReduction =
-      Solver.Queries ? 1.0 - double(FullSolves) / double(Solver.Queries) : 0;
 
   std::uint64_t Instructions = Summary.CompletedInstructions;
   double CompilesPerInstruction =
@@ -157,17 +132,7 @@ int main(int Argc, char **Argv) {
       .set("total_millis", JsonValue::number(TotalMillis))
       .set("paths_per_sec", JsonValue::number(PathsPerSec))
       .set("solver_queries", JsonValue::number(double(Solver.Queries)))
-      .set("full_solves", JsonValue::number(double(FullSolves)))
-      .set("avoided_total", JsonValue::number(double(Avoided)))
-      .set("avoided_fraction", JsonValue::number(AvoidedFraction))
-      .set("avoided_model_bank",
-           JsonValue::number(double(Solver.ModelCacheHits)))
-      .set("avoided_exact_memo", JsonValue::number(double(Solver.CacheHits)))
-      .set("avoided_unsat_subsumed",
-           JsonValue::number(double(Solver.CacheUnsatSubsumed)))
-      .set("prefix_reuse_solves",
-           JsonValue::number(double(Solver.PrefixReuseSolves)))
-      .set("full_solve_reduction", JsonValue::number(FullSolveReduction))
+      .set("solver_nodes", JsonValue::number(double(Solver.NodesExplored)))
       .set("jit_compiles", JsonValue::number(double(Summary.Jit.Compiles)))
       .set("jit_code_cache_hits",
            JsonValue::number(double(Summary.Jit.CodeCacheHits)))
@@ -182,70 +147,45 @@ int main(int Argc, char **Argv) {
   }
   std::printf("%s\n", Report.c_str());
   std::printf("explore_hotpath: %llu instructions, %llu paths, %.0f paths/s; "
-              "%llu queries = %llu full + %llu prefix-reuse + %llu avoided "
-              "(%.1f%% not full); %.2f compiles/instruction (hit rate "
-              "%.1f%%)\n",
+              "%llu solver queries, %llu search nodes; %.2f "
+              "compiles/instruction (hit rate %.1f%%)\n",
               (unsigned long long)Instructions, (unsigned long long)Paths,
               PathsPerSec, (unsigned long long)Solver.Queries,
-              (unsigned long long)FullSolves,
-              (unsigned long long)Solver.PrefixReuseSolves,
-              (unsigned long long)Avoided, FullSolveReduction * 100,
-              CompilesPerInstruction, CodeCacheHitRate * 100);
+              (unsigned long long)Solver.NodesExplored, CompilesPerInstruction,
+              CodeCacheHitRate * 100);
 
   int Exit = Summary.exitCode();
 
-  // The solver-call-count regression guard: serial full solves are an
-  // exact, deterministic count, so any growth is a real regression in
-  // the memo layers (or an intentional catalog change — refresh the
-  // baseline in the same commit).
+  // The solver work-count guard: serial counts are exact and
+  // deterministic, so any difference is a real change in exploration
+  // work (or an intentional catalog change — refresh the baseline in
+  // the same commit).
   if (!BaselinePath.empty()) {
     std::optional<JsonValue> Baseline = readJsonFile(BaselinePath);
     if (!Baseline) {
       std::printf("FAIL: cannot read baseline %s\n", BaselinePath.c_str());
       return 2;
     }
-    double Blessed = Baseline->numberOr("full_solves", -1);
-    if (Blessed < 0) {
-      std::printf("FAIL: baseline %s lacks \"full_solves\"\n",
-                  BaselinePath.c_str());
-      return 2;
+    const std::pair<const char *, std::uint64_t> Counts[] = {
+        {"solver_queries", Solver.Queries},
+        {"solver_nodes", Solver.NodesExplored}};
+    for (const auto &[Name, Actual] : Counts) {
+      double Blessed = Baseline->numberOr(Name, -1);
+      if (Blessed < 0) {
+        std::printf("FAIL: baseline %s lacks \"%s\"\n", BaselinePath.c_str(),
+                    Name);
+        return 2;
+      }
+      if (double(Actual) != Blessed) {
+        std::printf("FAIL: %s is %llu, baseline %.0f\n", Name,
+                    (unsigned long long)Actual, Blessed);
+        return 2;
+      }
     }
-    double Limit = Blessed * 1.05;
-    if (double(FullSolves) > Limit) {
-      std::printf("FAIL: %llu full solves exceeds baseline %.0f by more "
-                  "than 5%% (limit %.0f)\n",
-                  (unsigned long long)FullSolves, Blessed, Limit);
-      return 2;
-    }
-    std::printf("baseline check: %llu full solves <= %.0f (baseline %.0f "
-                "+5%%)\n",
-                (unsigned long long)FullSolves, Limit, Blessed);
-    if (double(FullSolves) < Blessed * 0.95)
-      std::printf("note: full solves dropped >5%% below baseline; consider "
-                  "refreshing %s\n",
-                  BaselinePath.c_str());
-    // When the baseline also records the total query count, guard it
-    // the same way: query growth that the memo layers happen to absorb
-    // is still the explorer issuing more solver invocations.
-    double BlessedQueries = Baseline->numberOr("solver_queries", -1);
-    if (BlessedQueries >= 0 &&
-        double(Solver.Queries) > BlessedQueries * 1.05) {
-      std::printf("FAIL: %llu solver queries exceeds baseline %.0f by more "
-                  "than 5%%\n",
-                  (unsigned long long)Solver.Queries, BlessedQueries);
-      return 2;
-    }
-  }
-
-  // The headline reuse claim, enforced on the full catalog only (tiny
-  // slices have too few repeated queries to be meaningful): at least
-  // 30% of the solver calls a from-scratch engine would issue as full
-  // solves are now answered by a cache tier or by prefix reuse.
-  if (!Smoke && FullSolveReduction < 0.30) {
-    std::printf("FAIL: only %.1f%% of solver calls avoided a full solve "
-                "(needs >= 30%%)\n",
-                FullSolveReduction * 100);
-    return 2;
+    std::printf("baseline check: %llu solver queries, %llu search nodes "
+                "(exact)\n",
+                (unsigned long long)Solver.Queries,
+                (unsigned long long)Solver.NodesExplored);
   }
 
   return Exit;

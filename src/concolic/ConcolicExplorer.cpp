@@ -141,22 +141,9 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   // ownership comment in ConcolicExplorer.h).
   PrimaryOpts.Seed =
       hashCombine64(Opts.Solver.Seed, stableHash64(Result.Spec->Name));
-  // One query cache per exploration, worker-local by construction; the
-  // primary solver and every ladder rung share it (definite answers
-  // from a cheaper rung are sound at any strength).
-  SolverQueryCache Cache;
-  if (Opts.EnableSolverCache) {
-    PrimaryOpts.Cache = &Cache;
-    PrimaryOpts.Shared = Opts.SharedUnsat;
-  }
-  // Tier-0 model bank, worker-local like the query cache but — unlike
-  // it — always wired: the bank is part of the defined algorithm, and
-  // EnableModelCache only chooses skip-vs-verify on a hit (see
-  // ExplorerOptions). Ladder rungs copy PrimaryOpts and so share it;
-  // their Sat answers feed it like any other.
-  SolverModelBank Bank(Opts.ModelBankCapacity);
-  PrimaryOpts.Bank = &Bank;
-  PrimaryOpts.ModelCacheSkips = Opts.EnableModelCache;
+  // Ladder rungs copy PrimaryOpts, so they share the index too (an
+  // Unsat proof is keyed by the caps that produced it).
+  PrimaryOpts.Shared = Opts.SharedUnsat;
   ConstraintSolver Solver(Result.Memory->classTable(), PrimaryOpts);
   SolverStats LadderStats;
   FrameMaterializer Materializer(*Result.Memory, *Result.Builder);
@@ -250,15 +237,23 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
       Result.Paths.push_back(std::move(Sol));
     }
 
-    // Runs the degradation ladder on an Unknown answer and files the
-    // final verdict: before giving the negation up, retry with
-    // progressively cheaper solver configurations. A small cap often
-    // answers a query whose full-size search space blew the node
-    // budget, at the price of missing some models. Shared by both
-    // negation strategies below so they stay behaviourally identical.
-    auto FinishNegation = [&](std::size_t I,
-                              const std::vector<const BoolTerm *> &Prefix,
-                              SolveResult SR) {
+    // Generational negation: flip each not-yet-negated branch after the
+    // inherited prefix depth. An Unknown answer runs the degradation
+    // ladder before the negation is filed: retry with progressively
+    // cheaper solver configurations. A small cap often answers a query
+    // whose full-size search space blew the node budget, at the price
+    // of missing some models.
+    for (std::size_t I = Item.Depth; I < Entries.size(); ++I) {
+      if (!Entries[I].Negatable)
+        continue;
+      std::vector<const BoolTerm *> Prefix;
+      Prefix.reserve(I + 1);
+      for (std::size_t J = 0; J < I; ++J)
+        Prefix.push_back(Entries[J].Taken ? Entries[J].Condition
+                                          : B.notB(Entries[J].Condition));
+      Prefix.push_back(Entries[I].Taken ? B.notB(Entries[I].Condition)
+                                        : Entries[I].Condition);
+      SolveResult SR = Solver.solve(Prefix);
       for (unsigned Rung = 1;
            SR.Status == SolveStatus::Unknown && Rung <= Opts.LadderRungs &&
            !Bud.expired();
@@ -286,43 +281,6 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
         ++Result.UnknownNegations;
       else
         ++Result.UnsatNegations;
-    };
-
-    // Generational negation: flip each not-yet-negated branch after the
-    // inherited prefix depth.
-    if (Opts.EnableIncrementalSolver) {
-      // Mirror the path onto the solver's assertion stack: push each
-      // taken condition in path order; before pushing entry I's taken
-      // form, pose prefix(0..I-1) ∧ ¬condition(I) as a one-push
-      // excursion. Each level's cumulative case expansion is cached, so
-      // a negation at depth I re-expands only the pushed negation.
-      Solver.clearAssertions();
-      for (std::size_t I = 0; I < Entries.size(); ++I) {
-        if (I >= Item.Depth && Entries[I].Negatable) {
-          Solver.pushAssertion(Entries[I].Taken ? B.notB(Entries[I].Condition)
-                                                : Entries[I].Condition);
-          SolveResult SR = Solver.solveStack();
-          // assertions() == the prefix vector the from-scratch strategy
-          // would build, so ladder rungs re-pose the identical query.
-          FinishNegation(I, Solver.assertions(), std::move(SR));
-          Solver.popAssertion();
-        }
-        Solver.pushAssertion(Entries[I].Taken ? Entries[I].Condition
-                                              : B.notB(Entries[I].Condition));
-      }
-    } else {
-      for (std::size_t I = Item.Depth; I < Entries.size(); ++I) {
-        if (!Entries[I].Negatable)
-          continue;
-        std::vector<const BoolTerm *> Prefix;
-        Prefix.reserve(I + 1);
-        for (std::size_t J = 0; J < I; ++J)
-          Prefix.push_back(Entries[J].Taken ? Entries[J].Condition
-                                            : B.notB(Entries[J].Condition));
-        Prefix.push_back(Entries[I].Taken ? B.notB(Entries[I].Condition)
-                                          : Entries[I].Condition);
-        FinishNegation(I, Prefix, Solver.solve(Prefix));
-      }
     }
   }
 

@@ -53,35 +53,11 @@ struct ExplorerOptions {
   /// configurations to retry an Unknown negation with before recording
   /// an UnknownNegation. 0 disables the ladder.
   unsigned LadderRungs = 2;
-  /// Memoize solver queries within one exploration (exact answers plus
-  /// Unsat-core subsumption). Purely an optimisation: results are
-  /// bit-identical with the cache on or off because the solver RNG is
-  /// seeded from query content, not query order.
-  bool EnableSolverCache = true;
   /// Optional campaign-scope index of proven-Unsat cases, shared
   /// across explorations and worker threads (non-owning; see
   /// SolverCache.h for why sharing Unsat — and only Unsat — is sound
-  /// and scheduling-transparent). Consulted only when EnableSolverCache
-  /// is on, so "cache off" disables every memo tier at once.
+  /// and scheduling-transparent). Null solves every case from scratch.
   SharedUnsatIndex *SharedUnsat = nullptr;
-  /// Whether a tier-0 model-bank hit may *skip* the full solve. The bank
-  /// itself is always consulted and always fed — it is part of the
-  /// defined exploration algorithm, since which model answers a query
-  /// shapes the frontier — so turning this off does not remove the bank;
-  /// it makes every hit also run the full search in a throwaway shadow
-  /// solver and discard it (see SolverOptions::ModelCacheSkips). On and
-  /// off are byte-identical in every output; off exists to A/B the
-  /// claimed savings honestly.
-  bool EnableModelCache = true;
-  /// How many recent satisfying models the per-exploration bank keeps.
-  std::size_t ModelBankCapacity = 8;
-  /// Mirror the path stack onto the solver's assertion stack and solve
-  /// negations with solveStack(), reusing each prefix's cumulative case
-  /// expansion, instead of re-posing every negation as a from-scratch
-  /// conjunct vector. Bit-identical either way (the solver guarantees
-  /// solveStack() ≡ solve() on the same conjuncts); off exists for the
-  /// same honest-A/B reason as EnableModelCache.
-  bool EnableIncrementalSolver = true;
   /// Harness-fault injection (campaign self-tests): poison the
   /// exploration heap so the first materialisation trips the integrity
   /// check.
@@ -143,13 +119,14 @@ struct ExplorationResult {
 /// Ownership rule for parallel campaigns: *everything mutable is
 /// worker-local*. Each exploration constructs its own TermBuilder
 /// (arena + leaf/const/negation consing caches), ObjectMemory (heap +
-/// class table), solvers, query cache, RNGs and Budget; nothing of that
-/// is ever shared across explorations, let alone threads, so the hot
-/// path takes no locks. The only state a campaign may share between
+/// class table), solvers, RNGs and Budget; nothing of that is ever
+/// shared across explorations, let alone threads, so the hot path takes
+/// no locks. The only state a campaign may share between
 /// concurrently-running explorations is immutable or pure: the
 /// VMConfig, the InstructionSpec catalog (const magic statics), and the
-/// fault plan (const queries). Determinism across thread counts then
-/// follows from seeding: the solver RNG is derived from the query's
+/// fault plan (const queries), plus the thread-safe SharedUnsatIndex,
+/// whose hits are transparent. Determinism across thread counts then
+/// follows from seeding: the solver RNG is derived from each case's
 /// structural hash mixed with a stable hash of the instruction name, so
 /// an instruction explores the same paths no matter which worker runs
 /// it, in what order, or alongside what else.

@@ -147,10 +147,6 @@ std::string encodeWorkerPayload(const InstructionRecord &Rec,
   V.set("solver_diag",
         countersToJson({{"cache_hits", Rec.Solver.CacheHits},
                         {"cache_misses", Rec.Solver.CacheMisses},
-                        {"unsat_subsumed", Rec.Solver.CacheUnsatSubsumed},
-                        {"model_hits", Rec.Solver.ModelCacheHits},
-                        {"prefix_reuse", Rec.Solver.PrefixReuseSolves},
-                        {"full_solves", Rec.Solver.FullSolves},
                         {"cap_hits", Rec.Solver.CapHits}}));
   V.set("jit", countersToJson({{"compiles", Rec.Jit.Compiles},
                                {"code_cache_hits", Rec.Jit.CodeCacheHits}}));
@@ -189,10 +185,6 @@ bool decodeWorkerPayload(const std::string &Payload, InstructionRecord &Rec,
   const JsonValue *Diag = V->find("solver_diag");
   Rec.Solver.CacheHits = counterOr(Diag, "cache_hits");
   Rec.Solver.CacheMisses = counterOr(Diag, "cache_misses");
-  Rec.Solver.CacheUnsatSubsumed = counterOr(Diag, "unsat_subsumed");
-  Rec.Solver.ModelCacheHits = counterOr(Diag, "model_hits");
-  Rec.Solver.PrefixReuseSolves = counterOr(Diag, "prefix_reuse");
-  Rec.Solver.FullSolves = counterOr(Diag, "full_solves");
   Rec.Solver.CapHits = counterOr(Diag, "cap_hits");
   const JsonValue *Jit = V->find("jit");
   Rec.Jit.Compiles = counterOr(Jit, "compiles");
@@ -1546,10 +1538,6 @@ ProfileReport igdt::buildCampaignProfile(const CampaignSummary &Summary,
   Report.SolverQueries = Summary.Solver.Queries;
   Report.CacheHits = Summary.Solver.CacheHits;
   Report.CacheMisses = Summary.Solver.CacheMisses;
-  Report.CacheUnsatSubsumed = Summary.Solver.CacheUnsatSubsumed;
-  Report.ModelCacheHits = Summary.Solver.ModelCacheHits;
-  Report.PrefixReuseSolves = Summary.Solver.PrefixReuseSolves;
-  Report.FullSolves = Summary.Solver.FullSolves;
   Report.JitCompiles = Summary.Jit.Compiles;
   Report.JitCodeCacheHits = Summary.Jit.CodeCacheHits;
   if (Summary.StoreActive) {

@@ -54,11 +54,6 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts) {
   H = hashCombine64(H, E.MaxIterations);
   H = hashCombine64(H, std::uint64_t(E.MaxReplayStackDepth));
   H = hashCombine64(H, E.LadderRungs);
-  // The model bank is part of the defined exploration algorithm (which
-  // model answers a query shapes the frontier), so its capacity is
-  // config; the Enable* memo toggles are proven byte-identical and stay
-  // out.
-  H = hashCombine64(H, E.ModelBankCapacity);
 
   const SolverOptions &S = E.Solver;
   H = hashCombine64(H, std::uint64_t(std::int64_t(S.IntegerBits)));

@@ -56,10 +56,18 @@ namespace igdt {
 struct CampaignOptions;
 struct InstructionSpec;
 
-/// Bumped whenever InstructionRecord::toJson changes shape, so stores
-/// written by older binaries self-invalidate instead of serving records
-/// a new reader would mis-parse.
-constexpr std::uint64_t VerdictSchemaVersion = 1;
+/// Bumped whenever InstructionRecord::toJson changes shape or the
+/// defined exploration algorithm changes, so stores written by older
+/// binaries self-invalidate instead of serving records a new reader
+/// would mis-parse or a new run would not reproduce. Version 2: two
+/// removed solver layers changed the defined exploration algorithm, so
+/// version-1 entries must miss, not serve. The model bank could answer
+/// with an older model than the search finds. The per-exploration query
+/// memo was shared by the primary solver and every degradation-ladder
+/// rung, so a rung reused answers settled at full strength (and served
+/// its own Sat models to later queries); without it a weaker rung
+/// searches again and may turn a full-strength Unsat into Unknown.
+constexpr std::uint64_t VerdictSchemaVersion = 2;
 
 /// Stable hash of one catalog instruction's *body*: name, kind, encoded
 /// bytes, primitive index, locals, literal frame and padding. Editing

@@ -111,7 +111,7 @@ void MetricsSink::emit(TraceEvent Event) {
     break;
   case TraceEventKind::CacheLookup:
     // "code-*" details come from the JIT code cache; everything else
-    // from the solver's memo tiers.
+    // from the solver's shared Unsat index.
     Registry.add((Event.Detail.rfind("code-", 0) == 0
                       ? "events.jit.cache."
                       : "events.solver.cache.") +

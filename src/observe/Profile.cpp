@@ -17,10 +17,6 @@ double ProfileReport::cacheHitRate() const {
   return Lookups ? double(CacheHits) / double(Lookups) : 0;
 }
 
-double ProfileReport::modelCacheAvoidRate() const {
-  return SolverQueries ? double(ModelCacheHits) / double(SolverQueries) : 0;
-}
-
 double ProfileReport::codeCacheHitRate() const {
   std::uint64_t Requests = JitCompiles + JitCodeCacheHits;
   return Requests ? double(JitCodeCacheHits) / double(Requests) : 0;
@@ -56,16 +52,7 @@ std::string ProfileReport::render() const {
               formatString("%llu", (unsigned long long)SolverQueries)});
     T.addRow({"hits", formatString("%llu", (unsigned long long)CacheHits)});
     T.addRow({"misses", formatString("%llu", (unsigned long long)CacheMisses)});
-    T.addRow({"unsat subsumed",
-              formatString("%llu", (unsigned long long)CacheUnsatSubsumed)});
     T.addRow({"hit rate", formatPercent(cacheHitRate())});
-    T.addRow({"model-bank hits",
-              formatString("%llu", (unsigned long long)ModelCacheHits)});
-    T.addRow({"model-bank avoid rate", formatPercent(modelCacheAvoidRate())});
-    T.addRow({"prefix-reuse solves",
-              formatString("%llu", (unsigned long long)PrefixReuseSolves)});
-    T.addRow({"full solves",
-              formatString("%llu", (unsigned long long)FullSolves)});
     Out += T.render();
   }
   {
@@ -141,16 +128,7 @@ JsonValue ProfileReport::toJson() const {
   Cache.set("queries", JsonValue::number(static_cast<double>(SolverQueries)));
   Cache.set("hits", JsonValue::number(static_cast<double>(CacheHits)));
   Cache.set("misses", JsonValue::number(static_cast<double>(CacheMisses)));
-  Cache.set("unsat_subsumed",
-            JsonValue::number(static_cast<double>(CacheUnsatSubsumed)));
   Cache.set("hit_rate", JsonValue::number(cacheHitRate()));
-  Cache.set("model_hits",
-            JsonValue::number(static_cast<double>(ModelCacheHits)));
-  Cache.set("model_avoid_rate", JsonValue::number(modelCacheAvoidRate()));
-  Cache.set("prefix_reuse_solves",
-            JsonValue::number(static_cast<double>(PrefixReuseSolves)));
-  Cache.set("full_solves",
-            JsonValue::number(static_cast<double>(FullSolves)));
   V.set("solver_cache", std::move(Cache));
   JsonValue CodeCache = JsonValue::object();
   CodeCache.set("compiles",

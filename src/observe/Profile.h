@@ -49,19 +49,6 @@ struct ProfileReport {
   std::uint64_t SolverQueries = 0;
   std::uint64_t CacheHits = 0;
   std::uint64_t CacheMisses = 0;
-  std::uint64_t CacheUnsatSubsumed = 0;
-  /// Tier-0 model-bank hits: queries answered by re-evaluating a
-  /// recently found model instead of searching.
-  std::uint64_t ModelCacheHits = 0;
-  /// Queries solved through the assertion stack's reused prefix
-  /// expansion (the newly pushed conjunct was the only one expanded).
-  std::uint64_t PrefixReuseSolves = 0;
-  /// Queries that needed a from-scratch case expansion + search: no
-  /// cache tier answered and no prefix expansion could be reused.
-  /// Counted by the solver rather than derived here — tier-2 shared
-  /// proofs hit per-case, so cache hits and prefix reuse are not
-  /// disjoint query sets and subtraction would over-count reuse.
-  std::uint64_t FullSolves = 0;
 
   /// Compile-once effectiveness: front-end runs issued vs replays
   /// served from the code cache.
@@ -103,9 +90,6 @@ struct ProfileReport {
 
   /// Hit fraction over all lookups; 0 when no lookups happened.
   double cacheHitRate() const;
-
-  /// Fraction of full solver solves avoided by the model bank.
-  double modelCacheAvoidRate() const;
 
   /// Fraction of compile requests served from the code cache.
   double codeCacheHitRate() const;

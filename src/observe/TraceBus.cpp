@@ -41,7 +41,7 @@ const char *traceEventKindName(TraceEventKind Kind) {
 }
 
 bool traceEventIsSchedulingDependent(TraceEventKind Kind) {
-  // Tier-2 SharedUnsatIndex hits depend on which worker stored a proof
+  // SharedUnsatIndex hits depend on which worker stored a proof
   // first, and worker-process lifecycle depends on pids and wall time;
   // everything else is a pure function of the instruction and the
   // campaign options (see DESIGN.md "Parallel execution model").

@@ -16,7 +16,7 @@
 /// flushes buffers in catalog order — the same discipline checkpoints and
 /// incidents already follow — so the JSONL trace is byte-identical at any
 /// job count. The one deliberately scheduling-dependent event kind
-/// (CacheLookup: tier-2 SharedUnsatIndex hits vary with worker timing) is
+/// (CacheLookup: SharedUnsatIndex hits vary with worker timing) is
 /// filtered out of the deterministic trace file and only feeds diagnostic
 /// metrics.
 ///
@@ -40,10 +40,11 @@ namespace igdt {
 enum class TraceEventKind : std::uint8_t {
   /// Solver answered one query. Detail=status, Value=nodes searched,
   /// Extra=cases explored (both deltas for this query, cost-compensated
-  /// on cache hits so they are scheduling-independent).
+  /// on shared-index hits so they are scheduling-independent).
   SolverQuery,
-  /// Solver cache diagnostics. Detail=hit|miss|unsat-subsumed|shared-hit.
-  /// Scheduling-dependent by design (tier-2 hits depend on worker
+  /// Cache diagnostics. Detail=shared-hit|miss from the solver's shared
+  /// Unsat index, code-hit|code-miss from the JIT code cache.
+  /// Scheduling-dependent by design (shared-index hits depend on worker
   /// interleaving); excluded from deterministic trace files.
   CacheLookup,
   /// Degradation-ladder retry of an Unknown negation. Value=rung,

@@ -8,6 +8,8 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
 
@@ -87,6 +89,8 @@ struct CampaignService::SessionState {
   bool WorkersDegraded = false;
   EventLog Events;
   std::thread Worker;
+  /// Set by the worker as its last action, so a join cannot block.
+  std::atomic<bool> WorkerDone{false};
 
   std::mutex SM;
   StatusReply Status;
@@ -104,12 +108,29 @@ CampaignService::~CampaignService() {
   std::vector<SessionState *> All;
   {
     std::lock_guard<std::mutex> Lock(M);
-    for (auto &[Id, S] : Sessions)
-      All.push_back(S.get());
+    All.swap(Unjoined);
   }
   for (SessionState *S : All)
-    if (S->Worker.joinable())
-      S->Worker.join();
+    S->Worker.join();
+}
+
+void CampaignService::reapWorkers() {
+  std::vector<SessionState *> Finished;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    auto Running = std::partition(
+        Unjoined.begin(), Unjoined.end(),
+        [](SessionState *S) { return !S->WorkerDone.load(); });
+    Finished.assign(Running, Unjoined.end());
+    Unjoined.erase(Running, Unjoined.end());
+  }
+  for (SessionState *S : Finished)
+    S->Worker.join();
+}
+
+std::size_t CampaignService::unjoinedWorkers() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Unjoined.size();
 }
 
 ResultStore *CampaignService::storeFor(const std::string &Path) {
@@ -132,6 +153,7 @@ CampaignService::findSession(const std::string &Id) {
 }
 
 ServiceReply CampaignService::submit(const ServiceRequest &Request) {
+  reapWorkers();
   auto State = std::make_unique<SessionState>();
   SessionState *S = State.get();
   S->Request = Request.Campaign;
@@ -197,7 +219,12 @@ ServiceReply CampaignService::submit(const ServiceRequest &Request) {
     }
     S->Events.finish();
     SessionEvent.notify_all();
+    S->WorkerDone.store(true);
   });
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Unjoined.push_back(S);
+  }
 
   JsonValue Body = JsonValue::object();
   Body.set("session", JsonValue::string(S->Id));

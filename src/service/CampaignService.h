@@ -77,6 +77,11 @@ public:
   /// Service-lifetime counters (service.* namespace).
   MetricsRegistry &metrics() { return Metrics; }
 
+  /// Session worker threads started and not yet joined. A finished
+  /// worker is joined on the next submit; its session's final status
+  /// and events stay served.
+  std::size_t unjoinedWorkers() const;
+
 private:
   /// One submitted campaign: the worker thread, its progress snapshot,
   /// and the trace events captured for subscribers.
@@ -94,10 +99,15 @@ private:
 
   SessionState *findSession(const std::string &Id);
 
+  /// Joins the worker of every session that has finished.
+  void reapWorkers();
+
   ServiceOptions Opts;
   mutable std::mutex M;
   std::condition_variable SessionEvent;
   std::map<std::string, std::unique_ptr<SessionState>> Sessions;
+  /// Sessions whose worker thread has not been joined yet.
+  std::vector<SessionState *> Unjoined;
   std::map<std::string, std::unique_ptr<ResultStore>> Stores;
   unsigned NextSessionId = 1;
   bool Shutdown = false;

@@ -14,9 +14,9 @@ Daemon::Daemon(DaemonOptions OptsArg)
 
 Daemon::~Daemon() {
   stop();
-  for (std::thread &T : Connections)
-    if (T.joinable())
-      T.join();
+  for (Connection &C : Connections)
+    if (C.Thread.joinable())
+      C.Thread.join();
   closeFd(ListenFd);
 }
 
@@ -59,17 +59,34 @@ void Daemon::serveConnection(int Fd) {
   closeFd(Fd);
 }
 
+void Daemon::reapConnections() {
+  for (auto It = Connections.begin(); It != Connections.end();) {
+    if (!It->Done.load()) {
+      ++It;
+      continue;
+    }
+    It->Thread.join();
+    It = Connections.erase(It);
+  }
+}
+
 void Daemon::run() {
   while (!Stopping.load() && !Service.shutdownRequested()) {
     int Fd = unixAccept(ListenFd, int(Opts.PollMillis));
     if (Fd < 0)
       continue; // poll timeout (or transient accept failure): re-check stop
     Service.metrics().add("service.connections");
-    Connections.emplace_back([this, Fd] { serveConnection(Fd); });
+    reapConnections();
+    Connection &C = Connections.emplace_back();
+    C.Thread = std::thread([this, Fd, &C] {
+      serveConnection(Fd);
+      C.Done.store(true);
+    });
+    Unjoined.store(Connections.size());
   }
   Stopping.store(true); // release connection loops blocked mid-stream
-  for (std::thread &T : Connections)
-    if (T.joinable())
-      T.join();
+  for (Connection &C : Connections)
+    C.Thread.join();
   Connections.clear();
+  Unjoined.store(0);
 }

@@ -22,9 +22,9 @@
 #include "service/CampaignService.h"
 
 #include <atomic>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace igdt {
 
@@ -54,14 +54,29 @@ public:
 
   CampaignService &service() { return Service; }
 
+  /// Connection threads started and not yet joined, as of the last
+  /// accept. Finished threads are joined on every accept, so this stays
+  /// small however many connections the daemon has served.
+  std::size_t unjoinedConnections() const { return Unjoined.load(); }
+
 private:
+  /// One connection thread; Done is set as its last action.
+  struct Connection {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+
   void serveConnection(int Fd);
+  /// Joins and forgets every connection thread that has finished.
+  void reapConnections();
 
   DaemonOptions Opts;
   CampaignService Service;
   int ListenFd = -1;
   std::atomic<bool> Stopping{false};
-  std::vector<std::thread> Connections;
+  /// Touched only by the thread running run() (and the destructor).
+  std::list<Connection> Connections;
+  std::atomic<std::size_t> Unjoined{0};
 };
 
 } // namespace igdt

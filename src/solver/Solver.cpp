@@ -30,11 +30,14 @@ const char *igdt::solveStatusName(SolveStatus Status) {
 
 namespace {
 
-// Literal/Case live in the header now (SolverLiteral/SolverCase) so the
-// assertion stack can cache expansions across queries; the local names
-// are kept for the search code below.
-using Literal = SolverLiteral;
-using Case = SolverCase;
+/// An atom with polarity, produced by negation-normal-form expansion.
+struct Literal {
+  const BoolTerm *Atom;
+  bool Positive;
+};
+
+/// One conjunctive case of an expanded query.
+using Case = std::vector<Literal>;
 
 /// Expands a boolean term into disjunctive cases of literals.
 class CaseExpander {
@@ -61,12 +64,6 @@ public:
         return Cases; // definitely unsatisfiable (false conjunct)
     }
     return Cases;
-  }
-
-  /// NNF cases of one conjunct, as used per expand() iteration. Public
-  /// for the assertion stack's per-conjunct memo.
-  std::vector<Case> conjunctCases(const BoolTerm *T) {
-    return casesOf(T, /*Positive=*/true);
   }
 
 private:
@@ -1032,8 +1029,6 @@ void SolverStats::add(const SolverStats &Other) {
   BudgetStops += Other.BudgetStops;
   CacheHits += Other.CacheHits;
   CacheMisses += Other.CacheMisses;
-  CacheUnsatSubsumed += Other.CacheUnsatSubsumed;
-  ModelCacheHits += Other.ModelCacheHits;
   PrefixReuseSolves += Other.PrefixReuseSolves;
   FullSolves += Other.FullSolves;
   CapHits += Other.CapHits;
@@ -1050,10 +1045,6 @@ void igdt::foldSolverStats(MetricsRegistry &Registry,
   Registry.add("solver.budget_stops", Stats.BudgetStops);
   Registry.add("solver.cache.hits", Stats.CacheHits);
   Registry.add("solver.cache.misses", Stats.CacheMisses);
-  Registry.add("solver.cache.unsat_subsumed", Stats.CacheUnsatSubsumed);
-  Registry.add("solver.cache.model_hits", Stats.ModelCacheHits);
-  Registry.add("solver.prefix_reuse_solves", Stats.PrefixReuseSolves);
-  Registry.add("solver.full_solves", Stats.FullSolves);
   Registry.add("solver.cap_hits", Stats.CapHits);
 }
 
@@ -1079,105 +1070,25 @@ ConstraintSolver::ConstraintSolver(const ClassTable &Classes,
 
 SolveResult ConstraintSolver::solve(
     const std::vector<const BoolTerm *> &Conjuncts) {
-  return solveEntry(Conjuncts, nullptr);
-}
-
-void ConstraintSolver::pushAssertion(const BoolTerm *Conjunct) {
-  ExpandedCases Next;
-  const ExpandedCases *Prev =
-      PrefixLevels.empty() ? nullptr : &PrefixLevels.back();
-  if (Prev && Prev->Burst) {
-    // An overflowed prefix product stays overflowed: expand() returns
-    // nullopt as soon as any intermediate product exceeds MaxCases,
-    // regardless of later conjuncts.
-    Next.Burst = true;
-  } else if (Prev && Prev->Cases.empty()) {
-    // A proven-unsat prefix stays empty (product with the empty set);
-    // expand() likewise early-returns without visiting later conjuncts.
-  } else {
-    auto MIt = ConjunctCaseMemo.find(Conjunct);
-    if (MIt == ConjunctCaseMemo.end()) {
-      CaseExpander Expander(Opts.MaxCases);
-      MIt = ConjunctCaseMemo.emplace(Conjunct,
-                                     Expander.conjunctCases(Conjunct))
-                .first;
-    }
-    const std::vector<Case> &Sub = MIt->second;
-    static const std::vector<Case> Root = {Case{}};
-    const std::vector<Case> &Base = Prev ? Prev->Cases : Root;
-    bool Overflow = false;
-    for (const Case &Left : Base) {
-      for (const Case &Right : Sub) {
-        Case Merged = Left;
-        Merged.insert(Merged.end(), Right.begin(), Right.end());
-        Next.Cases.push_back(std::move(Merged));
-        if (Next.Cases.size() > Opts.MaxCases) {
-          Overflow = true;
-          break;
-        }
-      }
-      if (Overflow)
-        break;
-    }
-    if (Overflow) {
-      Next.Burst = true;
-      Next.Cases.clear();
-    }
-  }
-  AssertionStack.push_back(Conjunct);
-  PrefixLevels.push_back(std::move(Next));
-}
-
-void ConstraintSolver::popAssertion() {
-  AssertionStack.pop_back();
-  PrefixLevels.pop_back();
-}
-
-void ConstraintSolver::clearAssertions() {
-  AssertionStack.clear();
-  PrefixLevels.clear();
-  // ConjunctCaseMemo survives: conjuncts are interned and immutable,
-  // so their NNF expansion never changes within an exploration.
-}
-
-SolveResult ConstraintSolver::solveStack() {
-  if (PrefixLevels.empty()) {
-    ExpandedCases Root;
-    Root.Cases = {Case{}};
-    return solveEntry(AssertionStack, &Root);
-  }
-  return solveEntry(AssertionStack, &PrefixLevels.back());
-}
-
-SolveResult ConstraintSolver::solveEntry(
-    const std::vector<const BoolTerm *> &Conjuncts, const ExpandedCases *Pre) {
-  SolveResult Result;
-  if (!Opts.Trace) {
-    Result = solveImpl(Conjuncts, Pre);
-  } else {
-    // The nodes/cases deltas are cost-compensated on shared-index hits
-    // (see below), so the emitted numbers match a cache-less run and
-    // the event is safe for deterministic traces.
-    std::uint64_t NodesBefore = Stats.NodesExplored;
-    std::uint64_t CasesBefore = Stats.CasesExplored;
-    Result = solveImpl(Conjuncts, Pre);
-    TraceEvent E;
-    E.Kind = TraceEventKind::SolverQuery;
-    E.Detail = solveStatusName(Result.Status);
-    E.Value = Stats.NodesExplored - NodesBefore;
-    E.Extra = Stats.CasesExplored - CasesBefore;
-    Opts.Trace->emit(std::move(E));
-  }
-  // Feed the model bank on *every* Sat result — fresh searches and
-  // cache hits alike — so its content is a pure function of the result
-  // sequence and thus identical across cache configurations.
-  if (Opts.Bank && Result.Status == SolveStatus::Sat)
-    Opts.Bank->record(Result.M);
+  if (!Opts.Trace)
+    return solveImpl(Conjuncts);
+  // The nodes/cases deltas are cost-compensated on shared-index hits
+  // (see below), so the emitted numbers match an index-less run and the
+  // event is safe for deterministic traces.
+  std::uint64_t NodesBefore = Stats.NodesExplored;
+  std::uint64_t CasesBefore = Stats.CasesExplored;
+  SolveResult Result = solveImpl(Conjuncts);
+  TraceEvent E;
+  E.Kind = TraceEventKind::SolverQuery;
+  E.Detail = solveStatusName(Result.Status);
+  E.Value = Stats.NodesExplored - NodesBefore;
+  E.Extra = Stats.CasesExplored - CasesBefore;
+  Opts.Trace->emit(std::move(E));
   return Result;
 }
 
 SolveResult ConstraintSolver::solveImpl(
-    const std::vector<const BoolTerm *> &Conjuncts, const ExpandedCases *Pre) {
+    const std::vector<const BoolTerm *> &Conjuncts) {
   auto EmitCache = [this](const char *What) {
     if (!Opts.Trace)
       return;
@@ -1190,117 +1101,28 @@ SolveResult ConstraintSolver::solveImpl(
   if (Opts.InjectSolverHang)
     throw HarnessFault("solve", "injected solver hang: query exceeded "
                                 "every search cap without converging");
+  SolveResult Result;
   if (Opts.SharedBudget && Opts.SharedBudget->expired()) {
     // The instruction's budget is already gone: answer Unknown without
-    // burning more wall time. Deliberately before any cache lookup so
-    // budget-expired campaigns behave identically with or without one.
+    // burning more wall time.
     Stats.UnknownCount++;
     Stats.BudgetStops++;
-    SolveResult Result;
     Result.Status = SolveStatus::Unknown;
     return Result;
   }
 
-  // Content-derived signatures: all randomness below is seeded from
-  // structural hashes of what is being solved, so the same query (or
-  // the same expanded case) samples the same candidates whether it is
-  // posed for the first time, replayed after a cache-enabled run, or
-  // solved on a different worker.
-  TermHasher::QuerySignature Sig = Hasher.signQuery(Conjuncts);
-
-  // Tier 0: evaluate the query under recently found models. Consulted
-  // *before* the exact-match cache, and its answers are never stored
-  // there: a bank answer must depend only on bank content (which is fed
-  // identically in every cache configuration), never on whether an
-  // earlier run left an exact entry behind — otherwise cached and
-  // uncached explorations could return different models for the same
-  // query and diverge.
-  if (Opts.Bank) {
-    if (const Model *Banked = Opts.Bank->findSatisfying(Conjuncts, Classes)) {
-      Stats.ModelCacheHits++;
-      EmitCache("model-hit");
-      if (!Opts.ModelCacheSkips) {
-        // Layer disabled: still answer with the banked model (the
-        // returned model shapes the whole deterministic exploration
-        // frontier, so it must not change with the toggle) but run the
-        // full expansion + search anyway, with throwaway statistics
-        // and no cache, budget or trace interaction. This makes
-        // enabled vs. disabled differ only in wall time.
-        SolverOptions Stripped = Opts;
-        Stripped.Cache = nullptr;
-        Stripped.Shared = nullptr;
-        Stripped.Bank = nullptr;
-        Stripped.SharedBudget = nullptr;
-        Stripped.Trace = nullptr;
-        ConstraintSolver Shadow(Classes, Stripped);
-        (void)Shadow.solve(Conjuncts);
-      }
-      SolveResult Result;
-      Result.Status = SolveStatus::Sat;
-      Result.M = *Banked;
-      Stats.SatCount++;
-      return Result;
-    }
-  }
-
-  if (Opts.Cache) {
-    // Whole-query memo: pays off when model imprecision re-executes an
-    // already-seen path and re-poses its exact negation queries.
-    if (const SolveResult *Hit = Opts.Cache->lookup(Sig.SortedConjuncts)) {
-      Stats.CacheHits++;
-      EmitCache("hit");
-      if (Hit->Status == SolveStatus::Sat)
-        Stats.SatCount++;
-      else
-        Stats.UnsatCount++;
-      return *Hit;
-    }
-    if (Opts.Cache->subsumedUnsat(Sig.SortedConjuncts)) {
-      // Superset of a proven-Unsat core: Unsat without any search.
-      Stats.CacheUnsatSubsumed++;
-      EmitCache("unsat-subsumed");
-      Stats.UnsatCount++;
-      SolveResult Result;
-      Result.Status = SolveStatus::Unsat;
-      return Result;
-    }
-  }
-
-  // Case expansion: taken from the assertion stack's cumulative memo
-  // when posed incrementally, recomputed from scratch otherwise. The
-  // two are constructed to agree exactly — same case order, same
-  // overflow and empty semantics — so either entry point produces the
-  // same result for the same conjunct sequence.
-  std::optional<std::vector<Case>> Expanded;
-  const std::vector<Case> *CaseList = nullptr;
-  bool Burst = false;
-  if (Pre) {
-    // This query is served by the assertion stack's cumulative
-    // expansion: only the last-pushed conjunct was expanded against
-    // the cached prefix product, so it is not a "full" solve.
-    Stats.PrefixReuseSolves++;
-    Burst = Pre->Burst;
-    CaseList = &Pre->Cases;
-  } else {
-    Stats.FullSolves++;
-    CaseExpander Expander(Opts.MaxCases);
-    Expanded = Expander.expand(Conjuncts);
-    Burst = !Expanded.has_value();
-    if (Expanded)
-      CaseList = &*Expanded;
-  }
-  SolveResult Result;
-  if (Burst) {
+  Stats.FullSolves++;
+  std::optional<std::vector<Case>> Cases =
+      CaseExpander(Opts.MaxCases).expand(Conjuncts);
+  if (!Cases) {
     Stats.CapHits++;
     Result.Status = SolveStatus::Unknown;
     Stats.UnknownCount++;
     return Result;
   }
-  if (CaseList->empty()) {
+  if (Cases->empty()) {
     Result.Status = SolveStatus::Unsat;
     Stats.UnsatCount++;
-    if (Opts.Cache)
-      Opts.Cache->store(Sig.SortedConjuncts, Result);
     return Result;
   }
 
@@ -1318,44 +1140,19 @@ SolveResult ConstraintSolver::solveImpl(
 
   bool AnyUnknown = false;
   bool AnyBudgetStop = false;
-  for (const Case &C : *CaseList) {
-    // Per-case signature, in the literal domain (atom hash mixed with
-    // polarity) so case keys can never collide with whole-query keys.
-    // This is the memo level that actually repeats: a degradation-
-    // ladder rung re-expands the identical case set, and every case
-    // the stronger configuration already settled is definite at any
-    // strength — only the genuinely Unknown cases deserve re-search.
-    SolverQueryCache::QueryKey CaseKey;
+  for (const Case &C : *Cases) {
+    // Case key: the sorted hashes of its literals (each atom's
+    // precomputed structural hash mixed with polarity), independent of
+    // arena addresses and of literal order.
+    SharedUnsatIndex::QueryKey CaseKey;
     CaseKey.reserve(C.size());
     for (const Literal &L : C)
-      CaseKey.push_back(hashCombine64(Hasher.hashBool(L.Atom),
-                                      L.Positive ? 0xA11ull : 0xB22ull));
+      CaseKey.push_back(
+          hashCombine64(L.Atom->Hash, L.Positive ? 0xA11ull : 0xB22ull));
     std::sort(CaseKey.begin(), CaseKey.end());
-    std::uint64_t CaseFold = 0xCA5Eull;
-    for (std::uint64_t H : CaseKey)
-      CaseFold = hashCombine64(CaseFold, H);
 
-    CaseSolver::CaseStatus S = CaseSolver::CaseStatus::Unknown;
-    Model M;
-    bool FromCache = false;
     SharedUnsatIndex::Proof Proof;
-    const SolveResult *Hit = Opts.Cache ? Opts.Cache->lookup(CaseKey) : nullptr;
-    if (Hit) {
-      Stats.CacheHits++;
-      EmitCache("hit");
-      FromCache = true;
-      if (Hit->Status == SolveStatus::Sat) {
-        S = CaseSolver::CaseStatus::Sat;
-        M = Hit->M;
-      } else {
-        S = CaseSolver::CaseStatus::ProvenUnsat;
-      }
-    } else if (Opts.Cache && Opts.Cache->subsumedUnsat(CaseKey)) {
-      Stats.CacheUnsatSubsumed++;
-      EmitCache("unsat-subsumed");
-      FromCache = true;
-      S = CaseSolver::CaseStatus::ProvenUnsat;
-    } else if (Opts.Shared && Opts.Shared->lookup(CapsFp, CaseKey, Proof)) {
+    if (Opts.Shared && Opts.Shared->lookup(CapsFp, CaseKey, Proof)) {
       // Another exploration (possibly on another worker) already proved
       // this case Unsat under identical caps. Charge the proof's
       // deterministic cost so the per-instruction cases/nodes counters
@@ -1364,52 +1161,41 @@ SolveResult ConstraintSolver::solveImpl(
       EmitCache("shared-hit");
       Stats.CasesExplored += Proof.CasesExplored;
       Stats.NodesExplored += Proof.NodesExplored;
-      FromCache = true;
-      S = CaseSolver::CaseStatus::ProvenUnsat;
-    } else if (Opts.Cache || Opts.Shared) {
+      continue;
+    }
+    if (Opts.Shared) {
       Stats.CacheMisses++;
       EmitCache("miss");
     }
-    if (!FromCache) {
-      // The case RNG is seeded from the exploration seed and the
-      // case's own content only — deliberately NOT from any per-query
-      // signature: the same case posed by different queries (a prefix
-      // replayed through the assertion stack, a ladder rung, a
-      // subsumed superset) must sample bit-identically, and skipping a
-      // cached case must not shift the samples of its neighbours.
-      RNG CaseRand(hashCombine64(Opts.Seed, CaseFold));
-      std::uint64_t CasesBefore = Stats.CasesExplored;
-      std::uint64_t NodesBefore = Stats.NodesExplored;
-      CaseSolver CS(Classes, Opts, Stats, CaseRand);
-      S = CS.solve(C, M);
-      if (Opts.Cache && S != CaseSolver::CaseStatus::Unknown) {
-        SolveResult Entry;
-        Entry.Status = S == CaseSolver::CaseStatus::Sat ? SolveStatus::Sat
-                                                        : SolveStatus::Unsat;
-        if (S == CaseSolver::CaseStatus::Sat)
-          Entry.M = M;
-        Opts.Cache->store(CaseKey, Entry);
-      }
-      if (Opts.Shared && S == CaseSolver::CaseStatus::ProvenUnsat &&
-          !CS.budgetStopped())
-        Opts.Shared->store(CapsFp, CaseKey,
-                           {Stats.CasesExplored - CasesBefore,
-                            Stats.NodesExplored - NodesBefore});
-      if (CS.budgetStopped()) {
-        AnyBudgetStop = true;
-        if (S != CaseSolver::CaseStatus::Sat) {
-          AnyUnknown = true;
-          break; // remaining cases would stop the same way
-        }
-      }
-    }
+    // The case RNG is seeded from the exploration seed and the case's
+    // own content only — deliberately NOT from any per-query signature:
+    // the same case posed by different queries (a longer prefix, a
+    // ladder rung) must sample bit-identically, and skipping a case the
+    // shared index proved must not shift the samples of its neighbours.
+    std::uint64_t CaseFold = 0xCA5Eull;
+    for (std::uint64_t H : CaseKey)
+      CaseFold = hashCombine64(CaseFold, H);
+    RNG CaseRand(hashCombine64(Opts.Seed, CaseFold));
+    std::uint64_t CasesBefore = Stats.CasesExplored;
+    std::uint64_t NodesBefore = Stats.NodesExplored;
+    CaseSolver CS(Classes, Opts, Stats, CaseRand);
+    Model M;
+    CaseSolver::CaseStatus S = CS.solve(C, M);
+    if (Opts.Shared && S == CaseSolver::CaseStatus::ProvenUnsat &&
+        !CS.budgetStopped())
+      Opts.Shared->store(CapsFp, CaseKey,
+                         {Stats.CasesExplored - CasesBefore,
+                          Stats.NodesExplored - NodesBefore});
     if (S == CaseSolver::CaseStatus::Sat) {
       Result.Status = SolveStatus::Sat;
       Result.M = std::move(M);
       Stats.SatCount++;
-      if (Opts.Cache)
-        Opts.Cache->store(Sig.SortedConjuncts, Result);
       return Result;
+    }
+    if (CS.budgetStopped()) {
+      AnyBudgetStop = true;
+      AnyUnknown = true;
+      break; // remaining cases would stop the same way
     }
     if (S == CaseSolver::CaseStatus::Unknown)
       AnyUnknown = true;
@@ -1421,8 +1207,5 @@ SolveResult ConstraintSolver::solveImpl(
     Stats.UnknownCount++;
   else
     Stats.UnsatCount++;
-  // store() rejects Unknown, so only the proven-Unsat outcome is kept.
-  if (Opts.Cache)
-    Opts.Cache->store(Sig.SortedConjuncts, Result);
   return Result;
 }

@@ -36,7 +36,6 @@
 #include "vm/ClassTable.h"
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace igdt {
@@ -81,10 +80,8 @@ struct SolverOptions {
   /// with the *structural hash of the case's own literals* — not with
   /// any per-query signature — so the identical case samples the
   /// identical candidates no matter which query posed it, when, or on
-  /// which worker. That bit-stability is what lets the incremental
-  /// assertion stack replay a prefix's cases after push/pop without
-  /// disturbing results. The explorer further mixes in a stable hash of
-  /// the instruction name, making every instruction's exploration
+  /// which worker. The explorer further mixes in a stable hash of the
+  /// instruction name, making every instruction's exploration
   /// independent of catalog order and shard assignment.
   std::uint64_t Seed = 0x5EED;
   /// Cooperative budget shared across queries (non-owning, may be
@@ -92,44 +89,21 @@ struct SolverOptions {
   /// exhausted budget turns the running and all later queries Unknown
   /// instead of letting a pathological instruction stall the campaign.
   Budget *SharedBudget = nullptr;
-  /// Per-exploration query cache (non-owning, may be null). Memoizes
-  /// definite answers and rejects supersets of known-Unsat cores
-  /// without search. Must never be shared across threads; the owning
-  /// explorer keeps it worker-local (see ConcolicExplorer.h).
-  SolverQueryCache *Cache = nullptr;
   /// Campaign-scope index of proven-Unsat cases (non-owning, may be
-  /// null). Unlike Cache it IS shared across explorations and threads:
-  /// Unsat proofs are pointer-free and seed-independent, so a hit is
-  /// byte-identical to re-proving (see SolverCache.h). Entries are
+  /// null), shared across explorations and threads: Unsat proofs are
+  /// pointer-free and seed-independent, so a hit is byte-identical to
+  /// re-proving (see SolverCache.h). Entries are
   /// segregated by a fingerprint of the caps that influence Unsat
   /// provability, so ladder rungs never serve full-strength queries.
   SharedUnsatIndex *Shared = nullptr;
-  /// Tier-0 model cache (non-owning, may be null). When set, every
-  /// query is first evaluated under the banked models via TermEval and
-  /// a satisfying one answers Sat without expansion or search. The bank
-  /// is consulted *before* the exact-match cache so its answers are
-  /// independent of whether Cache is configured, and it is fed on every
-  /// Sat result; both rules keep exploration results byte-identical
-  /// across cache configurations (see SolverCache.h). Worker-local,
-  /// like Cache.
-  SolverModelBank *Bank = nullptr;
-  /// Whether a model-bank hit skips the search (true, the perf win) or
-  /// merely verifies it (false): a hit still answers with the banked
-  /// model, but the full expansion + search also runs with throwaway
-  /// statistics and no cache interaction. Skip and verify are therefore
-  /// byte-identical in every observable output — this is the only sound
-  /// on/off A/B for a counterexample cache, because a bank hit may
-  /// return a *different* model than the search would, and the whole
-  /// exploration frontier is deterministic in the returned model.
-  bool ModelCacheSkips = true;
   /// Harness-fault injection (campaign self-tests): throw HarnessFault
   /// at query entry, simulating a solver blow-up no search cap contains.
   bool InjectSolverHang = false;
   /// Observability sink (non-owning, may be null). When set, every
   /// query emits one SolverQuery event (status + nodes/cases deltas,
-  /// cost-compensated on cache hits so they are deterministic) and
-  /// cache lookups emit CacheLookup diagnostics. Disabled-path cost is
-  /// this one null check.
+  /// cost-compensated on shared-index hits so they are deterministic)
+  /// and shared-index lookups emit CacheLookup diagnostics.
+  /// Disabled-path cost is this one null check.
   TraceSink *Trace = nullptr;
 };
 
@@ -143,37 +117,23 @@ struct SolverStats {
   std::uint64_t NodesExplored = 0;
   /// Queries cut short (turned Unknown) by an exhausted shared budget.
   std::uint64_t BudgetStops = 0;
-  /// Lookups answered from a cache: an exact match in the
-  /// per-exploration tier or a proof in the shared Unsat index. Unlike
-  /// every other counter, the three cache counters depend on worker
-  /// scheduling (which exploration populated the shared index first),
-  /// so they are diagnostics only: excluded from campaign checkpoints
-  /// and from byte-identity guarantees.
+  /// Case lookups answered by a proof in the shared Unsat index.
+  /// Unlike every other counter, the two cache counters depend on
+  /// worker scheduling (which exploration populated the shared index
+  /// first), so they are diagnostics only: excluded from campaign
+  /// checkpoints and from byte-identity guarantees.
   std::uint64_t CacheHits = 0;
-  /// Lookups that consulted a cache and had to search.
+  /// Case lookups that consulted the shared index and had to search.
   std::uint64_t CacheMisses = 0;
-  /// Lookups rejected as supersets of a known proven-Unsat core.
-  std::uint64_t CacheUnsatSubsumed = 0;
-  /// Queries answered by the tier-0 model bank (a banked model already
-  /// satisfied the query, so expansion and search were skipped). Unlike
-  /// the other cache counters this one is deterministic — the bank is
-  /// worker-local and always consulted — but it follows the same
-  /// precedent of being excluded from campaign checkpoints: it counts
-  /// reuse, not exploration work.
-  std::uint64_t ModelCacheHits = 0;
-  /// Queries solved through the assertion stack's cumulative case
-  /// expansion: only the newly pushed conjunct was expanded, the rest
-  /// of the product was reused from the prefix. The complement —
-  /// Queries minus every avoided/reused tier — is the "full solve"
-  /// count the explore bench guards. Deterministic (worker-local, like
-  /// ModelCacheHits) but a reuse diagnostic, so also never
-  /// checkpointed.
+  /// Always 0: the solver keeps no prefix expansion to reuse. The field
+  /// stays because the repository benchmark (perfbench/cpp/Workloads.cpp)
+  /// reports it as solver.prefix_reuse_solves.
   std::uint64_t PrefixReuseSolves = 0;
-  /// Queries that case-expanded their whole conjunct vector from
-  /// scratch — the only kind of solve a pre-memo engine issues, and
-  /// the count the explore bench's regression guard watches. Counted
-  /// directly (not derived by subtraction) because tier-2 shared-proof
-  /// hits are per-case and can co-occur with either solve shape.
+  /// Queries that case-expanded their conjunct vector: every query not
+  /// cut short by an exhausted budget. In-process only (not carried in
+  /// worker payloads, profiles or metrics, which can derive it from
+  /// Queries and BudgetStops); kept because the repository benchmark
+  /// (perfbench/cpp/Workloads.cpp) reports it as solver.full_solves.
   std::uint64_t FullSolves = 0;
   /// Times a structural cap (MaxCases burst, MaxClassCombos, or
   /// MaxSearchNodes) actually cut a search short. This is the caps
@@ -183,10 +143,10 @@ struct SolverStats {
   /// provably identical to the same run at full strength. Counted even
   /// when the query still answers Sat (a node-cap trip prunes subtrees,
   /// so a later candidate's Sat may differ from the un-capped Sat).
-  /// Deterministic — cap trips happen only during genuine searches,
-  /// which the worker-local caches replay identically — but excluded
-  /// from campaign checkpoints like the other diagnostics: it describes
-  /// solver internals, not exploration output.
+  /// Deterministic — shared-index hits only ever skip Unsat proofs,
+  /// which never trip a cap — but excluded from campaign checkpoints
+  /// like the other diagnostics: it describes solver internals, not
+  /// exploration output.
   std::uint64_t CapHits = 0;
 
   /// Accumulates \p Other into this (deterministic reduction used when
@@ -197,9 +157,9 @@ struct SolverStats {
 /// Folds \p Stats into \p Registry under "solver.*" counter names
 /// (queries, sat, unsat, unknown, cases, nodes, budget_stops) and
 /// "solver.cache.*" for the scheduling-dependent diagnostics (hits,
-/// misses, unsat_subsumed). This is how SolverStats surfaces in the
-/// metrics layer: per-shard stats fold per-record, and the campaign's
-/// catalog-order merge makes the combined numbers deterministic.
+/// misses). This is how SolverStats surfaces in the metrics layer:
+/// per-shard stats fold per-record, and the campaign's catalog-order
+/// merge makes the combined numbers deterministic.
 void foldSolverStats(MetricsRegistry &Registry, const SolverStats &Stats);
 
 /// Derives the reduced-caps solver options for a scheduler tier
@@ -216,26 +176,7 @@ void foldSolverStats(MetricsRegistry &Registry, const SolverStats &Stats);
 /// weakening; this ladder *screens* whole instructions cheaply first.
 SolverOptions solverTierCaps(const SolverOptions &Base, unsigned Distance);
 
-/// An atom with polarity, produced by negation-normal-form expansion.
-struct SolverLiteral {
-  const BoolTerm *Atom;
-  bool Positive;
-};
-
-/// One conjunctive case of an expanded query.
-using SolverCase = std::vector<SolverLiteral>;
-
-/// Cumulative case expansion of an assertion-stack prefix. Burst means
-/// the ordered cross product exceeded MaxCases (the whole query is
-/// Unknown, matching a from-scratch expansion overflow); an empty case
-/// list without Burst is proven Unsat.
-struct ExpandedCases {
-  bool Burst = false;
-  std::vector<SolverCase> Cases;
-};
-
-/// The solver. Stateless between queries except for statistics and the
-/// optional assertion stack.
+/// The solver. Stateless between queries except for statistics.
 class ConstraintSolver {
 public:
   explicit ConstraintSolver(const ClassTable &Classes,
@@ -244,51 +185,16 @@ public:
   /// Solves the conjunction of \p Conjuncts.
   SolveResult solve(const std::vector<const BoolTerm *> &Conjuncts);
 
-  /// \name Incremental prefix interface
-  /// The explorer mirrors its path stack onto the solver: push the
-  /// taken condition of each branch in path order, push a negation,
-  /// solveStack(), pop, push the next prefix entry. Each level caches
-  /// the *cumulative case expansion* of the prefix so far (plus a
-  /// per-conjunct NNF memo shared across levels), so negating the k-th
-  /// branch re-expands only the one pushed negation against the cached
-  /// prefix product instead of re-walking all k conjuncts. Results are
-  /// bit-identical to solve() on the same conjunct sequence: expansion
-  /// order, case order, case RNG seeds and every cache interaction are
-  /// reproduced exactly.
-  /// @{
-  void pushAssertion(const BoolTerm *Conjunct);
-  void popAssertion();
-  void clearAssertions();
-  const std::vector<const BoolTerm *> &assertions() const {
-    return AssertionStack;
-  }
-  /// Solves the conjunction of the asserted stack.
-  SolveResult solveStack();
-  /// @}
-
   const SolverStats &stats() const { return Stats; }
   const SolverOptions &options() const { return Opts; }
 
 private:
-  /// The actual solve; the public entries wrap it with trace emission
-  /// and model-bank feeding. \p Pre carries the assertion stack's
-  /// precomputed cumulative expansion (null for from-scratch solves).
-  SolveResult solveImpl(const std::vector<const BoolTerm *> &Conjuncts,
-                        const ExpandedCases *Pre);
-  SolveResult solveEntry(const std::vector<const BoolTerm *> &Conjuncts,
-                         const ExpandedCases *Pre);
+  /// The actual solve; solve() wraps it with trace emission.
+  SolveResult solveImpl(const std::vector<const BoolTerm *> &Conjuncts);
 
   const ClassTable &Classes;
   SolverOptions Opts;
   SolverStats Stats;
-  /// Hasher for query signatures (a plain field read since terms carry
-  /// precomputed hashes).
-  TermHasher Hasher;
-  /// Incremental prefix state: the asserted conjuncts, one cumulative
-  /// expansion per level, and the NNF memo of individual conjuncts.
-  std::vector<const BoolTerm *> AssertionStack;
-  std::vector<ExpandedCases> PrefixLevels;
-  std::map<const BoolTerm *, std::vector<SolverCase>> ConjunctCaseMemo;
 };
 
 } // namespace igdt

@@ -1,120 +1,8 @@
-//===- solver/SolverCache.cpp - Per-exploration solver query caching ---------===//
+//===- solver/SolverCache.cpp - Campaign-scope index of Unsat proofs ---------===//
 
 #include "solver/SolverCache.h"
 
-#include "solver/Solver.h"
-#include "solver/Term.h"
-#include "solver/TermEval.h"
-#include "support/StringUtils.h"
-
-#include <algorithm>
-
 using namespace igdt;
-
-namespace {
-
-std::uint64_t mix(std::uint64_t Seed, std::uint64_t Value) {
-  return hashCombine64(Seed, Value);
-}
-
-// Structural model equality for the bank's duplicate check. Doubles are
-// compared bitwise: the bank must never fold two models the evaluator
-// could distinguish (e.g. 0.0 vs -0.0 boxed payloads).
-
-bool bitsEqual(double A, double B) {
-  std::uint64_t BA, BB;
-  __builtin_memcpy(&BA, &A, sizeof(BA));
-  __builtin_memcpy(&BB, &B, sizeof(BB));
-  return BA == BB;
-}
-
-bool assignmentEquals(const ObjAssignment &A, const ObjAssignment &B) {
-  return A.ClassIndex == B.ClassIndex && A.IntValue == B.IntValue &&
-         bitsEqual(A.FloatValue, B.FloatValue) && A.SlotCount == B.SlotCount;
-}
-
-bool modelEquals(const Model &A, const Model &B) {
-  if (A.Objects.size() != B.Objects.size() || A.Reps != B.Reps ||
-      A.IntLeaves != B.IntLeaves)
-    return false;
-  for (auto ItA = A.Objects.begin(), ItB = B.Objects.begin();
-       ItA != A.Objects.end(); ++ItA, ++ItB)
-    if (ItA->first != ItB->first ||
-        !assignmentEquals(ItA->second, ItB->second))
-      return false;
-  if (A.FloatLeaves.size() != B.FloatLeaves.size())
-    return false;
-  for (auto ItA = A.FloatLeaves.begin(), ItB = B.FloatLeaves.begin();
-       ItA != A.FloatLeaves.end(); ++ItA, ++ItB)
-    if (ItA->first != ItB->first || !bitsEqual(ItA->second, ItB->second))
-      return false;
-  return true;
-}
-
-} // namespace
-
-void SolverModelBank::record(const Model &M) {
-  for (const Model &Existing : Models)
-    if (modelEquals(Existing, M))
-      return;
-  Models.push_back(M);
-  if (Models.size() > Capacity)
-    Models.pop_front();
-}
-
-const Model *SolverModelBank::findSatisfying(
-    const std::vector<const BoolTerm *> &Conjuncts,
-    const ClassTable &Classes) const {
-  for (auto It = Models.rbegin(); It != Models.rend(); ++It) {
-    TermEvaluator Eval(*It, Classes);
-    bool All = true;
-    for (const BoolTerm *C : Conjuncts) {
-      auto V = Eval.evalBool(C);
-      if (!V || !*V) {
-        All = false;
-        break;
-      }
-    }
-    if (All)
-      return &*It;
-  }
-  return nullptr;
-}
-
-TermHasher::QuerySignature
-TermHasher::signQuery(const std::vector<const BoolTerm *> &Conjuncts) {
-  QuerySignature Sig;
-  Sig.SortedConjuncts.reserve(Conjuncts.size());
-  for (const BoolTerm *C : Conjuncts)
-    Sig.SortedConjuncts.push_back(hashBool(C));
-  std::sort(Sig.SortedConjuncts.begin(), Sig.SortedConjuncts.end());
-  Sig.Fold = 0x51D;
-  for (std::uint64_t H : Sig.SortedConjuncts)
-    Sig.Fold = mix(Sig.Fold, H);
-  return Sig;
-}
-
-const SolveResult *SolverQueryCache::lookup(const QueryKey &Key) const {
-  auto It = Exact.find(Key);
-  return It == Exact.end() ? nullptr : &It->second;
-}
-
-bool SolverQueryCache::subsumedUnsat(const QueryKey &Key) const {
-  for (const QueryKey &Core : Cores)
-    if (Core.size() <= Key.size() &&
-        std::includes(Key.begin(), Key.end(), Core.begin(), Core.end()))
-      return true;
-  return false;
-}
-
-void SolverQueryCache::store(const QueryKey &Key, const SolveResult &Result) {
-  if (Result.Status == SolveStatus::Unknown)
-    return;
-  Exact.emplace(Key, Result);
-  if (Result.Status == SolveStatus::Unsat && Cores.size() < MaxUnsatCores &&
-      !subsumedUnsat(Key))
-    Cores.push_back(Key);
-}
 
 bool SharedUnsatIndex::lookup(std::uint64_t CapsFingerprint,
                               const QueryKey &Key, Proof &Out) const {

@@ -1,80 +1,33 @@
-//===- solver/SolverCache.h - Per-exploration solver query caching ----------===//
+//===- solver/SolverCache.h - Campaign-scope index of Unsat proofs ----------===//
 //
 // Part of the IGDT project: interpreter-guided differential JIT testing.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Incremental solving support for the concolic exploration loop,
-/// organised as two tiers with different sharing scopes:
-///
-///  - TermHasher reads every term's *structural* 64-bit hash. Since the
-///    hash-consing arena (solver/Term.h) precomputes each node's hash at
-///    intern time with the identical mixing scheme, hashing is now an
-///    O(1) field read rather than a full-tree walk. Structural hashing
-///    makes cache keys independent of allocation addresses and of the
-///    order terms were built in — the property that lets a cached run
-///    reproduce an uncached one bit for bit, and that lets hashes
-///    computed in one exploration's arena match those of another.
-///
-///  - SolverModelBank (tier 0, per exploration) keeps the most recent
-///    satisfying models. Before any search, the solver evaluates the new
-///    query under each banked model via TermEval (the counterexample-
-///    cache trick): sibling negation queries of one path prefix are very
-///    often satisfied by a model found two queries ago, and a hit skips
-///    expansion and search entirely. Unlike the exact-match tiers the
-///    bank is *part of the defined exploration algorithm*, not a
-///    transparent accelerator: a bank hit may return a different (older)
-///    model than the seeded search would find, and concolic execution is
-///    deterministic in the model, so which model comes back shapes the
-///    path frontier. The bank is therefore always consulted — the
-///    EnableModelCache toggle only decides whether a hit *skips* the
-///    search or merely *verifies* it (see SolverOptions::ModelCacheSkips)
-///    — and its content is fed identically on every Sat result, keeping
-///    it byte-reproducible across cache configurations, workers and
-///    Jobs values.
-///
-///  - SolverQueryCache (tier 1, per exploration) memoizes definite
-///    answers — Sat with its model, proven Unsat — at two
-///    granularities: whole queries and the individual conjunctive
-///    *cases* they expand into (the level at which the degradation
-///    ladder re-poses work). It also keeps proven-Unsat conjunct sets
-///    as *cores*: a later key that is a superset of a known core is
-///    Unsat by subsumption, with no search. Unknown results are never
-///    cached so the ladder can still retry them. Models hold pointers
-///    into the exploration's term arena, so this tier must die with the
-///    exploration and is never shared across threads — lookups take no
-///    locks.
-///
-///  - SharedUnsatIndex (tier 2, campaign scope) records proven-Unsat
-///    cases across explorations. Catalog instructions of one family
-///    pose structurally identical type-check cases, so Unsat proofs
-///    recur campaign-wide even though they never recur within one
-///    exploration. Only Unsat entries are shared: they carry no model
-///    (nothing points into a foreign arena), and an Unsat proof is
-///    derived purely from class conflicts, empty candidate sets and
-///    interval propagation — never from the seeded numeric search — so
-///    any worker with the same caps and class table would reprove it
-///    identically. A hit is therefore transparent: results are
-///    byte-identical whether or not it fires, which keeps campaign rows
-///    independent of worker scheduling. Entries are keyed by a caps
-///    fingerprint so ladder rungs and ablation configurations never
-///    serve each other. The index takes one mutex per case lookup /
-///    store — off the hot search path, which runs lock-free.
-///
-/// Definite answers from a cheaper ladder rung are sound at any
-/// strength: caps only ever widen results toward Unknown.
+/// SharedUnsatIndex: a campaign-scope record of proven-Unsat cases,
+/// shared across explorations. Catalog instructions of one family pose
+/// structurally identical type-check cases, so Unsat proofs recur
+/// campaign-wide even though they never recur within one exploration.
+/// Only Unsat entries are shared: they carry no model (nothing points
+/// into a foreign term arena), and an Unsat proof is derived purely
+/// from class conflicts, empty candidate sets and interval propagation
+/// — never from the seeded numeric search — so any worker with the same
+/// caps and class table would reprove it identically. A hit is
+/// therefore transparent: results are byte-identical whether or not it
+/// fires, which keeps campaign rows independent of worker scheduling.
+/// Keys are built from each atom's precomputed structural hash
+/// (solver/Term.h), so they agree across arenas. Entries are keyed by a
+/// caps fingerprint so ladder rungs and ablation configurations never
+/// serve each other. The index takes one mutex per case lookup / store
+/// — off the hot search path, which runs lock-free.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_SOLVER_SOLVERCACHE_H
 #define IGDT_SOLVER_SOLVERCACHE_H
 
-#include "solver/Model.h"
-#include "solver/Term.h"
-
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -82,93 +35,14 @@
 
 namespace igdt {
 
-class ClassTable;
-enum class SolveStatus : std::uint8_t;
-struct SolveResult;
-
-/// Structural hashing of solver terms. Since every term carries its
-/// hash precomputed by the interning TermBuilder, this is a plain field
-/// read — the class survives as the home of query signatures and of the
-/// null-term convention.
-class TermHasher {
-public:
-  std::uint64_t hashBool(const BoolTerm *T) {
-    return T ? T->Hash : NullTermHash;
-  }
-
-  /// Signature of a conjunctive query: the sorted multiset of conjunct
-  /// hashes (the cache key) plus an order-insensitive fold of them
-  /// (RNG seed material).
-  struct QuerySignature {
-    std::vector<std::uint64_t> SortedConjuncts;
-    std::uint64_t Fold = 0;
-  };
-  QuerySignature signQuery(const std::vector<const BoolTerm *> &Conjuncts);
-};
-
-/// Tier-0 model cache: a FIFO of the most recent satisfying models of
-/// one exploration. See the file comment for why this tier is part of
-/// the defined algorithm rather than a transparent accelerator. Models
-/// hold pointers into the exploration's term arena, so the bank is
-/// strictly worker-local and dies with the exploration.
-class SolverModelBank {
-public:
-  explicit SolverModelBank(std::size_t Capacity = 8) : Capacity(Capacity) {}
-
-  /// Records a Sat result's model. Called for *every* Sat result —
-  /// fresh searches and cache hits alike — so the bank's content is a
-  /// pure function of the result sequence, which is itself identical
-  /// across cache configurations. Structural duplicates of a model
-  /// already banked are skipped to keep the FIFO slots diverse.
-  void record(const Model &M);
-
-  /// Scans newest-first for a banked model satisfying all \p Conjuncts
-  /// under TermEval; null when none does. Deterministic: content and
-  /// scan order depend only on the recorded sequence.
-  const Model *findSatisfying(const std::vector<const BoolTerm *> &Conjuncts,
-                              const ClassTable &Classes) const;
-
-  std::size_t size() const { return Models.size(); }
-
-private:
-  std::deque<Model> Models; // newest at the back
-  std::size_t Capacity;
-};
-
-/// Per-exploration memo of definite solver answers. See file comment
-/// for the soundness and ownership rules.
-class SolverQueryCache {
-public:
-  using QueryKey = std::vector<std::uint64_t>;
-
-  /// Exact-match lookup; null on miss.
-  const SolveResult *lookup(const QueryKey &Key) const;
-
-  /// True when \p Key is a superset of a known proven-Unsat core.
-  bool subsumedUnsat(const QueryKey &Key) const;
-
-  /// Stores a definite result. Unknown results are rejected (they are
-  /// retryable — caching them would freeze the degradation ladder).
-  void store(const QueryKey &Key, const SolveResult &Result);
-
-  std::size_t exactEntries() const { return Exact.size(); }
-  std::size_t unsatCores() const { return Cores.size(); }
-
-private:
-  std::map<QueryKey, SolveResult> Exact;
-  /// Sorted conjunct-hash sets of proven-Unsat queries, capped so the
-  /// subsumption scan stays O(cores * |query|).
-  std::vector<QueryKey> Cores;
-  static constexpr std::size_t MaxUnsatCores = 256;
-};
-
-/// Campaign-scope index of proven-Unsat cases (tier 2; see file
-/// comment for why only Unsat may cross exploration and thread
-/// boundaries). Thread-safe: workers of a parallel campaign consult and
-/// populate one instance concurrently.
+/// Campaign-scope index of proven-Unsat cases (see the file comment
+/// for why only Unsat may cross exploration and thread boundaries).
+/// Thread-safe: workers of a parallel campaign consult and populate one
+/// instance concurrently.
 class SharedUnsatIndex {
 public:
-  using QueryKey = SolverQueryCache::QueryKey;
+  /// Sorted literal hashes of one conjunctive case.
+  using QueryKey = std::vector<std::uint64_t>;
 
   /// The deterministic cost of the original Unsat proof. Charged to the
   /// hitting solver's statistics in place of re-running the proof, so

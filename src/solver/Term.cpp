@@ -9,10 +9,9 @@ using namespace igdt;
 namespace {
 
 // The mixing scheme below must stay bit-identical to the recursive
-// walk TermHasher historically performed (solver/SolverCache.cpp):
-// solver cache keys, SharedUnsatIndex entries and the RNG seed
-// material folded from query signatures are all derived from these
-// values, and the determinism contract keeps them stable across PRs.
+// full-tree walk earlier releases performed: SharedUnsatIndex keys and
+// the case RNG seed material are derived from these values, and the
+// determinism contract keeps them stable across releases.
 
 std::uint64_t mix(std::uint64_t Seed, std::uint64_t Value) {
   return hashCombine64(Seed, Value);
@@ -497,7 +496,7 @@ const BoolTerm *TermBuilder::notB(const BoolTerm *Operand) {
     return Operand->BLhs;
   // Consed so repeated negations of the same branch condition (every
   // generational re-negation of a prefix) share one node — pointer
-  // identity then implies structural identity for the query cache's
+  // identity then implies structural identity for the shared index's
   // hashing.
   auto It = NotCache.find(Operand);
   if (It != NotCache.end())

@@ -23,9 +23,9 @@
 /// TermBuilder, so pointer equality is term identity for *every* node,
 /// not just leaves: two structurally equal terms built through the same
 /// builder are the same pointer. Each node also carries its structural
-/// hash, precomputed at intern time with the same mixing scheme
-/// TermHasher used to compute recursively — solver cache keys are now
-/// O(1) field reads, and hashes still agree across arenas.
+/// hash, precomputed at intern time with the full-tree mixing scheme of
+/// earlier releases — solver cache keys are O(1) field reads, and hashes
+/// agree across arenas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,10 +59,10 @@ enum class VarRole : std::uint8_t {
 };
 
 /// Neutral hash of an absent child term; also the seed constant of
-/// hashCombine64. Kept identical to the value the recursive TermHasher
-/// historically produced for null children, so precomputed hashes equal
-/// the old full-tree-walk hashes bit for bit (cache keys and RNG seed
-/// material derived from them are unchanged).
+/// hashCombine64. Kept identical to the value the old recursive
+/// full-tree walk produced for null children, so precomputed hashes equal
+/// its hashes bit for bit (cache keys and RNG seed material derived from
+/// them are unchanged).
 constexpr std::uint64_t NullTermHash = 0x9E3779B97F4A7C15ull;
 
 /// Object-sort term.

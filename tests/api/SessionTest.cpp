@@ -104,25 +104,23 @@ TEST(SessionTest, CacheEffectivenessSurfacesInProfileAndMetrics) {
   Session S(Config);
   CampaignSummary Summary = S.runCampaign();
 
-  // The reuse tiers surface in the profile report, bit-equal to the
+  // The cache counters surface in the profile report, bit-equal to the
   // campaign's own counters...
   const ProfileReport *Report = S.profile();
   ASSERT_NE(Report, nullptr);
-  EXPECT_EQ(Report->ModelCacheHits, Summary.Solver.ModelCacheHits);
+  EXPECT_EQ(Report->CacheHits, Summary.Solver.CacheHits);
   EXPECT_EQ(Report->JitCompiles, Summary.Jit.Compiles);
   EXPECT_EQ(Report->JitCodeCacheHits, Summary.Jit.CodeCacheHits);
   EXPECT_GT(Report->JitCompiles, 0u);
   EXPECT_GT(Report->JitCodeCacheHits, 0u)
       << "replaying several paths of one instruction must reuse code";
   EXPECT_NE(Report->render().find("code cache"), std::string::npos);
-  EXPECT_NE(Report->render().find("model-bank"), std::string::npos);
+  EXPECT_NE(Report->render().find("solver cache"), std::string::npos);
 
   // ...and in the session metrics registry under the stable names.
   EXPECT_EQ(S.metrics().counter("jit.compiles"), Summary.Jit.Compiles);
   EXPECT_EQ(S.metrics().counter("jit.code_cache.hits"),
             Summary.Jit.CodeCacheHits);
-  EXPECT_EQ(S.metrics().counter("solver.cache.model_hits"),
-            Summary.Solver.ModelCacheHits);
 }
 
 TEST(SessionTest, TestPathReusesCompilesAcrossCallsViaTheSessionCache) {

@@ -133,6 +133,37 @@ TEST(ResultStoreTest, ConfigFingerprintIgnoresTopologyButNotSemantics) {
   EXPECT_EQ(resultStoreKey(*Add, FpA), resultStoreKey(*Add, FpA));
 }
 
+TEST(ResultStoreTest, VersionOneEntriesAreNotServed) {
+  // The key a version-1 binary derived for bytecodePrim_add under these
+  // options. Version 2 removed the solver model bank, which changed the
+  // defined exploration algorithm, so such an entry must miss and the
+  // instruction must be explored afresh rather than served.
+  constexpr std::uint64_t VersionOneKey = 0xd725fd8a69d38997ull;
+  CampaignOptions Opts;
+  Opts.RecordTimings = false;
+  Opts.OnlyInstructions = {"bytecodePrim_add"};
+  const InstructionSpec *Add = findInstruction("bytecodePrim_add");
+  ASSERT_NE(Add, nullptr);
+  EXPECT_NE(resultStoreKey(*Add, campaignConfigFingerprint(Opts)),
+            VersionOneKey);
+
+  // Plant a well-formed record under the old key, tagged so that
+  // serving it would be visible.
+  CampaignSummary Fresh = CampaignRunner(Opts).run();
+  ASSERT_EQ(Fresh.Records.size(), 1u);
+  InstructionRecord Planted = Fresh.Records[0];
+  Planted.Paths = 999;
+  MemoryVerdictStore Store;
+  Store.put(VersionOneKey, Planted.Instruction, Planted.toJson());
+
+  Opts.Store = &Store;
+  CampaignSummary Run = CampaignRunner(Opts).run();
+  EXPECT_EQ(Run.StoreServed, 0u);
+  EXPECT_EQ(Run.StoreMisses, 1u);
+  ASSERT_EQ(Run.Records.size(), 1u);
+  EXPECT_EQ(Run.Records[0].toJson(), Fresh.Records[0].toJson());
+}
+
 TEST(ResultStoreTest, StoreEligibilityRefusesTimingDependentConfigs) {
   CampaignOptions Opts;
   EXPECT_TRUE(storeEligible(Opts));

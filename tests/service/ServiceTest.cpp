@@ -307,6 +307,24 @@ TEST(ServiceTest, SubmitStatusSubscribeLifecycle) {
   std::remove(Campaign.CheckpointPath.c_str());
 }
 
+TEST(ServiceTest, FinishedSessionWorkersAreJoinedAndStatusStaysServed) {
+  CampaignService Service;
+  CampaignRequest Campaign;
+  Campaign.OnlyInstructions = {"bytecodePrim_add"};
+  std::vector<std::string> Ids;
+  for (int I = 0; I < 6; ++I) {
+    Ids.push_back(submitOk(Service, Campaign));
+    EXPECT_EQ(waitDone(Service, Ids.back()).State, "done");
+  }
+  // Each submit joins the workers that finished before it, so at most
+  // the previous session (still returning) and the newest are unjoined.
+  EXPECT_LE(Service.unjoinedWorkers(), 2u);
+  // A joined session still answers status with its final reply.
+  StatusReply First = waitDone(Service, Ids.front());
+  EXPECT_EQ(First.State, "done");
+  EXPECT_EQ(First.Completed, 1u);
+}
+
 TEST(ServiceTest, NewerSchemaVersionsAreRejectedLoudly) {
   CampaignService Service;
   std::string ReplyJson = Service.handleJson(
@@ -434,6 +452,30 @@ TEST(ServiceTest, DaemonAnswersOverTheSocketAndServesWarmResubmits) {
   std::remove(ColdCheckpoint.c_str());
   std::remove(Campaign.CheckpointPath.c_str());
   std::remove(Opts.Service.StorePath.c_str());
+  std::remove(Opts.SocketPath.c_str());
+}
+
+TEST(ServiceTest, DaemonJoinsFinishedConnectionThreads) {
+  if (!unixSocketsAvailable())
+    GTEST_SKIP() << "no unix-domain sockets on this platform";
+  DaemonOptions Opts;
+  Opts.SocketPath = tempPath("d_reap.sock");
+  Daemon D(Opts);
+  std::string Error;
+  ASSERT_TRUE(D.start(&Error)) << Error;
+  std::thread Serving([&] { D.run(); });
+
+  // Every client call is its own connection. Threads of finished
+  // connections are joined on the next accept, so the count stays
+  // bounded instead of growing by one per round trip.
+  ServiceClient Client(Opts.SocketPath);
+  for (int I = 0; I < 200; ++I)
+    ASSERT_TRUE(Client.ping(&Error)) << Error;
+  EXPECT_LE(D.unjoinedConnections(), 8u);
+
+  EXPECT_TRUE(Client.shutdown(&Error)) << Error;
+  Serving.join();
+  EXPECT_EQ(D.unjoinedConnections(), 0u);
   std::remove(Opts.SocketPath.c_str());
 }
 

@@ -1,10 +1,9 @@
 //===- tests/solver/SolverCacheTest.cpp ----------------------------------------===//
 //
-// Solver query caching: structural hashing is allocation-independent,
-// the per-exploration tier memoizes exact answers and subsumes Unsat
-// supersets, the campaign-scope Unsat index is caps-segregated, and —
-// the property everything rests on — caching never changes what an
-// exploration produces, only how fast it produces it.
+// The campaign-scope Unsat index: entries are caps-segregated, hits
+// really happen across explorations, and — the property everything
+// rests on — the index never changes what an exploration or a faulted
+// campaign produces, only how fast it produces it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,55 +21,89 @@ using namespace igdt;
 
 namespace {
 
-/// A small conjunction built from scratch in \p B: the add-style
-/// type-check prefix "stack0 is SmallInteger and value(stack0) < 7".
-std::vector<const BoolTerm *> buildConjuncts(TermBuilder &B) {
+/// "stack0 is SmallInteger and 9 < value(stack0) and value(stack0) < 7",
+/// built from scratch in \p B: one case that survives case expansion and
+/// is proven Unsat by interval propagation, so it enters the index.
+std::vector<const BoolTerm *> buildUnsatConjuncts(TermBuilder &B) {
   const ObjTerm *V = B.objVar(VarRole::StackSlot, 0);
-  return {B.isClass(V, 1),
+  return {B.isClass(V, SmallIntegerClass),
+          B.icmp(CmpPred::Lt, B.intConst(9), B.valueOf(V)),
           B.icmp(CmpPred::Lt, B.valueOf(V), B.intConst(7))};
 }
 
 TEST(SolverCacheTest, StructurallyEqualTermsHashEqualAcrossArenas) {
   // Two independent arenas allocate the "same" terms at different
-  // addresses; the structural hashes must agree anyway — this is what
-  // lets one exploration's Unsat proofs serve another's lookups.
-  TermBuilder B1;
-  TermBuilder B2;
-  TermHasher H1;
-  TermHasher H2;
-  TermHasher::QuerySignature S1 = H1.signQuery(buildConjuncts(B1));
-  TermHasher::QuerySignature S2 = H2.signQuery(buildConjuncts(B2));
-  EXPECT_EQ(S1.SortedConjuncts, S2.SortedConjuncts);
-  EXPECT_EQ(S1.Fold, S2.Fold);
+  // addresses; the case keys built from their structural hashes must
+  // agree anyway — this is what lets one exploration's Unsat proofs
+  // serve another's lookups.
+  ClassTable Classes;
+  SharedUnsatIndex Index;
+  SolverOptions Opts;
+  Opts.Shared = &Index;
 
-  // And polarity matters: the negation hashes differently.
+  TermBuilder B1;
+  ConstraintSolver S1(Classes, Opts);
+  ASSERT_EQ(S1.solve(buildUnsatConjuncts(B1)).Status, SolveStatus::Unsat);
+  EXPECT_EQ(S1.stats().CacheHits, 0u);
+  EXPECT_EQ(S1.stats().CacheMisses, 1u);
+  ASSERT_EQ(Index.size(), 1u);
+
+  // The second arena poses the same conjuncts in another order: the key
+  // is independent of addresses and of literal order, so it hits and is
+  // charged the original proof's cost.
+  TermBuilder B2;
+  std::vector<const BoolTerm *> Reordered = buildUnsatConjuncts(B2);
+  std::swap(Reordered.front(), Reordered.back());
+  ConstraintSolver S2(Classes, Opts);
+  EXPECT_EQ(S2.solve(Reordered).Status, SolveStatus::Unsat);
+  EXPECT_EQ(S2.stats().CacheHits, 1u);
+  EXPECT_EQ(S2.stats().CacheMisses, 0u);
+  EXPECT_EQ(S2.stats().CasesExplored, S1.stats().CasesExplored);
+  EXPECT_EQ(S2.stats().NodesExplored, S1.stats().NodesExplored);
+
+  // And polarity matters: with one bound negated the case keys differ,
+  // so the lookup misses and the (now Sat) query is really searched.
   TermBuilder B3;
-  TermHasher H3;
-  std::vector<const BoolTerm *> Negated = buildConjuncts(B3);
-  Negated[1] = B3.notB(Negated[1]);
-  EXPECT_NE(H3.signQuery(Negated).Fold, S1.Fold);
+  std::vector<const BoolTerm *> Negated = buildUnsatConjuncts(B3);
+  Negated[2] = B3.notB(Negated[2]);
+  ConstraintSolver S3(Classes, Opts);
+  EXPECT_EQ(S3.solve(Negated).Status, SolveStatus::Sat);
+  EXPECT_EQ(S3.stats().CacheHits, 0u);
+  EXPECT_EQ(S3.stats().CacheMisses, 1u);
 }
 
-TEST(SolverCacheTest, ExactMemoAndUnsatSubsumption) {
-  SolverQueryCache Cache;
-  SolverQueryCache::QueryKey Core = {10, 20};
-  SolveResult Unsat;
-  Unsat.Status = SolveStatus::Unsat;
-  Cache.store(Core, Unsat);
+TEST(SolverCacheTest, OnlyProvenUnsatCasesEnterTheIndex) {
+  // Sat cases carry an arena-bound model and Unknown ones may be
+  // answered by a later ladder rung, so neither may be recorded; only
+  // a proof of Unsat is.
+  ClassTable Classes;
+  TermBuilder B;
+  SharedUnsatIndex Index;
+  SolverOptions Opts;
+  Opts.Shared = &Index;
+  const ObjTerm *S0 = B.objVar(VarRole::StackSlot, 0);
+  const ObjTerm *S1 = B.objVar(VarRole::StackSlot, 1);
 
-  ASSERT_NE(Cache.lookup(Core), nullptr);
-  EXPECT_EQ(Cache.lookup(Core)->Status, SolveStatus::Unsat);
+  // With 56-bit integers the overflow boundary is out of reach: Unknown.
+  SolverOptions Narrow = Opts;
+  Narrow.IntegerBits = 56;
+  const IntTerm *Sum =
+      B.binInt(IntTerm::Kind::Add, B.valueOf(S1), B.valueOf(S0));
+  std::vector<const BoolTerm *> Overflow = {
+      B.isClass(S1, SmallIntegerClass),
+      B.isClass(S0, SmallIntegerClass),
+      B.icmp(CmpPred::Lt, B.intConst(MaxSmallInt), Sum),
+  };
+  ConstraintSolver NarrowSolver(Classes, Narrow);
+  EXPECT_EQ(NarrowSolver.solve(Overflow).Status, SolveStatus::Unknown);
+  EXPECT_EQ(Index.size(), 0u);
 
-  // A superset of the proven-Unsat core is rejected without search.
-  EXPECT_TRUE(Cache.subsumedUnsat({5, 10, 20, 30}));
-  EXPECT_FALSE(Cache.subsumedUnsat({5, 10, 30}));
+  ConstraintSolver Solver(Classes, Opts);
+  EXPECT_EQ(Solver.solve(Overflow).Status, SolveStatus::Sat);
+  EXPECT_EQ(Index.size(), 0u);
 
-  // Unknown is never memoized: the degradation ladder must retry it.
-  SolveResult Unknown;
-  Unknown.Status = SolveStatus::Unknown;
-  Cache.store({7}, Unknown);
-  EXPECT_EQ(Cache.lookup({7}), nullptr);
-  EXPECT_EQ(Cache.exactEntries(), 1u);
+  EXPECT_EQ(Solver.solve(buildUnsatConjuncts(B)).Status, SolveStatus::Unsat);
+  EXPECT_EQ(Index.size(), 1u);
 }
 
 TEST(SolverCacheTest, SharedUnsatIndexIsCapsSegregated) {
@@ -109,158 +142,112 @@ TEST(SolverCacheTest, CachedAndUncachedExplorationsAreIdentical) {
   const InstructionSpec *Spec = findInstruction("bytecodePrim_add");
   ASSERT_NE(Spec, nullptr);
 
+  // Warm the index first so the cached exploration actually hits it.
+  SharedUnsatIndex Index;
   ExplorerOptions Cached;
-  Cached.EnableSolverCache = true;
-  ConcolicExplorer E1(cleanVMConfig(), Cached);
-  ExplorationResult R1 = E1.explore(*Spec);
+  Cached.SharedUnsat = &Index;
+  ConcolicExplorer(cleanVMConfig(), Cached).explore(*Spec);
+  ExplorationResult R1 = ConcolicExplorer(cleanVMConfig(), Cached).explore(*Spec);
+  ASSERT_GT(R1.Solver.CacheHits, 0u);
 
   ExplorerOptions Uncached;
-  Uncached.EnableSolverCache = false;
-  ConcolicExplorer E2(cleanVMConfig(), Uncached);
-  ExplorationResult R2 = E2.explore(*Spec);
+  Uncached.SharedUnsat = nullptr;
+  ExplorationResult R2 =
+      ConcolicExplorer(cleanVMConfig(), Uncached).explore(*Spec);
 
-  // Identical path sets and statuses: the cache is an accelerator,
-  // never an oracle the uncached solver would disagree with.
+  // Identical path sets, statuses and search effort: the index is an
+  // accelerator, never an oracle the uncached solver would disagree
+  // with, and a hit charges the proof's recorded cost.
   EXPECT_EQ(fingerprints(R1), fingerprints(R2));
   EXPECT_EQ(R1.curatedCount(), R2.curatedCount());
+  EXPECT_EQ(R1.Iterations, R2.Iterations);
   EXPECT_EQ(R1.UnknownNegations, R2.UnknownNegations);
+  EXPECT_EQ(R1.UnsatNegations, R2.UnsatNegations);
   EXPECT_EQ(R1.Solver.Queries, R2.Solver.Queries);
   EXPECT_EQ(R1.Solver.SatCount, R2.Solver.SatCount);
   EXPECT_EQ(R1.Solver.UnsatCount, R2.Solver.UnsatCount);
   EXPECT_EQ(R1.Solver.UnknownCount, R2.Solver.UnknownCount);
-  EXPECT_EQ(R2.Solver.CacheHits + R2.Solver.CacheMisses, 0u)
-      << "uncached run must not touch any cache tier";
-}
-
-/// Everything deterministic an exploration reports, for the memo-layer
-/// A/B tests: path set, verdict counters, and the full solver-stat
-/// block including search effort. The scheduling-dependent shared-index
-/// counters are deliberately excluded (these tests run worker-local
-/// configurations where even they match, but the contract is about the
-/// deterministic set).
-void expectExplorationsIdentical(const ExplorationResult &A,
-                                 const ExplorationResult &B) {
-  EXPECT_EQ(fingerprints(A), fingerprints(B));
-  EXPECT_EQ(A.curatedCount(), B.curatedCount());
-  EXPECT_EQ(A.Iterations, B.Iterations);
-  EXPECT_EQ(A.UnknownNegations, B.UnknownNegations);
-  EXPECT_EQ(A.UnsatNegations, B.UnsatNegations);
-  EXPECT_EQ(A.Solver.Queries, B.Solver.Queries);
-  EXPECT_EQ(A.Solver.SatCount, B.Solver.SatCount);
-  EXPECT_EQ(A.Solver.UnsatCount, B.Solver.UnsatCount);
-  EXPECT_EQ(A.Solver.UnknownCount, B.Solver.UnknownCount);
-  EXPECT_EQ(A.Solver.ModelCacheHits, B.Solver.ModelCacheHits);
-}
-
-TEST(SolverCacheTest, ModelBankSkipAndVerifyModesAreByteIdentical) {
-  // EnableModelCache does not switch the bank on or off — the bank is
-  // part of the defined algorithm, because which model answers a query
-  // shapes the whole frontier. It switches a hit between *skipping*
-  // the full search (the perf win) and *verifying* it in a throwaway
-  // shadow solver. Every observable output must agree; only the search
-  // effort differs, and even that is hidden from public statistics.
-  const InstructionSpec *Spec = findInstruction("bytecodePrim_add");
-  ASSERT_NE(Spec, nullptr);
-
-  ExplorerOptions Skip;
-  Skip.EnableModelCache = true;
-  ConcolicExplorer E1(cleanVMConfig(), Skip);
-  ExplorationResult R1 = E1.explore(*Spec);
-
-  ExplorerOptions Verify;
-  Verify.EnableModelCache = false;
-  ConcolicExplorer E2(cleanVMConfig(), Verify);
-  ExplorationResult R2 = E2.explore(*Spec);
-
-  expectExplorationsIdentical(R1, R2);
-  // The bank counts hits identically in both modes — that is what
-  // makes the A/B honest: the same lookups hit, only their cost moves.
   EXPECT_EQ(R1.Solver.CasesExplored, R2.Solver.CasesExplored);
   EXPECT_EQ(R1.Solver.NodesExplored, R2.Solver.NodesExplored);
-}
-
-TEST(SolverCacheTest, IncrementalAndFromScratchNegationsAreIdentical) {
-  // The assertion-stack path reuses each prefix's cumulative case
-  // expansion; the legacy path re-poses every negation from scratch.
-  // The solver guarantees solveStack() ≡ solve() on the same conjunct
-  // sequence, so the two explorations agree on everything — including
-  // the search-effort counters, since reusing an *expansion* changes
-  // no case content and no RNG seed.
-  const InstructionSpec *Spec = findInstruction("bytecodePrim_add");
-  ASSERT_NE(Spec, nullptr);
-
-  ExplorerOptions Inc;
-  Inc.EnableIncrementalSolver = true;
-  ConcolicExplorer E1(cleanVMConfig(), Inc);
-  ExplorationResult R1 = E1.explore(*Spec);
-
-  ExplorerOptions Scratch;
-  Scratch.EnableIncrementalSolver = false;
-  ConcolicExplorer E2(cleanVMConfig(), Scratch);
-  ExplorationResult R2 = E2.explore(*Spec);
-
-  expectExplorationsIdentical(R1, R2);
-  EXPECT_EQ(R1.Solver.NodesExplored, R2.Solver.NodesExplored);
-  // The A/B is not vacuous: the stack actually served the negations.
-  EXPECT_GT(R1.Solver.PrefixReuseSolves, 0u);
-  EXPECT_EQ(R2.Solver.PrefixReuseSolves, 0u);
-  EXPECT_LT(R1.Solver.FullSolves, R2.Solver.FullSolves);
-  EXPECT_EQ(R1.Solver.FullSolves + R1.Solver.PrefixReuseSolves,
-            R2.Solver.FullSolves + R2.Solver.PrefixReuseSolves);
+  EXPECT_EQ(R2.Solver.CacheHits + R2.Solver.CacheMisses, 0u)
+      << "uncached run must not touch the index";
 }
 
 TEST(SolverCacheTest, MemoLayersPreserveFaultedCampaignRecords) {
-  // Campaign-level byte-identity: every memo layer on vs every layer
-  // off, with all four harness faults armed. Containment, quarantine,
-  // retry and verdict filing must not be able to observe the caches.
+  // Campaign-level byte-identity of the shared index and of the code
+  // cache, with all seven harness faults armed: containment,
+  // quarantine, retry and verdict filing must not be able to observe
+  // either. A campaign always shares its runner's index, so the
+  // index-off side runs every instruction on a runner of its own: Unsat
+  // cases do not recur within one exploration, so such a runner never
+  // hits. The code cache has its own switch, flipped for a whole run.
   CampaignOptions Base;
   Base.Harness.VM = cleanVMConfig();
   Base.Harness.Cogit = cleanCogitOptions();
   Base.Harness.SeedSimulationErrors = false;
   // Timings vary run to run; everything else in a record must not.
   Base.RecordTimings = false;
-  Base.OnlyInstructions = {"bytecodePrim_add", "bytecodePrim_sub",
-                           "bytecodePrim_mul", "primitiveAdd",
-                           "primitiveFloatAdd"};
+  Base.WorkerDeadlineMillis = 500;
+  Base.WorkerBackoffMillis = 10;
+  Base.OnlyInstructions = {
+      "bytecodePrim_add",    "bytecodePrim_sub",   "bytecodePrim_mul",
+      "bytecodePrim_div",    "primitiveAdd",       "primitiveFloatAdd",
+      "bytecodePrim_bitAnd", "bytecodePrim_bitOr", "bytecodePrim_bitXor"};
   Base.Faults.Faults = {
       {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
       {HarnessFaultKind::FrontEndThrow, "bytecodePrim_sub", false},
       {HarnessFaultKind::HeapCorruption, "bytecodePrim_mul", false},
       {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
+      {HarnessFaultKind::WorkerSegfault, "bytecodePrim_div", false},
+      {HarnessFaultKind::WorkerHang, "primitiveFloatAdd", false},
+      {HarnessFaultKind::PipeMessageCorruption, "bytecodePrim_bitAnd", false},
   };
 
-  CampaignOptions AllOn = Base;
-  AllOn.Harness.Explorer.EnableSolverCache = true;
-  AllOn.Harness.Explorer.EnableModelCache = true;
-  AllOn.Harness.Explorer.EnableIncrementalSolver = true;
-  AllOn.Harness.EnableCodeCache = true;
-  CampaignSummary On = CampaignRunner(AllOn).run();
+  for (unsigned Jobs : {1u, 4u}) {
+    CampaignOptions Opts = Base;
+    Opts.Jobs = Jobs;
+    Opts.Harness.EnableCodeCache = true;
+    CampaignSummary Shared = CampaignRunner(Opts).run();
+    EXPECT_EQ(Shared.Quarantined.size(), 7u) << "jobs=" << Jobs;
+    EXPECT_EQ(Shared.exitCode(), 0) << "jobs=" << Jobs;
+    // The A/B is not vacuous: a clean instruction reused a proof that
+    // an earlier (later faulted) exploration published.
+    EXPECT_GT(Shared.Solver.CacheHits, 0u) << "jobs=" << Jobs;
 
-  CampaignOptions AllOff = Base;
-  AllOff.Harness.Explorer.EnableSolverCache = false;
-  AllOff.Harness.Explorer.EnableModelCache = false;
-  AllOff.Harness.Explorer.EnableIncrementalSolver = false;
-  AllOff.Harness.EnableCodeCache = false;
-  CampaignSummary Off = CampaignRunner(AllOff).run();
+    // Checkpoint rows serialise everything deterministic about a record
+    // (the cache counters are deliberately not checkpointed), so string
+    // equality is the byte-identity claim.
+    std::uint64_t IsolatedHits = 0;
+    for (const InstructionRecord &Rec : Shared.Records) {
+      CampaignOptions One = Opts;
+      One.OnlyInstructions = {Rec.Instruction};
+      CampaignSummary Isolated = CampaignRunner(One).run();
+      ASSERT_EQ(Isolated.Records.size(), 1u);
+      EXPECT_EQ(Isolated.Records[0].toJson(), Rec.toJson())
+          << "jobs=" << Jobs;
+      IsolatedHits += Isolated.Solver.CacheHits;
+    }
+    EXPECT_EQ(IsolatedHits, 0u) << "jobs=" << Jobs;
 
-  // Checkpoint rows serialise everything deterministic about a record
-  // (the reuse counters are deliberately not checkpointed), so string
-  // equality is the byte-identity claim.
-  ASSERT_EQ(On.Records.size(), Off.Records.size());
-  for (std::size_t I = 0; I < On.Records.size(); ++I)
-    EXPECT_EQ(On.Records[I].toJson(), Off.Records[I].toJson());
-  ASSERT_EQ(On.Rows.size(), Off.Rows.size());
-  for (std::size_t I = 0; I < On.Rows.size(); ++I) {
-    EXPECT_EQ(On.Rows[I].DifferingPaths, Off.Rows[I].DifferingPaths);
-    EXPECT_EQ(On.Rows[I].Causes, Off.Rows[I].Causes);
+    CampaignOptions NoCodeCache = Opts;
+    NoCodeCache.Harness.EnableCodeCache = false;
+    CampaignSummary Off = CampaignRunner(NoCodeCache).run();
+    ASSERT_EQ(Shared.Records.size(), Off.Records.size());
+    for (std::size_t I = 0; I < Shared.Records.size(); ++I)
+      EXPECT_EQ(Shared.Records[I].toJson(), Off.Records[I].toJson())
+          << "jobs=" << Jobs;
+    ASSERT_EQ(Shared.Rows.size(), Off.Rows.size());
+    for (std::size_t I = 0; I < Shared.Rows.size(); ++I) {
+      EXPECT_EQ(Shared.Rows[I].DifferingPaths, Off.Rows[I].DifferingPaths);
+      EXPECT_EQ(Shared.Rows[I].Causes, Off.Rows[I].Causes);
+    }
+    EXPECT_EQ(Shared.Quarantined, Off.Quarantined) << "jobs=" << Jobs;
+    EXPECT_EQ(Shared.exitCode(), Off.exitCode()) << "jobs=" << Jobs;
+    // Not vacuous either: the cached run replayed compiled code.
+    EXPECT_GT(Shared.Jit.CodeCacheHits, 0u) << "jobs=" << Jobs;
+    EXPECT_EQ(Off.Jit.CodeCacheHits, 0u) << "jobs=" << Jobs;
+    EXPECT_LT(Shared.Jit.Compiles, Off.Jit.Compiles) << "jobs=" << Jobs;
   }
-  EXPECT_EQ(On.Quarantined, Off.Quarantined);
-  EXPECT_EQ(On.exitCode(), Off.exitCode());
-
-  // The A/B is not vacuous: the on-configuration actually reused work.
-  EXPECT_GT(On.Jit.CodeCacheHits, 0u);
-  EXPECT_EQ(Off.Jit.CodeCacheHits, 0u);
-  EXPECT_LT(On.Jit.Compiles, Off.Jit.Compiles);
 }
 
 TEST(SolverCacheTest, SharedIndexHitsAreNonzeroOnAMultiPathInstruction) {

@@ -355,7 +355,10 @@ TEST_F(SolverTest, CaseRngIsSeededByCaseContentNotQueryShape) {
   expectModelsEqual(R1.M, R2.M);
 }
 
-TEST_F(SolverTest, SolveStackMatchesSolveBitForBit) {
+TEST_F(SolverTest, RepeatedQueriesAreSolvedAfresh) {
+  // solve() is the only way a query is answered and keeps no memo or
+  // prefix expansion between calls: posing the same query twice runs
+  // the same search twice and returns the same model.
   const ObjTerm *S0 = stackVar(0);
   const IntTerm *V = B.valueOf(S0);
   std::vector<const BoolTerm *> C = {
@@ -364,25 +367,18 @@ TEST_F(SolverTest, SolveStackMatchesSolveBitForBit) {
       B.icmp(CmpPred::Eq, B.binInt(IntTerm::Kind::ModFloor, V, B.intConst(2)),
              B.intConst(1)),
   };
-  SolveResult Flat = Solver.solve(C);
-  ASSERT_EQ(Flat.Status, SolveStatus::Sat);
+  SolveResult First = Solver.solve(C);
+  ASSERT_EQ(First.Status, SolveStatus::Sat);
+  SolverStats After1 = Solver.stats();
 
-  // Incrementally: push the prefix, solve, then check push/pop leaves
-  // the stack reusable for a sibling query without disturbing results.
-  for (const BoolTerm *Conjunct : C)
-    Solver.pushAssertion(Conjunct);
-  SolveResult Stacked = Solver.solveStack();
-  ASSERT_EQ(Stacked.Status, SolveStatus::Sat);
-  expectModelsEqual(Flat.M, Stacked.M);
-
-  Solver.popAssertion();
-  Solver.pushAssertion(B.notB(C[2]));
-  SolveResult Sibling = Solver.solveStack();
-  ASSERT_EQ(Sibling.Status, SolveStatus::Sat);
-  std::vector<const BoolTerm *> SiblingFlat = {C[0], C[1], B.notB(C[2])};
-  expectModelsEqual(Solver.solve(SiblingFlat).M, Sibling.M);
-  Solver.clearAssertions();
-  EXPECT_TRUE(Solver.assertions().empty());
+  SolveResult Second = Solver.solve(C);
+  ASSERT_EQ(Second.Status, SolveStatus::Sat);
+  expectModelsEqual(First.M, Second.M);
+  const SolverStats &After2 = Solver.stats();
+  EXPECT_EQ(After2.FullSolves, 2u);
+  EXPECT_EQ(After2.PrefixReuseSolves, 0u);
+  EXPECT_EQ(After2.CasesExplored, 2 * After1.CasesExplored);
+  EXPECT_EQ(After2.NodesExplored, 2 * After1.NodesExplored);
 }
 
 TEST_F(SolverTest, SlotCountHonoursFixedClasses) {

@@ -84,11 +84,6 @@ TEST(TermArenaTest, PrecomputedHashesAgreeAcrossArenas) {
   EXPECT_EQ(B1.valueOf(B1.objVar(VarRole::StackSlot, 0))->Hash,
             B2.valueOf(B2.objVar(VarRole::StackSlot, 0))->Hash);
   EXPECT_EQ(B1.floatConst(2.5)->Hash, B2.floatConst(2.5)->Hash);
-
-  // And the precomputed hash is what TermHasher reads: signing the same
-  // query in both arenas folds to the same signature.
-  TermHasher H;
-  EXPECT_EQ(H.signQuery({G1}).Fold, H.signQuery({G2}).Fold);
 }
 
 TEST(TermArenaTest, HashesDistinguishStructure) {
@@ -108,7 +103,7 @@ TEST(TermArenaTest, DoubleNegationCollapsesToTheOriginalPointer) {
   const BoolTerm *Neg = B.notB(Cond);
   ASSERT_NE(Neg, Cond);
   // Generational re-negation lands back on the consed original, so the
-  // query cache sees the same pointer — and the same hash — both times.
+  // solver sees the same pointer — and the same hash — both times.
   EXPECT_EQ(B.notB(Neg), Cond);
   EXPECT_EQ(B.notB(Cond), Neg);
 }
