@@ -18,7 +18,7 @@
 // timings off), so the baseline guard compares counts, not timings.
 // Emits BENCH_schedule.json; CI uploads it next to BENCH_campaign.json.
 //
-// Usage: campaign_schedule [--total-units N] [--budget-units N]
+// Usage: campaign_schedule [--total-units N]
 //                          [--max-bytecodes N] [--max-native-methods N]
 //                          [--smoke] [--print-units] [--out PATH]
 //                          [--baseline PATH] [--min-ratio X]
@@ -27,9 +27,9 @@
 // warm pass: one-fifth of the full catalog's measured explore cost,
 // deep enough to fund broad shallow coverage but far too small for
 // fixed order to get past the catalog's expensive head.
-// --budget-units 0 derives the adaptive pass's per-instruction
-// fair-share cap from that budget. --print-units dumps the warm
-// pass's per-instruction unit costs (for re-deriving the defaults).
+// The adaptive pass's per-instruction fair-share cap is derived from
+// that budget. --print-units dumps the warm pass's per-instruction
+// unit costs (for re-deriving the defaults).
 // --baseline points at a JSON file recording a blessed
 // "adaptive_paths"; the bench fails (exit 2) when the current count
 // regresses more than 5%.
@@ -96,7 +96,6 @@ int main(int Argc, char **Argv) {
   bool PrintUnits = false;
   std::string OutPath = "BENCH_schedule.json";
   std::string BaselinePath;
-  std::uint64_t BudgetUnits = 0;
   double MinRatio = -1; // default picked below: 2 full, 0 smoke
 
   CampaignRequest Request;
@@ -110,13 +109,6 @@ int main(int Argc, char **Argv) {
   Flags.add("out", &OutPath, "JSON report path");
   Flags.add("baseline", &BaselinePath,
             "blessed adaptive_paths JSON; fail on >5% coverage regression");
-  Flags.add("budget-units", &BudgetUnits,
-            "adaptive pass fair-share cap per instruction (0 = derive "
-            "from the campaign budget)");
-  Flags.deprecate("budget-units",
-                  "use --explore-work-units from the shared request "
-                  "vocabulary; the fair-share derivation from "
-                  "--total-units covers the common case");
   Flags.add("min-ratio", &MinRatio,
             "fail when adaptive/fixed coverage falls below this "
             "(-1 = default: 2 normally, report-only with --smoke)");
@@ -197,9 +189,8 @@ int main(int Argc, char **Argv) {
   if (TotalUnits == 0)
     TotalUnits = std::max<std::uint64_t>(1, (WarmUnits * 21) / 100);
   std::size_t Catalog = Warm.Records.size();
-  if (BudgetUnits == 0)
-    BudgetUnits = std::max<std::uint64_t>(
-        2, (5 * TotalUnits) / (4 * std::max<std::size_t>(1, Catalog)));
+  const std::uint64_t BudgetUnits = std::max<std::uint64_t>(
+      2, (5 * TotalUnits) / (4 * std::max<std::size_t>(1, Catalog)));
 
   // Pass B — byte-identity gate: adaptive with unlimited budgets must
   // reproduce the fixed checkpoint exactly (cheap-tier runs are only

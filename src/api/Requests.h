@@ -200,9 +200,8 @@ struct ServiceReply {
 };
 
 /// Registers the full session flag vocabulary against \p Request — the
-/// one shared way a binary's argv becomes a CampaignRequest. Supersedes
-/// addSessionFlags(FlagParser&, SessionConfig&); binaries that still
-/// need extra knobs register them separately on the same parser.
+/// one shared way a binary's argv becomes a CampaignRequest. Binaries
+/// that need extra knobs register them separately on the same parser.
 void requestFromFlags(FlagParser &Flags, CampaignRequest &Request);
 
 } // namespace igdt

@@ -3,78 +3,11 @@
 #include "api/Session.h"
 
 #include "api/Requests.h"
-#include "support/Flags.h"
 
 #include <stdexcept>
 #include <utility>
 
 using namespace igdt;
-
-// Definition of the deprecated shim; new code goes through
-// requestFromFlags() + Session::runCampaign(const CampaignRequest&).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-void igdt::addSessionFlags(FlagParser &Flags, SessionConfig &Config) {
-  Flags.add("jobs", &Config.Campaign.Jobs,
-            "campaign worker threads (0 = hardware)");
-  Flags.add("workers", &Config.Campaign.WorkerProcesses,
-            "campaign worker processes (0 = in-process threads)");
-  Flags.add("worker-deadline-millis", &Config.Campaign.WorkerDeadlineMillis,
-            "watchdog deadline per worker item in ms (0 = none)");
-  Flags.add("worker-backoff-millis", &Config.Campaign.WorkerBackoffMillis,
-            "base respawn backoff after a worker failure in ms");
-  Flags.add("max-bytecodes", &Config.Campaign.Harness.MaxBytecodes,
-            "limit byte-code instructions (0 = all)");
-  Flags.add("max-native-methods", &Config.Campaign.Harness.MaxNativeMethods,
-            "limit native methods (0 = all)");
-  Flags.add("only", &Config.Campaign.OnlyInstructions,
-            "restrict to this instruction (repeatable)");
-  Flags.add("checkpoint", &Config.Campaign.CheckpointPath,
-            "JSONL checkpoint file (resume + append)");
-  Flags.add("incidents", &Config.Campaign.IncidentLogPath,
-            "JSONL incident report file");
-  Flags.add("trace", &Config.Campaign.TracePath,
-            "JSONL trace file (merge-deterministic event stream)");
-  Flags.add("profile", &Config.Profile,
-            "collect metrics and print the end-of-run profile");
-  Flags.add("deterministic", &Config.Deterministic,
-            "drop wall timings so outputs are topology-independent");
-  Flags.add("stop-after", &Config.Campaign.StopAfter,
-            "stop after N new instructions (0 = run to completion)");
-  Flags.add("max-attempts", &Config.Campaign.MaxAttempts,
-            "attempts per instruction before quarantine");
-  Flags.add("campaign-wall-millis", &Config.Campaign.CampaignWallMillis,
-            "campaign wall-clock ceiling in ms (0 = unlimited)");
-  Flags.add("explore-wall-millis", &Config.Campaign.ExploreBudget.WallMillis,
-            "per-instruction exploration wall budget in ms");
-  Flags.add("explore-work-units", &Config.Campaign.ExploreBudget.WorkUnits,
-            "per-instruction exploration work budget (solver nodes)");
-  Flags.add("replay-wall-millis", &Config.Campaign.ReplayBudget.WallMillis,
-            "per-instruction replay wall budget in ms");
-  Flags.add("replay-work-units", &Config.Campaign.ReplayBudget.WorkUnits,
-            "per-instruction replay work budget (tested paths)");
-  Flags.add("total-units", &Config.Campaign.TotalExploreUnits,
-            "campaign-level explore budget shared by all instructions "
-            "(0 = unlimited)");
-  Flags.add("schedule", &Config.Campaign.Schedule.Policy,
-            "campaign schedule: fixed (byte-identical order) or adaptive");
-  Flags.add("solver-tiers", &Config.Campaign.Schedule.SolverTiers,
-            "cheap solver tiers below full strength (adaptive schedule)");
-  Flags.add("budget-pool", &Config.Campaign.Schedule.BudgetPool,
-            "redistribute provably unspent explore budget to starved "
-            "instructions");
-  Flags.add("budget-pool-cap", &Config.Campaign.Schedule.BudgetPoolCapFactor,
-            "per-instruction budget ceiling after a grant (x base budget)");
-  Flags.add("warm-start", &Config.Campaign.Schedule.WarmStartPath,
-            "checkpoint JSONL whose yield stats seed the priority order");
-  Flags.add("persist-yield", &Config.Campaign.Schedule.PersistYield,
-            "write per-instruction yield stats into checkpoint records");
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 Session::Session(SessionConfig Config) : Cfg(std::move(Config)) {}
 

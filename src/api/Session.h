@@ -74,24 +74,7 @@ struct SessionConfig {
   /// @}
 };
 
-class FlagParser;
 struct CampaignRequest;
-
-/// Registers the standard session flags (--jobs, --workers and the
-/// worker deadline/backoff knobs, --max-bytecodes, --max-native-methods,
-/// --only, --checkpoint, --incidents, --trace, --profile,
-/// --deterministic, --stop-after, --max-attempts, budget limits, and
-/// the scheduling knobs --schedule, --solver-tiers, --budget-pool,
-/// --budget-pool-cap, --warm-start, --persist-yield) against \p Config,
-/// so every binary exposes the same vocabulary.
-///
-/// Deprecated: binds argv straight onto a SessionConfig, bypassing the
-/// versioned request schema. Register against a CampaignRequest via
-/// requestFromFlags() (api/Requests.h) instead, then submit the request
-/// to Session::runCampaign — the daemon, the CLI and embedders all
-/// share that one vocabulary.
-[[deprecated("build a CampaignRequest via requestFromFlags() instead")]]
-void addSessionFlags(FlagParser &Flags, SessionConfig &Config);
 
 /// The unified pipeline entry point. Not thread-safe itself (campaign
 /// parallelism lives behind runCampaign's CampaignOptions::Jobs).

@@ -690,11 +690,11 @@ CampaignSummary CampaignRunner::run() {
   Summary.StoreActive = Store != nullptr;
   const std::uint64_t ConfigFp = Store ? campaignConfigFingerprint(Opts) : 0;
 
-  // Phase 1: plan the whole worklist up-front, in catalog order,
-  // reproducing the serial loop's quota counting (Max* limits count
-  // resumed instructions too) and StopAfter truncation (which drops
-  // everything after the limit, resumed records included). Sharding
-  // then cannot change *what* runs, only *where*.
+  // Phase 1: plan the whole worklist up-front, in catalog order, with
+  // quota counting (Max* limits count resumed instructions too) and
+  // StopAfter truncation (which drops everything after the limit,
+  // resumed records included). Topology and schedule then cannot
+  // change *what* runs, only *where* and *when*.
   struct WorkItem {
     const InstructionSpec *Spec = nullptr;
     const InstructionRecord *Resumed = nullptr;
@@ -759,35 +759,44 @@ CampaignSummary CampaignRunner::run() {
     ++NewPlanned;
   }
 
-  // Adaptive scheduling: the policy object replaces the atomic cursor /
-  // pull queue as the source of "next instruction" (CampaignScheduler.h
-  // has the determinism contract). Built over the planned worklist so
-  // quota/StopAfter truncation is identical to fixed order.
+  // Every campaign runs through the scheduler's wave loop. Fixed order
+  // is the degenerate policy: full strength, no pool, no history — one
+  // wave in catalog order whose every report() accepts. Built over the
+  // planned worklist so quota/StopAfter truncation is the same for both
+  // policies (CampaignScheduler.h has the determinism contract).
   const bool Adaptive = Opts.Schedule.adaptive();
-  std::unique_ptr<CampaignScheduler> Sched;
-  if (Adaptive) {
-    Sched = std::make_unique<CampaignScheduler>(Opts.Schedule,
-                                                Opts.ExploreBudget.WorkUnits);
-    for (std::size_t I = 0; I < Work.size(); ++I)
-      if (!Work[I].Resumed && !Work[I].FromStore)
-        Sched->addItem(I, Work[I].Spec->Name);
-    if (!Opts.Schedule.WarmStartPath.empty())
-      Sched->loadWarmStart(Opts.Schedule.WarmStartPath);
-    Sched->finalize();
-  }
+  ScheduleOptions SchedOpts;
+  SchedOpts.SolverTiers = 0;
+  if (Adaptive)
+    SchedOpts = Opts.Schedule;
+  CampaignScheduler Sched(SchedOpts, Opts.ExploreBudget.WorkUnits);
+  std::size_t NewItems = 0;
+  for (std::size_t I = 0; I < Work.size(); ++I)
+    if (!Work[I].Resumed && !Work[I].FromStore) {
+      Sched.addItem(I, Work[I].Spec->Name);
+      ++NewItems;
+    }
+  if (!SchedOpts.WarmStartPath.empty())
+    Sched.loadWarmStart(SchedOpts.WarmStartPath);
+  Sched.finalize();
 
-  // Phase 2: execute. Workers claim unprocessed items from an atomic
-  // cursor and fill per-item slots; every exploration runs on a
-  // worker-local heap/arena/solver (see ConcolicExplorer.h), so
-  // workers share nothing mutable but the slot handoff below.
+  // Phase 2: execute wave by wave. Each run fills its item's slot;
+  // every exploration runs on a worker-local heap/arena/solver (see
+  // ConcolicExplorer.h), so workers share nothing mutable but the slot
+  // handoff below. A worker only marks its slot Finished; the
+  // coordinator alone decides (via report()) when the merge cursor may
+  // see it.
   struct Slot {
     InstructionRecord Rec;
     std::vector<CampaignIncident> Incidents;
     std::vector<TraceEvent> Events;
     bool Skipped = false; // wall clock expired before this item ran
-    bool Ready = false;
+    bool Finished = false;
   };
   std::vector<Slot> Slots(Work.size());
+  // Coordinator-only: the slot's run is final and the merge cursor may
+  // consume it. Kept apart from Slot so worker writes never touch it.
+  std::vector<char> Accepted(Work.size(), 0);
 
   const bool Observing = !Opts.TracePath.empty() || Opts.ExtraTraceSink ||
                          Opts.CollectMetrics;
@@ -795,11 +804,6 @@ CampaignSummary CampaignRunner::run() {
   unsigned Jobs = Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
   if (Jobs == 0)
     Jobs = 1;
-
-  std::size_t NewItems = 0;
-  for (const WorkItem &W : Work)
-    if (!W.Resumed && !W.FromStore)
-      ++NewItems;
 
   // Topology: out-of-process workers when requested and fork works.
   // The pool forks here, while this process is still single-threaded —
@@ -857,9 +861,8 @@ CampaignSummary CampaignRunner::run() {
   // Worker-level failure context the coordinator accumulates until the
   // item completes; merged ahead of the slot's own incidents/events.
   std::vector<std::vector<CampaignIncident>> PendingWorkerIncidents(
-      UseProcs ? Work.size() : 0);
-  std::vector<std::vector<TraceEvent>> PendingWorkerEvents(
-      UseProcs ? Work.size() : 0);
+      Work.size());
+  std::vector<std::vector<TraceEvent>> PendingWorkerEvents(Work.size());
 
   const bool HasDeadline = Opts.CampaignWallMillis > 0;
   const auto Deadline =
@@ -873,10 +876,10 @@ CampaignSummary CampaignRunner::run() {
     return HasDeadline && std::chrono::steady_clock::now() >= Deadline;
   };
 
-  std::atomic<std::size_t> Next{0};
-  std::atomic<bool> Cancelled{false};
+  // Set once the merge reaches a skipped slot; later runs are skipped.
+  std::atomic<bool> Halted{false};
   std::mutex SlotMutex;
-  std::condition_variable SlotReady;
+  std::condition_variable SlotFinished;
 
   // Campaign-level explore ledger (TotalExploreUnits): every dispatch
   // draws its per-instruction allowance here and refunds what the run
@@ -907,17 +910,18 @@ CampaignSummary CampaignRunner::run() {
       UnitsLeft.fetch_add(Draw - Spent, std::memory_order_relaxed);
   };
 
-  auto RunOne = [&](std::size_t I, ReplayArena &Arena,
-                    unsigned StartAttempt = 1, unsigned Tier = 0,
-                    std::uint64_t GrantUnits = 0) {
+  // Runs one assignment in this process (a wave thread or the
+  // coordinator itself) and marks its slot Finished.
+  auto RunOne = [&](const PoolWorkItem &It, ReplayArena &Arena) {
+    std::size_t I = It.Index;
     Slot S;
-    if (Cancelled.load(std::memory_order_relaxed) || WallExpired()) {
+    if (Halted.load(std::memory_order_relaxed) || WallExpired()) {
       S.Skipped = true;
     } else {
       std::uint64_t Draw = 0;
       if (TotalBudget)
-        Draw = ReserveUnits(GrantUnits ? GrantUnits
-                                       : Opts.ExploreBudget.WorkUnits);
+        Draw = ReserveUnits(It.GrantUnits ? It.GrantUnits
+                                          : Opts.ExploreBudget.WorkUnits);
       if (TotalBudget && Draw == 0) {
         // Ledger dry: an honest zero-path record instead of a run. The
         // scheduler sees BudgetExhausted and can re-grant refunds; in
@@ -934,47 +938,20 @@ CampaignSummary CampaignRunner::run() {
         TraceBuffer Buffer;
         S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
                                 Observing ? &Buffer : nullptr, Arena,
-                                StartAttempt, Tier,
-                                TotalBudget ? Draw : GrantUnits);
+                                It.StartAttempt, It.Tier,
+                                TotalBudget ? Draw : It.GrantUnits);
         S.Events = Buffer.take();
         if (TotalBudget)
           RefundUnits(Draw, S.Rec.ExploreUnits);
       }
     }
+    S.Finished = true;
     {
       std::lock_guard<std::mutex> Lock(SlotMutex);
       Slots[I] = std::move(S);
-      Slots[I].Ready = true;
     }
-    SlotReady.notify_all();
+    SlotFinished.notify_all();
   };
-
-  auto NextUnresumed = [&]() -> std::size_t {
-    for (;;) {
-      std::size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Work.size())
-        return Work.size();
-      if (!Work[I].Resumed && !Work[I].FromStore)
-        return I;
-    }
-  };
-
-  std::vector<std::thread> Pool;
-  // Adaptive campaigns drive their own per-wave execution below; the
-  // free-running fixed-order pool would race the scheduler's waves.
-  if (!UseProcs && !Adaptive && Jobs > 1) {
-    std::size_t Workers = std::min<std::size_t>(Jobs, Work.size());
-    Pool.reserve(Workers);
-    for (std::size_t W = 0; W < Workers; ++W)
-      Pool.emplace_back([&] {
-        // One replay arena per worker thread, like the per-attempt code
-        // cache: strictly worker-local mutable state.
-        ReplayArena Arena;
-        for (std::size_t I = NextUnresumed(); I < Work.size();
-             I = NextUnresumed())
-          RunOne(I, Arena);
-      });
-  }
 
   // Phase 3: merge in catalog order on this thread. All file appends
   // happen here, in exactly the serial order; workers only hand over
@@ -1044,25 +1021,21 @@ CampaignSummary CampaignRunner::run() {
     Slot &S = Slots[I];
     if (S.Skipped) {
       Summary.Stopped = true;
-      Cancelled.store(true, std::memory_order_relaxed);
       return false;
     }
-    if (UseProcs) {
-      // Worker-level failures happened before the slot's own events:
-      // merge them in front, stamped with the item's final disposition.
-      auto &PendInc = PendingWorkerIncidents[I];
-      for (CampaignIncident &Inc : PendInc)
-        Inc.Quarantined = S.Rec.Quarantined;
-      S.Incidents.insert(S.Incidents.begin(),
-                         std::make_move_iterator(PendInc.begin()),
-                         std::make_move_iterator(PendInc.end()));
-      PendInc.clear();
-      auto &PendEv = PendingWorkerEvents[I];
-      S.Events.insert(S.Events.begin(),
-                      std::make_move_iterator(PendEv.begin()),
-                      std::make_move_iterator(PendEv.end()));
-      PendEv.clear();
-    }
+    // Worker-level failures happened before the slot's own events:
+    // merge them in front, stamped with the item's final disposition.
+    auto &PendInc = PendingWorkerIncidents[I];
+    for (CampaignIncident &Inc : PendInc)
+      Inc.Quarantined = S.Rec.Quarantined;
+    S.Incidents.insert(S.Incidents.begin(),
+                       std::make_move_iterator(PendInc.begin()),
+                       std::make_move_iterator(PendInc.end()));
+    PendInc.clear();
+    auto &PendEv = PendingWorkerEvents[I];
+    S.Events.insert(S.Events.begin(), std::make_move_iterator(PendEv.begin()),
+                    std::make_move_iterator(PendEv.end()));
+    PendEv.clear();
     // Publish the slot's event stream before its containment summary
     // events so a reader sees attempt events, then incidents, then the
     // quarantine verdict — the order the serial run experienced them.
@@ -1121,12 +1094,111 @@ CampaignSummary CampaignRunner::run() {
     return true;
   };
 
-  // Worker-level failure accounting shared by the fixed and adaptive
-  // out-of-process coordinators: stash the incident/event so the merge
-  // loop emits them ahead of the item's own stream.
-  auto OnWorkerFailure = [&](std::size_t I, unsigned Attempt,
-                             WorkerFailureKind Kind, const std::string &Error,
-                             unsigned WorkerIdx, long Pid) {
+  // The catalog-order merge cursor. Scheduling changes *when* an
+  // instruction runs, never where its record lands, so checkpoint,
+  // incident and trace bytes keep their catalog order and land
+  // incrementally as the cursor reaches them — a killed coordinator
+  // resumes from everything already merged.
+  std::size_t Cursor = 0;
+  auto Advance = [&] {
+    while (!Halted.load(std::memory_order_relaxed) && Cursor < Work.size()) {
+      if (const InstructionRecord *Resumed = Work[Cursor].Resumed) {
+        MergeResumed(*Resumed);
+        ++Cursor;
+        continue;
+      }
+      if (Work[Cursor].FromStore) {
+        MergeStored(Work[Cursor]);
+        ++Cursor;
+        continue;
+      }
+      if (!Accepted[Cursor])
+        break;
+      if (!MergeSlot(Cursor)) {
+        Halted.store(true, std::memory_order_relaxed);
+        break;
+      }
+      ++Cursor;
+    }
+  };
+
+  // A superseded run (escalation or regrant) vanishes entirely:
+  // record, incidents and buffered events are all regenerated by the
+  // re-run, which restarts attempt counting so deterministic fault
+  // arming and the event stream replay exactly as fixed order saw
+  // them.
+  auto DiscardRun = [&](std::size_t I) {
+    Slots[I] = Slot();
+    PendingWorkerIncidents[I].clear();
+    PendingWorkerEvents[I].clear();
+  };
+
+  auto FeedbackOf = [&](std::size_t I) {
+    const Slot &S = Slots[I];
+    ScheduleFeedback F;
+    F.Quarantined = S.Rec.Quarantined;
+    F.BudgetExhausted = S.Rec.BudgetExhausted;
+    F.FrontierExhausted = S.Rec.FrontierExhausted;
+    F.HadIncidents =
+        !S.Incidents.empty() || !PendingWorkerIncidents[I].empty();
+    F.UnknownNegations = S.Rec.UnknownNegations;
+    F.LadderRetries = S.Rec.LadderRetries;
+    F.Paths = S.Rec.Paths;
+    F.CapHits = S.Rec.Solver.CapHits;
+    F.SpentUnits = S.Rec.ExploreUnits;
+    return F;
+  };
+
+  // Settles one finished run on this (coordinating) thread, then merges
+  // whatever the cursor can reach. Accept exposes the slot to the
+  // cursor; Retry discards it; Hold keeps it invisible until the grant
+  // round finalises it. A skipped slot is exposed unreported so the
+  // merge sees it and halts.
+  std::vector<ScheduleAssignment> Assigned(Work.size());
+  auto Settle = [&](std::size_t I) {
+    if (Slots[I].Skipped) {
+      Accepted[I] = 1;
+    } else {
+      switch (Sched.report(Assigned[I], FeedbackOf(I))) {
+      case ScheduleVerdict::Accept:
+        Accepted[I] = 1;
+        break;
+      case ScheduleVerdict::Retry:
+        DiscardRun(I);
+        break;
+      case ScheduleVerdict::Hold:
+        break;
+      }
+    }
+    Advance();
+  };
+
+  // Starved items the grant round left empty-handed: their held
+  // base-budget results become final without a re-run.
+  auto PublishFinalized = [&] {
+    for (std::size_t I : Sched.takeFinalized())
+      Accepted[I] = 1;
+  };
+
+  // The coordinator is single-threaded, so forked results settle (and
+  // checkpoint) inline as they arrive.
+  ProcessPoolHooks Hooks;
+  Hooks.OnResult = [&](std::size_t I, unsigned Attempt,
+                       const std::string &Payload) {
+    (void)Attempt;
+    Slot S;
+    if (!decodeWorkerPayload(Payload, S.Rec, S.Incidents, S.Events))
+      return false; // undecodable == corrupt: recycle worker, retry
+    S.Finished = true;
+    Slots[I] = std::move(S);
+    Settle(I);
+    return true;
+  };
+  // Worker-level failures: stash the incident/event so the merge emits
+  // them ahead of the item's own stream.
+  Hooks.OnFailure = [&](std::size_t I, unsigned Attempt,
+                        WorkerFailureKind Kind, const std::string &Error,
+                        unsigned WorkerIdx, long Pid) {
     CampaignIncident Inc;
     Inc.Instruction = Work[I].Spec->Name;
     Inc.Stage = "worker";
@@ -1150,10 +1222,9 @@ CampaignSummary CampaignRunner::run() {
       PendingWorkerEvents[I].push_back(std::move(Event));
     }
   };
-
   // Synthesise the quarantine record the in-process retry loop would
   // have produced after the same number of failed attempts.
-  auto SynthesiseQuarantine = [&](std::size_t I, unsigned Attempts) {
+  Hooks.OnExhausted = [&](std::size_t I, unsigned Attempts) {
     Slot S;
     S.Rec.Instruction = Work[I].Spec->Name;
     S.Rec.Kind = Work[I].Spec->Kind;
@@ -1161,287 +1232,81 @@ CampaignSummary CampaignRunner::run() {
     S.Rec.Quarantined = true;
     if (Opts.Schedule.PersistYield)
       stampYield(S.Rec);
-    S.Ready = true;
+    S.Finished = true;
     Slots[I] = std::move(S);
+    Settle(I);
   };
+  Hooks.ShouldStop = [&] {
+    return Halted.load(std::memory_order_relaxed) || WallExpired();
+  };
+  Hooks.OnCounter = [&](const char *Name) { Summary.Metrics.add(Name); };
 
-  // Serial path: the merge thread doubles as the single worker and
-  // keeps one arena for the whole campaign.
-  ReplayArena SerialArena;
-  if (Adaptive) {
-    // Adaptive wave loop. The catalog-order merge cursor is the same
-    // one the fixed coordinator uses — scheduling changes *when* an
-    // instruction runs, never where its record lands, so checkpoint,
-    // incident and trace bytes keep their catalog order and land
-    // incrementally as the cursor reaches them.
-    std::size_t Cursor = 0;
-    bool Halted = false;
-    auto Advance = [&] {
-      while (!Halted && Cursor < Work.size()) {
-        if (const InstructionRecord *Resumed = Work[Cursor].Resumed) {
-          MergeResumed(*Resumed);
-          ++Cursor;
-          continue;
-        }
-        if (Work[Cursor].FromStore) {
-          MergeStored(Work[Cursor]);
-          ++Cursor;
-          continue;
-        }
-        if (!Slots[Cursor].Ready)
-          break;
-        if (!MergeSlot(Cursor)) {
-          Halted = true;
-          break;
-        }
-        ++Cursor;
-      }
-    };
-
-    // A superseded run (escalation or regrant) vanishes entirely:
-    // record, incidents and buffered events are all regenerated by the
-    // re-run, which restarts attempt counting so deterministic fault
-    // arming and the event stream replay exactly as fixed order saw
-    // them.
-    auto DiscardRun = [&](std::size_t I) {
-      Slots[I] = Slot();
-      if (UseProcs) {
-        PendingWorkerIncidents[I].clear();
-        PendingWorkerEvents[I].clear();
-      }
-    };
-
-    auto FeedbackOf = [&](std::size_t I) {
-      const Slot &S = Slots[I];
-      ScheduleFeedback F;
-      F.Quarantined = S.Rec.Quarantined;
-      F.BudgetExhausted = S.Rec.BudgetExhausted;
-      F.FrontierExhausted = S.Rec.FrontierExhausted;
-      F.HadIncidents = !S.Incidents.empty() ||
-                       (UseProcs && !PendingWorkerIncidents[I].empty());
-      F.UnknownNegations = S.Rec.UnknownNegations;
-      F.LadderRetries = S.Rec.LadderRetries;
-      F.Paths = S.Rec.Paths;
-      F.CapHits = S.Rec.Solver.CapHits;
-      F.SpentUnits = S.Rec.ExploreUnits;
-      return F;
-    };
-
-    // Verdicts run on this (coordinating) thread only. Accept exposes
-    // the slot to the merge cursor; Retry/Hold keep it invisible.
-    auto ApplyVerdict = [&](const ScheduleAssignment &A) {
-      std::size_t I = A.Index;
-      if (Slots[I].Skipped)
-        return; // wall expired: the merge will see it and halt
-      switch (Sched->report(A, FeedbackOf(I))) {
-      case ScheduleVerdict::Accept:
-        Slots[I].Ready = true;
-        break;
-      case ScheduleVerdict::Retry:
-        DiscardRun(I);
-        break;
-      case ScheduleVerdict::Hold:
-        Slots[I].Ready = false;
-        break;
-      }
-    };
-
-    // Starved items the grant round left empty-handed: their held
-    // base-budget results become final without a re-run.
-    auto PublishFinalized = [&] {
-      for (std::size_t I : Sched->takeFinalized())
-        Slots[I].Ready = true;
-    };
-
-    while (!Halted && !Sched->done()) {
-      std::vector<ScheduleAssignment> Wave = Sched->nextWave();
-      PublishFinalized();
-      if (Wave.empty())
-        break;
-      for (const ScheduleAssignment &A : Wave)
-        DiscardRun(A.Index); // drop any held run this re-run supersedes
-
-      if (UseProcs) {
-        std::map<std::size_t, ScheduleAssignment> ByIndex;
-        std::deque<PoolWorkItem> Items;
-        for (const ScheduleAssignment &A : Wave) {
-          ByIndex[A.Index] = A;
-          Items.push_back({A.Index, 1, A.TierDistance, A.ExploreUnits});
-        }
-        ProcessPoolHooks Hooks;
-        Hooks.OnResult = [&](std::size_t I, unsigned Attempt,
-                             const std::string &Payload) {
-          (void)Attempt;
-          Slot S;
-          if (!decodeWorkerPayload(Payload, S.Rec, S.Incidents, S.Events))
-            return false; // undecodable == corrupt: recycle, retry
-          S.Ready = true;
-          Slots[I] = std::move(S);
-          // The coordinator is single-threaded, so verdict + merge run
-          // inline: accepted records checkpoint incrementally exactly
-          // like the fixed-order coordinator's.
-          ApplyVerdict(ByIndex[I]);
-          Advance();
-          return true;
-        };
-        Hooks.OnFailure = OnWorkerFailure;
-        Hooks.OnExhausted = [&](std::size_t I, unsigned Attempts) {
-          SynthesiseQuarantine(I, Attempts);
-          ApplyVerdict(ByIndex[I]);
-          Advance();
-        };
-        Hooks.ShouldStop = [&] { return Halted || WallExpired(); };
-        Hooks.OnCounter = [&](const char *Name) { Summary.Metrics.add(Name); };
-
-        std::vector<PoolWorkItem> Leftover =
-            Forked->run(std::move(Items), Hooks);
-        if (!Leftover.empty())
-          Summary.Metrics.add("worker.leftover_inprocess", Leftover.size());
-        for (const PoolWorkItem &It : Leftover) {
-          if (Halted)
-            break;
-          RunOne(It.Index, SerialArena, It.StartAttempt, It.Tier,
-                 It.GrantUnits);
-          ApplyVerdict(ByIndex[It.Index]);
-          Advance();
-        }
-      } else if (std::min<std::size_t>(Jobs, Wave.size()) > 1) {
-        // Per-wave thread pool over an atomic wave cursor; verdicts
-        // stay on this thread, consumed in wave order as slots land.
-        std::atomic<std::size_t> WaveNext{0};
-        std::size_t Threads = std::min<std::size_t>(Jobs, Wave.size());
-        std::vector<std::thread> WavePool;
-        WavePool.reserve(Threads);
-        for (std::size_t W = 0; W < Threads; ++W)
-          WavePool.emplace_back([&] {
-            ReplayArena Arena;
-            for (;;) {
-              std::size_t K = WaveNext.fetch_add(1, std::memory_order_relaxed);
-              if (K >= Wave.size())
-                break;
-              RunOne(Wave[K].Index, Arena, 1, Wave[K].TierDistance,
-                     Wave[K].ExploreUnits);
-            }
-          });
-        for (const ScheduleAssignment &A : Wave) {
-          {
-            std::unique_lock<std::mutex> Lock(SlotMutex);
-            SlotReady.wait(Lock, [&] { return Slots[A.Index].Ready; });
-          }
-          ApplyVerdict(A);
-          Advance();
-        }
-        for (std::thread &T : WavePool)
-          T.join();
-      } else {
-        for (const ScheduleAssignment &A : Wave) {
-          if (Halted)
-            break;
-          RunOne(A.Index, SerialArena, 1, A.TierDistance, A.ExploreUnits);
-          ApplyVerdict(A);
-          Advance();
-        }
-      }
-    }
-    if (Forked) {
-      Forked->shutdown();
-      Forked.reset();
-    }
+  // The one wave loop. Each wave runs on the forked pool, on
+  // min(Jobs, wave size) threads, or inline on this thread (which keeps
+  // Jobs 1 campaigns thread-free); inline runs share one arena.
+  ReplayArena InlineArena;
+  while (!Halted.load(std::memory_order_relaxed) && !Sched.done()) {
+    std::vector<ScheduleAssignment> Wave = Sched.nextWave();
     PublishFinalized();
-    Advance();
-    if (WallExpired() && Cursor < Work.size())
-      Summary.Stopped = true;
-  } else if (!UseProcs) {
-    for (std::size_t I = 0; I < Work.size(); ++I) {
-      if (const InstructionRecord *Resumed = Work[I].Resumed) {
-        MergeResumed(*Resumed);
-        continue;
-      }
-      if (Work[I].FromStore) {
-        MergeStored(Work[I]);
-        continue;
-      }
-      if (Pool.empty()) {
-        RunOne(I, SerialArena);
-      } else {
-        std::unique_lock<std::mutex> Lock(SlotMutex);
-        SlotReady.wait(Lock, [&] { return Slots[I].Ready; });
-      }
-      if (!MergeSlot(I))
-        break;
+    if (Wave.empty())
+      break;
+    std::vector<PoolWorkItem> Items;
+    Items.reserve(Wave.size());
+    for (const ScheduleAssignment &A : Wave) {
+      DiscardRun(A.Index); // drop any held run this re-run supersedes
+      Assigned[A.Index] = A;
+      Items.push_back({A.Index, 1, A.TierDistance, A.ExploreUnits});
     }
-  } else {
-    // Out-of-process path: the coordinator poll loop and the merge
-    // cursor share this thread. Results merge (and checkpoint lines
-    // land) as soon as the catalog-order cursor reaches them — not
-    // when the campaign ends — so a killed coordinator resumes from
-    // everything already merged.
-    std::size_t Cursor = 0;
-    bool Halted = false;
-    auto Advance = [&] {
-      while (!Halted && Cursor < Work.size()) {
-        if (const InstructionRecord *Resumed = Work[Cursor].Resumed) {
-          MergeResumed(*Resumed);
-          ++Cursor;
-          continue;
+
+    const std::size_t Threads = std::min<std::size_t>(Jobs, Items.size());
+    if (Forked) {
+      // Whatever the pool could not finish (early stop, or every worker
+      // dead with respawns failing) runs inline below; StartAttempt
+      // carries over the attempts workers consumed.
+      Items = Forked->run(std::deque<PoolWorkItem>(Items.begin(), Items.end()),
+                          Hooks);
+      if (!Items.empty())
+        Summary.Metrics.add("worker.leftover_inprocess", Items.size());
+    } else if (Threads > 1) {
+      // Wave threads pull from an atomic cursor; verdicts stay on this
+      // thread, consumed in wave order as slots finish.
+      std::atomic<std::size_t> WaveNext{0};
+      // jthreads join when destroyed, so an exception out of Settle
+      // cannot leave a wave thread running.
+      std::vector<std::jthread> WaveThreads;
+      WaveThreads.reserve(Threads);
+      for (std::size_t W = 0; W < Threads; ++W)
+        WaveThreads.emplace_back([&] {
+          // One replay arena per worker thread, like the per-attempt
+          // code cache: strictly worker-local mutable state.
+          ReplayArena Arena;
+          for (std::size_t K = WaveNext.fetch_add(1, std::memory_order_relaxed);
+               K < Items.size();
+               K = WaveNext.fetch_add(1, std::memory_order_relaxed))
+            RunOne(Items[K], Arena);
+        });
+      for (const PoolWorkItem &It : Items) {
+        {
+          std::unique_lock<std::mutex> Lock(SlotMutex);
+          SlotFinished.wait(Lock, [&] { return Slots[It.Index].Finished; });
         }
-        if (Work[Cursor].FromStore) {
-          MergeStored(Work[Cursor]);
-          ++Cursor;
-          continue;
-        }
-        if (!Slots[Cursor].Ready)
-          break;
-        if (!MergeSlot(Cursor)) {
-          Halted = true;
-          break;
-        }
-        ++Cursor;
+        Settle(It.Index);
       }
-    };
-
-    std::deque<PoolWorkItem> Items;
-    for (std::size_t I = 0; I < Work.size(); ++I)
-      if (!Work[I].Resumed && !Work[I].FromStore)
-        Items.push_back({I, 1});
-
-    ProcessPoolHooks Hooks;
-    Hooks.OnResult = [&](std::size_t I, unsigned Attempt,
-                         const std::string &Payload) {
-      (void)Attempt;
-      Slot S;
-      if (!decodeWorkerPayload(Payload, S.Rec, S.Incidents, S.Events))
-        return false; // undecodable == corrupt: recycle worker, retry
-      S.Ready = true;
-      Slots[I] = std::move(S);
-      Advance();
-      return true;
-    };
-    Hooks.OnFailure = OnWorkerFailure;
-    Hooks.OnExhausted = [&](std::size_t I, unsigned Attempts) {
-      SynthesiseQuarantine(I, Attempts);
-      Advance();
-    };
-    Hooks.ShouldStop = [&] { return Halted || WallExpired(); };
-    Hooks.OnCounter = [&](const char *Name) { Summary.Metrics.add(Name); };
-
-    std::vector<PoolWorkItem> Leftover = Forked->run(std::move(Items), Hooks);
-    Forked->shutdown();
-    // Graceful degradation: whatever the pool could not finish (early
-    // stop, or every worker dead with respawns failing) runs in this
-    // process; StartAttempt carries over the attempts workers consumed.
-    if (!Leftover.empty())
-      Summary.Metrics.add("worker.leftover_inprocess", Leftover.size());
-    for (const PoolWorkItem &It : Leftover)
-      RunOne(It.Index, SerialArena, It.StartAttempt);
-    Advance();
-    if (WallExpired() && Cursor < Work.size())
-      Summary.Stopped = true;
+      WaveThreads.clear(); // joins before the threads' Items go away
+      Items.clear();
+    }
+    for (const PoolWorkItem &It : Items) {
+      if (Halted.load(std::memory_order_relaxed))
+        break;
+      RunOne(It, InlineArena);
+      Settle(It.Index);
+    }
   }
-
-  Cancelled.store(true, std::memory_order_relaxed);
-  for (std::thread &T : Pool)
-    T.join();
+  Forked.reset();
+  PublishFinalized();
+  Advance();
+  if (WallExpired() && Cursor < Work.size())
+    Summary.Stopped = true;
 
   // Deterministic reduction: catalog order, independent of which
   // worker produced which record.
@@ -1468,9 +1333,9 @@ CampaignSummary CampaignRunner::run() {
   }
   Summary.Metrics.add("campaign.quarantined", Summary.Quarantined.size());
   Summary.Metrics.add("campaign.incidents", Summary.Incidents.size());
-  if (Sched) {
+  if (Adaptive) {
     Summary.ScheduleActive = true;
-    Summary.Schedule = Sched->stats();
+    Summary.Schedule = Sched.stats();
     const ScheduleStats &S = Summary.Schedule;
     Summary.Metrics.add("schedule.waves", S.Waves);
     Summary.Metrics.add("schedule.tier_escalations", S.TierEscalations);

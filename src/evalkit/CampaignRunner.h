@@ -85,8 +85,9 @@ struct CampaignOptions {
   /// instructions; 0 runs to completion. Simulates a killed campaign
   /// for resume tests.
   unsigned StopAfter = 0;
-  /// Worker threads exploring instructions concurrently. 1 runs the
-  /// classic serial loop on the calling thread; 0 asks the hardware
+  /// Worker threads exploring instructions concurrently. Each scheduler
+  /// wave runs on min(Jobs, wave size) threads, so 1 runs every wave
+  /// inline on the calling thread; 0 asks the hardware
   /// (std::thread::hardware_concurrency). Any value produces the same
   /// Table 2 rows, checkpoint bytes, incident records and exit code:
   /// work is sharded, but results are merged in catalog order and each
@@ -136,9 +137,10 @@ struct CampaignOptions {
   /// Fold trace events into CampaignSummary::Metrics even without a
   /// trace file or extra sink (what --profile turns on).
   bool CollectMetrics = false;
-  /// Scheduling policy (see CampaignScheduler.h). "fixed" keeps the
-  /// catalog-order cursor; "adaptive" runs priority-ordered waves with
-  /// tiered solver escalation and the provable-early-exit budget pool.
+  /// Scheduling policy (see CampaignScheduler.h). "fixed" is the
+  /// one-wave schedule: catalog order, full strength, every run
+  /// accepted; "adaptive" runs priority-ordered waves with tiered
+  /// solver escalation and the provable-early-exit budget pool.
   /// With unlimited budgets the adaptive record/incident/trace files
   /// are byte-identical to fixed order (the merge stays catalog-order
   /// and only provably-identical cheap-tier runs are accepted).

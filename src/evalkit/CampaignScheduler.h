@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The campaign scheduling policy object (ROADMAP item 5). Fixed-order
-/// campaigns walk the catalog with an atomic cursor (in-process) or a
-/// pull queue (ProcessPool) and give every instruction the same
-/// budget. The scheduler replaces that cursor as the source of "next
-/// instruction" with three cooperating policies:
+/// The campaign scheduling policy object: every campaign's source of
+/// "next instruction". Fixed order is its degenerate configuration
+/// (SolverTiers 0, no budget pool, no warm start): one wave in catalog
+/// order at full strength, every report() accepted, every instruction
+/// on the same budget. The adaptive policy adds three cooperating
+/// policies:
 ///
 ///  1. **Priority ordering** — instructions run in descending
 ///     historical yield (paths per budget unit, boosted by divergence
@@ -60,9 +61,10 @@ namespace igdt {
 
 /// Scheduling policy configuration (CampaignOptions::Schedule).
 struct ScheduleOptions {
-  /// "fixed" (default): the byte-identical-reproduction mode — catalog
-  /// order, uniform budgets, scheduler not instantiated. "adaptive":
-  /// the three policies above.
+  /// "fixed" (default): the byte-identical-reproduction mode — the
+  /// runner schedules one catalog-order wave with uniform budgets and
+  /// ignores the knobs below except PersistYield. "adaptive": the three
+  /// policies above.
   std::string Policy = "fixed";
   /// Cheap solver tiers below full strength (adaptive mode only): each
   /// rung divides the structural caps by 4x (see solverTierCaps). 0

@@ -6,9 +6,6 @@
 #include "support/Json.h"
 #include "support/Socket.h"
 
-#include <chrono>
-#include <thread>
-
 using namespace igdt;
 
 namespace {
@@ -135,13 +132,14 @@ bool ServiceClient::subscribe(const std::string &SessionId,
 
 bool ServiceClient::wait(const std::string &SessionId, StatusReply &Out,
                          std::string *Error) {
-  for (;;) {
-    if (!status(SessionId, Out, Error))
+  // The daemon publishes a session's final status before it closes the
+  // event stream, so one status call after the last long-poll sees it.
+  std::uint64_t Cursor = 0;
+  std::vector<std::string> Events;
+  for (bool Done = false; !Done; Events.clear())
+    if (!subscribe(SessionId, Cursor, Events, Done, Error))
       return false;
-    if (Out.Done)
-      return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  return status(SessionId, Out, Error);
 }
 
 bool ServiceClient::invalidate(const std::string &StorePath,

@@ -52,8 +52,8 @@ public:
   bool subscribe(const std::string &SessionId, std::uint64_t &Cursor,
                  std::vector<std::string> &Events, bool &Done,
                  std::string *Error = nullptr);
-  /// Blocks until the session reports done, polling status. Returns
-  /// the final status in \p Out.
+  /// Blocks until the session is done, following its event stream with
+  /// subscribe long-polls. Returns the final status in \p Out.
   bool wait(const std::string &SessionId, StatusReply &Out,
             std::string *Error = nullptr);
   /// Invalidates \p Instruction (empty = all) in \p StorePath (empty =

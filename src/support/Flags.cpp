@@ -12,13 +12,7 @@ using namespace igdt;
 
 void FlagParser::addFlag(const std::string &Name, FlagKind Kind, void *Target,
                          const std::string &Help) {
-  Flags.push_back({Name, Kind, Target, Help, /*DeprecatedNote=*/""});
-}
-
-void FlagParser::deprecate(const std::string &Name, const std::string &Note) {
-  for (Flag &F : Flags)
-    if (F.Name == Name)
-      F.DeprecatedNote = Note;
+  Flags.push_back({Name, Kind, Target, Help});
 }
 
 void FlagParser::add(const std::string &Name, bool *Out,
@@ -66,8 +60,6 @@ std::string FlagParser::usage() const {
     const char *Value = F.Kind == FlagKind::Switch ? "" : " VALUE";
     Out += formatString("  --%s%s\n      %s\n", F.Name.c_str(), Value,
                         F.Help.c_str());
-    if (!F.DeprecatedNote.empty())
-      Out += formatString("      [deprecated: %s]\n", F.DeprecatedNote.c_str());
   }
   Out += "  --help\n      show this text\n";
   return Out;
@@ -102,9 +94,6 @@ bool FlagParser::parse(int Argc, char **Argv) {
                   Name.c_str());
       return false;
     }
-    if (!F->DeprecatedNote.empty())
-      std::fprintf(stderr, "%s: warning: --%s is deprecated (%s)\n",
-                   Program.c_str(), Name.c_str(), F->DeprecatedNote.c_str());
 
     if (F->Kind == FlagKind::Switch) {
       if (HasValue) {

@@ -51,12 +51,6 @@ public:
            const std::string &Help);
   /// @}
 
-  /// Marks an already-registered flag as deprecated: using it still
-  /// works, but parse() prints one warning (with \p Note naming the
-  /// replacement) to stderr per occurrence. Lets legacy spellings that
-  /// bypass the shared request vocabulary warn before removal.
-  void deprecate(const std::string &Name, const std::string &Note);
-
   /// Parses \p Argv. Returns false on `--help` (helpRequested() true,
   /// usage printed) or on a bad/unknown flag (diagnostic printed).
   bool parse(int Argc, char **Argv);
@@ -84,8 +78,6 @@ private:
     FlagKind Kind = FlagKind::Switch;
     void *Target = nullptr;
     std::string Help;
-    /// Non-empty = deprecated; the note names the replacement.
-    std::string DeprecatedNote;
   };
 
   void addFlag(const std::string &Name, FlagKind Kind, void *Target,

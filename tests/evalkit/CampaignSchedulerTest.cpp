@@ -25,6 +25,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define IGDT_TEST_HAS_FORK 1
@@ -201,6 +202,51 @@ TEST(CampaignSchedulerTest, ColdStartReproducesCatalogOrder) {
   EXPECT_TRUE(Sched.done());
   EXPECT_TRUE(Sched.nextWave().empty());
   EXPECT_EQ(Sched.stats().Waves, 1u);
+
+  // Fixed order is this degenerate schedule: full strength and no pool,
+  // even under a work-unit budget whose runs starve or exit early. One
+  // wave carries every item once, in catalog order, and every report
+  // is final.
+  ScheduleOptions FixedOrder;
+  FixedOrder.SolverTiers = 0;
+  ASSERT_FALSE(FixedOrder.adaptive());
+  ASSERT_FALSE(FixedOrder.BudgetPool);
+  CampaignScheduler Fixed(FixedOrder, /*BaseExploreUnits=*/10);
+  const std::vector<std::size_t> Indices = {2, 5, 7, 11};
+  for (std::size_t Index : Indices)
+    Fixed.addItem(Index, "item" + std::to_string(Index));
+  Fixed.finalize();
+  EXPECT_EQ(Fixed.plannedOrder(), Indices);
+
+  Wave = Fixed.nextWave();
+  EXPECT_TRUE(Fixed.takeFinalized().empty());
+  ASSERT_EQ(Wave.size(), Indices.size());
+  ScheduleFeedback Starved;
+  Starved.BudgetExhausted = true;
+  Starved.SpentUnits = 10;
+  ScheduleFeedback EarlyExit;
+  EarlyExit.FrontierExhausted = true;
+  EarlyExit.SpentUnits = 4;
+  ScheduleFeedback Dirty;
+  Dirty.HadIncidents = true;
+  Dirty.UnknownNegations = 1;
+  const ScheduleFeedback Feedback[] = {Starved, EarlyExit, Dirty,
+                                       ScheduleFeedback{}};
+  for (std::size_t I = 0; I < Wave.size(); ++I) {
+    EXPECT_EQ(Wave[I].Index, Indices[I]);
+    EXPECT_EQ(Wave[I].TierDistance, 0u);
+    EXPECT_EQ(Wave[I].ExploreUnits, 0u);
+    EXPECT_FALSE(Fixed.done());
+    EXPECT_EQ(Fixed.report(Wave[I], Feedback[I]), ScheduleVerdict::Accept);
+  }
+  EXPECT_TRUE(Fixed.done());
+  EXPECT_TRUE(Fixed.nextWave().empty());
+  EXPECT_TRUE(Fixed.takeFinalized().empty());
+  EXPECT_EQ(Fixed.poolUnits(), 0u);
+  EXPECT_EQ(Fixed.stats().Waves, 1u);
+  EXPECT_EQ(Fixed.stats().TierEscalations, 0u);
+  EXPECT_EQ(Fixed.stats().DiscardedRuns, 0u);
+  EXPECT_EQ(Fixed.stats().PoolGrants, 0u);
 }
 
 TEST(CampaignSchedulerTest, WarmStartOrdersByYieldAndCountsInversions) {
@@ -491,51 +537,66 @@ TEST(CampaignSchedulerTest,
   // Per-instruction work-unit budget small enough that some frontiers
   // starve: the pool may regrant refunded units, and budget
   // monotonicity guarantees every regranted exploration is a superset.
+  // The full clean catalog is the second scenario: its starved items
+  // are held while later runs of the same wave finish, so a merge that
+  // ran ahead of the scheduler's verdict would checkpoint a starved
+  // record in place of its granted re-run.
   const std::uint64_t BudgetUnits = 3;
+  const struct {
+    const char *Name;
+    CampaignOptions Base;
+  } Scenarios[] = {{"faults", sevenFaultScenario()},
+                   {"catalog", cleanOptions()}};
 
-  CampaignOptions Fixed = sevenFaultScenario();
-  Fixed.Jobs = 1;
-  Fixed.ExploreBudget.WorkUnits = BudgetUnits;
-  CampaignSummary FixedRun = CampaignRunner(Fixed).run();
-  EXPECT_EQ(FixedRun.CompletedInstructions, 10u);
-  const unsigned FixedPaths = totalPaths(FixedRun);
-  EXPECT_GT(FixedPaths, 0u);
+  for (const auto &Scenario : Scenarios) {
+    CampaignOptions Fixed = Scenario.Base;
+    Fixed.Jobs = 1;
+    Fixed.ExploreBudget.WorkUnits = BudgetUnits;
+    CampaignSummary FixedRun = CampaignRunner(Fixed).run();
+    EXPECT_GE(FixedRun.CompletedInstructions, 10u) << Scenario.Name;
+    const unsigned FixedPaths = totalPaths(FixedRun);
+    EXPECT_GT(FixedPaths, 0u) << Scenario.Name;
 
-  std::vector<std::string> Checkpoints;
-  for (const Topology &T : kTopologies) {
-    CampaignOptions Opts = sevenFaultScenario();
-    Opts.Jobs = T.Jobs;
-    Opts.WorkerProcesses = T.WorkerProcesses;
-    Opts.ExploreBudget.WorkUnits = BudgetUnits;
-    Opts.Schedule.Policy = "adaptive";
-    Opts.Schedule.SolverTiers = 0;
-    Opts.Schedule.BudgetPool = true;
-    Opts.CheckpointPath = tempPath(std::string(T.Name) + "_bud_ckpt.jsonl");
-    CampaignSummary S = CampaignRunner(Opts).run();
+    std::vector<std::string> Checkpoints;
+    for (const Topology &T : kTopologies) {
+      const std::string Where = std::string(Scenario.Name) + "/" + T.Name;
+      CampaignOptions Opts = Scenario.Base;
+      Opts.Jobs = T.Jobs;
+      Opts.WorkerProcesses = T.WorkerProcesses;
+      Opts.ExploreBudget.WorkUnits = BudgetUnits;
+      Opts.Schedule.Policy = "adaptive";
+      Opts.Schedule.SolverTiers = 0;
+      Opts.Schedule.BudgetPool = true;
+      Opts.CheckpointPath = tempPath(std::string(Scenario.Name) + "_" +
+                                     T.Name + "_bud_ckpt.jsonl");
+      CampaignSummary S = CampaignRunner(Opts).run();
 
-    EXPECT_EQ(S.CompletedInstructions, 10u) << T.Name;
-    EXPECT_TRUE(S.ScheduleActive) << T.Name;
-    // Coverage never regresses, per instruction and in total: every
-    // instruction runs with at least its fixed-order budget.
-    for (const InstructionRecord &R : S.Records) {
-      const InstructionRecord *F = findRecord(FixedRun, R.Instruction);
-      ASSERT_NE(F, nullptr) << R.Instruction;
-      EXPECT_GE(R.Paths, F->Paths) << T.Name << " " << R.Instruction;
+      EXPECT_EQ(S.CompletedInstructions, FixedRun.CompletedInstructions)
+          << Where;
+      EXPECT_TRUE(S.ScheduleActive) << Where;
+      // Coverage never regresses, per instruction and in total: every
+      // instruction runs with at least its fixed-order budget.
+      for (const InstructionRecord &R : S.Records) {
+        const InstructionRecord *F = findRecord(FixedRun, R.Instruction);
+        ASSERT_NE(F, nullptr) << R.Instruction;
+        EXPECT_GE(R.Paths, F->Paths) << Where << " " << R.Instruction;
+      }
+      EXPECT_GE(totalPaths(S), FixedPaths) << Where;
+      EXPECT_EQ(S.Metrics.counter("schedule.budget_pool.refund_units"),
+                S.Schedule.PoolRefundUnits)
+          << Where;
+
+      Checkpoints.push_back(slurp(Opts.CheckpointPath));
+      std::remove(Opts.CheckpointPath.c_str());
     }
-    EXPECT_GE(totalPaths(S), FixedPaths) << T.Name;
-    EXPECT_EQ(S.Metrics.counter("schedule.budget_pool.refund_units"),
-              S.Schedule.PoolRefundUnits)
-        << T.Name;
-
-    Checkpoints.push_back(slurp(Opts.CheckpointPath));
-    std::remove(Opts.CheckpointPath.c_str());
+    // The grant round is a pure function of the record set, so even the
+    // constrained records are topology-independent.
+    ASSERT_FALSE(Checkpoints.empty());
+    ASSERT_FALSE(Checkpoints[0].empty());
+    for (std::size_t I = 1; I < Checkpoints.size(); ++I)
+      EXPECT_EQ(Checkpoints[0], Checkpoints[I])
+          << Scenario.Name << "/" << kTopologies[I].Name;
   }
-  // The grant round is a pure function of the record set, so even the
-  // constrained records are topology-independent.
-  ASSERT_FALSE(Checkpoints.empty());
-  ASSERT_FALSE(Checkpoints[0].empty());
-  for (std::size_t I = 1; I < Checkpoints.size(); ++I)
-    EXPECT_EQ(Checkpoints[0], Checkpoints[I]) << kTopologies[I].Name;
 }
 
 //===----------------------------------------------------------------------===//
