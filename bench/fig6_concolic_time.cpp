@@ -1,63 +1,22 @@
 //===- bench/fig6_concolic_time.cpp - Paper Figure 6 ------------------------------===//
 //
 // Regenerates Figure 6 of the paper: concolic exploration time per kind
-// of instruction. google-benchmark measures representative instructions;
-// a full-catalog summary mirrors the paper's per-kind averages and
-// totals.
+// of instruction. The series is the per-instruction exploration time
+// one full-catalog campaign records, which mirrors the paper's per-kind
+// averages and totals.
 //
 //===----------------------------------------------------------------------===//
 
-#include "concolic/ConcolicExplorer.h"
+#include "api/Session.h"
 #include "evalkit/Experiments.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 using namespace igdt;
 
-namespace {
-
-void exploreInstruction(benchmark::State &State, const char *Name) {
-  VMConfig VM;
-  const InstructionSpec *Spec = findInstruction(Name);
-  if (!Spec) {
-    State.SkipWithError("unknown instruction");
-    return;
-  }
-  for (auto _ : State) {
-    ConcolicExplorer Explorer(VM);
-    ExplorationResult R = Explorer.explore(*Spec);
-    benchmark::DoNotOptimize(R.Paths.size());
-  }
-}
-
-} // namespace
-
-BENCHMARK_CAPTURE(exploreInstruction, bytecode_pop, "pop")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, bytecode_add, "bytecodePrim_add")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, bytecode_jumpFalse, "shortJumpFalse2")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, native_add, "primitiveAdd")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, native_at, "primitiveAt")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, native_atPut, "primitiveAtPut")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(exploreInstruction, native_ffiStore,
-                  "primitiveFFIStoreInt32")
-    ->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-
-  // Full-catalog summary (the actual Figure 6 series).
-  EvaluationHarness Harness;
-  Harness.exploreAll();
-  std::printf("\n%s\n", Harness.renderFigure6().c_str());
+int main() {
+  CampaignSummary Summary = Session().runCampaign();
+  std::printf("\n%s\n", renderFigure6(Summary.Records).c_str());
   std::printf("Shape check (paper): native methods take several times "
               "longer to explore than byte-codes;\nexploration stays "
               "practical for on-line use.\n");

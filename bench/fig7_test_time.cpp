@@ -1,69 +1,22 @@
 //===- bench/fig7_test_time.cpp - Paper Figure 7 ----------------------------------===//
 //
 // Regenerates Figure 7 of the paper: time to run all generated
-// differential tests of an instruction, per compiler. google-benchmark
-// measures representative instruction/compiler pairs; the full-catalog
-// summary mirrors the paper's per-compiler distributions.
+// differential tests of an instruction, per compiler. The series is the
+// per-instruction test time (both back-ends) one full-catalog campaign
+// records, which mirrors the paper's per-compiler distributions.
 //
 //===----------------------------------------------------------------------===//
 
-#include "differential/DifferentialTester.h"
+#include "api/Session.h"
 #include "evalkit/Experiments.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 using namespace igdt;
 
-namespace {
-
-void replayInstruction(benchmark::State &State, const char *Name,
-                       CompilerKind Kind) {
-  VMConfig VM;
-  ConcolicExplorer Explorer(VM);
-  const InstructionSpec *Spec = findInstruction(Name);
-  if (!Spec) {
-    State.SkipWithError("unknown instruction");
-    return;
-  }
-  ExplorationResult R = Explorer.explore(*Spec);
-  DiffTestConfig Cfg;
-  Cfg.Kind = Kind;
-  for (auto _ : State) {
-    DifferentialTester Tester(Cfg);
-    unsigned Diffs = 0;
-    for (std::size_t I = 0; I < R.Paths.size(); ++I)
-      Diffs += Tester.testPath(R, I).Status == PathTestStatus::Difference;
-    benchmark::DoNotOptimize(Diffs);
-  }
-}
-
-} // namespace
-
-BENCHMARK_CAPTURE(replayInstruction, native_add, "primitiveAdd",
-                  CompilerKind::NativeMethod)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(replayInstruction, native_floatAdd, "primitiveFloatAdd",
-                  CompilerKind::NativeMethod)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(replayInstruction, simple_add, "bytecodePrim_add",
-                  CompilerKind::SimpleStack)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(replayInstruction, stack2reg_add, "bytecodePrim_add",
-                  CompilerKind::StackToRegister)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(replayInstruction, linearscan_add, "bytecodePrim_add",
-                  CompilerKind::RegisterAllocating)
-    ->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-
-  EvaluationHarness Harness;
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
-  std::printf("\n%s\n", Harness.renderFigure7(Rows).c_str());
+int main() {
+  CampaignSummary Summary = Session().runCampaign();
+  std::printf("\n%s\n", renderFigure7(Summary.Rows).c_str());
   std::printf("Shape check (paper): per-instruction test time stays below "
               "the ~100 ms bar;\nnative methods are the slowest set.\n");
   return 0;

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Session.h"
 #include "evalkit/Experiments.h"
 
 #include <cstdio>
@@ -21,9 +22,10 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--fig2") == 0)
       Fig2 = true;
 
-  EvaluationHarness Harness;
-  std::printf("%s\n", Harness.renderTable1().c_str());
+  Session Sess;
+  ExplorationResult Add = Sess.explore("bytecodePrim_add");
+  std::printf("%s\n", renderTable1(Add).c_str());
   if (Fig2)
-    std::printf("%s\n", Harness.renderFigure2Trace().c_str());
+    std::printf("%s\n", renderFigure2Trace(Add).c_str());
   return 0;
 }

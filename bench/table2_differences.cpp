@@ -12,6 +12,7 @@
 #include "api/Requests.h"
 #include "api/Session.h"
 
+#include "evalkit/Experiments.h"
 #include "service/ResultStore.h"
 #include "support/Flags.h"
 
@@ -44,10 +45,7 @@ int main(int Argc, char **Argv) {
   Session Sess(Config);
   CampaignSummary Summary = Sess.runCampaign();
 
-  // The campaign's rows are the harness's rows (same reduction); the
-  // harness still owns the table renderer.
-  EvaluationHarness Renderer(Config.harness());
-  std::printf("%s\n", Renderer.renderTable2(Summary.Rows).c_str());
+  std::printf("%s\n", renderTable2(Summary.Rows).c_str());
   std::printf("Shape targets (paper): native methods dominate the "
               "differences (~29%% of curated paths);\nSimple > "
               "Stack-to-Register = Linear-Scan; byte-code compiler "

@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Session.h"
 #include "evalkit/Experiments.h"
 #include "faults/DefectCatalog.h"
 
@@ -14,9 +15,8 @@
 using namespace igdt;
 
 int main() {
-  EvaluationHarness Harness;
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
-  std::printf("%s\n", Harness.renderTable3(Rows).c_str());
+  CampaignSummary Summary = Session().runCampaign();
+  std::printf("%s\n", renderTable3(Summary.Rows).c_str());
 
   std::printf("Seeded ground truth (what the classifier should find):\n");
   for (const SeededDefect &D : seededDefects())

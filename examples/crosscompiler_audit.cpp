@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Session.h"
 #include "evalkit/Experiments.h"
 #include "faults/DefectCatalog.h"
 
@@ -28,19 +29,19 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--fixed") == 0)
       Fixed = true;
 
-  HarnessOptions Opts;
+  SessionConfig Config;
   if (Fixed) {
-    Opts.VM = cleanVMConfig();
-    Opts.Cogit = cleanCogitOptions();
-    Opts.SeedSimulationErrors = false;
+    Config.vm() = cleanVMConfig();
+    Config.cogit() = cleanCogitOptions();
+    Config.harness().SeedSimulationErrors = false;
   }
 
   std::printf("Auditing %s configuration...\n\n",
               Fixed ? "the FIXED" : "the SHIPPED (seeded)");
-  EvaluationHarness Harness(Opts);
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
-  std::printf("%s\n", Harness.renderTable2(Rows).c_str());
-  std::printf("%s\n", Harness.renderTable3(Rows).c_str());
+  CampaignSummary Summary = Session(Config).runCampaign();
+  const std::vector<CompilerEvaluation> &Rows = Summary.Rows;
+  std::printf("%s\n", renderTable2(Rows).c_str());
+  std::printf("%s\n", renderTable3(Rows).c_str());
 
   unsigned TotalDiffs = 0;
   for (const CompilerEvaluation &Row : Rows)
@@ -48,8 +49,8 @@ int main(int argc, char **argv) {
 
   if (Fixed) {
     // Optimisation differences are structural and "arguably correct in
-    // both" engines (paper §5.3): the gate reports them as advisories
-    // and fails only on genuine defects.
+    // both" engines (paper §5.3): they are reported as advisories, and
+    // the campaign exit code fails the gate only on genuine defects.
     unsigned Defects = 0;
     unsigned Advisories = 0;
     for (const CompilerEvaluation &Row : Rows)
@@ -65,13 +66,13 @@ int main(int argc, char **argv) {
     std::printf("%u optimisation advisories (compilers send where the "
                 "interpreter inlines).\n",
                 Advisories);
-    if (Defects == 0) {
+    int Exit = Summary.exitCode();
+    if (Exit == 0)
       std::printf("CI gate: PASS — no correctness differences between the "
                   "interpreter and any compiler.\n");
-      return 0;
-    }
-    std::printf("CI gate: FAIL — %u defect causes.\n", Defects);
-    return 1;
+    else
+      std::printf("CI gate: FAIL — %u defect causes.\n", Defects);
+    return Exit;
   }
 
   std::printf("Found %u differing paths; known causes:\n", TotalDiffs);

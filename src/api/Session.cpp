@@ -51,9 +51,9 @@ ExplorationResult Session::explore(const std::string &InstructionName) {
 }
 
 DiffTestConfig Session::diffConfig(CompilerKind Kind, bool Arm) const {
-  // Delegate to the harness so the façade and the evaluation drivers
-  // derive byte-identical configurations from the same HarnessOptions.
-  return EvaluationHarness(Cfg.Campaign.Harness).diffConfig(Kind, Arm);
+  // The campaign derives its configurations the same way, so façade
+  // and campaign replays are byte-identical for one HarnessOptions.
+  return diffConfigFor(Cfg.Campaign.Harness, Kind, Arm);
 }
 
 PathTestOutcome Session::testPath(const ExplorationResult &Exploration,

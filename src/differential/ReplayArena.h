@@ -19,7 +19,7 @@
 /// without an arena; ReplayArenaTest holds both claims.
 ///
 /// Arenas are strictly worker-local, like the code cache: one per
-/// campaign Jobs slot, one per Session, one per EvaluationHarness call.
+/// campaign Jobs slot and one per Session.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -414,6 +414,19 @@ igdt::aggregateCampaignRows(const std::vector<InstructionRecord> &Records) {
   return Rows;
 }
 
+DiffTestConfig igdt::diffConfigFor(const HarnessOptions &Harness,
+                                   CompilerKind Kind, bool Arm) {
+  DiffTestConfig Cfg;
+  Cfg.Kind = Kind;
+  Cfg.UseArmBackend = Arm;
+  Cfg.Cogit = Harness.Cogit;
+  Cfg.Sim = Harness.Sim;
+  Cfg.CrossEngineCheck = Harness.CrossEngineCheck;
+  if (Harness.SeedSimulationErrors && Arm)
+    Cfg.Sim.MissingFPAccessors.insert(std::uint8_t(FReg::F5));
+  return Cfg;
+}
+
 CampaignRunner::CampaignRunner(CampaignOptions Options)
     : Opts(std::move(Options)) {}
 
@@ -487,15 +500,8 @@ CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
       triggerWorkerHang();
 
     auto MakeConfig = [&](bool Arm) {
-      DiffTestConfig Cfg;
-      Cfg.Kind = Kind;
-      Cfg.UseArmBackend = Arm;
-      Cfg.Cogit = Opts.Harness.Cogit;
-      Cfg.Sim = Opts.Harness.Sim;
-      Cfg.CrossEngineCheck = Opts.Harness.CrossEngineCheck;
+      DiffTestConfig Cfg = diffConfigFor(Opts.Harness, Kind, Arm);
       Cfg.Trace = Trace;
-      if (Opts.Harness.SeedSimulationErrors && Arm)
-        Cfg.Sim.MissingFPAccessors.insert(std::uint8_t(FReg::F5));
       Cfg.ReplayBudget = &ReplayBud;
       Cfg.JitStats = &Rec.Jit;
       Cfg.SimCounters = &Rec.Sim;

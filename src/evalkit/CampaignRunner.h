@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The resilient campaign runner: wraps the per-instruction pipeline
-/// (explore -> compile -> simulate -> validate) of the evaluation
-/// harness in fault containment so a full-catalog run survives harness
-/// malfunctions.
+/// The resilient campaign runner: the one per-instruction pipeline
+/// (explore -> compile -> simulate -> validate) behind every table and
+/// figure of the evaluation, wrapped in fault containment so a
+/// full-catalog run survives harness malfunctions.
 ///
 ///  - Every stage runs under a cooperative Budget (wall clock + work
 ///    units), so a pathological instruction degrades into a partial
@@ -29,8 +29,8 @@
 #ifndef IGDT_EVALKIT_CAMPAIGNRUNNER_H
 #define IGDT_EVALKIT_CAMPAIGNRUNNER_H
 
+#include "differential/DifferentialTester.h"
 #include "evalkit/CampaignScheduler.h"
-#include "evalkit/Experiments.h"
 #include "faults/HarnessFaults.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Profile.h"
@@ -45,10 +45,67 @@ namespace igdt {
 
 class VerdictStore;
 
+/// Table 2 row.
+struct CompilerEvaluation {
+  CompilerKind Kind = CompilerKind::NativeMethod;
+  unsigned TestedInstructions = 0;
+  unsigned InterpreterPaths = 0;
+  unsigned CuratedPaths = 0;
+  unsigned DifferingPaths = 0; // union over both back-ends
+  /// Cause key -> family (Table 3 deduplication).
+  std::map<std::string, DefectFamily> Causes;
+  /// Per-instruction differential test time (both back-ends), ms.
+  std::vector<double> TestMillisPerInstruction;
+  double totalTestMillis() const {
+    double T = 0;
+    for (double V : TestMillisPerInstruction)
+      T += V;
+    return T;
+  }
+};
+
+/// Exploration and compiler configuration of every instruction a
+/// campaign tests.
+struct HarnessOptions {
+  VMConfig VM;
+  ExplorerOptions Explorer;
+  CogitOptions Cogit;
+  /// Base simulator knobs for every replay (diffConfigFor copies them);
+  /// the per-arm F5 seeding layers on top.
+  SimOptions Sim;
+  /// Run every path through the native x86-64 tier as well and report
+  /// any disagreement with the simulator as a CrossEngineDivergence
+  /// defect (see DiffTestConfig::CrossEngineCheck).
+  bool CrossEngineCheck = false;
+  /// Arm the two simulation-error seeds (missing F5 accessor).
+  bool SeedSimulationErrors = true;
+  /// Compile each distinct compilation unit once per instruction and
+  /// replay the cached code for the remaining paths (jit/CodeCache.h).
+  /// Purely an optimisation: compilation is a pure function of the
+  /// cache key, and a hit replays the Compile trace event, so every
+  /// output is byte-identical with the cache on or off.
+  bool EnableCodeCache = true;
+  /// Reuse one pooled heap + simulator stack per worker instead of
+  /// building fresh ones per path (differential/ReplayArena.h). Like
+  /// the code cache this is purely an optimisation: the arena's reset
+  /// contract keeps every outcome byte-identical on or off.
+  bool EnableReplayArena = true;
+  /// Limit instructions per kind (0 = all); used by quick tests.
+  unsigned MaxBytecodes = 0;
+  unsigned MaxNativeMethods = 0;
+};
+
+/// The differential configuration for one compiler/back-end: kind,
+/// back-end, compiler and simulator options, the cross-engine check,
+/// and the arm-only F5 simulation-error seed. The campaign and
+/// Session::diffConfig both start from it; per-run wiring (trace,
+/// budgets, caches, counters) is the caller's.
+DiffTestConfig diffConfigFor(const HarnessOptions &Harness, CompilerKind Kind,
+                             bool Arm);
+
 /// Campaign configuration.
 struct CampaignOptions {
-  /// Exploration / compiler configuration, shared with the plain
-  /// evaluation harness so campaign counts are comparable.
+  /// Exploration / compiler configuration of every instruction.
   HarnessOptions Harness;
   /// Per-instruction exploration budget (solver nodes + wall clock).
   BudgetOptions ExploreBudget;
@@ -189,8 +246,8 @@ struct CampaignIncident {
   static bool fromJson(const std::string &Line, CampaignIncident &Out);
 };
 
-/// Per-compiler outcome of one instruction (both back-ends unioned,
-/// mirroring EvaluationHarness::evaluateCompiler).
+/// Per-compiler outcome of one instruction (both back-ends unioned per
+/// path).
 struct CompilerOutcome {
   CompilerKind Kind = CompilerKind::NativeMethod;
   unsigned DifferingPaths = 0;
@@ -257,8 +314,8 @@ struct InstructionRecord {
 
 /// The campaign result.
 struct CampaignSummary {
-  /// Table 2 rows aggregated over all non-quarantined instructions,
-  /// comparable with EvaluationHarness::evaluateAllCompilers().
+  /// Table 2 rows aggregated over all non-quarantined instructions
+  /// (aggregateCampaignRows), in compiler order.
   std::vector<CompilerEvaluation> Rows;
   std::vector<InstructionRecord> Records;
   std::vector<CampaignIncident> Incidents;

@@ -1,4 +1,4 @@
-//===- evalkit/Experiments.cpp - Evaluation drivers ------------------------------===//
+//===- evalkit/Experiments.cpp - Paper tables and figures ------------------------===//
 
 #include "evalkit/Experiments.h"
 
@@ -7,149 +7,26 @@
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
-#include <chrono>
-
 using namespace igdt;
 
 namespace {
 
-double millisSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
+/// \p Field of every non-quarantined record of \p Kind, in record
+/// order.
+template <typename T>
+std::vector<double> recordSamples(const std::vector<InstructionRecord> &Records,
+                                  InstructionKind Kind,
+                                  T InstructionRecord::*Field) {
+  std::vector<double> Out;
+  for (const InstructionRecord &Rec : Records)
+    if (!Rec.Quarantined && Rec.Kind == Kind)
+      Out.push_back(static_cast<double>(Rec.*Field));
+  return Out;
 }
 
 } // namespace
 
-EvaluationHarness::EvaluationHarness(HarnessOptions Options)
-    : Opts(std::move(Options)) {}
-
-DiffTestConfig EvaluationHarness::diffConfig(CompilerKind Kind,
-                                             bool Arm) const {
-  DiffTestConfig Cfg;
-  Cfg.Kind = Kind;
-  Cfg.UseArmBackend = Arm;
-  Cfg.Cogit = Opts.Cogit;
-  Cfg.Sim = Opts.Sim;
-  Cfg.CrossEngineCheck = Opts.CrossEngineCheck;
-  if (Opts.SeedSimulationErrors && Arm)
-    Cfg.Sim.MissingFPAccessors.insert(std::uint8_t(FReg::F5));
-  return Cfg;
-}
-
-void EvaluationHarness::exploreAll() {
-  if (ExplorationDone)
-    return;
-  unsigned Bytecodes = 0;
-  unsigned Natives = 0;
-  for (const InstructionSpec &Spec : allInstructions()) {
-    if (Spec.Kind == InstructionKind::Bytecode) {
-      if (Opts.MaxBytecodes && Bytecodes >= Opts.MaxBytecodes)
-        continue;
-      ++Bytecodes;
-    } else {
-      if (Opts.MaxNativeMethods && Natives >= Opts.MaxNativeMethods)
-        continue;
-      ++Natives;
-    }
-    ConcolicExplorer Explorer(Opts.VM, Opts.Explorer);
-    // Warm-up run first: Figure 6 reports steady-state exploration time,
-    // not first-touch page faults of a fresh heap.
-    (void)Explorer.explore(Spec);
-    auto Start = std::chrono::steady_clock::now();
-    ExploredInstruction E;
-    E.Result =
-        std::make_unique<ExplorationResult>(Explorer.explore(Spec));
-    E.ExploreMillis = millisSince(Start);
-    Explored.push_back(std::move(E));
-  }
-  ExplorationDone = true;
-}
-
-CompilerEvaluation EvaluationHarness::evaluateCompiler(CompilerKind Kind) {
-  exploreAll();
-  CompilerEvaluation Eval;
-  Eval.Kind = Kind;
-
-  InstructionKind Wanted = Kind == CompilerKind::NativeMethod
-                               ? InstructionKind::NativeMethod
-                               : InstructionKind::Bytecode;
-
-  // One compile-once cache for both back-ends (keys carry the back-end,
-  // so the arms never serve each other), and one replay arena shared
-  // the same way — this call runs both arms serially, so worker-local
-  // means call-local here.
-  JitCodeCache CodeCache;
-  JitCacheStats JStats;
-  ReplayArena Arena;
-  DiffTestConfig CfgX64 = diffConfig(Kind, /*Arm=*/false);
-  DiffTestConfig CfgArm = diffConfig(Kind, /*Arm=*/true);
-  CfgX64.JitStats = CfgArm.JitStats = &JStats;
-  if (Opts.EnableCodeCache)
-    CfgX64.CodeCache = CfgArm.CodeCache = &CodeCache;
-  if (Opts.EnableReplayArena)
-    CfgX64.Arena = CfgArm.Arena = &Arena;
-  DifferentialTester X64(CfgX64);
-  DifferentialTester Arm(CfgArm);
-
-  for (const ExploredInstruction &E : Explored) {
-    const ExplorationResult &R = *E.Result;
-    if (R.Spec->Kind != Wanted)
-      continue;
-    ++Eval.TestedInstructions;
-    Eval.InterpreterPaths += static_cast<unsigned>(R.Paths.size());
-    Eval.CuratedPaths += R.curatedCount();
-
-    auto Start = std::chrono::steady_clock::now();
-    for (std::size_t I = 0; I < R.Paths.size(); ++I) {
-      PathTestOutcome A = X64.testPath(R, I);
-      PathTestOutcome B = Arm.testPath(R, I);
-      bool Differs = A.Status == PathTestStatus::Difference ||
-                     B.Status == PathTestStatus::Difference;
-      if (!Differs)
-        continue;
-      ++Eval.DifferingPaths;
-      if (A.Status == PathTestStatus::Difference)
-        Eval.Causes.emplace(A.CauseKey, A.Family);
-      if (B.Status == PathTestStatus::Difference)
-        Eval.Causes.emplace(B.CauseKey, B.Family);
-    }
-    Eval.TestMillisPerInstruction.push_back(millisSince(Start));
-  }
-  return Eval;
-}
-
-std::vector<CompilerEvaluation> EvaluationHarness::evaluateAllCompilers() {
-  exploreAll();
-  return {evaluateCompiler(CompilerKind::NativeMethod),
-          evaluateCompiler(CompilerKind::SimpleStack),
-          evaluateCompiler(CompilerKind::StackToRegister),
-          evaluateCompiler(CompilerKind::RegisterAllocating)};
-}
-
-std::vector<double>
-EvaluationHarness::pathsPerInstruction(InstructionKind Kind) const {
-  std::vector<double> Out;
-  for (const ExploredInstruction &E : Explored)
-    if (E.Result->Spec->Kind == Kind)
-      Out.push_back(static_cast<double>(E.Result->Paths.size()));
-  return Out;
-}
-
-std::vector<double>
-EvaluationHarness::exploreMillisPerInstruction(InstructionKind Kind) const {
-  std::vector<double> Out;
-  for (const ExploredInstruction &E : Explored)
-    if (E.Result->Spec->Kind == Kind)
-      Out.push_back(E.ExploreMillis);
-  return Out;
-}
-
-std::string EvaluationHarness::renderTable1() {
-  ConcolicExplorer Explorer(Opts.VM, Opts.Explorer);
-  ExplorationResult R =
-      Explorer.explore(*findInstruction("bytecodePrim_add"));
-
+std::string igdt::renderTable1(const ExplorationResult &R) {
   TablePrinter T({"Argument 0 (top)", "Argument 1", "Exit", "Path"});
   for (const PathSolution &P : R.Paths) {
     std::string Arg0 = P.Input.Stack.size() > 1
@@ -168,10 +45,7 @@ std::string EvaluationHarness::renderTable1() {
          T.render();
 }
 
-std::string EvaluationHarness::renderFigure2Trace() {
-  ConcolicExplorer Explorer(Opts.VM, Opts.Explorer);
-  ExplorationResult R =
-      Explorer.explore(*findInstruction("bytecodePrim_add"));
+std::string igdt::renderFigure2Trace(const ExplorationResult &R) {
   std::string Out =
       "Figure 2: constraint tracking across concolic executions of the "
       "add byte-code\n\n";
@@ -197,8 +71,7 @@ std::string EvaluationHarness::renderFigure2Trace() {
   return Out;
 }
 
-std::string
-EvaluationHarness::renderTable2(const std::vector<CompilerEvaluation> &Rows) {
+std::string igdt::renderTable2(const std::vector<CompilerEvaluation> &Rows) {
   TablePrinter T({"Compiler", "# Tested Instructions", "# Interpreter Paths",
                   "# Curated Paths", "# Differences (%)"});
   unsigned TotalInstr = 0;
@@ -229,8 +102,7 @@ EvaluationHarness::renderTable2(const std::vector<CompilerEvaluation> &Rows) {
          T.render();
 }
 
-std::string
-EvaluationHarness::renderTable3(const std::vector<CompilerEvaluation> &Rows) {
+std::string igdt::renderTable3(const std::vector<CompilerEvaluation> &Rows) {
   // Deduplicate causes across compilers and count per family.
   std::map<std::string, DefectFamily> AllCauses;
   for (const CompilerEvaluation &Row : Rows)
@@ -261,11 +133,12 @@ EvaluationHarness::renderTable3(const std::vector<CompilerEvaluation> &Rows) {
          T.render();
 }
 
-std::string EvaluationHarness::renderFigure5() {
-  exploreAll();
-  std::vector<double> BC = pathsPerInstruction(InstructionKind::Bytecode);
-  std::vector<double> NM =
-      pathsPerInstruction(InstructionKind::NativeMethod);
+std::string
+igdt::renderFigure5(const std::vector<InstructionRecord> &Records) {
+  std::vector<double> BC = recordSamples(Records, InstructionKind::Bytecode,
+                                         &InstructionRecord::Paths);
+  std::vector<double> NM = recordSamples(
+      Records, InstructionKind::NativeMethod, &InstructionRecord::Paths);
   std::string Out = "Figure 5: paths per instruction (log scale)\n\n";
   Out += "Byte-codes:      " + describeStats(computeStats(BC), "") + "\n";
   Out += renderHistogram(BC, 6, "paths");
@@ -274,12 +147,13 @@ std::string EvaluationHarness::renderFigure5() {
   return Out;
 }
 
-std::string EvaluationHarness::renderFigure6() {
-  exploreAll();
-  std::vector<double> BC =
-      exploreMillisPerInstruction(InstructionKind::Bytecode);
+std::string
+igdt::renderFigure6(const std::vector<InstructionRecord> &Records) {
+  std::vector<double> BC = recordSamples(Records, InstructionKind::Bytecode,
+                                         &InstructionRecord::ExploreMillis);
   std::vector<double> NM =
-      exploreMillisPerInstruction(InstructionKind::NativeMethod);
+      recordSamples(Records, InstructionKind::NativeMethod,
+                    &InstructionRecord::ExploreMillis);
   std::string Out =
       "Figure 6: concolic execution time per kind of instruction\n\n";
   Out += "Byte-codes:      " + describeStats(computeStats(BC), "ms") + "\n";
@@ -289,7 +163,7 @@ std::string EvaluationHarness::renderFigure6() {
 }
 
 std::string
-EvaluationHarness::renderFigure7(const std::vector<CompilerEvaluation> &Rows) {
+igdt::renderFigure7(const std::vector<CompilerEvaluation> &Rows) {
   std::string Out =
       "Figure 7: differential test execution time per compiler\n\n";
   for (const CompilerEvaluation &Row : Rows) {

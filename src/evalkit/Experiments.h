@@ -1,13 +1,15 @@
-//===- evalkit/Experiments.h - Evaluation drivers -------------------------------===//
+//===- evalkit/Experiments.h - Paper tables and figures -------------------------===//
 //
 // Part of the IGDT project: interpreter-guided differential JIT testing.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reusable drivers that regenerate every table and figure of the
-/// paper's evaluation (§5). The bench binaries and the integration tests
-/// are thin wrappers over this harness.
+/// Renderers for every table and figure of the paper's evaluation (§5).
+/// They only format: the data comes from one campaign
+/// (Session::runCampaign) or, for Table 1 and Figure 2, from one
+/// exploration of the add byte-code (Session::explore). The bench
+/// binaries and the integration tests are thin wrappers over them.
 ///
 ///  - Table 1 / Figure 2: concolic paths of the add byte-code;
 ///  - Table 2: instructions / paths / curated paths / differences per
@@ -17,123 +19,30 @@
 ///  - Figure 6: concolic exploration time per instruction kind;
 ///  - Figure 7: differential test execution time per compiler.
 ///
+/// Figures 5 and 6 read the non-quarantined campaign records.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_EVALKIT_EXPERIMENTS_H
 #define IGDT_EVALKIT_EXPERIMENTS_H
 
-#include "differential/DifferentialTester.h"
+#include "evalkit/CampaignRunner.h"
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace igdt {
 
-/// Exploration record of one instruction.
-struct ExploredInstruction {
-  std::unique_ptr<ExplorationResult> Result;
-  double ExploreMillis = 0;
-};
-
-/// Table 2 row.
-struct CompilerEvaluation {
-  CompilerKind Kind = CompilerKind::NativeMethod;
-  unsigned TestedInstructions = 0;
-  unsigned InterpreterPaths = 0;
-  unsigned CuratedPaths = 0;
-  unsigned DifferingPaths = 0; // union over both back-ends
-  /// Cause key -> family (Table 3 deduplication).
-  std::map<std::string, DefectFamily> Causes;
-  /// Per-instruction differential test time (both back-ends), ms.
-  std::vector<double> TestMillisPerInstruction;
-  double totalTestMillis() const {
-    double T = 0;
-    for (double V : TestMillisPerInstruction)
-      T += V;
-    return T;
-  }
-};
-
-/// Configuration of a full evaluation run.
-struct HarnessOptions {
-  VMConfig VM;
-  ExplorerOptions Explorer;
-  CogitOptions Cogit;
-  /// Base simulator knobs for every replay. diffConfig (and the
-  /// campaign runner) start from this instead of a default-constructed
-  /// SimOptions, so fuel/trace settings need only one assignment — the
-  /// per-arm F5 seeding still layers on top.
-  SimOptions Sim;
-  /// Run every path through the native x86-64 tier as well and report
-  /// any disagreement with the simulator as a CrossEngineDivergence
-  /// defect (see DiffTestConfig::CrossEngineCheck).
-  bool CrossEngineCheck = false;
-  /// Arm the two simulation-error seeds (missing F5 accessor).
-  bool SeedSimulationErrors = true;
-  /// Compile each distinct compilation unit once per instruction and
-  /// replay the cached code for the remaining paths (jit/CodeCache.h).
-  /// Purely an optimisation: compilation is a pure function of the
-  /// cache key, and a hit replays the Compile trace event, so every
-  /// output is byte-identical with the cache on or off.
-  bool EnableCodeCache = true;
-  /// Reuse one pooled heap + simulator stack per worker instead of
-  /// building fresh ones per path (differential/ReplayArena.h). Like
-  /// the code cache this is purely an optimisation: the arena's reset
-  /// contract keeps every outcome byte-identical on or off.
-  bool EnableReplayArena = true;
-  /// Limit instructions per kind (0 = all); used by quick tests.
-  unsigned MaxBytecodes = 0;
-  unsigned MaxNativeMethods = 0;
-};
-
-/// The evaluation harness: explores the catalog once (the paper notes
-/// exploration results can be cached and reused), then replays against
-/// any compiler.
-class EvaluationHarness {
-public:
-  explicit EvaluationHarness(HarnessOptions Options = HarnessOptions());
-
-  /// Concolically explores every catalog instruction (idempotent).
-  void exploreAll();
-
-  /// Differentially tests \p Kind on both back-ends.
-  CompilerEvaluation evaluateCompiler(CompilerKind Kind);
-
-  /// Runs all four compilers (exploring first if needed).
-  std::vector<CompilerEvaluation> evaluateAllCompilers();
-
-  /// \name Rendered artifacts
-  /// @{
-  std::string renderTable1();
-  std::string renderFigure2Trace();
-  std::string renderTable2(const std::vector<CompilerEvaluation> &Rows);
-  std::string renderTable3(const std::vector<CompilerEvaluation> &Rows);
-  std::string renderFigure5();
-  std::string renderFigure6();
-  std::string renderFigure7(const std::vector<CompilerEvaluation> &Rows);
-  /// @}
-
-  /// \name Raw samples for the figures
-  /// @{
-  std::vector<double> pathsPerInstruction(InstructionKind Kind) const;
-  std::vector<double> exploreMillisPerInstruction(InstructionKind Kind) const;
-  /// @}
-
-  const std::vector<ExploredInstruction> &explored() const {
-    return Explored;
-  }
-  const HarnessOptions &options() const { return Opts; }
-
-  /// Builds the differential configuration for one compiler/back-end.
-  DiffTestConfig diffConfig(CompilerKind Kind, bool Arm) const;
-
-private:
-  HarnessOptions Opts;
-  std::vector<ExploredInstruction> Explored;
-  bool ExplorationDone = false;
-};
+/// \name Rendered artifacts
+/// @{
+std::string renderTable1(const ExplorationResult &Add);
+std::string renderFigure2Trace(const ExplorationResult &Add);
+std::string renderTable2(const std::vector<CompilerEvaluation> &Rows);
+std::string renderTable3(const std::vector<CompilerEvaluation> &Rows);
+std::string renderFigure5(const std::vector<InstructionRecord> &Records);
+std::string renderFigure6(const std::vector<InstructionRecord> &Records);
+std::string renderFigure7(const std::vector<CompilerEvaluation> &Rows);
+/// @}
 
 } // namespace igdt
 

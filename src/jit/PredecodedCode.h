@@ -76,12 +76,6 @@ PredecodedCode predecode(const std::vector<MInstr> &Code);
 const PredecodedCode &predecodedFor(const CompiledCode &Code,
                                     SimStats *Stats);
 
-/// True when this build carries the computed-goto threaded dispatcher
-/// (labels-as-values is a GNU extension); otherwise the predecoded
-/// engine transparently degrades to the reference switch loop.
-/// Defined in support/CpuFeatures.cpp alongside the native-tier probe.
-bool simThreadedDispatchSupported();
-
 } // namespace igdt
 
 #endif // IGDT_JIT_PREDECODEDCODE_H

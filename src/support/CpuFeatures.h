@@ -31,8 +31,6 @@ namespace igdt {
 /// True when this build carries the computed-goto threaded dispatcher
 /// (labels-as-values is a GNU extension); otherwise the predecoded
 /// engine transparently degrades to the reference switch loop.
-/// (Declared in jit/PredecodedCode.h as well for historical reasons;
-/// this is the single definition.)
 bool simThreadedDispatchSupported();
 
 /// True when the native x86-64 execution tier can run on this host:

@@ -38,11 +38,15 @@ public:
   }
 
   /// Returns a value uniformly in [Lo, Hi] (inclusive). Requires Lo <= Hi.
+  /// The span and the offset add are computed in uint64_t, where they
+  /// wrap instead of overflowing a signed type.
   std::int64_t nextInRange(std::int64_t Lo, std::int64_t Hi) {
-    auto Span = static_cast<std::uint64_t>(Hi - Lo);
+    std::uint64_t Span =
+        static_cast<std::uint64_t>(Hi) - static_cast<std::uint64_t>(Lo);
     if (Span == ~0ull)
       return static_cast<std::int64_t>(next());
-    return Lo + static_cast<std::int64_t>(next() % (Span + 1));
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(Lo) +
+                                     next() % (Span + 1));
   }
 
   /// Returns a double uniformly in [Lo, Hi).

@@ -14,7 +14,7 @@
 #include "differential/DifferentialTester.h"
 #include "evalkit/CampaignRunner.h"
 #include "faults/DefectCatalog.h"
-#include "jit/PredecodedCode.h"
+#include "support/CpuFeatures.h"
 
 #include <gtest/gtest.h>
 

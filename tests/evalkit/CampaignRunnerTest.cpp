@@ -3,13 +3,14 @@
 // Campaign resilience self-tests: every injectable harness fault is
 // contained (quarantine, incident report, zero exit), transient faults
 // are recovered by the fresh-heap retry, checkpoint/resume reproduces
-// the uninterrupted counts, and campaign rows agree with the plain
-// evaluation harness on the same instruction subset.
+// the uninterrupted counts, and campaign rows agree with a serial
+// per-path replay through the Session façade on the same subset.
 //
 //===----------------------------------------------------------------------===//
 
 #include "evalkit/CampaignRunner.h"
 
+#include "api/Session.h"
 #include "faults/DefectCatalog.h"
 #include "support/Json.h"
 
@@ -281,9 +282,12 @@ TEST(CampaignRunnerTest, ExitCodeFlagsGenuineDefectsNotHarnessFaults) {
   EXPECT_EQ(Good.exitCode(), 0);
 }
 
-TEST(CampaignRunnerTest, CampaignRowsMatchTheEvaluationHarness) {
-  // The campaign must report the exact counts the plain harness reports
-  // for the same subset — containment must not perturb a healthy run.
+TEST(CampaignRunnerTest, CampaignRowsMatchPerPathFacadeReplay) {
+  // The campaign must report the exact counts a plain serial replay
+  // reports for the same subset — containment must not perturb a
+  // healthy run. The reference explores each instruction and tests
+  // every path on both back-ends through the Session façade, unioning
+  // differences per path like Table 2 does.
   std::vector<std::string> Bytecodes =
       firstNames(InstructionKind::Bytecode, 3);
   std::vector<std::string> Natives =
@@ -295,11 +299,33 @@ TEST(CampaignRunnerTest, CampaignRowsMatchTheEvaluationHarness) {
                                Natives.end());
   CampaignSummary S = CampaignRunner(Opts).run();
 
-  HarnessOptions HOpts;
-  HOpts.MaxBytecodes = 3;
-  HOpts.MaxNativeMethods = 2;
-  EvaluationHarness Harness(HOpts);
-  std::vector<CompilerEvaluation> Expected = Harness.evaluateAllCompilers();
+  Session Facade;
+  std::vector<CompilerEvaluation> Expected;
+  for (CompilerKind Kind :
+       {CompilerKind::NativeMethod, CompilerKind::SimpleStack,
+        CompilerKind::StackToRegister, CompilerKind::RegisterAllocating}) {
+    CompilerEvaluation Row;
+    Row.Kind = Kind;
+    for (const std::string &Name :
+         Kind == CompilerKind::NativeMethod ? Natives : Bytecodes) {
+      ExplorationResult R = Facade.explore(Name);
+      ++Row.TestedInstructions;
+      Row.InterpreterPaths += static_cast<unsigned>(R.Paths.size());
+      Row.CuratedPaths += R.curatedCount();
+      for (std::size_t I = 0; I < R.Paths.size(); ++I) {
+        bool Differs = false;
+        for (bool Arm : {false, true}) {
+          PathTestOutcome O = Facade.testPath(R, I, Kind, Arm);
+          if (O.Status != PathTestStatus::Difference)
+            continue;
+          Differs = true;
+          Row.Causes.emplace(O.CauseKey, O.Family);
+        }
+        Row.DifferingPaths += Differs;
+      }
+    }
+    Expected.push_back(std::move(Row));
+  }
 
   expectRowsEqual(S.Rows, Expected);
 }

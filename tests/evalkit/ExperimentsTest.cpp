@@ -1,12 +1,13 @@
 //===- tests/evalkit/ExperimentsTest.cpp ------------------------------------------===//
 //
-// The evaluation harness: the tables/figures render, and the paper's
-// shape claims hold on the full catalog.
+// The paper's tables and figures: they render from one full-catalog
+// campaign, and the paper's shape claims hold on it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "evalkit/Experiments.h"
 
+#include "api/Session.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
@@ -17,27 +18,36 @@ namespace {
 
 class ExperimentsTest : public ::testing::Test {
 protected:
-  static EvaluationHarness &sharedHarness() {
-    static EvaluationHarness Harness = [] {
-      EvaluationHarness H;
-      H.exploreAll();
-      return H;
-    }();
-    return Harness;
+  static const CampaignSummary &sharedSummary() {
+    static CampaignSummary Summary = Session().runCampaign();
+    return Summary;
   }
   static const std::vector<CompilerEvaluation> &sharedRows() {
-    static std::vector<CompilerEvaluation> Rows =
-        sharedHarness().evaluateAllCompilers();
-    return Rows;
+    return sharedSummary().Rows;
+  }
+  static const ExplorationResult &addExploration() {
+    static ExplorationResult Add = Session().explore("bytecodePrim_add");
+    return Add;
+  }
+  /// \p Field of every non-quarantined record of \p Kind.
+  template <typename T>
+  static std::vector<double> samples(InstructionKind Kind,
+                                     T InstructionRecord::*Field) {
+    std::vector<double> Out;
+    for (const InstructionRecord &Rec : sharedSummary().Records)
+      if (!Rec.Quarantined && Rec.Kind == Kind)
+        Out.push_back(static_cast<double>(Rec.*Field));
+    return Out;
   }
 };
 
 TEST_F(ExperimentsTest, ExploresTheWholeCatalog) {
-  EXPECT_EQ(sharedHarness().explored().size(), allInstructions().size());
+  EXPECT_EQ(sharedSummary().Records.size(), allInstructions().size());
+  EXPECT_TRUE(sharedSummary().Quarantined.empty());
 }
 
 TEST_F(ExperimentsTest, Table1MentionsTheCanonicalPaths) {
-  std::string T = sharedHarness().renderTable1();
+  std::string T = renderTable1(addExploration());
   EXPECT_NE(T.find("isInteger(s0)"), std::string::npos);
   EXPECT_NE(T.find("isNotInteger"), std::string::npos);
   EXPECT_NE(T.find("message-send"), std::string::npos);
@@ -45,7 +55,7 @@ TEST_F(ExperimentsTest, Table1MentionsTheCanonicalPaths) {
 }
 
 TEST_F(ExperimentsTest, Figure2TraceShowsInputAndOutputFrames) {
-  std::string T = sharedHarness().renderFigure2Trace();
+  std::string T = renderFigure2Trace(addExploration());
   EXPECT_NE(T.find("Concolic Execution #1"), std::string::npos);
   EXPECT_NE(T.find("input operand stack: (empty)"), std::string::npos);
   EXPECT_NE(T.find("exit: invalid-frame"), std::string::npos);
@@ -53,7 +63,7 @@ TEST_F(ExperimentsTest, Figure2TraceShowsInputAndOutputFrames) {
 }
 
 TEST_F(ExperimentsTest, Table2HasFourCompilerRowsPlusTotal) {
-  std::string T = sharedHarness().renderTable2(sharedRows());
+  std::string T = renderTable2(sharedRows());
   EXPECT_NE(T.find("Native Methods (primitives)"), std::string::npos);
   EXPECT_NE(T.find("Simple Stack BC Compiler"), std::string::npos);
   EXPECT_NE(T.find("Stack-to-Register BC Compiler"), std::string::npos);
@@ -83,9 +93,9 @@ TEST_F(ExperimentsTest, Table2ShapeMatchesThePaper) {
 
 TEST_F(ExperimentsTest, Figure5NativeMethodsHaveMorePaths) {
   SampleStats BC = computeStats(
-      sharedHarness().pathsPerInstruction(InstructionKind::Bytecode));
+      samples(InstructionKind::Bytecode, &InstructionRecord::Paths));
   SampleStats NM = computeStats(
-      sharedHarness().pathsPerInstruction(InstructionKind::NativeMethod));
+      samples(InstructionKind::NativeMethod, &InstructionRecord::Paths));
   // Paper: byte-codes average a few more than 2 paths, native methods
   // approach 10; the ratio (several times more) is the shape claim.
   EXPECT_GT(BC.Mean, 1.5);
@@ -94,15 +104,15 @@ TEST_F(ExperimentsTest, Figure5NativeMethodsHaveMorePaths) {
 }
 
 TEST_F(ExperimentsTest, Figure6NativeMethodsTakeLongerToExplore) {
-  SampleStats BC = computeStats(sharedHarness().exploreMillisPerInstruction(
-      InstructionKind::Bytecode));
-  SampleStats NM = computeStats(sharedHarness().exploreMillisPerInstruction(
-      InstructionKind::NativeMethod));
+  SampleStats BC = computeStats(
+      samples(InstructionKind::Bytecode, &InstructionRecord::ExploreMillis));
+  SampleStats NM = computeStats(samples(InstructionKind::NativeMethod,
+                                        &InstructionRecord::ExploreMillis));
   EXPECT_GT(NM.Mean, BC.Mean);
 }
 
 TEST_F(ExperimentsTest, Table3ListsAllSixFamilies) {
-  std::string T = sharedHarness().renderTable3(sharedRows());
+  std::string T = renderTable3(sharedRows());
   EXPECT_NE(T.find("Missing interpreter type check"), std::string::npos);
   EXPECT_NE(T.find("Missing compiled type check"), std::string::npos);
   EXPECT_NE(T.find("Optimisation difference"), std::string::npos);
@@ -112,18 +122,17 @@ TEST_F(ExperimentsTest, Table3ListsAllSixFamilies) {
 }
 
 TEST_F(ExperimentsTest, Figure7ReportsPerCompilerTimes) {
-  std::string T = sharedHarness().renderFigure7(sharedRows());
+  std::string T = renderFigure7(sharedRows());
   EXPECT_NE(T.find("Native Methods"), std::string::npos);
   EXPECT_NE(T.find("ms"), std::string::npos);
 }
 
 TEST_F(ExperimentsTest, LimitedHarnessRespectsCaps) {
-  HarnessOptions Opts;
-  Opts.MaxBytecodes = 3;
-  Opts.MaxNativeMethods = 2;
-  EvaluationHarness Small(Opts);
-  Small.exploreAll();
-  EXPECT_EQ(Small.explored().size(), 5u);
+  SessionConfig Config;
+  Config.harness().MaxBytecodes = 3;
+  Config.harness().MaxNativeMethods = 2;
+  CampaignSummary Small = Session(Config).runCampaign();
+  EXPECT_EQ(Small.Records.size(), 5u);
 }
 
 } // namespace

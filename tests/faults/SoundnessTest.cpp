@@ -11,7 +11,7 @@
 
 #include "faults/DefectCatalog.h"
 
-#include "evalkit/Experiments.h"
+#include "api/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -21,14 +21,22 @@ using namespace igdt;
 
 namespace {
 
-TEST(SoundnessTest, FixedConfigurationHasNoCorrectnessDefects) {
-  HarnessOptions Opts;
-  Opts.VM = cleanVMConfig();
-  Opts.Cogit = cleanCogitOptions();
-  Opts.SeedSimulationErrors = false;
+/// Table 2 rows of one full-catalog campaign. A quarantine would drop an
+/// instruction's causes from the rows, so none is allowed.
+std::vector<CompilerEvaluation> campaignRows(SessionConfig Config) {
+  CampaignSummary Summary = Session(std::move(Config)).runCampaign();
+  EXPECT_TRUE(Summary.Incidents.empty());
+  EXPECT_EQ(Summary.Records.size(), allInstructions().size());
+  return Summary.Rows;
+}
 
-  EvaluationHarness Harness(Opts);
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
+TEST(SoundnessTest, FixedConfigurationHasNoCorrectnessDefects) {
+  SessionConfig Config;
+  Config.vm() = cleanVMConfig();
+  Config.cogit() = cleanCogitOptions();
+  Config.harness().SeedSimulationErrors = false;
+
+  std::vector<CompilerEvaluation> Rows = campaignRows(Config);
   for (const CompilerEvaluation &Row : Rows)
     for (const auto &[Key, Family] : Row.Causes)
       EXPECT_EQ(Family, DefectFamily::OptimisationDifference)
@@ -36,8 +44,8 @@ TEST(SoundnessTest, FixedConfigurationHasNoCorrectnessDefects) {
 }
 
 TEST(SoundnessTest, SeededConfigurationFindsEveryCatalogDefect) {
-  EvaluationHarness Harness; // all seeds on by default
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
+  // All seeds on by default.
+  std::vector<CompilerEvaluation> Rows = campaignRows(SessionConfig());
 
   // Gather found causes per family.
   std::map<DefectFamily, std::set<std::string>> Found;
@@ -64,8 +72,7 @@ TEST(SoundnessTest, SeededConfigurationFindsEveryCatalogDefect) {
 }
 
 TEST(SoundnessTest, Table3FamilyCountsMatchGroundTruth) {
-  EvaluationHarness Harness;
-  std::vector<CompilerEvaluation> Rows = Harness.evaluateAllCompilers();
+  std::vector<CompilerEvaluation> Rows = campaignRows(SessionConfig());
 
   std::map<DefectFamily, std::set<std::string>> Found;
   for (const CompilerEvaluation &Row : Rows)

@@ -13,6 +13,7 @@
 #include "jit/IR.h"
 #include "jit/Lowering.h"
 #include "jit/MachineSim.h"
+#include "support/CpuFeatures.h"
 
 #include <gtest/gtest.h>
 

@@ -50,6 +50,19 @@ TEST(RNGTest, FullRangeDoesNotCrash) {
     (void)R.nextInRange(INT64_MIN, INT64_MAX);
 }
 
+TEST(RNGTest, AsymmetricWideRangeStaysInBounds) {
+  // Span and offset both exceed INT64_MAX here, so neither may be
+  // computed in signed arithmetic.
+  const std::int64_t Lo = INT64_MIN / 2;
+  const std::int64_t Hi = INT64_MAX;
+  RNG R(17);
+  for (int I = 0; I < 1000; ++I) {
+    std::int64_t V = R.nextInRange(Lo, Hi);
+    EXPECT_GE(V, Lo);
+    EXPECT_LE(V, Hi);
+  }
+}
+
 TEST(RNGTest, DoubleWithinBounds) {
   RNG R(13);
   for (int I = 0; I < 1000; ++I) {
