@@ -16,7 +16,7 @@
 //
 // Both coverage counts are exact (campaigns are deterministic with
 // timings off), so the baseline guard compares counts, not timings.
-// Emits BENCH_schedule.json; CI uploads it next to BENCH_campaign.json.
+// Emits BENCH_schedule.json; CI uploads it as an artifact.
 //
 // Usage: campaign_schedule [--total-units N]
 //                          [--max-bytecodes N] [--max-native-methods N]

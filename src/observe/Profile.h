@@ -8,7 +8,7 @@
 /// The `--profile` end-of-run report: per-stage wall time, the top-N
 /// most expensive instructions, solver-cache effectiveness, and the
 /// merged metrics registry. Rendered via TablePrinter for terminals and
-/// serialised into BENCH_campaign.json for CI. Built from a
+/// serialised to JSON for daemon clients. Built from a
 /// CampaignSummary by evalkit's buildCampaignProfile (this header stays
 /// free of evalkit types to keep the library graph acyclic).
 ///
@@ -100,7 +100,7 @@ struct ProfileReport {
   /// Aligned tables: stages, top instructions, cache, metrics.
   std::string render() const;
 
-  /// JSON for embedding into BENCH_campaign.json.
+  /// The report as one JSON object (the daemon's --want-profile reply).
   JsonValue toJson() const;
 };
 

@@ -11,7 +11,7 @@
 ///
 /// \code
 ///   unsigned Jobs = 1;
-///   FlagParser Flags("campaign_parallel");
+///   FlagParser Flags("table2_differences");
 ///   Flags.add("jobs", &Jobs, "worker threads (0 = hardware)");
 ///   if (!Flags.parse(Argc, Argv))
 ///     return Flags.helpRequested() ? 0 : 2;

@@ -248,49 +248,60 @@ private:
     return std::nullopt; // unterminated
   }
 
+  /// The members after an already-consumed '{'.
+  std::optional<JsonValue> parseObjectBody() {
+    JsonValue Obj = JsonValue::object();
+    skipSpace();
+    if (consume('}'))
+      return Obj;
+    while (true) {
+      auto Key = parseString();
+      if (!Key || !consume(':'))
+        return std::nullopt;
+      auto Value = parseValue();
+      if (!Value)
+        return std::nullopt;
+      Obj.set(*Key, std::move(*Value));
+      if (consume(','))
+        continue;
+      if (consume('}'))
+        return Obj;
+      return std::nullopt;
+    }
+  }
+
+  /// The elements after an already-consumed '['.
+  std::optional<JsonValue> parseArrayBody() {
+    JsonValue Arr = JsonValue::array();
+    skipSpace();
+    if (consume(']'))
+      return Arr;
+    while (true) {
+      auto Value = parseValue();
+      if (!Value)
+        return std::nullopt;
+      Arr.push(std::move(*Value));
+      if (consume(','))
+        continue;
+      if (consume(']'))
+        return Arr;
+      return std::nullopt;
+    }
+  }
+
   std::optional<JsonValue> parseValue() {
     skipSpace();
     if (Pos >= Text.size())
       return std::nullopt;
     char C = Text[Pos];
-    if (C == '{') {
+    if (C == '{' || C == '[') {
+      if (Depth == JsonValue::MaxParseDepth)
+        return std::nullopt; // nesting bomb: refuse before recursing
       ++Pos;
-      JsonValue Obj = JsonValue::object();
-      skipSpace();
-      if (consume('}'))
-        return Obj;
-      while (true) {
-        auto Key = parseString();
-        if (!Key || !consume(':'))
-          return std::nullopt;
-        auto Value = parseValue();
-        if (!Value)
-          return std::nullopt;
-        Obj.set(*Key, std::move(*Value));
-        if (consume(','))
-          continue;
-        if (consume('}'))
-          return Obj;
-        return std::nullopt;
-      }
-    }
-    if (C == '[') {
-      ++Pos;
-      JsonValue Arr = JsonValue::array();
-      skipSpace();
-      if (consume(']'))
-        return Arr;
-      while (true) {
-        auto Value = parseValue();
-        if (!Value)
-          return std::nullopt;
-        Arr.push(std::move(*Value));
-        if (consume(','))
-          continue;
-        if (consume(']'))
-          return Arr;
-        return std::nullopt;
-      }
+      ++Depth;
+      auto V = C == '{' ? parseObjectBody() : parseArrayBody();
+      --Depth;
+      return V;
     }
     if (C == '"') {
       auto S = parseString();
@@ -324,6 +335,7 @@ private:
 
   const std::string &Text;
   std::size_t Pos = 0;
+  unsigned Depth = 0;
 };
 
 } // namespace

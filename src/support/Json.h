@@ -62,7 +62,15 @@ struct JsonValue {
   /// Serialises to compact single-line JSON.
   std::string dump() const;
 
-  /// Parses \p Text; nullopt on malformed input.
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level and reads untrusted bytes (daemon request frames,
+  /// store and checkpoint lines), so a nesting bomb must be refused
+  /// rather than overflow the stack. Documents the repo writes nest a
+  /// handful of levels deep.
+  static constexpr unsigned MaxParseDepth = 256;
+
+  /// Parses \p Text; nullopt on malformed input or nesting deeper than
+  /// MaxParseDepth.
   static std::optional<JsonValue> parse(const std::string &Text);
 };
 

@@ -287,11 +287,18 @@ TEST(CampaignRunnerTest, CampaignRowsMatchPerPathFacadeReplay) {
   // reports for the same subset — containment must not perturb a
   // healthy run. The reference explores each instruction and tests
   // every path on both back-ends through the Session façade, unioning
-  // differences per path like Table 2 does.
+  // differences per path like Table 2 does. The first catalog entries
+  // replay cleanly, so four seeded defects join them to give the
+  // comparison differences to disagree on: an optimisation difference
+  // (add), a behavioural difference (bitAnd), a missing compiled type
+  // check (FloatAdd) and the arm F5 simulation error (Rounded).
   std::vector<std::string> Bytecodes =
       firstNames(InstructionKind::Bytecode, 3);
+  Bytecodes.insert(Bytecodes.end(),
+                   {"bytecodePrim_add", "bytecodePrim_bitAnd"});
   std::vector<std::string> Natives =
       firstNames(InstructionKind::NativeMethod, 2);
+  Natives.insert(Natives.end(), {"primitiveFloatAdd", "primitiveRounded"});
 
   CampaignOptions Opts;
   Opts.OnlyInstructions = Bytecodes;
@@ -328,6 +335,13 @@ TEST(CampaignRunnerTest, CampaignRowsMatchPerPathFacadeReplay) {
   }
 
   expectRowsEqual(S.Rows, Expected);
+  for (const CompilerEvaluation &Row : Expected)
+    EXPECT_GT(Row.DifferingPaths, 0u) << compilerKindName(Row.Kind);
+  EXPECT_TRUE(std::any_of(
+      Expected[0].Causes.begin(), Expected[0].Causes.end(),
+      [](const auto &Cause) {
+        return Cause.second == DefectFamily::SimulationError;
+      }));
 }
 
 TEST(CampaignRunnerTest, ParallelCampaignIsByteIdenticalToSerial) {

@@ -118,11 +118,14 @@ TEST(EngineIdentityCampaignTest, RecordsTracesAndCheckpointsMatchAcrossEngines) 
   // native variants really executed on it (and only them).
   if (nativeTierSupported()) {
     EXPECT_GT(Summaries[2].Sim.NativeRuns, 0u);
+    EXPECT_GT(Summaries[2].Sim.NativeBuilds, 0u);
     EXPECT_GT(Summaries[3].Sim.NativeRuns, 0u);
     EXPECT_EQ(Summaries[0].Sim.NativeRuns, 0u);
     EXPECT_EQ(Summaries[1].Sim.NativeRuns, 0u);
   }
   EXPECT_GT(Summaries[0].Sim.ReferenceRuns, 0u);
+  // Native code is built at most once per compilation unit.
+  EXPECT_LE(Summaries[2].Sim.NativeBuilds, Summaries[2].Jit.Compiles);
 }
 
 } // namespace

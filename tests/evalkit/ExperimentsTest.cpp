@@ -1,7 +1,9 @@
 //===- tests/evalkit/ExperimentsTest.cpp ------------------------------------------===//
 //
 // The paper's tables and figures: they render from one full-catalog
-// campaign, and the paper's shape claims hold on it.
+// campaign, and the paper's shape claims hold on it. The same campaign
+// pins the repo's exact full-catalog work counts and shows that the
+// replay layers change no record.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,49 @@ protected:
 TEST_F(ExperimentsTest, ExploresTheWholeCatalog) {
   EXPECT_EQ(sharedSummary().Records.size(), allInstructions().size());
   EXPECT_TRUE(sharedSummary().Quarantined.empty());
+}
+
+TEST_F(ExperimentsTest, FullCatalogWorkCountsAreExact) {
+  // The default campaign is deterministic, so its work counts are exact
+  // regression guards: a change here is a real change in exploration
+  // or replay work (or an intended catalog or solver change, which
+  // re-pins these with perfbench's reference work counts).
+  const CampaignSummary &S = sharedSummary();
+  std::uint64_t Paths = 0;
+  for (const InstructionRecord &R : S.Records)
+    Paths += R.Paths;
+  EXPECT_EQ(Paths, 710u);
+  EXPECT_EQ(S.Sim.Runs, 2022u);
+  EXPECT_EQ(S.Solver.Queries, 548u);
+  EXPECT_EQ(S.Solver.NodesExplored, 1226u);
+  EXPECT_EQ(S.Jit.Compiles, 1406u);
+  EXPECT_EQ(S.Jit.CodeCacheHits, 616u);
+  // Every compilation unit is pre-decoded once and then shared.
+  EXPECT_EQ(S.Sim.PredecodeBuilds, S.Jit.Compiles);
+}
+
+TEST_F(ExperimentsTest, ReplayLayersLeaveEveryRecordUnchanged) {
+  // The pre-decoded engine and the replay arena are accelerators, never
+  // oracles: with both off, every record is the same but for its wall
+  // clocks.
+  SessionConfig Off;
+  Off.sim().Engine = SimEngine::Switch;
+  Off.harness().EnableReplayArena = false;
+  CampaignSummary Plain = Session(Off).runCampaign();
+  const CampaignSummary &Layered = sharedSummary();
+  EXPECT_GT(Layered.Replay.HeapResets, 0u);
+  EXPECT_EQ(Plain.Replay.HeapResets, 0u);
+  EXPECT_EQ(Plain.Sim.Runs, Layered.Sim.Runs);
+  auto Untimed = [](InstructionRecord R) {
+    R.ExploreMillis = 0;
+    for (CompilerOutcome &C : R.Compilers)
+      C.TestMillis = 0;
+    return R.toJson();
+  };
+  ASSERT_EQ(Plain.Records.size(), Layered.Records.size());
+  for (std::size_t I = 0; I < Plain.Records.size(); ++I)
+    EXPECT_EQ(Untimed(Plain.Records[I]), Untimed(Layered.Records[I]))
+        << Layered.Records[I].Instruction;
 }
 
 TEST_F(ExperimentsTest, Table1MentionsTheCanonicalPaths) {

@@ -14,6 +14,7 @@
 #include "service/CampaignService.h"
 
 #include "evalkit/CampaignRunner.h"
+#include "evalkit/WireProtocol.h"
 #include "faults/DefectCatalog.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
@@ -216,7 +217,9 @@ TEST(ServiceTest, KeyChangesForceReexplorationAndInvalidationIsExact) {
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = nineInstructions();
   Opts.Store = &Store;
-  CampaignRunner(Opts).run();
+  CampaignOptions Cold = Opts;
+  Cold.CheckpointPath = tempPath("key_cold.jsonl");
+  CampaignRunner(Cold).run();
   ASSERT_EQ(Store.size(), 9u);
 
   // A record-shaping config change misses every key: full re-explore.
@@ -232,14 +235,23 @@ TEST(ServiceTest, KeyChangesForceReexplorationAndInvalidationIsExact) {
 
   // Invalidating one instruction (both generations of it) re-explores
   // exactly that one; the other eight still serve from the store.
+  // The re-explored record is byte-identical to the cold one, so the
+  // checkpoint is too.
   EXPECT_EQ(Store.invalidate("bytecodePrim_add"), 2u);
-  CampaignSummary OneMiss = CampaignRunner(Opts).run();
+  CampaignOptions Incremental = Opts;
+  Incremental.CheckpointPath = tempPath("key_incremental.jsonl");
+  CampaignSummary OneMiss = CampaignRunner(Incremental).run();
   EXPECT_EQ(OneMiss.StoreServed, 8u);
   EXPECT_EQ(OneMiss.StoreMisses, 1u);
+  std::string ColdBytes = slurp(Cold.CheckpointPath);
+  EXPECT_FALSE(ColdBytes.empty());
+  EXPECT_EQ(slurp(Incremental.CheckpointPath), ColdBytes);
   // The re-explored record was written back: fully warm again.
   CampaignSummary Full = CampaignRunner(Opts).run();
   EXPECT_EQ(Full.StoreServed, 9u);
   EXPECT_EQ(Full.LiveSolver.Queries, 0u);
+  std::remove(Cold.CheckpointPath.c_str());
+  std::remove(Incremental.CheckpointPath.c_str());
 }
 
 TEST(ServiceTest, IneligibleConfigsBypassTheStoreEntirely) {
@@ -476,6 +488,52 @@ TEST(ServiceTest, DaemonJoinsFinishedConnectionThreads) {
   EXPECT_TRUE(Client.shutdown(&Error)) << Error;
   Serving.join();
   EXPECT_EQ(D.unjoinedConnections(), 0u);
+  std::remove(Opts.SocketPath.c_str());
+}
+
+TEST(ServiceTest, DaemonRejectsANestingBombAndKeepsServing) {
+  if (!unixSocketsAvailable())
+    GTEST_SKIP() << "no unix-domain sockets on this platform";
+  DaemonOptions Opts;
+  Opts.SocketPath = tempPath("d_bomb.sock");
+  Daemon D(Opts);
+  std::string Error;
+  ASSERT_TRUE(D.start(&Error)) << Error;
+  std::thread Serving([&] { D.run(); });
+
+  // A 100 KB request frame nesting 100 000 arrays: well inside the
+  // frame size limit, and deep enough to overflow the stack of a parser
+  // that recursed without a cap.
+  int Fd = unixConnect(Opts.SocketPath, &Error);
+  ASSERT_GE(Fd, 0) << Error;
+  std::string Bomb = encodeFrame(FrameType::Request, std::string(100000, '['));
+  ASSERT_TRUE(writeAll(Fd, Bomb.data(), Bomb.size()));
+  FrameDecoder Decoder;
+  WireFrame Frame;
+  FrameDecoder::Status S = FrameDecoder::Status::NeedMore;
+  char Buf[4096];
+  while (S == FrameDecoder::Status::NeedMore) {
+    long N = readSome(Fd, Buf, sizeof(Buf));
+    ASSERT_GT(N, 0) << "daemon closed the connection without replying";
+    Decoder.feed(Buf, std::size_t(N));
+    S = Decoder.next(Frame);
+  }
+  closeFd(Fd);
+  ASSERT_EQ(S, FrameDecoder::Status::Frame);
+  EXPECT_EQ(Frame.Type, FrameType::Reply);
+  std::optional<JsonValue> V = JsonValue::parse(Frame.Payload);
+  ASSERT_TRUE(V.has_value());
+  ServiceReply Reply;
+  ASSERT_TRUE(ServiceReply::fromJson(*V, Reply, &Error)) << Error;
+  EXPECT_FALSE(Reply.Ok);
+  EXPECT_EQ(Reply.Error, "malformed request JSON");
+
+  // The same daemon still answers.
+  ServiceClient Client(Opts.SocketPath);
+  EXPECT_TRUE(Client.ping(&Error)) << Error;
+  EXPECT_TRUE(Client.shutdown(&Error)) << Error;
+  Serving.join();
+  EXPECT_EQ(D.service().metrics().counter("service.bad_requests"), 1u);
   std::remove(Opts.SocketPath.c_str());
 }
 

@@ -76,3 +76,24 @@ TEST(JsonTest, TypedAccessorsFallBackOnWrongTypes) {
   EXPECT_EQ(V->stringOr("s", "dflt"), "dflt");
   EXPECT_EQ(V->numberOr("missing", 9), 9);
 }
+
+TEST(JsonTest, ParseRejectsANestingBombWithoutRecursingIntoIt) {
+  // The parser recurses once per level and the daemon feeds it every
+  // request frame, so an unbounded depth would overflow the stack.
+  EXPECT_FALSE(JsonValue::parse(std::string(100000, '[')).has_value());
+  std::string Closed = std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_FALSE(JsonValue::parse(Closed).has_value());
+  std::string Objects;
+  for (int I = 0; I < 100000; ++I)
+    Objects += "{\"a\":";
+  EXPECT_FALSE(JsonValue::parse(Objects).has_value());
+}
+
+TEST(JsonTest, ParseAcceptsNestingUpToTheCap) {
+  auto Nested = [](unsigned Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::parse(Nested(JsonValue::MaxParseDepth)).has_value());
+  EXPECT_FALSE(
+      JsonValue::parse(Nested(JsonValue::MaxParseDepth + 1)).has_value());
+}
