@@ -15,6 +15,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 using namespace igdt;
@@ -60,6 +61,31 @@ bool parseDefectFamily(const std::string &Name, DefectFamily &Out) {
     }
   return false;
 }
+
+/// One JSONL file a campaign appends to (checkpoint or incident log):
+/// opened on its first line, kept open for the run, and flushed after
+/// every line, so each merged line is in the kernel before the next one
+/// merges and a SIGKILLed coordinator loses at most the line in flight.
+/// An empty path appends nothing.
+class JsonlAppender {
+public:
+  explicit JsonlAppender(std::string Path) : Path(std::move(Path)) {}
+
+  bool active() const { return !Path.empty(); }
+
+  void append(const std::string &Line) {
+    if (Path.empty())
+      return;
+    if (!Out.is_open())
+      Out.open(Path, std::ios::app);
+    Out << Line << '\n';
+    Out.flush();
+  }
+
+private:
+  std::string Path;
+  std::ofstream Out;
+};
 
 } // namespace
 
@@ -430,15 +456,6 @@ DiffTestConfig igdt::diffConfigFor(const HarnessOptions &Harness,
 CampaignRunner::CampaignRunner(CampaignOptions Options)
     : Opts(std::move(Options)) {}
 
-void CampaignRunner::appendLine(const std::string &Path,
-                                const std::string &Line) const {
-  if (Path.empty())
-    return;
-  std::lock_guard<std::mutex> Lock(IoMutex);
-  std::ofstream Out(Path, std::ios::app);
-  Out << Line << '\n';
-}
-
 InstructionRecord
 CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
                                    unsigned Attempt, Budget &ExploreBud,
@@ -658,8 +675,11 @@ CampaignSummary CampaignRunner::run() {
   CampaignSummary Summary;
 
   // Resume: later checkpoint lines win, so a record rewritten after a
-  // retry supersedes the earlier one.
+  // retry supersedes the earlier one. The checkpoint and the incident
+  // log are written by this thread only, through one stream each.
   std::map<std::string, InstructionRecord> Done;
+  JsonlAppender Checkpoint(Opts.CheckpointPath);
+  JsonlAppender IncidentLog(Opts.IncidentLogPath);
   if (!Opts.CheckpointPath.empty()) {
     std::ifstream In(Opts.CheckpointPath);
     // Seal a torn final line (a coordinator SIGKILLed mid-append) with
@@ -681,7 +701,7 @@ CampaignSummary CampaignRunner::run() {
     }
     In.close();
     if (SealTornTail)
-      appendLine(Opts.CheckpointPath, "");
+      Checkpoint.append("");
   }
 
   // Content-addressed store: consulted during planning so sharding and
@@ -707,9 +727,16 @@ CampaignSummary CampaignRunner::run() {
     /// The exact stored checkpoint line when the store key hit; the
     /// merge cursor appends it verbatim instead of dispatching.
     std::string StoreLine;
+    /// StoreLine as parsed (once) by planning's validation; the merge
+    /// cursor moves it into the summary.
+    InstructionRecord Stored;
     bool FromStore = false;
   };
   std::vector<WorkItem> Work;
+  // One allocation up front: a served item carries its parsed record,
+  // and growing a vector of them by doubling re-faulted fresh pages on
+  // every warm daemon campaign (minor faults measured ~40x higher).
+  Work.reserve(allInstructions().size());
   unsigned Bytecodes = 0;
   unsigned Natives = 0;
   unsigned NewPlanned = 0;
@@ -754,6 +781,7 @@ CampaignSummary CampaignRunner::run() {
           Cached.Instruction == Spec.Name) {
         ++Summary.StoreHits;
         Item.StoreLine = std::move(Line);
+        Item.Stored = std::move(Cached);
         Item.FromStore = true;
       } else {
         ++Summary.StoreMisses;
@@ -1006,18 +1034,16 @@ CampaignSummary CampaignRunner::run() {
 
   // Serves one store hit: the stored line is appended to the checkpoint
   // *verbatim* (the byte-identity contract — never re-serialised), and
-  // the parsed record joins the summary like a fresh one. Served items
-  // emit no trace events: nothing ran, and only clean incident-free
-  // records are ever stored.
+  // the record planning parsed from it joins the summary like a fresh
+  // one. Served items emit no trace events: nothing ran, and only clean
+  // incident-free records are ever stored.
   auto MergeStored = [&](WorkItem &W) {
-    InstructionRecord Rec;
-    InstructionRecord::fromJson(W.StoreLine, Rec); // validated at planning
     ++Summary.CompletedInstructions;
     ++Summary.StoreServed;
-    if (Rec.Quarantined) // defensive: put() refuses quarantined records
-      Summary.Quarantined.push_back(Rec.Instruction);
-    appendLine(Opts.CheckpointPath, W.StoreLine);
-    Summary.Records.push_back(std::move(Rec));
+    if (W.Stored.Quarantined) // defensive: put() refuses quarantined records
+      Summary.Quarantined.push_back(W.Stored.Instruction);
+    Checkpoint.append(W.StoreLine);
+    Summary.Records.push_back(std::move(W.Stored));
   };
 
   // Merges one finished slot; false when the shared wall clock marked
@@ -1070,7 +1096,8 @@ CampaignSummary CampaignRunner::run() {
         Event.Value = Inc.Attempt;
         Publish(std::move(Event));
       }
-      appendLine(Opts.IncidentLogPath, Inc.toJson());
+      if (IncidentLog.active())
+        IncidentLog.append(Inc.toJson());
       Summary.Incidents.push_back(std::move(Inc));
     }
     if (S.Rec.Quarantined && Observing) {
@@ -1085,17 +1112,21 @@ CampaignSummary CampaignRunner::run() {
     if (S.Rec.Quarantined)
       Summary.Quarantined.push_back(S.Rec.Instruction);
     Summary.LiveSolver.add(S.Rec.Solver);
-    std::string Line = S.Rec.toJson();
     // Only clean records enter the store: a record that needed
     // containment (or was quarantined) must re-run on the next campaign
     // so its incidents are reproduced alongside it — serving the record
     // without the incidents would break incident-file identity.
-    if (Store && !S.Rec.Quarantined && S.Incidents.empty()) {
-      Store->put(resultStoreKey(*Work[I].Spec, ConfigFp), S.Rec.Instruction,
-                 Line);
-      ++Summary.StoreStores;
+    const bool Storable = Store && !S.Rec.Quarantined && S.Incidents.empty();
+    // Serialised only when a store or checkpoint takes the line.
+    if (Storable || Checkpoint.active()) {
+      std::string Line = S.Rec.toJson();
+      if (Storable) {
+        Store->put(resultStoreKey(*Work[I].Spec, ConfigFp),
+                   S.Rec.Instruction, Line);
+        ++Summary.StoreStores;
+      }
+      Checkpoint.append(Line);
     }
-    appendLine(Opts.CheckpointPath, std::move(Line));
     Summary.Records.push_back(std::move(S.Rec));
     return true;
   };

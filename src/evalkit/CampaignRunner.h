@@ -37,7 +37,6 @@
 #include "support/Budget.h"
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -415,13 +414,7 @@ private:
                                        ReplayArena &Arena,
                                        unsigned TierDistance = 0) const;
 
-  void appendLine(const std::string &Path, const std::string &Line) const;
-
   CampaignOptions Opts;
-  /// Serialises JSONL appends. The merge loop is the only writer today,
-  /// but the guarantee is cheap and keeps appendLine safe to call from
-  /// any thread.
-  mutable std::mutex IoMutex;
   /// Campaign-scope solver index of proven-Unsat cases, shared by every
   /// worker's explorations (thread-safe; see SolverCache.h). Catalog
   /// instructions of one family pose structurally identical type-check

@@ -4,8 +4,10 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
 using namespace igdt;
 
@@ -145,66 +147,138 @@ std::string JsonValue::dump() const {
 
 namespace {
 
-/// Recursive-descent parser over an in-memory string.
+/// Recursive-descent parser over an in-memory string, strict to the
+/// RFC 8259 grammar: whitespace is space, tab, LF and CR only; numbers
+/// must match the grammar in full before they are converted; strings
+/// refuse raw control characters and decode \u escapes (surrogate
+/// pairs included) to UTF-8. Values are built in place and keys moved,
+/// so a record line costs one pass and no per-number substring.
 class Parser {
 public:
-  explicit Parser(const std::string &Text) : Text(Text) {}
+  explicit Parser(const std::string &Text)
+      : P(Text.data()), End(Text.data() + Text.size()) {}
 
   std::optional<JsonValue> parse() {
-    auto V = parseValue();
-    if (!V)
+    JsonValue V;
+    if (!parseValue(V))
       return std::nullopt;
     skipSpace();
-    if (Pos != Text.size())
+    if (P != End)
       return std::nullopt; // trailing garbage
     return V;
   }
 
 private:
+  static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
   void skipSpace() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
+    while (P != End && (*P == ' ' || *P == '\t' || *P == '\n' || *P == '\r'))
+      ++P;
   }
 
   bool consume(char C) {
     skipSpace();
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
+    if (P != End && *P == C) {
+      ++P;
       return true;
     }
     return false;
   }
 
-  bool consumeWord(const char *Word) {
-    std::size_t Len = std::string(Word).size();
-    if (Text.compare(Pos, Len, Word) == 0) {
-      Pos += Len;
-      return true;
-    }
-    return false;
+  bool consumeWord(std::string_view Word) {
+    if (std::size_t(End - P) < Word.size() ||
+        std::memcmp(P, Word.data(), Word.size()) != 0)
+      return false;
+    P += Word.size();
+    return true;
   }
 
-  std::optional<std::string> parseString() {
+  /// Four hex digits of a \u escape; -1 when malformed.
+  long parseHex4() {
+    if (End - P < 4)
+      return -1;
+    long Code = 0;
+    for (int I = 0; I < 4; ++I) {
+      char H = *P++;
+      Code <<= 4;
+      if (H >= '0' && H <= '9')
+        Code += H - '0';
+      else if (H >= 'a' && H <= 'f')
+        Code += H - 'a' + 10;
+      else if (H >= 'A' && H <= 'F')
+        Code += H - 'A' + 10;
+      else
+        return -1;
+    }
+    return Code;
+  }
+
+  static void appendUtf8(std::string &Out, std::uint32_t Code) {
+    if (Code < 0x80) {
+      Out += char(Code);
+    } else if (Code < 0x800) {
+      Out += char(0xC0 | (Code >> 6));
+      Out += char(0x80 | (Code & 0x3F));
+    } else if (Code < 0x10000) {
+      Out += char(0xE0 | (Code >> 12));
+      Out += char(0x80 | ((Code >> 6) & 0x3F));
+      Out += char(0x80 | (Code & 0x3F));
+    } else {
+      Out += char(0xF0 | (Code >> 18));
+      Out += char(0x80 | ((Code >> 12) & 0x3F));
+      Out += char(0x80 | ((Code >> 6) & 0x3F));
+      Out += char(0x80 | (Code & 0x3F));
+    }
+  }
+
+  /// A \u escape after its backslash and 'u'. A high surrogate must be
+  /// followed by an escaped low surrogate; a lone surrogate is refused.
+  bool parseUnicodeEscape(std::string &Out) {
+    long Code = parseHex4();
+    if (Code < 0 || (Code >= 0xDC00 && Code <= 0xDFFF))
+      return false;
+    if (Code >= 0xD800 && Code <= 0xDBFF) {
+      if (!consumeWord("\\u"))
+        return false;
+      long Low = parseHex4();
+      if (Low < 0xDC00 || Low > 0xDFFF)
+        return false;
+      Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
+    }
+    appendUtf8(Out, std::uint32_t(Code));
+    return true;
+  }
+
+  /// The string literal at the cursor (after optional whitespace).
+  bool parseString(std::string &Out) {
     if (!consume('"'))
-      return std::nullopt;
-    std::string Out;
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
+      return false;
+    while (true) {
+      // Copy the run up to the next quote, escape or control byte in
+      // one append.
+      const char *Run = P;
+      while (P != End && *P != '"' && *P != '\\' &&
+             static_cast<unsigned char>(*P) >= 0x20)
+        ++P;
+      Out.append(Run, P);
+      if (P == End)
+        return false; // unterminated
+      char C = *P++;
       if (C == '"')
-        return Out;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        return std::nullopt;
-      char E = Text[Pos++];
-      switch (E) {
+        return true;
+      if (C != '\\')
+        return false; // raw control character
+      if (P == End)
+        return false;
+      switch (*P++) {
       case '"':
+        Out += '"';
+        break;
       case '\\':
+        Out += '\\';
+        break;
       case '/':
-        Out += E;
+        Out += '/';
         break;
       case 'n':
         Out += '\n';
@@ -221,120 +295,116 @@ private:
       case 'f':
         Out += '\f';
         break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return std::nullopt;
-        unsigned Code = 0;
-        for (int I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code += H - '0';
-          else if (H >= 'a' && H <= 'f')
-            Code += H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            Code += H - 'A' + 10;
-          else
-            return std::nullopt;
-        }
-        // Sub-U+0080 only: our own emitter never produces more.
-        Out += static_cast<char>(Code & 0x7F);
+      case 'u':
+        if (!parseUnicodeEscape(Out))
+          return false;
         break;
-      }
       default:
-        return std::nullopt;
+        return false;
       }
     }
-    return std::nullopt; // unterminated
+  }
+
+  /// number = [ "-" ] ( "0" / [1-9] *DIGIT ) [ "." 1*DIGIT ]
+  ///          [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]
+  /// The span is checked against the grammar first, then converted by
+  /// std::from_chars (locale-free, correctly rounded). Out-of-range
+  /// magnitudes are refused rather than clamped.
+  bool parseNumber(double &Out) {
+    const char *Start = P;
+    if (P != End && *P == '-')
+      ++P;
+    if (P == End || !isDigit(*P))
+      return false;
+    if (*P++ != '0')
+      while (P != End && isDigit(*P))
+        ++P;
+    if (P != End && *P == '.') {
+      ++P;
+      if (P == End || !isDigit(*P))
+        return false;
+      while (P != End && isDigit(*P))
+        ++P;
+    }
+    if (P != End && (*P == 'e' || *P == 'E')) {
+      ++P;
+      if (P != End && (*P == '+' || *P == '-'))
+        ++P;
+      if (P == End || !isDigit(*P))
+        return false;
+      while (P != End && isDigit(*P))
+        ++P;
+    }
+    auto [Ptr, Ec] = std::from_chars(Start, P, Out);
+    return Ec == std::errc() && Ptr == P;
   }
 
   /// The members after an already-consumed '{'.
-  std::optional<JsonValue> parseObjectBody() {
-    JsonValue Obj = JsonValue::object();
-    skipSpace();
+  bool parseObjectBody(JsonValue &Obj) {
+    Obj.K = JsonValue::Kind::Object;
     if (consume('}'))
-      return Obj;
+      return true;
     while (true) {
-      auto Key = parseString();
-      if (!Key || !consume(':'))
-        return std::nullopt;
-      auto Value = parseValue();
-      if (!Value)
-        return std::nullopt;
-      Obj.set(*Key, std::move(*Value));
+      std::string Key;
+      if (!parseString(Key) || !consume(':'))
+        return false;
+      Obj.Obj.emplace_back(std::move(Key), JsonValue());
+      if (!parseValue(Obj.Obj.back().second))
+        return false;
       if (consume(','))
         continue;
-      if (consume('}'))
-        return Obj;
-      return std::nullopt;
+      return consume('}');
     }
   }
 
   /// The elements after an already-consumed '['.
-  std::optional<JsonValue> parseArrayBody() {
-    JsonValue Arr = JsonValue::array();
-    skipSpace();
+  bool parseArrayBody(JsonValue &Arr) {
+    Arr.K = JsonValue::Kind::Array;
     if (consume(']'))
-      return Arr;
+      return true;
     while (true) {
-      auto Value = parseValue();
-      if (!Value)
-        return std::nullopt;
-      Arr.push(std::move(*Value));
+      Arr.Arr.emplace_back();
+      if (!parseValue(Arr.Arr.back()))
+        return false;
       if (consume(','))
         continue;
-      if (consume(']'))
-        return Arr;
-      return std::nullopt;
+      return consume(']');
     }
   }
 
-  std::optional<JsonValue> parseValue() {
+  bool parseValue(JsonValue &Out) {
     skipSpace();
-    if (Pos >= Text.size())
-      return std::nullopt;
-    char C = Text[Pos];
+    if (P == End)
+      return false;
+    char C = *P;
     if (C == '{' || C == '[') {
       if (Depth == JsonValue::MaxParseDepth)
-        return std::nullopt; // nesting bomb: refuse before recursing
-      ++Pos;
+        return false; // nesting bomb: refuse before recursing
+      ++P;
       ++Depth;
-      auto V = C == '{' ? parseObjectBody() : parseArrayBody();
+      bool Ok = C == '{' ? parseObjectBody(Out) : parseArrayBody(Out);
       --Depth;
-      return V;
+      return Ok;
     }
     if (C == '"') {
-      auto S = parseString();
-      if (!S)
-        return std::nullopt;
-      return JsonValue::string(std::move(*S));
+      Out.K = JsonValue::Kind::String;
+      return parseString(Out.Str);
     }
-    if (consumeWord("true"))
-      return JsonValue::boolean(true);
-    if (consumeWord("false"))
-      return JsonValue::boolean(false);
-    if (consumeWord("null"))
-      return JsonValue::null();
-    // Number.
-    std::size_t End = Pos;
-    while (End < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[End])) ||
-            Text[End] == '-' || Text[End] == '+' || Text[End] == '.' ||
-            Text[End] == 'e' || Text[End] == 'E'))
-      ++End;
-    if (End == Pos)
-      return std::nullopt;
-    try {
-      double Num = std::stod(Text.substr(Pos, End - Pos));
-      Pos = End;
-      return JsonValue::number(Num);
-    } catch (...) {
-      return std::nullopt;
+    if (consumeWord("true") || consumeWord("false")) {
+      Out.K = JsonValue::Kind::Bool;
+      Out.B = C == 't';
+      return true;
     }
+    if (consumeWord("null")) {
+      Out.K = JsonValue::Kind::Null;
+      return true;
+    }
+    Out.K = JsonValue::Kind::Number;
+    return parseNumber(Out.Num);
   }
 
-  const std::string &Text;
-  std::size_t Pos = 0;
+  const char *P;
+  const char *const End;
   unsigned Depth = 0;
 };
 

@@ -69,8 +69,9 @@ struct JsonValue {
   /// handful of levels deep.
   static constexpr unsigned MaxParseDepth = 256;
 
-  /// Parses \p Text; nullopt on malformed input or nesting deeper than
-  /// MaxParseDepth.
+  /// Parses \p Text as strict RFC 8259 JSON (\u escapes decode to
+  /// UTF-8); nullopt on anything outside the grammar or nesting deeper
+  /// than MaxParseDepth.
   static std::optional<JsonValue> parse(const std::string &Text);
 };
 

@@ -11,6 +11,7 @@
 #include "evalkit/CampaignRunner.h"
 
 #include "api/Session.h"
+#include "evalkit/VerdictStore.h"
 #include "faults/DefectCatalog.h"
 #include "support/Json.h"
 
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace igdt;
 
@@ -468,6 +470,113 @@ TEST(CampaignRunnerTest, RecordsRoundTripThroughTheCheckpointFormat) {
   // checkpoint loses nothing Table 2 needs.
   expectRowsEqual(aggregateCampaignRows(Reloaded),
                   aggregateCampaignRows(S.Records));
+}
+
+std::string slurpFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+TEST(CampaignRunnerTest, StoreHitsAreValidatedBeforeTheyAreServed) {
+  // Planning parses each store hit once and serves the parsed record.
+  // That one parse is also the validation: a line that does not parse
+  // back to the looked-up instruction's record is a miss and runs
+  // fresh, so the checkpoint matches a store-less run byte for byte.
+  CampaignOptions Opts = cleanOptions();
+  Opts.OnlyInstructions = {"bytecodePrim_add", "bytecodePrim_sub",
+                           "bytecodePrim_mul"};
+  Opts.RecordTimings = false;
+  Opts.CheckpointPath = tempPath("validated_reference.jsonl");
+  CampaignSummary Reference = CampaignRunner(Opts).run();
+  std::vector<std::string> Lines = readLines(Opts.CheckpointPath);
+  ASSERT_EQ(Lines.size(), 3u);
+  std::string ReferenceBytes = slurpFile(Opts.CheckpointPath);
+  std::remove(Opts.CheckpointPath.c_str());
+
+  MemoryVerdictStore Store;
+  Opts.Store = &Store;
+  const std::uint64_t Fp = campaignConfigFingerprint(Opts);
+  auto KeyOf = [&](const char *Name) {
+    return resultStoreKey(*findInstruction(Name), Fp);
+  };
+  // Garbled: a number outside the JSON grammar, which a lenient reader
+  // would truncate to a plausible path count.
+  std::string Garbled = Lines[0];
+  std::size_t Paths = Garbled.find("\"paths\":");
+  ASSERT_NE(Paths, std::string::npos);
+  Garbled.insert(Paths + 8, "1-");
+  ASSERT_FALSE(JsonValue::parse(Garbled).has_value());
+  Store.put(KeyOf("bytecodePrim_add"), "bytecodePrim_add", Garbled);
+  // A well-formed record of another instruction under sub's key.
+  Store.put(KeyOf("bytecodePrim_sub"), "bytecodePrim_sub", Lines[2]);
+  // A genuine hit.
+  Store.put(KeyOf("bytecodePrim_mul"), "bytecodePrim_mul", Lines[2]);
+
+  Opts.CheckpointPath = tempPath("validated_store.jsonl");
+  CampaignSummary Served = CampaignRunner(Opts).run();
+  EXPECT_EQ(Served.StoreHits, 1u);
+  EXPECT_EQ(Served.StoreServed, 1u);
+  EXPECT_EQ(Served.StoreMisses, 2u);
+  EXPECT_EQ(Served.StoreStores, 2u);
+  EXPECT_GT(Served.LiveSolver.Queries, 0u);
+  ASSERT_EQ(Served.Records.size(), 3u);
+  for (std::size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(Served.Records[I].toJson(), Reference.Records[I].toJson());
+  EXPECT_EQ(slurpFile(Opts.CheckpointPath), ReferenceBytes);
+  std::remove(Opts.CheckpointPath.c_str());
+}
+
+/// Reads the checkpoint as each instruction's first trace event
+/// arrives, and checks it already holds exactly the records of every
+/// earlier instruction, as complete lines.
+class CheckpointProbe final : public TraceSink {
+public:
+  explicit CheckpointProbe(std::string Path) : Path(std::move(Path)) {}
+
+  void emit(TraceEvent Event) override {
+    if (Event.Instruction.empty() ||
+        (!Seen.empty() && Seen.back() == Event.Instruction))
+      return;
+    std::string Bytes = slurpFile(Path);
+    EXPECT_TRUE(Bytes.empty() || Bytes.back() == '\n')
+        << "torn line before " << Event.Instruction;
+    std::vector<std::string> Lines = readLines(Path);
+    EXPECT_EQ(Lines.size(), Seen.size()) << "before " << Event.Instruction;
+    for (std::size_t I = 0; I < Lines.size() && I < Seen.size(); ++I) {
+      InstructionRecord Rec;
+      EXPECT_TRUE(InstructionRecord::fromJson(Lines[I], Rec)) << Lines[I];
+      EXPECT_EQ(Rec.Instruction, Seen[I]);
+    }
+    Seen.push_back(Event.Instruction);
+    ++Probes;
+  }
+
+  std::string Path;
+  std::vector<std::string> Seen;
+  unsigned Probes = 0;
+};
+
+TEST(CampaignRunnerTest, CheckpointHoldsEveryEarlierRecordAsTheNextMerges) {
+  // The run keeps one checkpoint stream open and flushes it per record;
+  // a record must be on disk before the next instruction's events are
+  // published, at any Jobs value, or a SIGKILL would lose merged work.
+  for (unsigned Jobs : {1u, 4u}) {
+    CampaignOptions Opts = cleanOptions();
+    Opts.Harness.MaxBytecodes = 4;
+    Opts.Harness.MaxNativeMethods = 3;
+    Opts.RecordTimings = false;
+    Opts.Jobs = Jobs;
+    Opts.CheckpointPath = tempPath("durable.jsonl");
+    CheckpointProbe Probe(Opts.CheckpointPath);
+    Opts.ExtraTraceSink = &Probe;
+    CampaignSummary S = CampaignRunner(Opts).run();
+    EXPECT_EQ(S.CompletedInstructions, 7u) << "jobs=" << Jobs;
+    EXPECT_EQ(Probe.Probes, 7u) << "jobs=" << Jobs;
+    EXPECT_EQ(readLines(Opts.CheckpointPath).size(), 7u) << "jobs=" << Jobs;
+    std::remove(Opts.CheckpointPath.c_str());
+  }
 }
 
 } // namespace

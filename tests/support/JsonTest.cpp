@@ -3,8 +3,11 @@
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
+#include <string_view>
 
 using namespace igdt;
+using namespace std::string_view_literals;
 
 TEST(JsonTest, DumpsObjectsInInsertionOrder) {
   JsonValue V = JsonValue::object();
@@ -96,4 +99,106 @@ TEST(JsonTest, ParseAcceptsNestingUpToTheCap) {
   EXPECT_TRUE(JsonValue::parse(Nested(JsonValue::MaxParseDepth)).has_value());
   EXPECT_FALSE(
       JsonValue::parse(Nested(JsonValue::MaxParseDepth + 1)).has_value());
+}
+
+TEST(JsonTest, ParseReadsEveryNumberFormOfTheGrammar) {
+  struct Case {
+    const char *Text;
+    double Value;
+  };
+  for (Case C : {Case{"0", 0}, Case{"-0", 0}, Case{"7", 7}, Case{"-12", -12},
+                 Case{"0.5", 0.5}, Case{"-3.25", -3.25}, Case{"1e3", 1000},
+                 Case{"1E+2", 100}, Case{"25e-1", 2.5},
+                 Case{"1.5e-3", 0.0015},
+                 Case{"18446744073709551615", 18446744073709551615.0},
+                 Case{"0.30000000000000004", 0.30000000000000004}}) {
+    auto V = JsonValue::parse(C.Text);
+    ASSERT_TRUE(V.has_value()) << C.Text;
+    EXPECT_EQ(V->K, JsonValue::Kind::Number) << C.Text;
+    EXPECT_EQ(V->Num, C.Value) << C.Text;
+  }
+}
+
+TEST(JsonTest, NumbersRoundTripThroughDumpBitForBit) {
+  for (double D : {0.1, 1.0 / 3, 123456.789, -2.5e-300, 1.7976931348623157e308,
+                   4503599627370497.0}) {
+    auto V = JsonValue::parse(JsonValue::number(D).dump());
+    ASSERT_TRUE(V.has_value()) << D;
+    EXPECT_EQ(V->Num, D);
+  }
+}
+
+/// Inputs outside RFC 8259 that a lenient reader would accept or
+/// reinterpret; each must be rejected outright.
+struct RejectCase {
+  const char *Name;
+  std::string_view Text;
+};
+
+void PrintTo(const RejectCase &C, std::ostream *OS) { *OS << C.Name; }
+
+class JsonRejectTest : public ::testing::TestWithParam<RejectCase> {};
+
+TEST_P(JsonRejectTest, ParseRejects) {
+  EXPECT_FALSE(JsonValue::parse(std::string(GetParam().Text)).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, JsonRejectTest,
+    ::testing::Values(
+        RejectCase{"MinusInsideNumber", "1-2"sv},
+        RejectCase{"TwoDecimalPoints", "[1.2.3]"sv},
+        RejectCase{"EmptyExponent", "[1e]"sv},
+        RejectCase{"LeadingPlus", "+5"sv},
+        RejectCase{"LeadingZero", "01"sv},
+        RejectCase{"NoIntegerPart", ".5"sv},
+        RejectCase{"NoFractionDigits", "1."sv},
+        RejectCase{"BareMinus", "-"sv},
+        RejectCase{"SignOnlyExponent", "1e+"sv},
+        RejectCase{"OutOfRange", "1e999"sv},
+        RejectCase{"LoneHighSurrogate", "\"\\ud800\""sv},
+        RejectCase{"LoneLowSurrogate", "\"\\udc00\""sv},
+        RejectCase{"HighSurrogateThenNonSurrogate", "\"\\ud800\\u0041\""sv},
+        RejectCase{"ShortUnicodeEscape", "\"\\u12\""sv},
+        RejectCase{"RawNewlineInString", "\"a\nb\""sv},
+        RejectCase{"RawTabInString", "\"a\tb\""sv},
+        RejectCase{"RawNulInString", "\"a\0b\""sv},
+        RejectCase{"VerticalTabWhitespace", "\v1"sv},
+        RejectCase{"FormFeedWhitespace", "[1,\f2]"sv},
+        RejectCase{"UnknownEscape", "\"\\x41\""sv}),
+    [](const ::testing::TestParamInfo<RejectCase> &Info) {
+      return std::string(Info.param.Name);
+    });
+
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  auto V = JsonValue::parse("[\"\\u00e9\", \"\\u20AC\", \"\\ud83d\\ude00\", "
+                            "\"caf\\u00E9!\", \"\\u0000\"]");
+  ASSERT_TRUE(V.has_value());
+  ASSERT_EQ(V->Arr.size(), 5u);
+  EXPECT_EQ(V->Arr[0].Str, "\xC3\xA9");
+  EXPECT_EQ(V->Arr[1].Str, "\xE2\x82\xAC");
+  EXPECT_EQ(V->Arr[2].Str, "\xF0\x9F\x98\x80");
+  EXPECT_EQ(V->Arr[3].Str, "caf\xC3\xA9!");
+  EXPECT_EQ(V->Arr[4].Str, std::string(1, '\0'));
+}
+
+TEST(JsonTest, RawUtf8AndEscapedSolidusPassThrough) {
+  auto V = JsonValue::parse("\"\xC3\xA9\\/\\b\\f\"");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->Str, "\xC3\xA9/\b\f");
+}
+
+TEST(JsonTest, EscapedControlBytesRoundTripToTheSameByte) {
+  // jsonEscape writes every control byte it has no short form for as
+  // \u00XX; reading it back must give that byte, so a checkpoint line
+  // re-read and re-written stays byte-identical.
+  std::string All;
+  for (int C = 0; C < 0x20; ++C)
+    All += char(C);
+  All += "\x7F\"\\end";
+  std::string Line = JsonValue::string(All).dump();
+  auto V = JsonValue::parse(Line);
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->Str, All);
+  EXPECT_EQ(V->dump(), Line);
 }
