@@ -17,6 +17,8 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace igdt;
 
@@ -61,31 +63,6 @@ bool parseDefectFamily(const std::string &Name, DefectFamily &Out) {
     }
   return false;
 }
-
-/// One JSONL file a campaign appends to (checkpoint or incident log):
-/// opened on its first line, kept open for the run, and flushed after
-/// every line, so each merged line is in the kernel before the next one
-/// merges and a SIGKILLed coordinator loses at most the line in flight.
-/// An empty path appends nothing.
-class JsonlAppender {
-public:
-  explicit JsonlAppender(std::string Path) : Path(std::move(Path)) {}
-
-  bool active() const { return !Path.empty(); }
-
-  void append(const std::string &Line) {
-    if (Path.empty())
-      return;
-    if (!Out.is_open())
-      Out.open(Path, std::ios::app);
-    Out << Line << '\n';
-    Out.flush();
-  }
-
-private:
-  std::string Path;
-  std::ofstream Out;
-};
 
 } // namespace
 
@@ -674,63 +651,56 @@ InstructionRecord CampaignRunner::testInstruction(
 CampaignSummary CampaignRunner::run() {
   CampaignSummary Summary;
 
-  // Resume: later checkpoint lines win, so a record rewritten after a
-  // retry supersedes the earlier one. The checkpoint and the incident
-  // log are written by this thread only, through one stream each.
-  std::map<std::string, InstructionRecord> Done;
   JsonlAppender Checkpoint(Opts.CheckpointPath);
   JsonlAppender IncidentLog(Opts.IncidentLogPath);
-  if (!Opts.CheckpointPath.empty()) {
-    std::ifstream In(Opts.CheckpointPath);
-    // Seal a torn final line (a coordinator SIGKILLed mid-append) with
-    // a newline before any fresh append, so the first new record
-    // starts its own line instead of gluing onto the fragment and
-    // being lost with it.
-    bool SealTornTail = false;
-    if (In.seekg(0, std::ios::end) && In.tellg() > 0) {
-      In.seekg(-1, std::ios::end);
-      SealTornTail = In.get() != '\n';
-    }
-    In.clear();
-    In.seekg(0);
-    std::string Line;
-    while (std::getline(In, Line)) {
-      InstructionRecord Rec;
-      if (InstructionRecord::fromJson(Line, Rec))
-        Done[Rec.Instruction] = std::move(Rec);
-    }
-    In.close();
-    if (SealTornTail)
-      Checkpoint.append("");
-  }
 
-  // Content-addressed store: consulted during planning so sharding and
-  // scheduling see served items exactly like resumed ones (they count
-  // toward quotas and StopAfter, and never reach a worker). The
-  // eligibility gate refuses configurations whose records are not pure
-  // functions of the key (VerdictStore.h).
+  // Content-addressed store: refused for configurations whose records
+  // are not pure functions of the key (VerdictStore.h).
   VerdictStore *Store =
       Opts.Store && storeEligible(Opts) ? Opts.Store : nullptr;
   if (Opts.Store)
     Summary.Metrics.add(Store ? "store.enabled" : "store.ineligible_config");
   Summary.StoreActive = Store != nullptr;
-  const std::uint64_t ConfigFp = Store ? campaignConfigFingerprint(Opts) : 0;
+  // Every reuse, resume and store hit alike, is a lookup under the
+  // store's content address, so keys are derived whenever either is set.
+  const bool Keyed = Store || Checkpoint.active();
+  const std::uint64_t ConfigFp = Keyed ? campaignConfigFingerprint(Opts) : 0;
+
+  // Resume: the checkpoint's records by key, later lines winning (a
+  // record rewritten after a retry or a stale re-run supersedes the
+  // earlier one), and the names it holds under any key or none, so a
+  // record left by another configuration is re-run and counted stale.
+  std::unordered_map<std::uint64_t, InstructionRecord> Resumable;
+  std::unordered_set<std::string> CheckpointNames;
+  forEachJsonlLine(Opts.CheckpointPath, [&](std::string &Line) {
+    InstructionRecord Rec;
+    std::uint64_t Key;
+    if (!InstructionRecord::fromJson(Line, Rec))
+      return;
+    CheckpointNames.insert(Rec.Instruction);
+    if (keyedLineKey(Line, Key))
+      Resumable[Key] = std::move(Rec);
+  });
 
   // Phase 1: plan the whole worklist up-front, in catalog order, with
   // quota counting (Max* limits count resumed instructions too) and
   // StopAfter truncation (which drops everything after the limit,
   // resumed records included). Topology and schedule then cannot
-  // change *what* runs, only *where* and *when*.
+  // change *what* runs, only *where* and *when*. Reuse is decided here
+  // too, checkpoint first, then store: a served item never reaches a
+  // worker.
+  enum class Served : std::uint8_t { No, FromCheckpoint, FromStore };
   struct WorkItem {
     const InstructionSpec *Spec = nullptr;
-    const InstructionRecord *Resumed = nullptr;
-    /// The exact stored checkpoint line when the store key hit; the
-    /// merge cursor appends it verbatim instead of dispatching.
-    std::string StoreLine;
-    /// StoreLine as parsed (once) by planning's validation; the merge
+    /// The content address; set only when a checkpoint or store is.
+    std::uint64_t Key = 0;
+    Served Source = Served::No;
+    /// A served item's record, parsed once at planning; the merge
     /// cursor moves it into the summary.
-    InstructionRecord Stored;
-    bool FromStore = false;
+    InstructionRecord Record;
+    /// A store hit's keyed line, which the merge cursor appends to the
+    /// checkpoint verbatim.
+    std::string StoreLine;
   };
   std::vector<WorkItem> Work;
   // One allocation up front: a served item carries its parsed record,
@@ -740,6 +710,7 @@ CampaignSummary CampaignRunner::run() {
   unsigned Bytecodes = 0;
   unsigned Natives = 0;
   unsigned NewPlanned = 0;
+  std::uint64_t ResumeStale = 0;
   for (const InstructionSpec &Spec : allInstructions()) {
     if (!Opts.OnlyInstructions.empty() &&
         std::find(Opts.OnlyInstructions.begin(), Opts.OnlyInstructions.end(),
@@ -756,36 +727,34 @@ CampaignSummary CampaignRunner::run() {
       ++Natives;
     }
 
-    auto It = Done.find(Spec.Name);
-    if (It != Done.end()) {
-      WorkItem Resumed;
-      Resumed.Spec = &Spec;
-      Resumed.Resumed = &It->second;
-      Work.push_back(std::move(Resumed));
+    WorkItem Item;
+    Item.Spec = &Spec;
+    Item.Key = Keyed ? resultStoreKey(Spec, ConfigFp) : 0;
+    // A reused record is trusted only under its own key and name;
+    // anything else (corruption, an unkeyed line, a colliding key) is
+    // a miss and the instruction runs fresh.
+    auto Resumed = Resumable.find(Item.Key);
+    if (Resumed != Resumable.end() &&
+        Resumed->second.Instruction == Spec.Name) {
+      Item.Source = Served::FromCheckpoint;
+      Item.Record = std::move(Resumed->second);
+      Work.push_back(std::move(Item));
       continue;
     }
     if (Opts.StopAfter && NewPlanned >= Opts.StopAfter) {
       Summary.Stopped = true;
       break;
     }
-    WorkItem Item;
-    Item.Spec = &Spec;
-    if (Store) {
-      // A hit must parse back to this instruction's record before it is
-      // trusted; anything else (corruption, a colliding key) is a miss
-      // and the instruction runs fresh.
-      std::string Line;
-      InstructionRecord Cached;
-      if (Store->lookup(resultStoreKey(Spec, ConfigFp), Line) &&
-          InstructionRecord::fromJson(Line, Cached) &&
-          Cached.Instruction == Spec.Name) {
-        ++Summary.StoreHits;
-        Item.StoreLine = std::move(Line);
-        Item.Stored = std::move(Cached);
-        Item.FromStore = true;
-      } else {
-        ++Summary.StoreMisses;
-      }
+    ResumeStale += CheckpointNames.count(Spec.Name);
+    std::uint64_t Stamp;
+    if (Store && Store->lookup(Item.Key, Item.StoreLine) &&
+        keyedLineKey(Item.StoreLine, Stamp) && Stamp == Item.Key &&
+        InstructionRecord::fromJson(Item.StoreLine, Item.Record) &&
+        Item.Record.Instruction == Spec.Name) {
+      ++Summary.StoreHits;
+      Item.Source = Served::FromStore;
+    } else if (Store) {
+      ++Summary.StoreMisses;
     }
     Work.push_back(std::move(Item));
     // Served items still count as NEW work: a warm --stop-after N run
@@ -806,7 +775,7 @@ CampaignSummary CampaignRunner::run() {
   CampaignScheduler Sched(SchedOpts, Opts.ExploreBudget.WorkUnits);
   std::size_t NewItems = 0;
   for (std::size_t I = 0; I < Work.size(); ++I)
-    if (!Work[I].Resumed && !Work[I].FromStore) {
+    if (Work[I].Source == Served::No) {
       Sched.addItem(I, Work[I].Spec->Name);
       ++NewItems;
     }
@@ -1025,25 +994,22 @@ CampaignSummary CampaignRunner::run() {
       TraceWriter->emit(std::move(Event));
   };
 
-  auto MergeResumed = [&](const InstructionRecord &Resumed) {
-    if (Resumed.Quarantined)
-      Summary.Quarantined.push_back(Resumed.Instruction);
-    Summary.Records.push_back(Resumed);
-    ++Summary.ResumedInstructions;
-  };
-
-  // Serves one store hit: the stored line is appended to the checkpoint
-  // *verbatim* (the byte-identity contract — never re-serialised), and
-  // the record planning parsed from it joins the summary like a fresh
-  // one. Served items emit no trace events: nothing ran, and only clean
-  // incident-free records are ever stored.
-  auto MergeStored = [&](WorkItem &W) {
-    ++Summary.CompletedInstructions;
-    ++Summary.StoreServed;
-    if (W.Stored.Quarantined) // defensive: put() refuses quarantined records
-      Summary.Quarantined.push_back(W.Stored.Instruction);
-    Checkpoint.append(W.StoreLine);
-    Summary.Records.push_back(std::move(W.Stored));
+  // Serves one reused record. Only its source decides the bookkeeping:
+  // a resumed record is already in the checkpoint and counts as
+  // resumed; a store hit is new work, and its keyed line is appended
+  // verbatim (the byte-identity contract: never re-serialised). Served
+  // items emit no trace events: nothing ran.
+  auto MergeServed = [&](WorkItem &W) {
+    if (W.Source == Served::FromStore) {
+      ++Summary.CompletedInstructions;
+      ++Summary.StoreServed;
+      Checkpoint.append(W.StoreLine);
+    } else {
+      ++Summary.ResumedInstructions;
+    }
+    if (W.Record.Quarantined)
+      Summary.Quarantined.push_back(W.Record.Instruction);
+    Summary.Records.push_back(std::move(W.Record));
   };
 
   // Merges one finished slot; false when the shared wall clock marked
@@ -1119,10 +1085,9 @@ CampaignSummary CampaignRunner::run() {
     const bool Storable = Store && !S.Rec.Quarantined && S.Incidents.empty();
     // Serialised only when a store or checkpoint takes the line.
     if (Storable || Checkpoint.active()) {
-      std::string Line = S.Rec.toJson();
+      std::string Line = keyedRecordLine(Work[I].Key, S.Rec.toJson());
       if (Storable) {
-        Store->put(resultStoreKey(*Work[I].Spec, ConfigFp),
-                   S.Rec.Instruction, Line);
+        Store->put(Work[I].Key, S.Rec.Instruction, Line);
         ++Summary.StoreStores;
       }
       Checkpoint.append(Line);
@@ -1139,13 +1104,8 @@ CampaignSummary CampaignRunner::run() {
   std::size_t Cursor = 0;
   auto Advance = [&] {
     while (!Halted.load(std::memory_order_relaxed) && Cursor < Work.size()) {
-      if (const InstructionRecord *Resumed = Work[Cursor].Resumed) {
-        MergeResumed(*Resumed);
-        ++Cursor;
-        continue;
-      }
-      if (Work[Cursor].FromStore) {
-        MergeStored(Work[Cursor]);
+      if (Work[Cursor].Source != Served::No) {
+        MergeServed(Work[Cursor]);
         ++Cursor;
         continue;
       }
@@ -1360,6 +1320,8 @@ CampaignSummary CampaignRunner::run() {
   foldReplayStats(Summary.Metrics, Summary.Replay);
   Summary.Metrics.add("campaign.instructions", Summary.CompletedInstructions);
   Summary.Metrics.add("campaign.resumed", Summary.ResumedInstructions);
+  if (Checkpoint.active())
+    Summary.Metrics.add("campaign.resume_stale", ResumeStale);
   if (Opts.Store) {
     Summary.Metrics.add("store.hits", Summary.StoreHits);
     Summary.Metrics.add("store.misses", Summary.StoreMisses);

@@ -129,9 +129,11 @@ struct CampaignOptions {
   /// Restrict the campaign to these catalog instructions (empty = all,
   /// subject to the harness Max* limits). Unknown names are ignored.
   std::vector<std::string> OnlyInstructions;
-  /// JSONL checkpoint file: one record per finished instruction,
-  /// appended as the campaign progresses and loaded on start to resume.
-  /// Empty disables checkpointing.
+  /// JSONL checkpoint file: one keyed record line (VerdictStore.h) per
+  /// finished instruction, appended as the campaign progresses and
+  /// loaded on start to resume. A record is reused only under the key
+  /// this configuration derives; one left by another configuration is
+  /// re-run ("campaign.resume_stale"). Empty disables checkpointing.
   std::string CheckpointPath;
   /// JSONL incident report. Empty keeps incidents in memory only.
   std::string IncidentLogPath;
@@ -322,7 +324,8 @@ struct CampaignSummary {
   std::vector<std::string> Quarantined;
   /// Instructions processed by this run (quarantined ones included).
   unsigned CompletedInstructions = 0;
-  /// Instructions restored from the checkpoint instead of re-run.
+  /// Instructions restored from the checkpoint under their current key
+  /// instead of re-run.
   unsigned ResumedInstructions = 0;
   /// Instructions served verbatim from the content-addressed store
   /// (counted inside CompletedInstructions, like fresh ones).

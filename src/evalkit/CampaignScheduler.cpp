@@ -9,7 +9,6 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <map>
 
@@ -35,26 +34,20 @@ void CampaignScheduler::addItem(std::size_t Index, std::string Name) {
 }
 
 std::size_t CampaignScheduler::loadWarmStart(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return 0;
   std::map<std::string, std::size_t> ByName;
   for (std::size_t I = 0; I < Items.size(); ++I)
     ByName[Items[I].Name] = I;
   std::size_t Matched = 0;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
+  forEachJsonlLine(Path, [&](std::string &Line) {
     std::optional<JsonValue> V = JsonValue::parse(Line);
     if (!V)
-      continue;
+      return;
     const JsonValue *Yield = V->find("yield");
     if (!Yield)
-      continue; // pre-scheduler checkpoint schema: no yield, no score
+      return; // pre-scheduler checkpoint schema: no yield, no score
     auto It = ByName.find(V->stringOr("instruction", ""));
     if (It == ByName.end())
-      continue;
+      return;
     // Deterministic score only: paths per kilo-unit boosted by the
     // divergence rate. PathsPerSec is for humans (and zero whenever
     // the source campaign ran untimed), never for ordering.
@@ -62,7 +55,7 @@ std::size_t CampaignScheduler::loadWarmStart(const std::string &Path) {
         Yield->numberOr("paths_per_kunit", 0) *
         (1.0 + Yield->numberOr("divergence_rate", 0));
     ++Matched;
-  }
+  });
   Stats.WarmStartEntries += Matched;
   return Matched;
 }

@@ -6,6 +6,7 @@
 #include "support/StringUtils.h"
 #include "vm/InstructionCatalog.h"
 
+#include <charconv>
 #include <cstring>
 
 using namespace igdt;
@@ -93,12 +94,20 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts) {
   H = hashCombine64(H, Opts.TotalExploreUnits);
   H = hashCombine64(H, Opts.MaxAttempts);
   H = hashCombine64(H, Opts.RecordTimings);
+  // Keyed so a resume never serves a clock-cut record to another clock.
+  H = hashCombine64(H, bitsOf(Opts.ExploreBudget.WallMillis));
+  H = hashCombine64(H, bitsOf(Opts.ReplayBudget.WallMillis));
+  H = hashCombine64(H, bitsOf(Opts.CampaignWallMillis));
 
+  // The schedule shapes records only by moving budget between
+  // instructions (pool regrants, ledger draws in adaptive order);
+  // otherwise its order and tiers reproduce the fixed-order bytes.
   const ScheduleOptions &Sched = Opts.Schedule;
-  H = hashCombine64(H, stableHash64(Sched.Policy));
-  H = hashCombine64(H, Sched.SolverTiers);
-  H = hashCombine64(H, Sched.BudgetPool);
-  H = hashCombine64(H, bitsOf(Sched.BudgetPoolCapFactor));
+  const bool Pooled = Sched.adaptive() && Sched.BudgetPool;
+  H = hashCombine64(H, Pooled);
+  if (Pooled)
+    H = hashCombine64(H, bitsOf(Sched.BudgetPoolCapFactor));
+  H = hashCombine64(H, Sched.adaptive() && Opts.TotalExploreUnits > 0);
   H = hashCombine64(H, Sched.PersistYield);
 
   H = hashCombine64(H, Opts.Faults.Faults.size());
@@ -108,6 +117,31 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts) {
     H = hashCombine64(H, F.Transient);
   }
   return H;
+}
+
+std::string igdt::resultKeyHex(std::uint64_t Key) {
+  return formatString("%016llx", static_cast<unsigned long long>(Key));
+}
+
+bool igdt::parseResultKeyHex(const std::string &Hex, std::uint64_t &Key) {
+  const char *End = Hex.data() + Hex.size();
+  auto [Ptr, Ec] = std::from_chars(Hex.data(), End, Key, 16);
+  return Hex.size() == 16 && Ec == std::errc() && Ptr == End;
+}
+
+std::string igdt::keyedRecordLine(std::uint64_t Key,
+                                  const std::string &RecordJson) {
+  // RecordJson is a non-empty object: the stamp replaces its '{'.
+  std::string Line = "{\"key\":\"" + resultKeyHex(Key) + "\",";
+  Line.append(RecordJson, 1, std::string::npos);
+  return Line;
+}
+
+bool igdt::keyedLineKey(const std::string &Line, std::uint64_t &Key) {
+  // keyedRecordLine's layout: {"key":" (8 bytes), 16 hex digits, ",
+  return Line.starts_with("{\"key\":\"") && Line.size() > 26 &&
+         Line.compare(24, 2, "\",") == 0 &&
+         parseResultKeyHex(Line.substr(8, 16), Key);
 }
 
 std::uint64_t igdt::resultStoreKey(const InstructionSpec &Spec,

@@ -278,6 +278,8 @@ ServiceReply CampaignService::gc(const ServiceRequest &Request) {
   if (!Store)
     return makeError("gc", "no store configured");
   ResultStore::GcStats Stats = Store->gc();
+  if (!Stats.Error.empty())
+    return makeError("gc", Stats.Error);
   Metrics.add("service.gc_runs");
   JsonValue Body = JsonValue::object();
   Body.set("kept", JsonValue::number(double(Stats.Kept)));

@@ -3,42 +3,21 @@
 #include "service/ResultStore.h"
 
 #include "support/Json.h"
-#include "support/StringUtils.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 using namespace igdt;
 
 namespace {
 
-std::string keyToHex(std::uint64_t Key) {
-  return formatString("%016llx", static_cast<unsigned long long>(Key));
-}
-
-bool hexToKey(const std::string &Hex, std::uint64_t &Key) {
-  if (Hex.empty() || Hex.size() > 16)
-    return false;
-  std::uint64_t V = 0;
-  for (char C : Hex) {
-    unsigned Digit;
-    if (C >= '0' && C <= '9')
-      Digit = unsigned(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Digit = unsigned(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | Digit;
-  }
-  Key = V;
-  return true;
-}
-
 std::string putLine(std::uint64_t Key, const std::string &Instruction,
                     const std::string &Record) {
   JsonValue V = JsonValue::object();
   V.set("v", JsonValue::number(ResultStore::FormatVersion));
-  V.set("key", JsonValue::string(keyToHex(Key)));
+  V.set("key", JsonValue::string(resultKeyHex(Key)));
   V.set("instruction", JsonValue::string(Instruction));
   V.set("record", JsonValue::string(Record));
   return V.dump();
@@ -47,64 +26,41 @@ std::string putLine(std::uint64_t Key, const std::string &Instruction,
 std::string tombstoneLine(std::uint64_t Key) {
   JsonValue V = JsonValue::object();
   V.set("v", JsonValue::number(ResultStore::FormatVersion));
-  V.set("key", JsonValue::string(keyToHex(Key)));
+  V.set("key", JsonValue::string(resultKeyHex(Key)));
   V.set("tombstone", JsonValue::boolean(true));
   return V.dump();
 }
 
 } // namespace
 
-ResultStore::ResultStore(std::string PathArg) : Path(std::move(PathArg)) {
-  std::ifstream In(Path);
-  // Seal a torn final line (a crash mid-append) with a newline now, so
-  // the first post-crash put starts a fresh line instead of gluing
-  // itself onto the garbage and dying with it.
-  bool SealTornTail = false;
-  if (In.seekg(0, std::ios::end) && In.tellg() > 0) {
-    In.seekg(-1, std::ios::end);
-    SealTornTail = In.get() != '\n';
-  }
-  In.clear();
-  In.seekg(0);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
+ResultStore::ResultStore(std::string PathArg)
+    : Path(std::move(PathArg)), Log(Path) {
+  forEachJsonlLine(Path, [&](std::string &Line) {
     std::optional<JsonValue> V = JsonValue::parse(Line);
     std::uint64_t Key = 0;
     if (!V || unsigned(V->numberOr("v", 0)) > FormatVersion ||
-        !hexToKey(V->stringOr("key", ""), Key)) {
+        !parseResultKeyHex(V->stringOr("key", ""), Key)) {
       ++DeadLines;
-      continue;
+      return;
     }
     if (V->boolOr("tombstone", false)) {
       // The tombstone itself is dead weight, and so is the put it
       // buried (when one existed).
       DeadLines += Live.erase(Key) + 1;
-      continue;
+      return;
     }
     Entry E;
     E.Instruction = V->stringOr("instruction", "");
     E.Record = V->stringOr("record", "");
     if (E.Record.empty()) {
       ++DeadLines;
-      continue;
+      return;
     }
-    if (!Live.emplace(Key, std::move(E)).second) {
-      Live[Key] = {V->stringOr("instruction", ""), V->stringOr("record", "")};
+    auto [It, Inserted] = Live.try_emplace(Key);
+    if (!Inserted)
       ++DeadLines; // the superseded earlier put
-    }
-  }
-  In.close();
-  if (SealTornTail) {
-    std::ofstream Out(Path, std::ios::app);
-    Out << '\n';
-  }
-}
-
-void ResultStore::appendLocked(const std::string &Line) {
-  std::ofstream Out(Path, std::ios::app);
-  Out << Line << '\n';
+    It->second = std::move(E);
+  });
 }
 
 bool ResultStore::lookup(std::uint64_t Key, std::string &RecordLine) {
@@ -129,7 +85,7 @@ void ResultStore::put(std::uint64_t Key, const std::string &Instruction,
     ++DeadLines;
   }
   Live[Key] = {Instruction, RecordLine};
-  appendLocked(putLine(Key, Instruction, RecordLine));
+  Log.append(putLine(Key, Instruction, RecordLine));
   ++Stores;
 }
 
@@ -138,7 +94,7 @@ std::size_t ResultStore::invalidate(const std::string &Instruction) {
   std::size_t Removed = 0;
   for (auto It = Live.begin(); It != Live.end();) {
     if (Instruction.empty() || It->second.Instruction == Instruction) {
-      appendLocked(tombstoneLine(It->first));
+      Log.append(tombstoneLine(It->first));
       DeadLines += 2; // the tombstone plus the put it buried
       It = Live.erase(It);
       ++Removed;
@@ -152,15 +108,23 @@ std::size_t ResultStore::invalidate(const std::string &Instruction) {
 ResultStore::GcStats ResultStore::gc() {
   std::lock_guard<std::mutex> Lock(M);
   GcStats Stats;
+  if (Path.empty())
+    return Stats; // in memory: no log to compact
+  std::string Tmp = Path + ".gc";
+  std::ofstream Out(Tmp, std::ios::trunc | std::ios::binary);
+  for (const auto &[Key, E] : Live)
+    Out << putLine(Key, E.Instruction, E.Record) << '\n';
+  Out.close();
+  // A short or failed write must never replace the log: keep it, and
+  // its dead-line count, and say why.
+  if (!Out || std::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    Stats.Error = "cannot compact " + Path + ": " + std::strerror(errno);
+    std::remove(Tmp.c_str());
+    return Stats;
+  }
+  Log.reopen(); // the open stream still points at the replaced file
   Stats.Kept = Live.size();
   Stats.Dropped = DeadLines;
-  std::string Tmp = Path + ".gc";
-  {
-    std::ofstream Out(Tmp, std::ios::trunc);
-    for (const auto &[Key, E] : Live)
-      Out << putLine(Key, E.Instruction, E.Record) << '\n';
-  }
-  std::rename(Tmp.c_str(), Path.c_str());
   DeadLines = 0;
   return Stats;
 }

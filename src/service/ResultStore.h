@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The daemon's persistent VerdictStore: a JSONL file mapping content
-/// addresses (evalkit/VerdictStore.h key derivation) to the exact
-/// checkpoint record line a fresh run produced. One line per put:
+/// addresses (evalkit/VerdictStore.h key derivation) to the exact keyed
+/// checkpoint line a fresh run produced. One line per put:
 ///
 ///   {"v":1,"key":"<16 hex>","instruction":"...","record":"<line>"}
 ///
@@ -15,14 +15,14 @@
 ///
 ///   {"v":1,"key":"<16 hex>","tombstone":true}
 ///
-/// The file is append-only during operation — crash-safe by the same
-/// argument as the campaign checkpoint (a torn final line parses as
-/// garbage and is skipped on load; every complete line is valid). Load
-/// replays the log in order with last-entry-wins, so a put after a
-/// tombstone resurrects the key and gc() compacts the log to its live
-/// entries. The record value is stored as an opaque string and served
-/// verbatim: the store never re-serialises a record, which is what
-/// makes cache-served checkpoint rows byte-identical to fresh ones.
+/// The file is append-only during operation (one JsonlAppender) —
+/// crash-safe by the same argument as the campaign checkpoint (a torn
+/// final line parses as garbage and is skipped on load). Load replays
+/// the log in order with last-entry-wins, so a put after a tombstone
+/// resurrects the key and gc() compacts the log to its live entries.
+/// The record value is stored as an opaque string and served verbatim:
+/// the store never re-serialises a record, which is what makes
+/// cache-served checkpoint rows byte-identical to fresh ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +30,7 @@
 #define IGDT_SERVICE_RESULTSTORE_H
 
 #include "evalkit/VerdictStore.h"
+#include "support/Json.h"
 
 #include <cstdint>
 #include <map>
@@ -46,7 +47,8 @@ public:
   static constexpr unsigned FormatVersion = 1;
 
   /// Opens (creating if needed) the store at \p Path and loads the
-  /// live entries. A malformed line is skipped, not fatal.
+  /// live entries. A malformed line is skipped, not fatal. An empty
+  /// path keeps the store in memory only.
   explicit ResultStore(std::string Path);
 
   bool lookup(std::uint64_t Key, std::string &RecordLine) override;
@@ -63,9 +65,12 @@ public:
     /// Log lines discarded by compaction: tombstones, superseded puts,
     /// and unparseable lines.
     std::size_t Dropped = 0;
+    /// Why the compaction failed; empty on success.
+    std::string Error;
   };
 
-  /// Rewrites the log to exactly the live entries (atomic rename).
+  /// Rewrites the log to exactly the live entries (atomic rename). A
+  /// failure keeps the log and its dead-line count, and sets Error.
   GcStats gc();
 
   /// Live entry count.
@@ -86,10 +91,9 @@ private:
     std::string Record;
   };
 
-  /// Appends one already-serialised log line (lock held by caller).
-  void appendLocked(const std::string &Line);
-
   std::string Path;
+  /// The log's append stream (written with the lock held).
+  JsonlAppender Log;
   mutable std::mutex M;
   std::map<std::uint64_t, Entry> Live;
   /// Log lines on disk that a compaction would drop (tombstones and

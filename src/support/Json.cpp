@@ -2,42 +2,44 @@
 
 #include "support/Json.h"
 
-#include "support/StringUtils.h"
-
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string_view>
 
 using namespace igdt;
 
+namespace {
+
+/// Appends \p Text to \p Out escaped for a JSON string literal, copying
+/// the runs that need no escape in bulk.
+void appendEscaped(std::string &Out, std::string_view Text) {
+  static constexpr std::string_view ShortForms = "\"\\\n\r\t";
+  static constexpr std::string_view ShortCodes = "\"\\nrt";
+  static const char Hex[] = "0123456789abcdef";
+  std::size_t Run = 0;
+  for (std::size_t I = 0; I < Text.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Text[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Text.data() + Run, I - Run);
+    Run = I + 1;
+    std::size_t Short = ShortForms.find(char(C));
+    if (Short != std::string_view::npos)
+      Out.append({'\\', ShortCodes[Short]});
+    else
+      Out.append({'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]});
+  }
+  Out.append(Text.data() + Run, Text.size() - Run);
+}
+
+} // namespace
+
 std::string igdt::jsonEscape(const std::string &Text) {
   std::string Out;
   Out.reserve(Text.size());
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
+  appendEscaped(Out, Text);
   return Out;
 }
 
@@ -110,39 +112,56 @@ bool JsonValue::boolOr(const std::string &Key, bool Default) const {
 }
 
 std::string JsonValue::dump() const {
+  std::string Out;
+  dumpTo(Out);
+  return Out;
+}
+
+void JsonValue::dumpTo(std::string &Out) const {
   switch (K) {
   case Kind::Null:
-    return "null";
+    Out += "null";
+    return;
   case Kind::Bool:
-    return B ? "true" : "false";
+    Out += B ? "true" : "false";
+    return;
   case Kind::Number: {
     // Integers (the common case for counters) print without a fraction.
-    if (std::floor(Num) == Num && std::abs(Num) < 9e15)
-      return formatString("%lld", (long long)Num);
-    return formatString("%.17g", Num);
+    char Buf[32];
+    int N = std::floor(Num) == Num && std::abs(Num) < 9e15
+                ? std::snprintf(Buf, sizeof Buf, "%lld", (long long)Num)
+                : std::snprintf(Buf, sizeof Buf, "%.17g", Num);
+    Out.append(Buf, std::size_t(N));
+    return;
   }
   case Kind::String:
-    return "\"" + jsonEscape(Str) + "\"";
-  case Kind::Array: {
-    std::string Out = "[";
+    Out += '"';
+    appendEscaped(Out, Str);
+    Out += '"';
+    return;
+  case Kind::Array:
+    Out += '[';
     for (std::size_t I = 0; I < Arr.size(); ++I) {
       if (I)
-        Out += ",";
-      Out += Arr[I].dump();
+        Out += ',';
+      Arr[I].dumpTo(Out);
     }
-    return Out + "]";
-  }
-  case Kind::Object: {
-    std::string Out = "{";
+    Out += ']';
+    return;
+  case Kind::Object:
+    Out += '{';
     for (std::size_t I = 0; I < Obj.size(); ++I) {
       if (I)
-        Out += ",";
-      Out += "\"" + jsonEscape(Obj[I].first) + "\":" + Obj[I].second.dump();
+        Out += ',';
+      Out += '"';
+      appendEscaped(Out, Obj[I].first);
+      Out += "\":";
+      Obj[I].second.dumpTo(Out);
     }
-    return Out + "}";
+    Out += '}';
+    return;
   }
-  }
-  return "null";
+  Out += "null";
 }
 
 namespace {
@@ -412,4 +431,28 @@ private:
 
 std::optional<JsonValue> JsonValue::parse(const std::string &Text) {
   return Parser(Text).parse();
+}
+
+void JsonlAppender::append(std::string_view Line) {
+  if (Path.empty())
+    return;
+  if (!Out.is_open()) {
+    std::ifstream In(Path, std::ios::binary | std::ios::ate);
+    bool TornTail = In && In.tellg() > 0 && In.seekg(-1, std::ios::end) &&
+                    In.get() != '\n';
+    Out.open(Path, std::ios::app | std::ios::binary);
+    if (TornTail)
+      Out << '\n';
+  }
+  Out << Line << '\n';
+  Out.flush();
+}
+
+void igdt::forEachJsonlLine(
+    const std::string &Path,
+    const std::function<void(std::string &Line)> &Visit) {
+  std::ifstream In(Path, std::ios::binary);
+  for (std::string Line; std::getline(In, Line);)
+    if (!Line.empty())
+      Visit(Line);
 }

@@ -9,14 +9,23 @@
 /// for its JSONL incident reports and checkpoint files. Values keep
 /// object keys in insertion order so emitted lines are deterministic.
 ///
+/// It also holds the one writer and reader of the append-only JSONL
+/// logs (checkpoints, incident logs, the verdict store). Every line is
+/// flushed as it is appended, so a killed writer loses at most the line
+/// in flight; the torn line it leaves is sealed with a newline before
+/// the next writer's first line, and readers skip it as unparseable.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_SUPPORT_JSON_H
 #define IGDT_SUPPORT_JSON_H
 
 #include <cstdint>
+#include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,7 +82,38 @@ struct JsonValue {
   /// UTF-8); nullopt on anything outside the grammar or nesting deeper
   /// than MaxParseDepth.
   static std::optional<JsonValue> parse(const std::string &Text);
+
+private:
+  /// Appends the serialisation to \p Out: one buffer for the whole
+  /// document instead of a temporary string per member and level.
+  void dumpTo(std::string &Out) const;
 };
+
+/// One JSONL file appended line by line: opened on its first line,
+/// after sealing a torn tail, then kept open and flushed after every
+/// line. An empty path appends nothing.
+class JsonlAppender {
+public:
+  explicit JsonlAppender(std::string Path) : Path(std::move(Path)) {}
+
+  bool active() const { return !Path.empty(); }
+
+  /// Appends \p Line and a newline, then flushes.
+  void append(std::string_view Line);
+
+  /// Closes the stream so the next append opens the path afresh, as
+  /// needed once a rename has put a new file there.
+  void reopen() { Out.close(); }
+
+private:
+  std::string Path;
+  std::ofstream Out;
+};
+
+/// Calls \p Visit on each non-empty line of the file at \p Path, in
+/// order; a missing file (or an empty path) has none.
+void forEachJsonlLine(const std::string &Path,
+                      const std::function<void(std::string &Line)> &Visit);
 
 } // namespace igdt
 

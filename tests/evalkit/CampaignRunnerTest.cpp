@@ -3,16 +3,19 @@
 // Campaign resilience self-tests: every injectable harness fault is
 // contained (quarantine, incident report, zero exit), transient faults
 // are recovered by the fresh-heap retry, checkpoint/resume reproduces
-// the uninterrupted counts, and campaign rows agree with a serial
+// the uninterrupted counts and resumes only records its own
+// configuration keyed, and campaign rows agree with a serial
 // per-path replay through the Session façade on the same subset.
 //
 //===----------------------------------------------------------------------===//
 
 #include "evalkit/CampaignRunner.h"
 
+#include "api/Requests.h"
 #include "api/Session.h"
 #include "evalkit/VerdictStore.h"
 #include "faults/DefectCatalog.h"
+#include "service/ResultStore.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -495,7 +498,7 @@ TEST(CampaignRunnerTest, StoreHitsAreValidatedBeforeTheyAreServed) {
   std::string ReferenceBytes = slurpFile(Opts.CheckpointPath);
   std::remove(Opts.CheckpointPath.c_str());
 
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   Opts.Store = &Store;
   const std::uint64_t Fp = campaignConfigFingerprint(Opts);
   auto KeyOf = [&](const char *Name) {
@@ -577,6 +580,105 @@ TEST(CampaignRunnerTest, CheckpointHoldsEveryEarlierRecordAsTheNextMerges) {
     EXPECT_EQ(readLines(Opts.CheckpointPath).size(), 7u) << "jobs=" << Jobs;
     std::remove(Opts.CheckpointPath.c_str());
   }
+}
+
+unsigned totalPaths(const CampaignSummary &S) {
+  unsigned Paths = 0;
+  for (const InstructionRecord &R : S.Records)
+    Paths += R.Paths;
+  return Paths;
+}
+
+TEST(CampaignRunnerTest, ResumeNeverServesARecordOfAnotherConfiguration) {
+  // table2_differences --deterministic --only bytecodePrim_add
+  // --only primitiveAdd, first with --explore-work-units 1 and then
+  // without it, on one checkpoint. The starved run's records are keyed
+  // by its budget, so the unbudgeted run must re-run both instructions
+  // and print the fresh run's Table 2, not the starved one's.
+  CampaignRequest Fresh;
+  Fresh.Deterministic = true;
+  Fresh.OnlyInstructions = {"bytecodePrim_add", "primitiveAdd"};
+  CampaignSummary Reference = Session(Fresh.toSessionConfig()).runCampaign();
+  ASSERT_EQ(Reference.Records.size(), 2u);
+
+  CampaignRequest Starved = Fresh;
+  Starved.ExploreWorkUnits = 1;
+  Starved.CheckpointPath = tempPath("starved.jsonl");
+  CampaignSummary First = Session(Starved.toSessionConfig()).runCampaign();
+  ASSERT_EQ(First.Records.size(), 2u);
+  ASSERT_LT(totalPaths(First), totalPaths(Reference));
+
+  CampaignRequest Unbudgeted = Fresh;
+  Unbudgeted.CheckpointPath = Starved.CheckpointPath;
+  CampaignSummary Second =
+      Session(Unbudgeted.toSessionConfig()).runCampaign();
+  EXPECT_EQ(Second.ResumedInstructions, 0u);
+  EXPECT_EQ(Second.CompletedInstructions, 2u);
+  EXPECT_EQ(Second.Metrics.counter("campaign.resume_stale"), 2u);
+  EXPECT_EQ(totalPaths(Second), totalPaths(Reference));
+  expectRowsEqual(Second.Rows, Reference.Rows);
+  ASSERT_EQ(Second.Records.size(), 2u);
+  for (std::size_t I = 0; I < 2; ++I)
+    EXPECT_EQ(Second.Records[I].toJson(), Reference.Records[I].toJson());
+
+  // Both configurations' records now sit in the checkpoint, and each
+  // configuration resumes its own.
+  for (const CampaignRequest *Request : {&Starved, &Unbudgeted}) {
+    CampaignSummary Again = Session(Request->toSessionConfig()).runCampaign();
+    EXPECT_EQ(Again.ResumedInstructions, 2u);
+    EXPECT_EQ(Again.CompletedInstructions, 0u);
+    EXPECT_EQ(Again.Metrics.counter("campaign.resume_stale"), 0u);
+    EXPECT_EQ(totalPaths(Again), totalPaths(Request == &Starved ? First
+                                                                : Reference));
+  }
+  std::remove(Starved.CheckpointPath.c_str());
+}
+
+TEST(CampaignRunnerTest, UnkeyedCheckpointRecordsAreReRunAndCountedStale) {
+  CampaignOptions Opts = cleanOptions();
+  Opts.OnlyInstructions = {"bytecodePrim_add", "bytecodePrim_sub",
+                           "bytecodePrim_mul"};
+  Opts.RecordTimings = false;
+  Opts.CheckpointPath = tempPath("keyed_reference.jsonl");
+  CampaignSummary Reference = CampaignRunner(Opts).run();
+  ASSERT_EQ(Reference.Records.size(), 3u);
+  const std::string ReferenceBytes = slurpFile(Opts.CheckpointPath);
+  std::remove(Opts.CheckpointPath.c_str());
+
+  // Every line is the record stamped with its content address.
+  const std::uint64_t Fp = campaignConfigFingerprint(Opts);
+  std::string Expected;
+  for (const InstructionRecord &R : Reference.Records)
+    Expected += keyedRecordLine(
+                    resultStoreKey(*findInstruction(R.Instruction), Fp),
+                    R.toJson()) +
+                "\n";
+  EXPECT_EQ(ReferenceBytes, Expected);
+
+  // A checkpoint an older binary wrote: the same records, unkeyed. No
+  // key says which configuration made them, so all three re-run.
+  Opts.CheckpointPath = tempPath("unkeyed.jsonl");
+  std::string OldBytes;
+  for (const InstructionRecord &R : Reference.Records)
+    OldBytes += R.toJson() + "\n";
+  std::ofstream(Opts.CheckpointPath, std::ios::binary) << OldBytes;
+  CampaignSummary S = CampaignRunner(Opts).run();
+  EXPECT_EQ(S.ResumedInstructions, 0u);
+  EXPECT_EQ(S.CompletedInstructions, 3u);
+  EXPECT_EQ(S.Metrics.counter("campaign.resume_stale"), 3u);
+  EXPECT_GT(S.LiveSolver.Queries, 0u);
+  ASSERT_EQ(S.Records.size(), 3u);
+  for (std::size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(S.Records[I].toJson(), Reference.Records[I].toJson());
+  EXPECT_EQ(slurpFile(Opts.CheckpointPath), OldBytes + ReferenceBytes);
+
+  // The re-run's keyed lines now resume, and nothing is stale.
+  CampaignSummary Again = CampaignRunner(Opts).run();
+  EXPECT_EQ(Again.ResumedInstructions, 3u);
+  EXPECT_EQ(Again.CompletedInstructions, 0u);
+  EXPECT_EQ(Again.Metrics.counter("campaign.resume_stale"), 0u);
+  EXPECT_EQ(slurpFile(Opts.CheckpointPath), OldBytes + ReferenceBytes);
+  std::remove(Opts.CheckpointPath.c_str());
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "evalkit/CampaignScheduler.h"
 
 #include "evalkit/CampaignRunner.h"
+#include "evalkit/VerdictStore.h"
 #include "faults/DefectCatalog.h"
 #include "faults/HarnessFaults.h"
 #include "solver/Solver.h"
@@ -58,6 +59,14 @@ std::vector<std::string> readLines(const std::string &Path) {
     if (!Line.empty())
       Lines.push_back(Line);
   return Lines;
+}
+
+/// \p Rec's checkpoint line as a campaign under \p Opts writes it.
+std::string keyedLineOf(const CampaignOptions &Opts,
+                        const InstructionRecord &Rec) {
+  return keyedRecordLine(resultStoreKey(*findInstruction(Rec.Instruction),
+                                        campaignConfigFingerprint(Opts)),
+                         Rec.toJson());
 }
 
 CampaignOptions cleanOptions() {
@@ -436,7 +445,7 @@ TEST(CampaignSchedulerTest, YieldStatsRoundTripThroughTheCheckpointSchema) {
     // Untimed campaign: the wall-clock rate is exactly zero, so the
     // deterministic fields are the only signal a warm start sees.
     EXPECT_EQ(Rec.Yield.PathsPerSec, 0.0);
-    EXPECT_EQ(Rec.toJson(), Line);
+    EXPECT_EQ(keyedLineOf(Opts, Rec), Line);
   }
   std::remove(Opts.CheckpointPath.c_str());
 }
@@ -456,7 +465,7 @@ TEST(CampaignSchedulerTest, OldSchemaCheckpointsStillLoadAndWarmStartCold) {
     InstructionRecord Rec;
     ASSERT_TRUE(InstructionRecord::fromJson(Line, Rec)) << Line;
     EXPECT_FALSE(Rec.HasYield);
-    EXPECT_EQ(Rec.toJson(), Line);
+    EXPECT_EQ(keyedLineOf(Fixed, Rec), Line);
   }
 
   // Warm-starting from it matches nothing, so the adaptive campaign

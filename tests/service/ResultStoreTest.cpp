@@ -4,17 +4,20 @@
 // sensitive to exactly the inputs a record depends on (and blind to
 // topology), the JSONL log survives reopen with last-entry-wins,
 // tombstones invalidate per instruction and persist, gc compacts to
-// the live set, and malformed lines never poison a load.
+// the live set (or fails loudly, keeping the log), and malformed lines
+// never poison a load.
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/ResultStore.h"
 
 #include "evalkit/CampaignRunner.h"
+#include "service/CampaignService.h"
 #include "support/Json.h"
 #include "vm/InstructionCatalog.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <set>
@@ -120,6 +123,35 @@ TEST(ResultStoreTest, ConfigFingerprintIgnoresTopologyButNotSemantics) {
   Semantic.Harness.SeedSimulationErrors = !Semantic.Harness.SeedSimulationErrors;
   EXPECT_NE(campaignConfigFingerprint(Semantic), Baseline);
 
+  // Wall budgets are keyed too: a record a clock cut short must never
+  // resume into (or be served to) a campaign without that clock.
+  CampaignOptions Wall = Base;
+  Wall.ExploreBudget.WallMillis = 50;
+  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
+  Wall = Base;
+  Wall.ReplayBudget.WallMillis = 50;
+  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
+  Wall = Base;
+  Wall.CampaignWallMillis = 1000;
+  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
+
+  // What selects the worklist, and where records are written, shapes no
+  // record: a checkpoint resumes across them.
+  CampaignOptions Selection = Base;
+  Selection.StopAfter = 3;
+  Selection.OnlyInstructions = {"bytecodePrim_add"};
+  Selection.CheckpointPath = "elsewhere.jsonl";
+  EXPECT_EQ(campaignConfigFingerprint(Selection), Baseline);
+
+  // Adaptive order and solver tiers reproduce the fixed-order bytes;
+  // the budget pool moves budget between instructions, so it is keyed.
+  CampaignOptions Adaptive = Base;
+  Adaptive.Schedule.Policy = "adaptive";
+  Adaptive.Schedule.SolverTiers = 2;
+  EXPECT_EQ(campaignConfigFingerprint(Adaptive), Baseline);
+  Adaptive.Schedule.BudgetPool = true;
+  EXPECT_NE(campaignConfigFingerprint(Adaptive), Baseline);
+
   // The full content address mixes body and config: same instruction
   // under a different fingerprint is a different key, and vice versa.
   const InstructionSpec *Add = findInstruction("bytecodePrim_add");
@@ -153,7 +185,7 @@ TEST(ResultStoreTest, VersionOneEntriesAreNotServed) {
   ASSERT_EQ(Fresh.Records.size(), 1u);
   InstructionRecord Planted = Fresh.Records[0];
   Planted.Paths = 999;
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   Store.put(VersionOneKey, Planted.Instruction, Planted.toJson());
 
   Opts.Store = &Store;
@@ -291,6 +323,53 @@ TEST(ResultStoreTest, GcCompactsTheLogToExactlyTheLiveEntries) {
   Stats = Reloaded.gc();
   EXPECT_EQ(Stats.Kept, 2u);
   EXPECT_EQ(Stats.Dropped, 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(ResultStoreTest, FailedGcKeepsTheLogAndTheDaemonSaysSo) {
+  std::string Path = tempPath("gc_fail.jsonl");
+  std::string Tmp = Path + ".gc";
+  std::filesystem::remove_all(Tmp);
+  {
+    ResultStore Store(Path);
+    Store.put(1, "bytecodePrim_add", "{\"r\":\"a\"}");
+    Store.put(1, "bytecodePrim_add", "{\"r\":\"a2\"}"); // superseded put
+    Store.put(2, "bytecodePrim_sub", "{\"r\":\"b\"}");
+    Store.invalidate("bytecodePrim_sub"); // put + tombstone, both dead
+  }
+  ASSERT_EQ(readLines(Path).size(), 4u);
+
+  // The compaction's temp file cannot be written: gc must fail loudly
+  // and leave the log, and what it would drop, as they were.
+  std::filesystem::create_directory(Tmp);
+  CampaignService Service;
+  ServiceRequest Gc;
+  Gc.Verb = "gc";
+  Gc.StorePath = Path;
+  ServiceReply Failed = Service.handle(Gc);
+  EXPECT_FALSE(Failed.Ok);
+  EXPECT_FALSE(Failed.Error.empty());
+  EXPECT_EQ(readLines(Path).size(), 4u);
+
+  std::filesystem::remove_all(Tmp);
+  ServiceReply Done = Service.handle(Gc);
+  ASSERT_TRUE(Done.Ok) << Done.Error;
+  std::optional<JsonValue> Body = JsonValue::parse(Done.Body);
+  ASSERT_TRUE(Body.has_value());
+  EXPECT_EQ(Body->numberOr("kept", -1), 1);
+  EXPECT_EQ(Body->numberOr("dropped", -1), 3);
+  EXPECT_EQ(readLines(Path).size(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(Tmp));
+
+  // After the rename the store appends to the new log, not the old one.
+  {
+    ResultStore Store(Path);
+    ResultStore::GcStats Stats = Store.gc();
+    EXPECT_EQ(Stats.Kept, 1u);
+    Store.put(3, "bytecodePrim_mul", "{\"r\":\"c\"}");
+  }
+  ResultStore Reloaded(Path);
+  EXPECT_EQ(Reloaded.size(), 2u);
   std::remove(Path.c_str());
 }
 

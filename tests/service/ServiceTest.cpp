@@ -134,7 +134,7 @@ std::string submitOk(CampaignService &Service, const CampaignRequest &Campaign,
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, WarmRunServesEverythingWithZeroLiveSolverWork) {
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = nineInstructions();
   Opts.Store = &Store;
@@ -169,7 +169,7 @@ TEST(ServiceTest, CacheHitBytesAreIdenticalUnderFaultsAcrossTopologies) {
   // Cold pass at the baseline topology, all seven harness faults armed:
   // only the two clean instructions enter the store (quarantined
   // records are never cached).
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = nineInstructions();
   Opts.Faults = sevenFaults();
@@ -213,7 +213,7 @@ TEST(ServiceTest, CacheHitBytesAreIdenticalUnderFaultsAcrossTopologies) {
 }
 
 TEST(ServiceTest, KeyChangesForceReexplorationAndInvalidationIsExact) {
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = nineInstructions();
   Opts.Store = &Store;
@@ -255,7 +255,7 @@ TEST(ServiceTest, KeyChangesForceReexplorationAndInvalidationIsExact) {
 }
 
 TEST(ServiceTest, IneligibleConfigsBypassTheStoreEntirely) {
-  MemoryVerdictStore Store;
+  ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = {"bytecodePrim_add"};
   Opts.Store = &Store;
