@@ -119,8 +119,8 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   ExplorationResult Result = std::move(Seed);
   Result.Builder = std::make_unique<TermBuilder>();
   // A quarter-megabyte heap comfortably fits every materialisation of an
-  // exploration (objects are bounded by MaxObjectSlots) while keeping
-  // per-instruction setup cost low (Figure 6 measures this).
+  // exploration (objects are bounded by MaxObjectSlots). It is not
+  // zero-filled, so set-up touches only the pages allocation writes.
   Result.Memory = std::make_unique<ObjectMemory>(256 * 1024);
 
   if (Opts.InjectHeapCorruption)

@@ -248,8 +248,7 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
 
   // Step 1: re-create the concrete input frame from the constraints.
   // Pooled mode reuses the arena's heap, rolled back to pristine;
-  // otherwise a throwaway heap is built — and zero-filled — for this
-  // path alone.
+  // otherwise a throwaway heap is built for this path alone.
   std::optional<ObjectMemory> FreshMem;
   ObjectMemory *MemPtr;
   if (Cfg.Arena) {

@@ -44,7 +44,7 @@ struct ReplayStats {
   std::uint64_t HeapResets = 0;       ///< handouts that rolled back state
   std::uint64_t HeapBytesReset = 0;   ///< bytes released by rollbacks
   std::uint64_t HeapFreshBuilds = 0;  ///< throwaway heaps built (arena off)
-  std::uint64_t HeapBytesRebuilt = 0; ///< bytes zero-filled by those builds
+  std::uint64_t HeapBytesRebuilt = 0; ///< capacity of those heaps, in bytes
   std::uint64_t UndoStoresReplayed = 0; ///< journalled stores undone
   std::uint64_t StackBytesReset = 0;  ///< pooled stack bytes re-zeroed
   void add(const ReplayStats &O) {

@@ -66,11 +66,8 @@ ResultStore::ResultStore(std::string PathArg)
 bool ResultStore::lookup(std::uint64_t Key, std::string &RecordLine) {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Live.find(Key);
-  if (It == Live.end()) {
-    ++Misses;
+  if (It == Live.end())
     return false;
-  }
-  ++Hits;
   RecordLine = It->second.Record;
   return true;
 }
@@ -86,7 +83,6 @@ void ResultStore::put(std::uint64_t Key, const std::string &Instruction,
   }
   Live[Key] = {Instruction, RecordLine};
   Log.append(putLine(Key, Instruction, RecordLine));
-  ++Stores;
 }
 
 std::size_t ResultStore::invalidate(const std::string &Instruction) {
@@ -132,19 +128,4 @@ ResultStore::GcStats ResultStore::gc() {
 std::size_t ResultStore::size() const {
   std::lock_guard<std::mutex> Lock(M);
   return Live.size();
-}
-
-std::uint64_t ResultStore::hits() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Hits;
-}
-
-std::uint64_t ResultStore::misses() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Misses;
-}
-
-std::uint64_t ResultStore::stores() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Stores;
 }

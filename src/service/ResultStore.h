@@ -78,13 +78,6 @@ public:
 
   const std::string &path() const { return Path; }
 
-  /// \name Lifetime counters (for service.* metrics)
-  /// @{
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t stores() const;
-  /// @}
-
 private:
   struct Entry {
     std::string Instruction;
@@ -99,9 +92,6 @@ private:
   /// Log lines on disk that a compaction would drop (tombstones and
   /// superseded puts accumulate here between gc() calls).
   std::size_t DeadLines = 0;
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
-  std::uint64_t Stores = 0;
 };
 
 } // namespace igdt

@@ -134,6 +134,17 @@ struct ClassConstraint {
   std::vector<std::uint8_t> NegativeMasks;
 };
 
+/// The terms sharing one leaf key, plus the leaf's dense id
+/// (registration order) that literal dependency lists refer to.
+template <typename TermT> struct LeafTerms {
+  unsigned Id;
+  std::vector<const TermT *> Terms;
+};
+
+/// Literal indices bucketed by the search depth that decides them, each
+/// bucket in case order.
+using LiteralSchedule = std::vector<std::vector<unsigned>>;
+
 /// Solves one conjunctive case.
 class CaseSolver {
 public:
@@ -196,19 +207,26 @@ private:
                 std::map<const IntTerm *, Interval> &Memo, bool &Emptied);
   bool propagate(std::map<LeafKey, Interval> &LeafIv, bool &Emptied);
 
-  void leafDepsOfInt(const IntTerm *T, std::set<LeafKey> &IntDeps,
-                     std::set<LeafKey> &FloatDeps);
-  void leafDepsOfFloat(const FloatTerm *T, std::set<LeafKey> &IntDeps,
-                       std::set<LeafKey> &FloatDeps);
+  /// Ids of the searched leaves \p T reads (ClassIndexOf leaves are
+  /// fixed by the class assignment, not searched). May repeat an id.
+  void leafDepsOfInt(const IntTerm *T, std::vector<unsigned> &IntDeps,
+                     std::vector<unsigned> &FloatDeps);
+  void leafDepsOfFloat(const FloatTerm *T, std::vector<unsigned> &IntDeps,
+                       std::vector<unsigned> &FloatDeps);
 
-  void assignIntLeaf(const LeafKey &Key, std::int64_t Value, Model &M);
-  void assignFloatLeaf(const LeafKey &Key, double Value, Model &M);
+  using IntLeafMap = std::map<LeafKey, LeafTerms<IntTerm>>;
+  using FloatLeafMap = std::map<LeafKey, LeafTerms<FloatTerm>>;
+
+  void assignIntLeaf(const IntLeafMap::value_type &Leaf, std::int64_t Value,
+                     Model &M);
+  void assignFloatLeaf(const FloatLeafMap::value_type &Leaf, double Value,
+                       Model &M);
 
   bool checkLiteral(const Literal &Lit, const Model &M);
-  bool searchInt(std::size_t Index, Model &M,
-                 const std::vector<std::pair<LeafKey, Interval>> &Order);
-  bool searchFloat(std::size_t Index, Model &M,
-                   const std::vector<LeafKey> &Order);
+  /// Checks the literals \p Lits (indices into Deps).
+  bool checkAll(const std::vector<unsigned> &Lits, const Model &M);
+  bool searchInt(std::size_t Index, Model &M);
+  bool searchFloat(std::size_t Index, Model &M);
   bool finalCheck(const Model &M);
 
   const ClassTable &Classes;
@@ -220,22 +238,40 @@ private:
   std::map<const ObjTerm *, const ObjTerm *> Parent;
   std::set<const ObjTerm *> Vars; // original vars
   std::map<const ObjTerm *, ClassConstraint> Constraints; // by rep
-  std::map<LeafKey, std::vector<const IntTerm *>> IntLeaves;
-  std::map<LeafKey, std::vector<const FloatTerm *>> FloatLeaves;
+  IntLeafMap IntLeaves;
+  FloatLeafMap FloatLeaves;
   std::vector<std::pair<const ObjTerm *, const ObjTerm *>> DistinctPairs;
+
+  /// One literal of the case with the ids of the searched leaves it
+  /// reads. A literal without float leaves is decided in the integer
+  /// search, one with float leaves in the float search.
+  struct LiteralDeps {
+    Literal Lit;
+    std::vector<unsigned> Ints;
+    std::vector<unsigned> Floats;
+  };
+  std::vector<LiteralDeps> Deps;
+
+  /// Float leaves in search order (key order, the same for every class
+  /// assignment), the literals each float depth decides, and the
+  /// structural float candidates every float node tries first.
+  std::vector<const FloatLeafMap::value_type *> FloatOrder;
+  LiteralSchedule FloatSchedule;
+  std::vector<double> FloatPool;
 
   // numeric phase state
   std::map<const ObjTerm *, std::uint32_t> ClassAssignment; // by rep
-  std::map<LeafKey, Interval> FinalLeafIv;
-  std::set<LeafKey> AssignedInt;
-  std::set<LeafKey> AssignedFloat;
-  std::vector<std::pair<Literal, std::pair<std::set<LeafKey>,
-                                           std::set<LeafKey>>>>
-      LiteralDeps;
-  std::vector<LeafKey> FloatOrder;
+  /// An integer leaf in search order, with its narrowed interval.
+  struct SearchLeaf {
+    const IntLeafMap::value_type *Leaf;
+    Interval Iv;
+  };
+  std::vector<SearchLeaf> IntOrder;
+  /// The literals each integer depth decides; depth IntOrder.size() (the
+  /// bottom) holds the integer literals that read no searched leaf.
+  LiteralSchedule IntSchedule;
   unsigned Nodes = 0;
   bool PrecisionClamped = false;
-  bool SawClampedEmpty = false;
   bool BudgetStopped = false;
 };
 
@@ -262,12 +298,21 @@ void CaseSolver::collectObj(const ObjTerm *T) {
   }
 }
 
+/// The entry for \p Key in \p Leaves, created with the next id.
+template <typename TermT>
+LeafTerms<TermT> &leafEntry(std::map<LeafKey, LeafTerms<TermT>> &Leaves,
+                            const LeafKey &Key) {
+  return Leaves
+      .try_emplace(Key, LeafTerms<TermT>{unsigned(Leaves.size()), {}})
+      .first->second;
+}
+
 void CaseSolver::registerIntLeaf(const IntTerm *T) {
-  IntLeaves[intLeafKey(T)].push_back(T);
+  leafEntry(IntLeaves, intLeafKey(T)).Terms.push_back(T);
 }
 
 void CaseSolver::registerFloatLeaf(const FloatTerm *T) {
-  FloatLeaves[floatLeafKey(T)].push_back(T);
+  leafEntry(FloatLeaves, floatLeafKey(T)).Terms.push_back(T);
 }
 
 void CaseSolver::collectInt(const IntTerm *T) {
@@ -529,9 +574,10 @@ bool CaseSolver::propagate(std::map<LeafKey, Interval> &LeafIv,
                            bool &Emptied) {
   for (int Pass = 0; Pass < 3 && !Emptied; ++Pass) {
     std::map<const IntTerm *, Interval> Memo;
-    for (const auto &[Lit, Deps] : LiteralDeps) {
-      if (!Deps.second.empty())
+    for (const LiteralDeps &D : Deps) {
+      if (!D.Floats.empty())
         continue; // float-dependent literals skip interval propagation
+      const Literal &Lit = D.Lit;
       const BoolTerm *A = Lit.Atom;
       if (A->TermKind != BoolTerm::Kind::ICmp)
         continue;
@@ -577,14 +623,15 @@ bool CaseSolver::propagate(std::map<LeafKey, Interval> &LeafIv,
   return !Emptied;
 }
 
-void CaseSolver::leafDepsOfInt(const IntTerm *T, std::set<LeafKey> &IntDeps,
-                               std::set<LeafKey> &FloatDeps) {
+void CaseSolver::leafDepsOfInt(const IntTerm *T,
+                               std::vector<unsigned> &IntDeps,
+                               std::vector<unsigned> &FloatDeps) {
   if (!T)
     return;
   if (T->isLeaf()) {
     // ClassIndexOf is fixed by the class assignment, not searched.
     if (T->TermKind != IntTerm::Kind::ClassIndexOf)
-      IntDeps.insert(intLeafKey(T));
+      IntDeps.push_back(IntLeaves.at(intLeafKey(T)).Id);
     return;
   }
   leafDepsOfInt(T->Lhs, IntDeps, FloatDeps);
@@ -594,12 +641,12 @@ void CaseSolver::leafDepsOfInt(const IntTerm *T, std::set<LeafKey> &IntDeps,
 }
 
 void CaseSolver::leafDepsOfFloat(const FloatTerm *T,
-                                 std::set<LeafKey> &IntDeps,
-                                 std::set<LeafKey> &FloatDeps) {
+                                 std::vector<unsigned> &IntDeps,
+                                 std::vector<unsigned> &FloatDeps) {
   if (!T)
     return;
   if (T->isLeaf()) {
-    FloatDeps.insert(floatLeafKey(T));
+    FloatDeps.push_back(FloatLeaves.at(floatLeafKey(T)).Id);
     return;
   }
   leafDepsOfFloat(T->Lhs, IntDeps, FloatDeps);
@@ -608,10 +655,9 @@ void CaseSolver::leafDepsOfFloat(const FloatTerm *T,
     leafDepsOfInt(T->IntOperand, IntDeps, FloatDeps);
 }
 
-void CaseSolver::assignIntLeaf(const LeafKey &Key, std::int64_t Value,
-                               Model &M) {
-  AssignedInt.insert(Key);
-  const auto &Terms = IntLeaves[Key];
+void CaseSolver::assignIntLeaf(const IntLeafMap::value_type &Leaf,
+                               std::int64_t Value, Model &M) {
+  const LeafKey &Key = Leaf.first;
   switch (IntTerm::Kind(Key.Kind)) {
   case IntTerm::Kind::ValueOf:
     M.Objects[Key.Rep].IntValue = Value;
@@ -620,18 +666,17 @@ void CaseSolver::assignIntLeaf(const LeafKey &Key, std::int64_t Value,
     M.Objects[Key.Rep].SlotCount = Value;
     break;
   default:
-    for (const IntTerm *T : Terms)
+    for (const IntTerm *T : Leaf.second.Terms)
       M.IntLeaves[T] = Value;
     break;
   }
 }
 
-void CaseSolver::assignFloatLeaf(const LeafKey &Key, double Value, Model &M) {
-  AssignedFloat.insert(Key);
-  const auto &Terms = FloatLeaves[Key];
-  const FloatTerm *T0 = Terms.front();
-  if (T0->TermKind == FloatTerm::Kind::ValueOf) {
-    M.Objects[Key.Rep].FloatValue = Value;
+void CaseSolver::assignFloatLeaf(const FloatLeafMap::value_type &Leaf,
+                                 double Value, Model &M) {
+  const auto &Terms = Leaf.second.Terms;
+  if (Terms.front()->TermKind == FloatTerm::Kind::ValueOf) {
+    M.Objects[Leaf.first.Rep].FloatValue = Value;
     return;
   }
   for (const FloatTerm *T : Terms)
@@ -646,27 +691,31 @@ bool CaseSolver::checkLiteral(const Literal &Lit, const Model &M) {
   return *V == Lit.Positive;
 }
 
-bool CaseSolver::searchInt(
-    std::size_t Index, Model &M,
-    const std::vector<std::pair<LeafKey, Interval>> &Order) {
+bool CaseSolver::checkAll(const std::vector<unsigned> &Lits,
+                          const Model &M) {
+  for (unsigned I : Lits)
+    if (!checkLiteral(Deps[I].Lit, M))
+      return false;
+  return true;
+}
+
+bool CaseSolver::searchInt(std::size_t Index, Model &M) {
   if (Nodes++ > Opts.MaxSearchNodes)
     return false;
   if (Opts.SharedBudget && !Opts.SharedBudget->charge()) {
     BudgetStopped = true;
     return false;
   }
-  if (Index == Order.size()) {
-    // All integer leaves fixed: check int-only literals then floats.
-    for (const auto &[Lit, Deps] : LiteralDeps) {
-      if (!Deps.second.empty())
-        continue;
-      if (!checkLiteral(Lit, M))
-        return false;
-    }
-    return searchFloat(0, M, FloatOrder);
+  if (Index == IntOrder.size()) {
+    // All integer leaves fixed: check the integer literals no searched
+    // leaf decides, then search the floats.
+    if (!checkAll(IntSchedule[Index], M))
+      return false;
+    return searchFloat(0, M);
   }
 
-  const auto &[Key, Iv] = Order[Index];
+  const SearchLeaf &Leaf = IntOrder[Index];
+  const Interval &Iv = Leaf.Iv;
   std::vector<std::int64_t> Candidates;
   auto Push = [&](std::int64_t V) {
     if (V < Iv.Lo || V > Iv.Hi)
@@ -688,35 +737,17 @@ bool CaseSolver::searchInt(
                           std::min(Iv.Hi, std::int64_t(1) << 62)));
 
   for (std::int64_t V : Candidates) {
-    assignIntLeaf(Key, V, M);
-    // Check literals that became fully int-assigned (and have no floats).
-    bool Ok = true;
-    for (const auto &[Lit, Deps] : LiteralDeps) {
-      if (!Deps.second.empty())
-        continue;
-      if (!Deps.first.count(Key))
-        continue;
-      bool AllAssigned = true;
-      for (const LeafKey &D : Deps.first)
-        if (!AssignedInt.count(D)) {
-          AllAssigned = false;
-          break;
-        }
-      if (AllAssigned && !checkLiteral(Lit, M)) {
-        Ok = false;
-        break;
-      }
-    }
-    if (Ok && searchInt(Index + 1, M, Order))
+    assignIntLeaf(*Leaf.Leaf, V, M);
+    // Only the literals whose last-ordered leaf this is can change
+    // verdict here; earlier ones passed and their leaves are unchanged.
+    if (checkAll(IntSchedule[Index], M) && searchInt(Index + 1, M))
       return true;
-    AssignedInt.erase(Key);
   }
   return false;
 }
 
-bool CaseSolver::searchFloat(std::size_t Index, Model &M,
-                             const std::vector<LeafKey> &Order) {
-  if (Index == Order.size())
+bool CaseSolver::searchFloat(std::size_t Index, Model &M) {
+  if (Index == FloatOrder.size())
     return finalCheck(M);
   if (Nodes++ > Opts.MaxSearchNodes)
     return false;
@@ -725,66 +756,24 @@ bool CaseSolver::searchFloat(std::size_t Index, Model &M,
     return false;
   }
 
-  // Candidate pool: structural constants from float comparisons plus
-  // generic values and random samples.
-  std::vector<double> Candidates = {0.0, 1.0, -1.0, 0.5,  -0.5, 2.0,
-                                    -2.0, 4.0, 100.25, -100.25};
-  for (const auto &[Lit, Deps] : LiteralDeps) {
-    const BoolTerm *A = Lit.Atom;
-    if (A->TermKind != BoolTerm::Kind::FCmp)
-      continue;
-    for (const FloatTerm *Side : {A->FLhs, A->FRhs}) {
-      if (Side && Side->TermKind == FloatTerm::Kind::Const) {
-        double C = Side->ConstValue;
-        Candidates.push_back(C);
-        Candidates.push_back(C + 1);
-        Candidates.push_back(C - 1);
-        Candidates.push_back(C + 0.5);
-        Candidates.push_back(C - 0.5);
-        Candidates.push_back(C * 2);
-      }
-    }
-  }
-  Candidates.push_back(1e19);
-  Candidates.push_back(-1e19);
-  Candidates.push_back(1e300);
-  Candidates.push_back(-1e300);
+  std::vector<double> Candidates;
+  Candidates.reserve(FloatPool.size() + Opts.RandomSamples);
+  Candidates.assign(FloatPool.begin(), FloatPool.end());
   for (unsigned I = 0; I < Opts.RandomSamples; ++I)
     Candidates.push_back(Rand.nextDouble(-1000.0, 1000.0));
 
-  const LeafKey &Key = Order[Index];
+  const FloatLeafMap::value_type &Leaf = *FloatOrder[Index];
   for (double V : Candidates) {
-    assignFloatLeaf(Key, V, M);
-    bool Ok = true;
-    for (const auto &[Lit, Deps] : LiteralDeps) {
-      if (Deps.second.empty())
-        continue;
-      bool AllAssigned = true;
-      for (const LeafKey &D : Deps.second)
-        if (!AssignedFloat.count(D)) {
-          AllAssigned = false;
-          break;
-        }
-      for (const LeafKey &D : Deps.first)
-        if (!AssignedInt.count(D)) {
-          AllAssigned = false;
-          break;
-        }
-      if (AllAssigned && !checkLiteral(Lit, M)) {
-        Ok = false;
-        break;
-      }
-    }
-    if (Ok && searchFloat(Index + 1, M, Order))
+    assignFloatLeaf(Leaf, V, M);
+    if (checkAll(FloatSchedule[Index], M) && searchFloat(Index + 1, M))
       return true;
-    AssignedFloat.erase(Key);
   }
   return false;
 }
 
 bool CaseSolver::finalCheck(const Model &M) {
-  for (const auto &[Lit, Deps] : LiteralDeps)
-    if (!checkLiteral(Lit, M))
+  for (const LiteralDeps &D : Deps)
+    if (!checkLiteral(D.Lit, M))
       return false;
   return true;
 }
@@ -825,9 +814,10 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
       DistinctPairs.emplace_back(A->Obj, A->ObjRhs);
       // Ensure the payloads of both sides are searchable so the solver
       // can make two immediates distinct (synthetic ValueOf leaves).
-      IntLeaves[LeafKey{int(IntTerm::Kind::ValueOf), findRep(A->Obj), 0, 0}];
-      IntLeaves[LeafKey{int(IntTerm::Kind::ValueOf), findRep(A->ObjRhs), 0,
-                        0}];
+      leafEntry(IntLeaves,
+                LeafKey{int(IntTerm::Kind::ValueOf), findRep(A->Obj), 0, 0});
+      leafEntry(IntLeaves, LeafKey{int(IntTerm::Kind::ValueOf),
+                                   findRep(A->ObjRhs), 0, 0});
     }
   }
 
@@ -839,27 +829,62 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
       Reps.push_back(R);
   }
 
-  // Literal dependency sets.
+  // Literal dependencies.
   for (const Literal &L : Literals) {
-    std::set<LeafKey> IntDeps;
-    std::set<LeafKey> FloatDeps;
+    LiteralDeps D{L, {}, {}};
     const BoolTerm *A = L.Atom;
-    leafDepsOfInt(A->ILhs, IntDeps, FloatDeps);
-    leafDepsOfInt(A->IRhs, IntDeps, FloatDeps);
-    leafDepsOfFloat(A->FLhs, IntDeps, FloatDeps);
-    leafDepsOfFloat(A->FRhs, IntDeps, FloatDeps);
+    leafDepsOfInt(A->ILhs, D.Ints, D.Floats);
+    leafDepsOfInt(A->IRhs, D.Ints, D.Floats);
+    leafDepsOfFloat(A->FLhs, D.Ints, D.Floats);
+    leafDepsOfFloat(A->FRhs, D.Ints, D.Floats);
     if (A->TermKind == BoolTerm::Kind::ObjEq) {
       // Identity of two small integers depends on their payloads; model
       // this conservatively by depending on both ValueOf leaves if known.
       for (const ObjTerm *Side : {A->Obj, A->ObjRhs})
         if (Side->isVar())
-          for (const auto &[Key, Terms] : IntLeaves)
+          for (const auto &[Key, Leaf] : IntLeaves)
             if (Key.Rep == findRep(Side) &&
                 Key.Kind == int(IntTerm::Kind::ValueOf))
-              IntDeps.insert(Key);
+              D.Ints.push_back(Leaf.Id);
     }
-    LiteralDeps.emplace_back(L, std::make_pair(IntDeps, FloatDeps));
+    Deps.push_back(std::move(D));
   }
+
+  // Float leaves are searched in key order whatever the class
+  // assignment, so the float schedule is fixed per case: a float
+  // literal is decided at the depth of its last float leaf (every
+  // integer leaf is assigned before the float search starts).
+  std::vector<unsigned> FloatDepth(FloatLeaves.size());
+  for (const auto &Entry : FloatLeaves) {
+    FloatDepth[Entry.second.Id] = FloatOrder.size();
+    FloatOrder.push_back(&Entry);
+  }
+  FloatSchedule.resize(FloatOrder.size());
+  for (unsigned I = 0; I < Deps.size(); ++I) {
+    if (Deps[I].Floats.empty())
+      continue;
+    unsigned Depth = 0;
+    for (unsigned Id : Deps[I].Floats)
+      Depth = std::max(Depth, FloatDepth[Id]);
+    FloatSchedule[Depth].push_back(I);
+  }
+
+  // Float candidate pool: generic values, structural constants from
+  // float comparisons, then extremes; each node appends random samples.
+  FloatPool = {0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, 100.25, -100.25};
+  for (const LiteralDeps &D : Deps) {
+    const BoolTerm *A = D.Lit.Atom;
+    if (A->TermKind != BoolTerm::Kind::FCmp)
+      continue;
+    for (const FloatTerm *Side : {A->FLhs, A->FRhs}) {
+      if (Side && Side->TermKind == FloatTerm::Kind::Const) {
+        double C = Side->ConstValue;
+        FloatPool.insert(FloatPool.end(),
+                         {C, C + 1, C - 1, C + 0.5, C - 0.5, C * 2});
+      }
+    }
+  }
+  FloatPool.insert(FloatPool.end(), {1e19, -1e19, 1e300, -1e300});
 
   // Phase 2: iterate class assignments.
   std::vector<std::vector<std::uint32_t>> Candidates;
@@ -916,16 +941,13 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
 }
 
 CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
-  AssignedInt.clear();
-  AssignedFloat.clear();
-
   // Initial leaf intervals.
   std::map<LeafKey, Interval> LeafIv;
   std::int64_t Clamp =
       Opts.IntegerBits >= 63
           ? SatMax
           : (std::int64_t(1) << (Opts.IntegerBits - 1)) - 1;
-  for (const auto &[Key, Terms] : IntLeaves) {
+  for (const auto &[Key, Leaf] : IntLeaves) {
     Interval Iv;
     switch (IntTerm::Kind(Key.Kind)) {
     case IntTerm::Kind::ValueOf:
@@ -975,31 +997,43 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
     return PrecisionClamped ? CaseStatus::Unknown : CaseStatus::ProvenUnsat;
 
   // Fix ClassIndexOf leaves immediately (they are not searched).
-  for (const auto &[Key, Terms] : IntLeaves)
-    if (Key.Kind == int(IntTerm::Kind::ClassIndexOf)) {
-      auto It = ClassAssignment.find(Key.Rep);
+  for (const auto &Entry : IntLeaves)
+    if (Entry.first.Kind == int(IntTerm::Kind::ClassIndexOf)) {
+      auto It = ClassAssignment.find(Entry.first.Rep);
       if (It != ClassAssignment.end())
-        assignIntLeaf(Key, It->second, M);
+        assignIntLeaf(Entry, It->second, M);
     }
 
   // Search order: narrow intervals first.
-  std::vector<std::pair<LeafKey, Interval>> Order;
-  for (const auto &[Key, Iv] : LeafIv)
-    if (Key.Kind != int(IntTerm::Kind::ClassIndexOf))
-      Order.emplace_back(Key, Iv);
-  std::sort(Order.begin(), Order.end(), [](const auto &A, const auto &B) {
-    __int128 WA = (__int128)A.second.Hi - A.second.Lo;
-    __int128 WB = (__int128)B.second.Hi - B.second.Lo;
-    return WA < WB;
-  });
-  FinalLeafIv = LeafIv;
+  IntOrder.clear();
+  for (const auto &Entry : IntLeaves)
+    if (Entry.first.Kind != int(IntTerm::Kind::ClassIndexOf))
+      IntOrder.push_back({&Entry, LeafIv.at(Entry.first)});
+  std::sort(IntOrder.begin(), IntOrder.end(),
+            [](const SearchLeaf &A, const SearchLeaf &B) {
+              __int128 WA = (__int128)A.Iv.Hi - A.Iv.Lo;
+              __int128 WB = (__int128)B.Iv.Hi - B.Iv.Lo;
+              return WA < WB;
+            });
 
-  FloatOrder.clear();
-  for (const auto &[Key, Terms] : FloatLeaves)
-    FloatOrder.push_back(Key);
+  // Integer schedule: a literal without float leaves is decided where
+  // its last-ordered leaf is assigned, or at the bottom when it reads
+  // no searched leaf. Float literals wait for the float search.
+  std::vector<unsigned> IntDepth(IntLeaves.size(), 0);
+  for (std::size_t I = 0; I < IntOrder.size(); ++I)
+    IntDepth[IntOrder[I].Leaf->second.Id] = unsigned(I);
+  IntSchedule.assign(IntOrder.size() + 1, {});
+  for (unsigned I = 0; I < Deps.size(); ++I) {
+    if (!Deps[I].Floats.empty())
+      continue;
+    unsigned Depth = Deps[I].Ints.empty() ? unsigned(IntOrder.size()) : 0;
+    for (unsigned Id : Deps[I].Ints)
+      Depth = std::max(Depth, IntDepth[Id]);
+    IntSchedule[Depth].push_back(I);
+  }
 
   unsigned StartNodes = Nodes;
-  bool SatFound = searchInt(0, M, Order);
+  bool SatFound = searchInt(0, M);
   // A node-cap trip prunes subtrees, so even a Sat answer may differ
   // from the un-capped search's Sat — count the trip on every outcome
   // (the scheduler's cheap-tier acceptance requires that no cap was
@@ -1013,7 +1047,7 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
     return CaseStatus::Unknown;
   // Search exhausted its candidate pool without covering the whole space:
   // sampling incompleteness, not an unsat proof.
-  bool HadSearchSpace = !Order.empty() || !FloatOrder.empty();
+  bool HadSearchSpace = !IntOrder.empty() || !FloatOrder.empty();
   return HadSearchSpace ? CaseStatus::Unknown : CaseStatus::ProvenUnsat;
 }
 

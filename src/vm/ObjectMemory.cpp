@@ -6,13 +6,26 @@
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace igdt;
 
-ObjectMemory::ObjectMemory(std::size_t HeapBytes) : Heap(HeapBytes, 0) {
+ObjectMemory::ObjectMemory(std::size_t HeapBytes)
+    : Heap(std::make_unique_for_overwrite<std::uint8_t[]>(HeapBytes)),
+      Capacity(HeapBytes) {
+  // The buffer is not zero-filled: allocation writes every header and
+  // body byte it hands out, and every read (raw loads, slot access,
+  // contentHash) is bounded by NextFree, so bytes above it are never
+  // observed. Checking builds fill them with a non-zero pattern so that
+  // a read of a byte no allocation wrote changes a result.
+#if defined(IGDT_POISON_FRESH_HEAPS) || !defined(NDEBUG)
+  std::memset(Heap.get(), 0xA5, HeapBytes);
+#endif
   // Reserve the first 16 bytes so that no object sits exactly at HeapBase;
-  // this keeps "address == HeapBase" available as a guard value.
+  // this keeps "address == HeapBase" available as a guard value. They lie
+  // below NextFree, so raw loads can read them: they are zeroed here.
+  std::memset(Heap.get(), 0, std::min<std::size_t>(HeapBytes, 16));
   NextFree = 16;
   NilOop = allocateInstance(UndefinedObjectClass);
   TrueOop = allocateInstance(TrueClass);
@@ -70,7 +83,7 @@ Oop ObjectMemory::allocateInstance(std::uint32_t ClassIndex,
   }
 
   std::size_t Bytes = sizeof(ObjectHeader) + bodyBytes(Header);
-  if (NextFree + Bytes > Heap.size())
+  if (NextFree + Bytes > Capacity)
     return InvalidOop;
 
   Oop Object = HeapBase + NextFree;

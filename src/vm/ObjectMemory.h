@@ -21,6 +21,7 @@
 #include "vm/Oop.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -191,7 +192,7 @@ public:
   std::uint64_t undoStoresReplayed() const { return UndoReplayed; }
 
   /// Total heap capacity in bytes.
-  std::size_t capacityBytes() const { return Heap.size(); }
+  std::size_t capacityBytes() const { return Capacity; }
 
   /// @}
 
@@ -226,7 +227,11 @@ private:
   void journal8(std::size_t Offset);
 
   ClassTable Classes;
-  std::vector<std::uint8_t> Heap;
+  /// Fixed-capacity buffer, never reallocated, so body pointers stay
+  /// valid across allocations. Bytes at and above NextFree are
+  /// uninitialised (see the constructor).
+  std::unique_ptr<std::uint8_t[]> Heap;
+  std::size_t Capacity;
   std::size_t NextFree = 0;
   std::uint32_t NextHash = 0x1000;
   /// Heap offset below which stores are journalled; 0 keeps the journal

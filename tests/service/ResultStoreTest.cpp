@@ -241,12 +241,13 @@ TEST(ResultStoreTest, PersistsAcrossReopenWithLastEntryWinning) {
     EXPECT_EQ(Store.size(), 0u);
     Store.put(1, "bytecodePrim_add", "{\"r\":\"first\"}");
     Store.put(2, "bytecodePrim_sub", "{\"r\":\"other\"}");
+    auto LogBytes = std::filesystem::file_size(Path);
     // Identical re-store is skipped (no log growth)...
     Store.put(1, "bytecodePrim_add", "{\"r\":\"first\"}");
-    EXPECT_EQ(Store.stores(), 2u);
+    EXPECT_EQ(std::filesystem::file_size(Path), LogBytes);
     // ...a changed record is an overwrite, last entry wins.
     Store.put(1, "bytecodePrim_add", "{\"r\":\"second\"}");
-    EXPECT_EQ(Store.stores(), 3u);
+    EXPECT_GT(std::filesystem::file_size(Path), LogBytes);
     EXPECT_EQ(Store.size(), 2u);
   }
   {
@@ -258,8 +259,7 @@ TEST(ResultStoreTest, PersistsAcrossReopenWithLastEntryWinning) {
     ASSERT_TRUE(Store.lookup(2, Line));
     EXPECT_EQ(Line, "{\"r\":\"other\"}");
     EXPECT_FALSE(Store.lookup(3, Line));
-    EXPECT_EQ(Store.hits(), 2u);
-    EXPECT_EQ(Store.misses(), 1u);
+    EXPECT_EQ(Line, "{\"r\":\"other\"}"); // a miss leaves the output alone
   }
   std::remove(Path.c_str());
 }

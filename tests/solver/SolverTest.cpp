@@ -396,4 +396,136 @@ TEST_F(SolverTest, SlotCountHonoursFixedClasses) {
   EXPECT_NE(Solver.solve(C2).Status, SolveStatus::Sat);
 }
 
+/// Status, model payloads and work counters of one query, for pinning
+/// the numeric search's trajectory: a change to when a literal is
+/// checked that prunes differently moves NodesExplored even when the
+/// answer stays the same.
+struct Trajectory {
+  SolveStatus Status;
+  std::uint64_t Nodes;
+  std::uint64_t Cases;
+};
+
+Trajectory solveFresh(const ClassTable &Classes,
+                      const std::vector<const BoolTerm *> &C, Model &Out) {
+  ConstraintSolver S(Classes);
+  SolveResult R = S.solve(C);
+  Out = R.M;
+  return {R.Status, S.stats().NodesExplored, S.stats().CasesExplored};
+}
+
+TEST_F(SolverTest, ScheduleChecksATwoLeafLiteralAtItsLaterOrderedLeaf) {
+  // V0 < SS names the value first, but the width sort searches the
+  // stack size ([0, 12]) before the value ([-99, 11]): the literal can
+  // only be decided once V0, the later-ordered leaf, is assigned. The
+  // first case (V0 * SS = 131, a prime above both bounds) survives
+  // interval propagation but no candidate pair meets it, so it exhausts
+  // its search; the second is satisfiable.
+  const ObjTerm *S0 = stackVar(0);
+  const IntTerm *V0 = B.valueOf(S0);
+  const IntTerm *SS = B.stackSize();
+  std::vector<const BoolTerm *> C = {
+      B.isClass(S0, SmallIntegerClass),
+      B.icmp(CmpPred::Lt, V0, SS),
+      B.icmp(CmpPred::Lt, B.intConst(-100), V0),
+      B.orB(B.icmp(CmpPred::Eq, B.binInt(IntTerm::Kind::Mul, V0, SS),
+                   B.intConst(131)),
+            B.icmp(CmpPred::Eq, B.binInt(IntTerm::Kind::Add, V0, SS),
+                   B.intConst(9))),
+  };
+  Model M;
+  Trajectory T = solveFresh(Classes, C, M);
+  EXPECT_EQ(T.Status, SolveStatus::Sat);
+  EXPECT_EQ(T.Nodes, 10u);
+  EXPECT_EQ(T.Cases, 2u);
+  EXPECT_EQ(M.objectOrDefault(S0).IntValue, -3);
+  EXPECT_EQ(M.intLeafOrDefault(SS, -7), 12);
+}
+
+TEST_F(SolverTest, ScheduleChecksAnIntFedFloatLiteralWithTheIntLeaf) {
+  // OfInt(ValueOf S0) < 2.5 reads no float leaf: it is decided as soon
+  // as the payload is assigned, so only V0 in {1, 2} reaches the float
+  // search. F1 < OfInt(V0) reads both sorts and is decided in the float
+  // search. The first case asks F1 to be 1.75 and above 1.8, which no
+  // float candidate meets; the second only asks for 1.75.
+  const ObjTerm *S0 = stackVar(0);
+  const ObjTerm *S1 = stackVar(1);
+  const IntTerm *V0 = B.valueOf(S0);
+  const FloatTerm *AsFloat = B.ofInt(V0);
+  const FloatTerm *F1 = B.floatValueOf(S1);
+  const BoolTerm *Is175 = B.fcmp(CmpPred::Eq, F1, B.floatConst(1.75));
+  std::vector<const BoolTerm *> C = {
+      B.isClass(S0, SmallIntegerClass),
+      B.isClass(S1, BoxedFloatClass),
+      B.icmp(CmpPred::Lt, B.intConst(0), V0),
+      B.icmp(CmpPred::Lt, V0, B.intConst(50)),
+      B.fcmp(CmpPred::Lt, AsFloat, B.floatConst(2.5)),
+      B.fcmp(CmpPred::Lt, F1, AsFloat),
+      B.orB(B.andB(Is175, B.fcmp(CmpPred::Lt, B.floatConst(1.8), F1)), Is175),
+  };
+  Model M;
+  Trajectory T = solveFresh(Classes, C, M);
+  EXPECT_EQ(T.Status, SolveStatus::Sat);
+  EXPECT_EQ(T.Nodes, 5u);
+  EXPECT_EQ(T.Cases, 2u);
+  EXPECT_EQ(M.objectOrDefault(S0).IntValue, 2);
+  EXPECT_EQ(M.objectOrDefault(S1).FloatValue, 1.75);
+}
+
+TEST_F(SolverTest, ScheduleChecksALeaflessLiteralAtTheBottom) {
+  // IntFormatIs(ClassIndexOf R) has no searched leaf: the class
+  // assignment alone decides it, after every integer leaf is fixed.
+  // R's candidate classes run SmallInteger, PlainObject, Array,
+  // BoxedFloat, ByteArray; only the last has byte format, so the first
+  // four class combinations each walk V0's candidates to the bottom,
+  // where the failed check must stop them before the float search over
+  // S1 spends nodes.
+  const ObjTerm *S0 = stackVar(0);
+  const ObjTerm *S1 = stackVar(1);
+  const ObjTerm *Rcvr = B.objVar(VarRole::Receiver, 0);
+  const IntTerm *V0 = B.valueOf(S0);
+  std::vector<const BoolTerm *> C = {
+      B.isClass(S0, SmallIntegerClass),
+      B.isClass(S1, BoxedFloatClass),
+      B.icmp(CmpPred::Lt, B.intConst(0), V0),
+      B.icmp(CmpPred::Lt, V0, B.intConst(1000)),
+      B.fcmp(CmpPred::Lt, B.floatValueOf(S1), B.floatConst(-3.0)),
+      B.intFormatIs(B.classIndexOf(Rcvr),
+                    formatBit(ObjectFormat::IndexableBytes)),
+  };
+  Model M;
+  Trajectory T = solveFresh(Classes, C, M);
+  EXPECT_EQ(T.Status, SolveStatus::Sat);
+  EXPECT_EQ(T.Nodes, 68u);
+  EXPECT_EQ(T.Cases, 5u);
+  EXPECT_EQ(M.objectOrDefault(S0).IntValue, 1);
+  EXPECT_EQ(M.objectOrDefault(S1).FloatValue, -100.25);
+  EXPECT_EQ(M.objectOrDefault(Rcvr).ClassIndex, ByteArrayClass);
+}
+
+TEST_F(SolverTest, ScheduleChecksANegatedIdentityOnItsSyntheticLeaves) {
+  // No literal mentions a payload, so the payloads S0 and S1 must keep
+  // distinct are synthetic ValueOf leaves: the negated identity is
+  // decided when the later of the two is assigned. The byte-format
+  // demand on R again fails four class combinations at the bottom.
+  const ObjTerm *S0 = stackVar(0);
+  const ObjTerm *S1 = stackVar(1);
+  const ObjTerm *Rcvr = B.objVar(VarRole::Receiver, 0);
+  std::vector<const BoolTerm *> C = {
+      B.notB(B.objEq(S0, S1)),
+      B.isClass(S0, SmallIntegerClass),
+      B.isClass(S1, SmallIntegerClass),
+      B.intFormatIs(B.classIndexOf(Rcvr),
+                    formatBit(ObjectFormat::IndexableBytes)),
+  };
+  Model M;
+  Trajectory T = solveFresh(Classes, C, M);
+  EXPECT_EQ(T.Status, SolveStatus::Sat);
+  EXPECT_EQ(T.Nodes, 1348u);
+  EXPECT_EQ(T.Cases, 5u);
+  EXPECT_EQ(M.objectOrDefault(S0).IntValue, MinSmallInt);
+  EXPECT_EQ(M.objectOrDefault(S1).IntValue, MaxSmallInt);
+  EXPECT_EQ(M.objectOrDefault(Rcvr).ClassIndex, ByteArrayClass);
+}
+
 } // namespace

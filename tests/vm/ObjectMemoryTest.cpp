@@ -128,6 +128,44 @@ TEST_F(ObjectMemoryTest, HeapExhaustionReturnsInvalid) {
   EXPECT_EQ(Last, InvalidOop);
 }
 
+TEST_F(ObjectMemoryTest, AllocationSucceedsExactlyUpToCapacity) {
+  ObjectMemory Small(4096);
+  std::size_t Free = Small.capacityBytes() - Small.usedBytes();
+  ASSERT_EQ(Free % 8, 0u);
+  // A byte body one byte longer than the free space holds (after its
+  // 16-byte header) is refused and leaves the heap as it was.
+  EXPECT_EQ(Small.allocateInstance(ByteArrayClass,
+                                   std::uint32_t(Free - 16 + 1)),
+            InvalidOop);
+  EXPECT_EQ(Small.usedBytes(), Small.capacityBytes() - Free);
+  // One that fills the heap to the last byte is granted.
+  Oop Last = Small.allocateInstance(ByteArrayClass, std::uint32_t(Free - 16));
+  ASSERT_NE(Last, InvalidOop);
+  EXPECT_EQ(Small.usedBytes(), Small.capacityBytes());
+  std::uint64_t End = ObjectMemory::HeapBase + Small.capacityBytes();
+  EXPECT_EQ(Small.load8(End - 1), std::optional<std::uint8_t>(0));
+  EXPECT_FALSE(Small.load8(End).has_value());
+  EXPECT_EQ(Small.allocateInstance(ByteArrayClass, 0), InvalidOop);
+}
+
+TEST_F(ObjectMemoryTest, EveryByteBelowTheCursorWasWrittenByAllocation) {
+  // Fresh heaps are not zero-filled, so every byte raw loads can reach
+  // must have been written: the reserved first 16 bytes and the padding
+  // of a byte body read as zero, not as whatever the buffer held.
+  EXPECT_EQ(Mem.load64(ObjectMemory::HeapBase), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(Mem.load64(ObjectMemory::HeapBase + 8),
+            std::optional<std::uint64_t>(0));
+  Oop Bytes = Mem.allocateInstance(ByteArrayClass, 3);
+  ASSERT_NE(Bytes, InvalidOop);
+  EXPECT_EQ(Mem.load64(ObjectMemory::bodyAddress(Bytes)),
+            std::optional<std::uint64_t>(0));
+  // Two heaps of different capacity that made the same allocations hold
+  // the same bytes.
+  ObjectMemory Other(64 * 1024);
+  ASSERT_NE(Other.allocateInstance(ByteArrayClass, 3), InvalidOop);
+  EXPECT_EQ(Mem.contentHash(), Other.contentHash());
+}
+
 TEST_F(ObjectMemoryTest, RawLoadStoreRespectBounds) {
   Oop Arr = Mem.allocateInstance(ArrayClass, 2);
   std::uint64_t Body = ObjectMemory::bodyAddress(Arr);
