@@ -4,7 +4,6 @@
 
 #include "observe/TraceBus.h"
 #include "solver/TermEval.h"
-#include "solver/TermPrinter.h"
 #include "support/StringUtils.h"
 #include "symbolic/ConcolicDomain.h"
 #include "symbolic/FrameMaterializer.h"
@@ -26,17 +25,6 @@ FrameSnapshot snapshotFrame(const FrameT<ConcolicValue> &F) {
   S.Stack = F.Stack;
   S.PC = F.PC;
   return S;
-}
-
-/// Stable signature of a path: rendered conditions plus polarities.
-std::string pathSignature(const std::vector<PathEntry> &Entries) {
-  std::string Sig;
-  for (const PathEntry &E : Entries) {
-    Sig += E.Taken ? '+' : '-';
-    Sig += printBoolTerm(E.Condition);
-    Sig += ';';
-  }
-  return Sig;
 }
 
 /// True if \p T (an int term) contains a materialisation-dependent leaf,
@@ -155,7 +143,7 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   };
   std::deque<Pending> Queue;
   Queue.push_back({Model{}, 0});
-  std::set<std::string> Seen;
+  std::set<PathSignature> Seen;
 
   while (!Queue.empty() && Result.Iterations < Opts.MaxIterations &&
          Result.Paths.size() < Opts.MaxPaths) {
@@ -177,7 +165,7 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
     InterpreterCore<ConcolicDomain> Interp(Domain, *Result.Memory);
     MaterializedFrame MF = Materializer.materialize(Item.M, *Result.Method);
     Domain.InputStackDepth = MF.StackDepth;
-    FrameT<ConcolicValue> Frame = MF.Concolic;
+    FrameT<ConcolicValue> Frame = std::move(MF.Concolic);
     FrameSnapshot InputSnapshot = snapshotFrame(Frame);
 
     StepResult<ConcolicValue> Step = Result.IsSequence
@@ -185,21 +173,24 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
                                          : Interp.stepInstruction(Frame);
 
     const std::vector<PathEntry> &Entries = Recorder.entries();
-    std::string Signature = pathSignature(Entries);
-    if (Seen.insert(Signature).second) {
+    // A path seen before interned all of its negations then, so building
+    // the conjunction here interns terms only for a new path, in the
+    // order the negation loop below would.
+    std::vector<const BoolTerm *> Conjunction = Recorder.conjunction(B);
+    if (Seen.insert(Recorder.signature()).second) {
       PathSolution Sol;
-      Sol.Constraints = Recorder.conjunction(B);
+      Sol.Constraints = Conjunction;
       Sol.Entries = Entries;
       Sol.Exit = Step.Kind;
       Sol.Selector = Step.Selector;
       Sol.SendNumArgs = Step.SendNumArgs;
       Sol.Result = Step.Result;
-      Sol.InputModel = Item.M;
-      Sol.Input = InputSnapshot;
+      Sol.InputModel = std::move(Item.M);
+      Sol.Input = std::move(InputSnapshot);
       Sol.Output = snapshotFrame(Frame);
-      Sol.SlotStores = Domain.SlotStores;
-      Sol.ByteStores = Domain.ByteStores;
-      Sol.Allocations = Domain.Allocations;
+      Sol.SlotStores = std::move(Domain.SlotStores);
+      Sol.ByteStores = std::move(Domain.ByteStores);
+      Sol.Allocations = std::move(Domain.Allocations);
 
       // Curation (paper §5.2): keep only paths the prototype supports.
       if (MF.StackDepth > Opts.MaxReplayStackDepth) {
@@ -243,14 +234,11 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
     // cheaper solver configurations. A small cap often answers a query
     // whose full-size search space blew the node budget, at the price
     // of missing some models.
+    std::vector<const BoolTerm *> Prefix;
     for (std::size_t I = Item.Depth; I < Entries.size(); ++I) {
       if (!Entries[I].Negatable)
         continue;
-      std::vector<const BoolTerm *> Prefix;
-      Prefix.reserve(I + 1);
-      for (std::size_t J = 0; J < I; ++J)
-        Prefix.push_back(Entries[J].Taken ? Entries[J].Condition
-                                          : B.notB(Entries[J].Condition));
+      Prefix.assign(Conjunction.begin(), Conjunction.begin() + I);
       Prefix.push_back(Entries[I].Taken ? B.notB(Entries[I].Condition)
                                         : Entries[I].Condition);
       SolveResult SR = Solver.solve(Prefix);
@@ -288,7 +276,7 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   Result.Solver.add(LadderStats);
   if (Bud.expired())
     Result.BudgetExhausted = true;
-  Result.BudgetNote = Bud.describe();
+  Result.FinalBudget = Bud.state();
   // Provable exhaustion: the loop drained its frontier (not an
   // iteration/path cap with work still queued), nothing was cut short
   // by budget, and every negation got a definite answer.

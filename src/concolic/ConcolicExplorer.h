@@ -91,8 +91,8 @@ struct ExplorationResult {
   /// The instruction budget expired before the frontier emptied; the
   /// retained paths are still valid (just incomplete coverage).
   bool BudgetExhausted = false;
-  /// Budget state when exploration stopped (for incident reports).
-  std::string BudgetNote;
+  /// State of the exploration budget when exploration stopped.
+  BudgetState FinalBudget = BudgetState::Active;
   /// Degradation-ladder activity: cheaper-rung retries attempted, and
   /// how many turned an Unknown negation into a definite answer.
   unsigned LadderRetries = 0;

@@ -49,6 +49,21 @@ public:
   expand(const std::vector<const BoolTerm *> &Conjuncts) {
     std::vector<Case> Cases = {{}};
     for (const BoolTerm *C : Conjuncts) {
+      // Most conjuncts are one literal: append it to every case in
+      // place, as the cross product with its single case would.
+      bool Positive = true;
+      const BoolTerm *Atom = C;
+      for (; Atom->TermKind == BoolTerm::Kind::Not; Atom = Atom->BLhs)
+        Positive = !Positive;
+      if (Atom->TermKind != BoolTerm::Kind::Const &&
+          Atom->TermKind != BoolTerm::Kind::And &&
+          Atom->TermKind != BoolTerm::Kind::Or) {
+        if (Cases.size() > MaxCases)
+          return std::nullopt;
+        for (Case &Into : Cases)
+          Into.push_back(Literal{Atom, Positive});
+        continue;
+      }
       std::vector<Case> Sub = casesOf(C, /*Positive=*/true);
       std::vector<Case> Next;
       for (const Case &Left : Cases)
@@ -199,13 +214,9 @@ private:
 
   // --- numeric phase ---
   CaseStatus numericSolve(Model &Out);
-  Interval evalInterval(const IntTerm *T,
-                        std::map<LeafKey, Interval> &LeafIv,
-                        std::map<const IntTerm *, Interval> &Memo);
-  void backProp(const IntTerm *T, Interval Target,
-                std::map<LeafKey, Interval> &LeafIv,
-                std::map<const IntTerm *, Interval> &Memo, bool &Emptied);
-  bool propagate(std::map<LeafKey, Interval> &LeafIv, bool &Emptied);
+  Interval evalInterval(const IntTerm *T);
+  void backProp(const IntTerm *T, Interval Target, bool &Emptied);
+  bool propagate(bool &Emptied);
 
   /// Ids of the searched leaves \p T reads (ClassIndexOf leaves are
   /// fixed by the class assignment, not searched). May repeat an id.
@@ -240,6 +251,15 @@ private:
   std::map<const ObjTerm *, ClassConstraint> Constraints; // by rep
   IntLeafMap IntLeaves;
   FloatLeafMap FloatLeaves;
+  /// Dense id of every collected integer leaf term, sorted by term once
+  /// collection ends. Union-find settles before collection, so a term's
+  /// leaf key, and with it its id, never moves.
+  std::vector<std::pair<const IntTerm *, unsigned>> IntLeafIds;
+  unsigned intLeafId(const IntTerm *T) const {
+    return std::lower_bound(IntLeafIds.begin(), IntLeafIds.end(),
+                            std::make_pair(T, 0u))
+        ->second;
+  }
   std::vector<std::pair<const ObjTerm *, const ObjTerm *>> DistinctPairs;
 
   /// One literal of the case with the ids of the searched leaves it
@@ -258,6 +278,20 @@ private:
   std::vector<const FloatLeafMap::value_type *> FloatOrder;
   LiteralSchedule FloatSchedule;
   std::vector<double> FloatPool;
+
+  // The working set of the numeric phase, sized once per case and reused
+  // by every class combination and search node.
+  /// Interval of each integer leaf, by dense id.
+  std::vector<Interval> LeafIv;
+  /// Intervals of the terms of the literal being propagated. A literal
+  /// has a handful of terms, so a linear scan beats a tree.
+  std::vector<std::pair<const IntTerm *, Interval>> Memo;
+  /// Search depth of each integer leaf, by dense id.
+  std::vector<unsigned> IntDepth;
+  /// Candidate values of each integer depth, and the random samples
+  /// each float depth tries after FloatPool.
+  std::vector<std::vector<std::int64_t>> IntCandidates;
+  std::vector<std::vector<double>> FloatSamples;
 
   // numeric phase state
   std::map<const ObjTerm *, std::uint32_t> ClassAssignment; // by rep
@@ -308,7 +342,9 @@ LeafTerms<TermT> &leafEntry(std::map<LeafKey, LeafTerms<TermT>> &Leaves,
 }
 
 void CaseSolver::registerIntLeaf(const IntTerm *T) {
-  leafEntry(IntLeaves, intLeafKey(T)).Terms.push_back(T);
+  LeafTerms<IntTerm> &Leaf = leafEntry(IntLeaves, intLeafKey(T));
+  Leaf.Terms.push_back(T);
+  IntLeafIds.emplace_back(T, Leaf.Id);
 }
 
 void CaseSolver::registerFloatLeaf(const FloatTerm *T) {
@@ -410,12 +446,10 @@ Interval CaseSolver::classSlotInterval(std::uint32_t ClassIdx) const {
   }
 }
 
-Interval CaseSolver::evalInterval(const IntTerm *T,
-                                  std::map<LeafKey, Interval> &LeafIv,
-                                  std::map<const IntTerm *, Interval> &Memo) {
-  auto It = Memo.find(T);
-  if (It != Memo.end())
-    return It->second;
+Interval CaseSolver::evalInterval(const IntTerm *T) {
+  for (const auto &[Term, Iv] : Memo)
+    if (Term == T)
+      return Iv;
 
   Interval R;
   switch (T->TermKind) {
@@ -429,31 +463,29 @@ Interval CaseSolver::evalInterval(const IntTerm *T,
   case IntTerm::Kind::ByteAt:
   case IntTerm::Kind::LoadLE:
   case IntTerm::Kind::ClassIndexOf:
-  case IntTerm::Kind::IdentityHash: {
-    auto LIt = LeafIv.find(intLeafKey(T));
-    R = LIt == LeafIv.end() ? Interval{} : LIt->second;
+  case IntTerm::Kind::IdentityHash:
+    R = LeafIv[intLeafId(T)];
     break;
-  }
   case IntTerm::Kind::Add: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     R = {addSat(A.Lo, B.Lo), addSat(A.Hi, B.Hi)};
     break;
   }
   case IntTerm::Kind::Sub: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     R = {subSat(A.Lo, B.Hi), subSat(A.Hi, B.Lo)};
     break;
   }
   case IntTerm::Kind::Neg: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
     R = {negSat(A.Hi), negSat(A.Lo)};
     break;
   }
   case IntTerm::Kind::Mul: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     std::int64_t Corners[4] = {mulSat(A.Lo, B.Lo), mulSat(A.Lo, B.Hi),
                                mulSat(A.Hi, B.Lo), mulSat(A.Hi, B.Hi)};
     R = {*std::min_element(Corners, Corners + 4),
@@ -461,7 +493,7 @@ Interval CaseSolver::evalInterval(const IntTerm *T,
     break;
   }
   case IntTerm::Kind::ModFloor: {
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval B = evalInterval(T->Rhs);
     if (B.Lo == B.Hi && B.Lo > 0)
       R = {0, B.Lo - 1};
     else
@@ -469,7 +501,7 @@ Interval CaseSolver::evalInterval(const IntTerm *T,
     break;
   }
   case IntTerm::Kind::Asr: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
     if (A.Lo >= 0)
       R = {0, A.Hi};
     else
@@ -480,8 +512,8 @@ Interval CaseSolver::evalInterval(const IntTerm *T,
     R = {0, 63};
     break;
   case IntTerm::Kind::BitAnd: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     if (A.Lo >= 0 && B.Lo >= 0)
       R = {0, std::min(A.Hi, B.Hi)};
     else
@@ -492,14 +524,11 @@ Interval CaseSolver::evalInterval(const IntTerm *T,
     R = {};
     break;
   }
-  Memo.emplace(T, R);
+  Memo.emplace_back(T, R);
   return R;
 }
 
-void CaseSolver::backProp(const IntTerm *T, Interval Target,
-                          std::map<LeafKey, Interval> &LeafIv,
-                          std::map<const IntTerm *, Interval> &Memo,
-                          bool &Emptied) {
+void CaseSolver::backProp(const IntTerm *T, Interval Target, bool &Emptied) {
   switch (T->TermKind) {
   case IntTerm::Kind::Const:
     if (T->ConstValue < Target.Lo || T->ConstValue > Target.Hi)
@@ -513,36 +542,32 @@ void CaseSolver::backProp(const IntTerm *T, Interval Target,
   case IntTerm::Kind::LoadLE:
   case IntTerm::Kind::ClassIndexOf:
   case IntTerm::Kind::IdentityHash: {
-    LeafKey Key = intLeafKey(T);
-    auto It = LeafIv.find(Key);
-    if (It == LeafIv.end())
-      return;
-    It->second = It->second.meet(Target);
-    if (It->second.empty())
+    Interval &Iv = LeafIv[intLeafId(T)];
+    Iv = Iv.meet(Target);
+    if (Iv.empty())
       Emptied = true;
     return;
   }
   case IntTerm::Kind::Add: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     backProp(T->Lhs, {subSat(Target.Lo, B.Hi), subSat(Target.Hi, B.Lo)},
-             LeafIv, Memo, Emptied);
+             Emptied);
     backProp(T->Rhs, {subSat(Target.Lo, A.Hi), subSat(Target.Hi, A.Lo)},
-             LeafIv, Memo, Emptied);
+             Emptied);
     return;
   }
   case IntTerm::Kind::Sub: {
-    Interval A = evalInterval(T->Lhs, LeafIv, Memo);
-    Interval B = evalInterval(T->Rhs, LeafIv, Memo);
+    Interval A = evalInterval(T->Lhs);
+    Interval B = evalInterval(T->Rhs);
     backProp(T->Lhs, {addSat(Target.Lo, B.Lo), addSat(Target.Hi, B.Hi)},
-             LeafIv, Memo, Emptied);
+             Emptied);
     backProp(T->Rhs, {subSat(A.Lo, Target.Hi), subSat(A.Hi, Target.Lo)},
-             LeafIv, Memo, Emptied);
+             Emptied);
     return;
   }
   case IntTerm::Kind::Neg:
-    backProp(T->Lhs, {negSat(Target.Hi), negSat(Target.Lo)}, LeafIv, Memo,
-             Emptied);
+    backProp(T->Lhs, {negSat(Target.Hi), negSat(Target.Lo)}, Emptied);
     return;
   case IntTerm::Kind::Mul: {
     // Narrow only through a constant factor.
@@ -562,7 +587,7 @@ void CaseSolver::backProp(const IntTerm *T, Interval Target,
     std::int64_t Hi = floorDiv(Target.Hi, C);
     if (C < 0)
       std::swap(Lo, Hi);
-    backProp(VarSide, {Lo, Hi}, LeafIv, Memo, Emptied);
+    backProp(VarSide, {Lo, Hi}, Emptied);
     return;
   }
   default:
@@ -570,10 +595,9 @@ void CaseSolver::backProp(const IntTerm *T, Interval Target,
   }
 }
 
-bool CaseSolver::propagate(std::map<LeafKey, Interval> &LeafIv,
-                           bool &Emptied) {
+bool CaseSolver::propagate(bool &Emptied) {
   for (int Pass = 0; Pass < 3 && !Emptied; ++Pass) {
-    std::map<const IntTerm *, Interval> Memo;
+    Memo.clear();
     for (const LiteralDeps &D : Deps) {
       if (!D.Floats.empty())
         continue; // float-dependent literals skip interval propagation
@@ -597,21 +621,21 @@ bool CaseSolver::propagate(std::map<LeafKey, Interval> &LeafIv,
       }
       if (!Positive)
         continue; // disequality: no narrowing
-      Interval IvL = evalInterval(L, LeafIv, Memo);
-      Interval IvR = evalInterval(R, LeafIv, Memo);
+      Interval IvL = evalInterval(L);
+      Interval IvR = evalInterval(R);
       switch (Pred) {
       case CmpPred::Lt:
-        backProp(L, {SatMin, subSat(IvR.Hi, 1)}, LeafIv, Memo, Emptied);
-        backProp(R, {addSat(IvL.Lo, 1), SatMax}, LeafIv, Memo, Emptied);
+        backProp(L, {SatMin, subSat(IvR.Hi, 1)}, Emptied);
+        backProp(R, {addSat(IvL.Lo, 1), SatMax}, Emptied);
         break;
       case CmpPred::Le:
-        backProp(L, {SatMin, IvR.Hi}, LeafIv, Memo, Emptied);
-        backProp(R, {IvL.Lo, SatMax}, LeafIv, Memo, Emptied);
+        backProp(L, {SatMin, IvR.Hi}, Emptied);
+        backProp(R, {IvL.Lo, SatMax}, Emptied);
         break;
       case CmpPred::Eq: {
         Interval Meet = IvL.meet(IvR);
-        backProp(L, Meet, LeafIv, Memo, Emptied);
-        backProp(R, Meet, LeafIv, Memo, Emptied);
+        backProp(L, Meet, Emptied);
+        backProp(R, Meet, Emptied);
         break;
       }
       }
@@ -631,7 +655,7 @@ void CaseSolver::leafDepsOfInt(const IntTerm *T,
   if (T->isLeaf()) {
     // ClassIndexOf is fixed by the class assignment, not searched.
     if (T->TermKind != IntTerm::Kind::ClassIndexOf)
-      IntDeps.push_back(IntLeaves.at(intLeafKey(T)).Id);
+      IntDeps.push_back(intLeafId(T));
     return;
   }
   leafDepsOfInt(T->Lhs, IntDeps, FloatDeps);
@@ -716,7 +740,8 @@ bool CaseSolver::searchInt(std::size_t Index, Model &M) {
 
   const SearchLeaf &Leaf = IntOrder[Index];
   const Interval &Iv = Leaf.Iv;
-  std::vector<std::int64_t> Candidates;
+  std::vector<std::int64_t> &Candidates = IntCandidates[Index];
+  Candidates.clear();
   auto Push = [&](std::int64_t V) {
     if (V < Iv.Lo || V > Iv.Hi)
       return;
@@ -756,18 +781,24 @@ bool CaseSolver::searchFloat(std::size_t Index, Model &M) {
     return false;
   }
 
-  std::vector<double> Candidates;
-  Candidates.reserve(FloatPool.size() + Opts.RandomSamples);
-  Candidates.assign(FloatPool.begin(), FloatPool.end());
+  // Every sample is drawn before the first candidate recurses, so deeper
+  // nodes see the same generator state whichever candidate succeeds.
+  std::vector<double> &Samples = FloatSamples[Index];
+  Samples.clear();
   for (unsigned I = 0; I < Opts.RandomSamples; ++I)
-    Candidates.push_back(Rand.nextDouble(-1000.0, 1000.0));
+    Samples.push_back(Rand.nextDouble(-1000.0, 1000.0));
 
   const FloatLeafMap::value_type &Leaf = *FloatOrder[Index];
-  for (double V : Candidates) {
+  auto Try = [&](double V) {
     assignFloatLeaf(Leaf, V, M);
-    if (checkAll(FloatSchedule[Index], M) && searchFloat(Index + 1, M))
+    return checkAll(FloatSchedule[Index], M) && searchFloat(Index + 1, M);
+  };
+  for (double V : FloatPool)
+    if (Try(V))
       return true;
-  }
+  for (double V : Samples)
+    if (Try(V))
+      return true;
   return false;
 }
 
@@ -790,6 +821,8 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
 
   for (const Literal &L : Literals)
     collectBool(L.Atom);
+  // A term met twice is registered twice, under the same id.
+  std::sort(IntLeafIds.begin(), IntLeafIds.end());
 
   // Phase 1: class constraints.
   for (const Literal &L : Literals) {
@@ -860,6 +893,7 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
     FloatOrder.push_back(&Entry);
   }
   FloatSchedule.resize(FloatOrder.size());
+  FloatSamples.resize(FloatOrder.size());
   for (unsigned I = 0; I < Deps.size(); ++I) {
     if (Deps[I].Floats.empty())
       continue;
@@ -942,7 +976,7 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
 
 CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
   // Initial leaf intervals.
-  std::map<LeafKey, Interval> LeafIv;
+  LeafIv.resize(IntLeaves.size());
   std::int64_t Clamp =
       Opts.IntegerBits >= 63
           ? SatMax
@@ -988,11 +1022,11 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
       Iv = {-(std::int64_t(1) << 61), std::int64_t(1) << 61};
       break;
     }
-    LeafIv[Key] = Iv;
+    LeafIv[Leaf.Id] = Iv;
   }
 
   bool Emptied = false;
-  propagate(LeafIv, Emptied);
+  propagate(Emptied);
   if (Emptied)
     return PrecisionClamped ? CaseStatus::Unknown : CaseStatus::ProvenUnsat;
 
@@ -1008,7 +1042,7 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
   IntOrder.clear();
   for (const auto &Entry : IntLeaves)
     if (Entry.first.Kind != int(IntTerm::Kind::ClassIndexOf))
-      IntOrder.push_back({&Entry, LeafIv.at(Entry.first)});
+      IntOrder.push_back({&Entry, LeafIv[Entry.second.Id]});
   std::sort(IntOrder.begin(), IntOrder.end(),
             [](const SearchLeaf &A, const SearchLeaf &B) {
               __int128 WA = (__int128)A.Iv.Hi - A.Iv.Lo;
@@ -1019,10 +1053,15 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
   // Integer schedule: a literal without float leaves is decided where
   // its last-ordered leaf is assigned, or at the bottom when it reads
   // no searched leaf. Float literals wait for the float search.
-  std::vector<unsigned> IntDepth(IntLeaves.size(), 0);
+  IntDepth.assign(IntLeaves.size(), 0);
   for (std::size_t I = 0; I < IntOrder.size(); ++I)
     IntDepth[IntOrder[I].Leaf->second.Id] = unsigned(I);
-  IntSchedule.assign(IntOrder.size() + 1, {});
+  // Every class combination searches the same leaves, so the buckets
+  // and candidate buffers keep their capacity across combinations.
+  IntSchedule.resize(IntOrder.size() + 1);
+  for (std::vector<unsigned> &Bucket : IntSchedule)
+    Bucket.clear();
+  IntCandidates.resize(IntOrder.size());
   for (unsigned I = 0; I < Deps.size(); ++I) {
     if (!Deps[I].Floats.empty())
       continue;

@@ -18,6 +18,7 @@
 
 #include "solver/Term.h"
 
+#include <utility>
 #include <vector>
 
 namespace igdt {
@@ -31,6 +32,13 @@ struct PathEntry {
   bool Negatable;
 };
 
+/// Identity of a recorded path: every condition with the outcome the
+/// execution observed. Conditions are hash-consed terms, so two paths
+/// share a signature exactly when they decided the same conditions the
+/// same way; unlike rendered text, the key loses nothing (a float
+/// constant past %g's six digits, an allocation's size).
+using PathSignature = std::vector<std::pair<const BoolTerm *, bool>>;
+
 /// Accumulates the path condition of one concolic execution.
 class PathRecorder {
 public:
@@ -42,6 +50,15 @@ public:
   const std::vector<PathEntry> &entries() const { return Entries; }
 
   void clear() { Entries.clear(); }
+
+  /// The key the explorer deduplicates paths by.
+  PathSignature signature() const {
+    PathSignature Sig;
+    Sig.reserve(Entries.size());
+    for (const PathEntry &E : Entries)
+      Sig.emplace_back(E.Condition, E.Taken);
+    return Sig;
+  }
 
   /// The path condition as a conjunction: entry terms with the polarity
   /// the execution observed.

@@ -40,8 +40,7 @@ TEST_F(BudgetExhaustionTest, TinyWorkBudgetYieldsPartialResult) {
   ExplorationResult R = explore("bytecodePrim_add", Opts);
 
   EXPECT_TRUE(R.BudgetExhausted);
-  EXPECT_NE(R.BudgetNote.find("work-expired"), std::string::npos)
-      << R.BudgetNote;
+  EXPECT_EQ(R.FinalBudget, BudgetState::WorkExpired);
   // Partial, but non-empty: the first execution always lands a path.
   EXPECT_GE(R.Paths.size(), 1u);
 
@@ -90,8 +89,7 @@ TEST_F(BudgetExhaustionTest, ExpiredWallClockStopsExploration) {
   Opts.InstructionBudget.WallMillis = 0.0001; // expired essentially at once
   ExplorationResult R = explore("bytecodePrim_add", Opts);
   EXPECT_TRUE(R.BudgetExhausted);
-  EXPECT_NE(R.BudgetNote.find("wall-expired"), std::string::npos)
-      << R.BudgetNote;
+  EXPECT_EQ(R.FinalBudget, BudgetState::WallExpired);
 }
 
 TEST_F(BudgetExhaustionTest, ExternalBudgetIsSharedAndReadableAfterwards) {
@@ -132,8 +130,7 @@ TEST_F(BudgetExhaustionTest, LadderLeavesFullyBudgetedRunsAlone) {
   EXPECT_EQ(R.UnknownNegations, 0u);
   EXPECT_EQ(R.LadderRetries, 0u) << "no Unknowns, nothing to retry";
   EXPECT_FALSE(R.BudgetExhausted);
-  EXPECT_NE(R.BudgetNote.find("state=active"), std::string::npos)
-      << R.BudgetNote;
+  EXPECT_EQ(R.FinalBudget, BudgetState::Active);
 }
 
 } // namespace

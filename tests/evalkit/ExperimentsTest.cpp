@@ -11,8 +11,13 @@
 
 #include "api/Session.h"
 #include "support/Statistics.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstring>
 
 using namespace igdt;
 
@@ -65,6 +70,52 @@ TEST_F(ExperimentsTest, FullCatalogWorkCountsAreExact) {
   EXPECT_EQ(S.Jit.CodeCacheHits, 616u);
   // Every compilation unit is pre-decoded once and then shared.
   EXPECT_EQ(S.Sim.PredecodeBuilds, S.Jit.Compiles);
+}
+
+/// Address-free digest of \p M: every entry keyed by its terms'
+/// structural hashes, floats by their bit patterns, folded in sorted
+/// order so the arena layout cannot move it.
+std::uint64_t modelDigest(const Model &M) {
+  auto Bits = [](double D) {
+    std::uint64_t U;
+    std::memcpy(&U, &D, sizeof U);
+    return U;
+  };
+  std::vector<std::array<std::uint64_t, 6>> Entries;
+  for (const auto &[Var, A] : M.Objects)
+    Entries.push_back({1, Var->Hash, A.ClassIndex, std::uint64_t(A.IntValue),
+                       Bits(A.FloatValue), std::uint64_t(A.SlotCount)});
+  for (const auto &[Var, Rep] : M.Reps)
+    Entries.push_back({2, Var->Hash, Rep->Hash, 0, 0, 0});
+  for (const auto &[Leaf, V] : M.IntLeaves)
+    Entries.push_back({3, Leaf->Hash, std::uint64_t(V), 0, 0, 0});
+  for (const auto &[Leaf, V] : M.FloatLeaves)
+    Entries.push_back({4, Leaf->Hash, Bits(V), 0, 0, 0});
+  std::sort(Entries.begin(), Entries.end());
+  std::uint64_t H = Entries.size();
+  for (const auto &E : Entries)
+    for (std::uint64_t Field : E)
+      H = hashCombine64(H, Field);
+  return H;
+}
+
+TEST_F(ExperimentsTest, FullCatalogModelsAreExact) {
+  // The work counts above pin how much the solver did; this pins what it
+  // answered. A solver change that keeps every count but hands one path
+  // another model moves the digest.
+  // Session::explore runs one instruction at a time, as Jobs 1 does.
+  Session S;
+  std::uint64_t Digest = 0;
+  std::size_t Paths = 0;
+  for (const InstructionSpec &Spec : allInstructions()) {
+    ExplorationResult R = S.explore(Spec);
+    Digest = hashCombine64(Digest, stableHash64(Spec.Name));
+    for (const PathSolution &P : R.Paths)
+      Digest = hashCombine64(Digest, modelDigest(P.InputModel));
+    Paths += R.Paths.size();
+  }
+  EXPECT_EQ(Paths, 710u);
+  EXPECT_EQ(Digest, 0xbed3829066d6806cull) << toHex(Digest);
 }
 
 TEST_F(ExperimentsTest, ReplayLayersLeaveEveryRecordUnchanged) {
