@@ -8,29 +8,48 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 using namespace igdt;
 
 namespace {
 
+/// Sets \p Error (when non-null) and fails: the one way fromJson refuses.
+bool refuse(std::string *Error, std::string Message) {
+  if (Error)
+    *Error = std::move(Message);
+  return false;
+}
+
+/// Checked read of one integer field; a bad value refuses the message,
+/// naming the field.
+template <typename T>
+bool readField(const JsonValue &V, const char *What, const char *Key, T &Out,
+               std::string *Error) {
+  if (V.readUnsigned(Key, Out))
+    return true;
+  return refuse(Error, formatString("%s: bad integer '%s' (expected a whole "
+                                    "number from 0 to %llu)",
+                                    What, Key,
+                                    (unsigned long long)
+                                        std::numeric_limits<T>::max()));
+}
+
 /// Shared version gate: every fromJson starts here so the "newer than
 /// this build" diagnostic reads the same everywhere.
 bool checkEnvelope(const JsonValue &V, const char *What, unsigned &Version,
                    std::string *Error) {
-  if (V.K != JsonValue::Kind::Object) {
-    if (Error)
-      *Error = formatString("%s: expected a JSON object", What);
+  if (V.K != JsonValue::Kind::Object)
+    return refuse(Error, formatString("%s: expected a JSON object", What));
+  Version = ApiSchemaVersion;
+  if (!readField(V, What, "v", Version, Error))
     return false;
-  }
-  Version = unsigned(V.numberOr("v", ApiSchemaVersion));
-  if (Version > ApiSchemaVersion) {
-    if (Error)
-      *Error = formatString("%s: schema version %u is newer than this "
-                            "build's %u",
-                            What, Version, ApiSchemaVersion);
-    return false;
-  }
+  if (Version > ApiSchemaVersion)
+    return refuse(Error, formatString("%s: schema version %u is newer than "
+                                      "this build's %u",
+                                      What, Version, ApiSchemaVersion));
   return true;
 }
 
@@ -72,13 +91,6 @@ SessionConfig CampaignRequest::toSessionConfig() const {
   Config.Campaign.ExploreBudget.WorkUnits = ExploreWorkUnits;
   Config.Campaign.ReplayBudget.WallMillis = ReplayWallMillis;
   Config.Campaign.ReplayBudget.WorkUnits = ReplayWorkUnits;
-  Config.Campaign.TotalExploreUnits = TotalExploreUnits;
-  Config.Campaign.Schedule.Policy = SchedulePolicy;
-  Config.Campaign.Schedule.SolverTiers = SolverTiers;
-  Config.Campaign.Schedule.BudgetPool = BudgetPool;
-  Config.Campaign.Schedule.BudgetPoolCapFactor = BudgetPoolCapFactor;
-  Config.Campaign.Schedule.WarmStartPath = WarmStartPath;
-  Config.Campaign.Schedule.PersistYield = PersistYield;
   // StorePath is not mapped here: a VerdictStore is process state, not
   // configuration. Session::runCampaign(const CampaignRequest&) and the
   // daemon open/attach the store themselves.
@@ -113,30 +125,47 @@ JsonValue CampaignRequest::toJson() const {
   V.set("explore_work_units", numU64(ExploreWorkUnits));
   V.set("replay_wall_millis", num(ReplayWallMillis));
   V.set("replay_work_units", numU64(ReplayWorkUnits));
-  V.set("total_units", numU64(TotalExploreUnits));
-  V.set("schedule", JsonValue::string(SchedulePolicy));
-  V.set("solver_tiers", num(SolverTiers));
-  V.set("budget_pool", JsonValue::boolean(BudgetPool));
-  V.set("budget_pool_cap", num(BudgetPoolCapFactor));
-  V.set("warm_start", JsonValue::string(WarmStartPath));
-  V.set("persist_yield", JsonValue::boolean(PersistYield));
   return V;
 }
 
 bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
                                std::string *Error) {
+  const char *What = "CampaignRequest";
   CampaignRequest R;
-  if (!checkEnvelope(V, "CampaignRequest", R.Version, Error))
+  if (!checkEnvelope(V, What, R.Version, Error))
     return false;
-  R.Jobs = unsigned(V.numberOr("jobs", R.Jobs));
-  R.WorkerProcesses = unsigned(V.numberOr("workers", R.WorkerProcesses));
+  auto Int = [&](const char *Key, auto &Field) {
+    return readField(V, What, Key, Field, Error);
+  };
+  if (!Int("jobs", R.Jobs) || !Int("workers", R.WorkerProcesses) ||
+      !Int("max_bytecodes", R.MaxBytecodes) ||
+      !Int("max_native_methods", R.MaxNativeMethods) ||
+      !Int("stop_after", R.StopAfter) || !Int("max_attempts", R.MaxAttempts) ||
+      !Int("explore_work_units", R.ExploreWorkUnits) ||
+      !Int("replay_work_units", R.ReplayWorkUnits))
+    return false;
+  // Retired keys: campaigns run in catalog order with per-instruction
+  // budgets only. A frame that still asks for the adaptive schedule, a
+  // campaign-wide budget or persisted yield would silently get another
+  // campaign than it asked for, so it is refused; the other retired
+  // keys never changed a fixed-order campaign and are ignored.
+  std::string Schedule = V.stringOr("schedule", "fixed");
+  if (Schedule != "fixed")
+    return refuse(Error, formatString("%s: retired key 'schedule' asks for "
+                                      "'%s' (campaigns run in catalog order)",
+                                      What, Schedule.c_str()));
+  if (V.numberOr("total_units", 0) != 0)
+    return refuse(Error, formatString("%s: retired key 'total_units' (no "
+                                      "campaign-wide explore budget)",
+                                      What));
+  if (V.boolOr("persist_yield", false))
+    return refuse(Error, formatString("%s: retired key 'persist_yield' "
+                                      "(records carry no yield)",
+                                      What));
   R.WorkerDeadlineMillis =
       V.numberOr("worker_deadline_millis", R.WorkerDeadlineMillis);
   R.WorkerBackoffMillis =
       V.numberOr("worker_backoff_millis", R.WorkerBackoffMillis);
-  R.MaxBytecodes = unsigned(V.numberOr("max_bytecodes", R.MaxBytecodes));
-  R.MaxNativeMethods =
-      unsigned(V.numberOr("max_native_methods", R.MaxNativeMethods));
   if (const JsonValue *Only = V.find("only"))
     for (const JsonValue &Name : Only->Arr)
       if (Name.K == JsonValue::Kind::String)
@@ -147,35 +176,17 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
   R.StorePath = V.stringOr("store", R.StorePath);
   R.Profile = V.boolOr("profile", R.Profile);
   R.Deterministic = V.boolOr("deterministic", R.Deterministic);
-  R.StopAfter = unsigned(V.numberOr("stop_after", R.StopAfter));
-  R.MaxAttempts = unsigned(V.numberOr("max_attempts", R.MaxAttempts));
   R.Engine = V.stringOr("engine", R.Engine);
   SimEngine Parsed;
-  if (!simEngineFromName(R.Engine, Parsed)) {
-    if (Error)
-      *Error = formatString("CampaignRequest: unknown engine '%s' (expected "
-                            "switch, threaded, or native)",
-                            R.Engine.c_str());
-    return false;
-  }
+  if (!simEngineFromName(R.Engine, Parsed))
+    return refuse(Error, formatString("%s: unknown engine '%s' (expected "
+                                      "switch, threaded, or native)",
+                                      What, R.Engine.c_str()));
   R.CrossEngineCheck = V.boolOr("cross_engine_check", R.CrossEngineCheck);
   R.CampaignWallMillis =
       V.numberOr("campaign_wall_millis", R.CampaignWallMillis);
   R.ExploreWallMillis = V.numberOr("explore_wall_millis", R.ExploreWallMillis);
-  R.ExploreWorkUnits = std::uint64_t(
-      V.numberOr("explore_work_units", double(R.ExploreWorkUnits)));
   R.ReplayWallMillis = V.numberOr("replay_wall_millis", R.ReplayWallMillis);
-  R.ReplayWorkUnits =
-      std::uint64_t(V.numberOr("replay_work_units", double(R.ReplayWorkUnits)));
-  R.TotalExploreUnits =
-      std::uint64_t(V.numberOr("total_units", double(R.TotalExploreUnits)));
-  R.SchedulePolicy = V.stringOr("schedule", R.SchedulePolicy);
-  R.SolverTiers = unsigned(V.numberOr("solver_tiers", R.SolverTiers));
-  R.BudgetPool = V.boolOr("budget_pool", R.BudgetPool);
-  R.BudgetPoolCapFactor =
-      V.numberOr("budget_pool_cap", R.BudgetPoolCapFactor);
-  R.WarmStartPath = V.stringOr("warm_start", R.WarmStartPath);
-  R.PersistYield = V.boolOr("persist_yield", R.PersistYield);
   Out = std::move(R);
   return true;
 }
@@ -230,15 +241,19 @@ bool StatusReply::fromJson(const JsonValue &V, StatusReply &Out,
     return false;
   R.State = V.stringOr("state", R.State);
   R.Done = V.boolOr("done", R.Done);
-  R.Completed = unsigned(V.numberOr("completed", R.Completed));
-  R.Total = unsigned(V.numberOr("total", R.Total));
-  R.Resumed = unsigned(V.numberOr("resumed", R.Resumed));
-  R.StoreServed = unsigned(V.numberOr("store_served", R.StoreServed));
-  R.Quarantined = unsigned(V.numberOr("quarantined", R.Quarantined));
-  R.Paths = std::uint64_t(V.numberOr("paths", double(R.Paths)));
-  R.LiveSolverQueries = std::uint64_t(
-      V.numberOr("live_solver_queries", double(R.LiveSolverQueries)));
-  R.ExitCode = int(V.numberOr("exit_code", R.ExitCode));
+  auto Int = [&](const char *Key, auto &Field) {
+    return readField(V, "StatusReply", Key, Field, Error);
+  };
+  if (!Int("completed", R.Completed) || !Int("total", R.Total) ||
+      !Int("resumed", R.Resumed) || !Int("store_served", R.StoreServed) ||
+      !Int("quarantined", R.Quarantined) || !Int("paths", R.Paths) ||
+      !Int("live_solver_queries", R.LiveSolverQueries))
+    return false;
+  // A process exit status: 0..255.
+  std::uint8_t ExitCode = std::uint8_t(R.ExitCode);
+  if (!Int("exit_code", ExitCode))
+    return false;
+  R.ExitCode = ExitCode;
   R.Error = V.stringOr("error", R.Error);
   R.ProfileJson = V.stringOr("profile", R.ProfileJson);
   Out = std::move(R);
@@ -269,7 +284,8 @@ bool ServiceRequest::fromJson(const JsonValue &V, ServiceRequest &Out,
     return false;
   R.Verb = V.stringOr("verb", "");
   R.SessionId = V.stringOr("session", "");
-  R.Cursor = std::uint64_t(V.numberOr("cursor", 0));
+  if (!readField(V, "ServiceRequest", "cursor", R.Cursor, Error))
+    return false;
   R.Instruction = V.stringOr("instruction", "");
   R.StorePath = V.stringOr("store", "");
   R.WantProfile = V.boolOr("want_profile", false);
@@ -354,20 +370,4 @@ void igdt::requestFromFlags(FlagParser &Flags, CampaignRequest &Request) {
             "per-instruction replay wall budget in ms");
   Flags.add("replay-work-units", &Request.ReplayWorkUnits,
             "per-instruction replay work budget (tested paths)");
-  Flags.add("total-units", &Request.TotalExploreUnits,
-            "campaign-level explore budget shared by all instructions "
-            "(0 = unlimited)");
-  Flags.add("schedule", &Request.SchedulePolicy,
-            "campaign schedule: fixed (byte-identical order) or adaptive");
-  Flags.add("solver-tiers", &Request.SolverTiers,
-            "cheap solver tiers below full strength (adaptive schedule)");
-  Flags.add("budget-pool", &Request.BudgetPool,
-            "redistribute provably unspent explore budget to starved "
-            "instructions");
-  Flags.add("budget-pool-cap", &Request.BudgetPoolCapFactor,
-            "per-instruction budget ceiling after a grant (x base budget)");
-  Flags.add("warm-start", &Request.WarmStartPath,
-            "checkpoint JSONL whose yield stats seed the priority order");
-  Flags.add("persist-yield", &Request.PersistYield,
-            "write per-instruction yield stats into checkpoint records");
 }

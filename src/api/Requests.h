@@ -93,17 +93,6 @@ struct CampaignRequest {
   std::uint64_t ExploreWorkUnits = 0;
   double ReplayWallMillis = 0;
   std::uint64_t ReplayWorkUnits = 0;
-  std::uint64_t TotalExploreUnits = 0;
-  /// @}
-
-  /// \name Scheduling
-  /// @{
-  std::string SchedulePolicy = "fixed";
-  unsigned SolverTiers = 1;
-  bool BudgetPool = false;
-  double BudgetPoolCapFactor = 8.0;
-  std::string WarmStartPath;
-  bool PersistYield = false;
   /// @}
 
   /// Maps the request onto the nested option structs. The only
@@ -114,8 +103,12 @@ struct CampaignRequest {
   JsonValue toJson() const;
 
   /// Parses \p V into \p Out. Returns false (with \p Error set when
-  /// non-null) for a non-object or a schema version newer than
-  /// ApiSchemaVersion; absent fields keep their defaults.
+  /// non-null) for a non-object, a schema version newer than
+  /// ApiSchemaVersion, an integer field that is negative, fractional or
+  /// out of range, or a retired key that still asks for behaviour this
+  /// build no longer has ("schedule" other than "fixed", a nonzero
+  /// "total_units", "persist_yield": true); absent fields keep their
+  /// defaults and unknown keys are ignored.
   static bool fromJson(const JsonValue &V, CampaignRequest &Out,
                        std::string *Error = nullptr);
 };

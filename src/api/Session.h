@@ -70,7 +70,6 @@ struct SessionConfig {
   SimOptions &sim() { return Campaign.Harness.Sim; }
   BudgetOptions &exploreBudget() { return Campaign.ExploreBudget; }
   BudgetOptions &replayBudget() { return Campaign.ReplayBudget; }
-  ScheduleOptions &schedule() { return Campaign.Schedule; }
   /// @}
 };
 

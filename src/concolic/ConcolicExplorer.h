@@ -100,9 +100,7 @@ struct ExplorationResult {
   /// The frontier emptied with every negation settled definitively: no
   /// budget expiry and no residual Unknown negations, so the retained
   /// path set is *provably* the instruction's complete path set (under
-  /// the iteration/path caps that were in force). The campaign
-  /// scheduler's early-exit policy keys on this to refund the unspent
-  /// budget to the shared pool.
+  /// the iteration/path caps that were in force).
   bool FrontierExhausted = false;
 
   /// Paths the differential harness can replay.

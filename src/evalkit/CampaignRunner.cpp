@@ -94,7 +94,8 @@ bool CampaignIncident::fromJson(const std::string &Line,
   Out.Stage = V->stringOr("stage", "");
   Out.ErrorClass = V->stringOr("error_class", "");
   Out.Error = V->stringOr("error", "");
-  Out.Attempt = static_cast<unsigned>(V->numberOr("attempt", 1));
+  if (!V->readUnsigned("attempt", Out.Attempt))
+    return false;
   Out.ExploreBudget = V->stringOr("explore_budget", "");
   Out.ReplayBudget = V->stringOr("replay_budget", "");
   Out.Quarantined = V->boolOr("quarantined", false);
@@ -138,8 +139,13 @@ JsonValue countersToJson(std::initializer_list<
   return V;
 }
 
-std::uint64_t counterOr(const JsonValue *V, const char *Name) {
-  return V ? static_cast<std::uint64_t>(V->numberOr(Name, 0)) : 0;
+/// Checked read of one counter: a negative, fractional or out-of-range
+/// number clears \p Ok, so the payload is refused as undecodable.
+std::uint64_t counterOr(const JsonValue *V, const char *Name, bool &Ok) {
+  std::uint64_t Out = 0;
+  if (V && !V->readUnsigned(Name, Out))
+    Ok = false;
+  return Out;
 }
 
 std::string encodeWorkerPayload(const InstructionRecord &Rec,
@@ -149,8 +155,7 @@ std::string encodeWorkerPayload(const InstructionRecord &Rec,
   V.set("record", JsonValue::string(Rec.toJson()));
   V.set("solver_diag",
         countersToJson({{"cache_hits", Rec.Solver.CacheHits},
-                        {"cache_misses", Rec.Solver.CacheMisses},
-                        {"cap_hits", Rec.Solver.CapHits}}));
+                        {"cache_misses", Rec.Solver.CacheMisses}}));
   V.set("jit", countersToJson({{"compiles", Rec.Jit.Compiles},
                                {"code_cache_hits", Rec.Jit.CodeCacheHits}}));
   V.set("sim", countersToJson({{"runs", Rec.Sim.Runs},
@@ -185,27 +190,29 @@ bool decodeWorkerPayload(const std::string &Payload, InstructionRecord &Rec,
     return false;
   if (!InstructionRecord::fromJson(V->stringOr("record", ""), Rec))
     return false;
+  bool Ok = true;
   const JsonValue *Diag = V->find("solver_diag");
-  Rec.Solver.CacheHits = counterOr(Diag, "cache_hits");
-  Rec.Solver.CacheMisses = counterOr(Diag, "cache_misses");
-  Rec.Solver.CapHits = counterOr(Diag, "cap_hits");
+  Rec.Solver.CacheHits = counterOr(Diag, "cache_hits", Ok);
+  Rec.Solver.CacheMisses = counterOr(Diag, "cache_misses", Ok);
   const JsonValue *Jit = V->find("jit");
-  Rec.Jit.Compiles = counterOr(Jit, "compiles");
-  Rec.Jit.CodeCacheHits = counterOr(Jit, "code_cache_hits");
+  Rec.Jit.Compiles = counterOr(Jit, "compiles", Ok);
+  Rec.Jit.CodeCacheHits = counterOr(Jit, "code_cache_hits", Ok);
   const JsonValue *Sim = V->find("sim");
-  Rec.Sim.Runs = counterOr(Sim, "runs");
-  Rec.Sim.PredecodedRuns = counterOr(Sim, "predecoded");
-  Rec.Sim.ReferenceRuns = counterOr(Sim, "reference");
-  Rec.Sim.PredecodeBuilds = counterOr(Sim, "builds");
-  Rec.Sim.PredecodeHits = counterOr(Sim, "hits");
+  Rec.Sim.Runs = counterOr(Sim, "runs", Ok);
+  Rec.Sim.PredecodedRuns = counterOr(Sim, "predecoded", Ok);
+  Rec.Sim.ReferenceRuns = counterOr(Sim, "reference", Ok);
+  Rec.Sim.PredecodeBuilds = counterOr(Sim, "builds", Ok);
+  Rec.Sim.PredecodeHits = counterOr(Sim, "hits", Ok);
   const JsonValue *Replay = V->find("replay");
-  Rec.Replay.HeapAcquires = counterOr(Replay, "acquires");
-  Rec.Replay.HeapResets = counterOr(Replay, "resets");
-  Rec.Replay.HeapBytesReset = counterOr(Replay, "bytes_reset");
-  Rec.Replay.HeapFreshBuilds = counterOr(Replay, "fresh");
-  Rec.Replay.HeapBytesRebuilt = counterOr(Replay, "bytes_rebuilt");
-  Rec.Replay.UndoStoresReplayed = counterOr(Replay, "undo");
-  Rec.Replay.StackBytesReset = counterOr(Replay, "stack_bytes");
+  Rec.Replay.HeapAcquires = counterOr(Replay, "acquires", Ok);
+  Rec.Replay.HeapResets = counterOr(Replay, "resets", Ok);
+  Rec.Replay.HeapBytesReset = counterOr(Replay, "bytes_reset", Ok);
+  Rec.Replay.HeapFreshBuilds = counterOr(Replay, "fresh", Ok);
+  Rec.Replay.HeapBytesRebuilt = counterOr(Replay, "bytes_rebuilt", Ok);
+  Rec.Replay.UndoStoresReplayed = counterOr(Replay, "undo", Ok);
+  Rec.Replay.StackBytesReset = counterOr(Replay, "stack_bytes", Ok);
+  if (!Ok)
+    return false;
   if (const JsonValue *Inc = V->find("incidents"))
     for (const JsonValue &Line : Inc->Arr) {
       CampaignIncident I;
@@ -223,28 +230,6 @@ bool decodeWorkerPayload(const std::string &Payload, InstructionRecord &Rec,
   return true;
 }
 /// @}
-
-/// Derives the persisted yield statistics from a finished record's
-/// deterministic counters (ScheduleOptions::PersistYield). Everything
-/// except PathsPerSec is a pure function of checkpoint-stable fields,
-/// so stamping never perturbs byte-identity across topologies — and
-/// PathsPerSec is exactly zero whenever timings are off.
-void stampYield(InstructionRecord &Rec) {
-  Rec.HasYield = true;
-  Rec.Yield.PathsPerKiloUnit =
-      1000.0 * Rec.Paths /
-      double(std::max<std::uint64_t>(1, Rec.ExploreUnits));
-  Rec.Yield.PathsPerSec =
-      Rec.ExploreMillis > 0 ? Rec.Paths * 1000.0 / Rec.ExploreMillis : 0;
-  unsigned Differing = 0;
-  for (const CompilerOutcome &C : Rec.Compilers)
-    Differing += C.DifferingPaths;
-  Rec.Yield.DivergenceRate = double(Differing) / std::max(1u, Rec.Paths);
-  Rec.Yield.UnknownRate =
-      Rec.Solver.Queries
-          ? double(Rec.Solver.UnknownCount) / double(Rec.Solver.Queries)
-          : 0;
-}
 
 } // namespace
 
@@ -275,14 +260,6 @@ std::string InstructionRecord::toJson() const {
       .set("nodes", JsonValue::number(Solver.NodesExplored))
       .set("budget_stops", JsonValue::number(Solver.BudgetStops));
   V.set("solver", std::move(Sol));
-  if (HasYield) {
-    JsonValue Y = JsonValue::object();
-    Y.set("paths_per_kunit", JsonValue::number(Yield.PathsPerKiloUnit))
-        .set("paths_per_sec", JsonValue::number(Yield.PathsPerSec))
-        .set("divergence_rate", JsonValue::number(Yield.DivergenceRate))
-        .set("unknown_rate", JsonValue::number(Yield.UnknownRate));
-    V.set("yield", std::move(Y));
-  }
   JsonValue Comps = JsonValue::array();
   for (const CompilerOutcome &C : Compilers) {
     JsonValue O = JsonValue::object();
@@ -317,48 +294,39 @@ bool InstructionRecord::fromJson(const std::string &Line,
                  ? InstructionKind::NativeMethod
                  : InstructionKind::Bytecode;
   Out.Quarantined = V->boolOr("quarantined", false);
-  Out.Attempts = static_cast<unsigned>(V->numberOr("attempts", 1));
-  Out.Paths = static_cast<unsigned>(V->numberOr("paths", 0));
-  Out.CuratedPaths = static_cast<unsigned>(V->numberOr("curated", 0));
-  Out.UnknownNegations =
-      static_cast<unsigned>(V->numberOr("unknown_negations", 0));
-  Out.LadderRetries = static_cast<unsigned>(V->numberOr("ladder_retries", 0));
-  Out.LadderRescues = static_cast<unsigned>(V->numberOr("ladder_rescues", 0));
+  // Integer fields go through the checked read: a line whose count is
+  // negative, fractional or out of range is corrupt, and a corrupt line
+  // is a miss that re-runs.
+  if (!V->readUnsigned("attempts", Out.Attempts) ||
+      !V->readUnsigned("paths", Out.Paths) ||
+      !V->readUnsigned("curated", Out.CuratedPaths) ||
+      !V->readUnsigned("unknown_negations", Out.UnknownNegations) ||
+      !V->readUnsigned("ladder_retries", Out.LadderRetries) ||
+      !V->readUnsigned("ladder_rescues", Out.LadderRescues) ||
+      !V->readUnsigned("explore_units", Out.ExploreUnits))
+    return false;
   Out.BudgetExhausted = V->boolOr("budget_exhausted", false);
-  // Absent in pre-scheduler checkpoints; the defaults below keep those
-  // loading (satellite contract: old schemas resume fine).
   Out.FrontierExhausted = V->boolOr("frontier_exhausted", false);
-  Out.ExploreUnits =
-      static_cast<std::uint64_t>(V->numberOr("explore_units", 0));
   Out.ExploreMillis = V->numberOr("explore_millis", 0);
   if (const JsonValue *Sol = V->find("solver")) {
-    Out.Solver.Queries = static_cast<std::uint64_t>(Sol->numberOr("queries", 0));
-    Out.Solver.SatCount = static_cast<std::uint64_t>(Sol->numberOr("sat", 0));
-    Out.Solver.UnsatCount =
-        static_cast<std::uint64_t>(Sol->numberOr("unsat", 0));
-    Out.Solver.UnknownCount =
-        static_cast<std::uint64_t>(Sol->numberOr("unknown", 0));
-    Out.Solver.CasesExplored =
-        static_cast<std::uint64_t>(Sol->numberOr("cases", 0));
-    Out.Solver.NodesExplored =
-        static_cast<std::uint64_t>(Sol->numberOr("nodes", 0));
-    Out.Solver.BudgetStops =
-        static_cast<std::uint64_t>(Sol->numberOr("budget_stops", 0));
-  }
-  if (const JsonValue *Y = V->find("yield")) {
-    Out.HasYield = true;
-    Out.Yield.PathsPerKiloUnit = Y->numberOr("paths_per_kunit", 0);
-    Out.Yield.PathsPerSec = Y->numberOr("paths_per_sec", 0);
-    Out.Yield.DivergenceRate = Y->numberOr("divergence_rate", 0);
-    Out.Yield.UnknownRate = Y->numberOr("unknown_rate", 0);
+    SolverStats &S = Out.Solver;
+    if (!Sol->readUnsigned("queries", S.Queries) ||
+        !Sol->readUnsigned("sat", S.SatCount) ||
+        !Sol->readUnsigned("unsat", S.UnsatCount) ||
+        !Sol->readUnsigned("unknown", S.UnknownCount) ||
+        !Sol->readUnsigned("cases", S.CasesExplored) ||
+        !Sol->readUnsigned("nodes", S.NodesExplored) ||
+        !Sol->readUnsigned("budget_stops", S.BudgetStops))
+      return false;
   }
   if (const JsonValue *Comps = V->find("compilers")) {
     for (const JsonValue &O : Comps->Arr) {
       CompilerOutcome C;
       if (!parseCompilerKind(O.stringOr("kind", ""), C.Kind))
         return false;
-      C.DifferingPaths = static_cast<unsigned>(O.numberOr("differing", 0));
-      C.BudgetSkipped = static_cast<unsigned>(O.numberOr("budget_skipped", 0));
+      if (!O.readUnsigned("differing", C.DifferingPaths) ||
+          !O.readUnsigned("budget_skipped", C.BudgetSkipped))
+        return false;
       C.TestMillis = O.numberOr("millis", 0);
       if (const JsonValue *Causes = O.find("causes")) {
         for (const JsonValue &Cause : Causes->Arr) {
@@ -437,20 +405,13 @@ InstructionRecord
 CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
                                    unsigned Attempt, Budget &ExploreBud,
                                    Budget &ReplayBud, TraceSink *Trace,
-                                   ReplayArena &Arena,
-                                   unsigned TierDistance) const {
+                                   ReplayArena &Arena) const {
   InstructionRecord Rec;
   Rec.Instruction = Spec.Name;
   Rec.Kind = Spec.Kind;
   Rec.Attempts = Attempt;
 
   ExplorerOptions EOpts = Opts.Harness.Explorer;
-  // Cheap scheduler tier: structural caps only (solverTierCaps), so a
-  // run that never trips one (CapHits == 0) is bit-identical to full
-  // strength. Applied before fault arming so injected solver faults
-  // fire identically at every tier.
-  if (TierDistance > 0)
-    EOpts.Solver = solverTierCaps(EOpts.Solver, TierDistance);
   EOpts.ExternalBudget = &ExploreBud;
   EOpts.SharedUnsat = &SolverIndex;
   EOpts.Trace = Trace;
@@ -545,8 +506,7 @@ CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
 
 InstructionRecord CampaignRunner::testInstruction(
     const InstructionSpec &Spec, std::vector<CampaignIncident> &Incidents,
-    TraceSink *Trace, ReplayArena &Arena, unsigned StartAttempt,
-    unsigned TierDistance, std::uint64_t ExploreUnitsOverride) const {
+    TraceSink *Trace, ReplayArena &Arena, unsigned StartAttempt) const {
   unsigned MaxAttempts = std::max(1u, Opts.MaxAttempts);
   std::vector<CampaignIncident> Local;
   InstructionRecord Rec;
@@ -558,12 +518,7 @@ InstructionRecord CampaignRunner::testInstruction(
     // must not leak state into the retry. The replay arena is reused,
     // but its reset contract makes the next acquire observably fresh
     // (poison included), so the guarantee carries over.
-    BudgetOptions ExploreCfg = Opts.ExploreBudget;
-    // A budget-pool grant raises this run's work-unit allowance; the
-    // wall/memory sides stay configuration.
-    if (ExploreUnitsOverride)
-      ExploreCfg.WorkUnits = ExploreUnitsOverride;
-    Budget ExploreBud(ExploreCfg);
+    Budget ExploreBud(Opts.ExploreBudget);
     Budget ReplayBud(Opts.ReplayBudget);
     // Events of a failed attempt stay in the stream: fault injection
     // is deterministic, so the partial prefix is too, and the attempt
@@ -579,7 +534,7 @@ InstructionRecord CampaignRunner::testInstruction(
     bool WorkerFaulted = false;
     try {
       Rec = attemptInstruction(Spec, Attempt, ExploreBud, ReplayBud,
-                               Trace ? &Scope : nullptr, Arena, TierDistance);
+                               Trace ? &Scope : nullptr, Arena);
       // The in-process equivalent of a damaged response frame: the
       // result was computed but cannot be trusted/delivered. Worker
       // processes damage the real encoded frame instead (the send path
@@ -638,9 +593,6 @@ InstructionRecord CampaignRunner::testInstruction(
     Rec.Quarantined = true;
   }
 
-  if (Opts.Schedule.PersistYield)
-    stampYield(Rec);
-
   for (CampaignIncident &I : Local) {
     I.Quarantined = Rec.Quarantined;
     Incidents.push_back(std::move(I));
@@ -685,10 +637,9 @@ CampaignSummary CampaignRunner::run() {
   // Phase 1: plan the whole worklist up-front, in catalog order, with
   // quota counting (Max* limits count resumed instructions too) and
   // StopAfter truncation (which drops everything after the limit,
-  // resumed records included). Topology and schedule then cannot
-  // change *what* runs, only *where* and *when*. Reuse is decided here
-  // too, checkpoint first, then store: a served item never reaches a
-  // worker.
+  // resumed records included). Topology then cannot change *what*
+  // runs, only *where*. Reuse is decided here too, checkpoint first,
+  // then store: a served item never reaches a worker.
   enum class Served : std::uint8_t { No, FromCheckpoint, FromStore };
   struct WorkItem {
     const InstructionSpec *Spec = nullptr;
@@ -762,44 +713,30 @@ CampaignSummary CampaignRunner::run() {
     ++NewPlanned;
   }
 
-  // Every campaign runs through the scheduler's wave loop. Fixed order
-  // is the degenerate policy: full strength, no pool, no history — one
-  // wave in catalog order whose every report() accepts. Built over the
-  // planned worklist so quota/StopAfter truncation is the same for both
-  // policies (CampaignScheduler.h has the determinism contract).
-  const bool Adaptive = Opts.Schedule.adaptive();
-  ScheduleOptions SchedOpts;
-  SchedOpts.SolverTiers = 0;
-  if (Adaptive)
-    SchedOpts = Opts.Schedule;
-  CampaignScheduler Sched(SchedOpts, Opts.ExploreBudget.WorkUnits);
-  std::size_t NewItems = 0;
+  std::vector<PoolWorkItem> Items;
+  Items.reserve(Work.size());
   for (std::size_t I = 0; I < Work.size(); ++I)
-    if (Work[I].Source == Served::No) {
-      Sched.addItem(I, Work[I].Spec->Name);
-      ++NewItems;
-    }
-  if (!SchedOpts.WarmStartPath.empty())
-    Sched.loadWarmStart(SchedOpts.WarmStartPath);
-  Sched.finalize();
+    if (Work[I].Source == Served::No)
+      Items.push_back({I, 1});
+  const std::size_t NewItems = Items.size();
 
-  // Phase 2: execute wave by wave. Each run fills its item's slot;
-  // every exploration runs on a worker-local heap/arena/solver (see
-  // ConcolicExplorer.h), so workers share nothing mutable but the slot
-  // handoff below. A worker only marks its slot Finished; the
-  // coordinator alone decides (via report()) when the merge cursor may
-  // see it.
+  // Phase 2: run the unserved items in catalog order. Each run fills
+  // its item's slot; every exploration runs on a worker-local
+  // heap/arena/solver (see ConcolicExplorer.h), so workers share
+  // nothing mutable but the slot handoff below. A worker only marks its
+  // slot Finished; the coordinator alone marks it Ready for the merge
+  // cursor.
   struct Slot {
     InstructionRecord Rec;
     std::vector<CampaignIncident> Incidents;
     std::vector<TraceEvent> Events;
     bool Skipped = false; // wall clock expired before this item ran
-    bool Finished = false;
+    bool Finished = false; // set by a worker thread, under SlotMutex
   };
   std::vector<Slot> Slots(Work.size());
   // Coordinator-only: the slot's run is final and the merge cursor may
   // consume it. Kept apart from Slot so worker writes never touch it.
-  std::vector<char> Accepted(Work.size(), 0);
+  std::vector<char> Ready(Work.size(), 0);
 
   const bool Observing = !Opts.TracePath.empty() || Opts.ExtraTraceSink ||
                          Opts.CollectMetrics;
@@ -812,12 +749,9 @@ CampaignSummary CampaignRunner::run() {
   // The pool forks here, while this process is still single-threaded —
   // the coordinator stays single-threaded for its whole life (its poll
   // loop shares the merge thread), so workers never inherit locks,
-  // threads or partially-written state. A campaign-level budget forces
-  // in-process execution: the pool's pull queue claims items before
-  // the ledger can price them, so draws could not follow completion
-  // order; the degradation below swaps in worker threads instead.
+  // threads or partially-written state.
   bool UseProcs = Opts.WorkerProcesses > 0 && NewItems > 0 &&
-                  Opts.TotalExploreUnits == 0 && ProcessPool::available();
+                  ProcessPool::available();
   std::unique_ptr<ProcessPool> Forked;
   if (UseProcs) {
     ProcessPoolOptions POpts;
@@ -837,7 +771,7 @@ CampaignSummary CampaignRunner::run() {
           TraceBuffer Buffer;
           InstructionRecord Rec = testInstruction(
               *Work[It.Index].Spec, Incidents, Observing ? &Buffer : nullptr,
-              *WorkerArena, It.StartAttempt, It.Tier, It.GrantUnits);
+              *WorkerArena, It.StartAttempt);
           // The armed pipe-corruption fault damages the real encoded
           // frame (post-CRC), exercising the coordinator's protocol
           // validation rather than simulating it.
@@ -884,36 +818,7 @@ CampaignSummary CampaignRunner::run() {
   std::mutex SlotMutex;
   std::condition_variable SlotFinished;
 
-  // Campaign-level explore ledger (TotalExploreUnits): every dispatch
-  // draws its per-instruction allowance here and refunds what the run
-  // left unspent, so later dispatches see exactly the units earlier
-  // ones proved they did not need. Draw 0 means the ledger is dry.
-  // The ledger has the same reservation semantics as every other
-  // cooperative budget (charge-then-check): a run granted N units may
-  // spend N+1, and that final batch is outside the ledger — exactly as
-  // a WorkUnits=1200 exploration may report 1201 spent. Billing the
-  // overshoot back would tax many-small-runs schedules by one unit per
-  // dispatch and skew fixed-vs-adaptive comparisons under equal
-  // grants.
-  const bool TotalBudget = Opts.TotalExploreUnits > 0;
-  std::atomic<std::uint64_t> UnitsLeft{Opts.TotalExploreUnits};
-  auto ReserveUnits = [&](std::uint64_t Want) -> std::uint64_t {
-    std::uint64_t Cur = UnitsLeft.load(std::memory_order_relaxed);
-    for (;;) {
-      std::uint64_t Draw = Want ? std::min(Want, Cur) : Cur;
-      if (Draw == 0)
-        return 0;
-      if (UnitsLeft.compare_exchange_weak(Cur, Cur - Draw,
-                                          std::memory_order_relaxed))
-        return Draw;
-    }
-  };
-  auto RefundUnits = [&](std::uint64_t Draw, std::uint64_t Spent) {
-    if (Draw > Spent)
-      UnitsLeft.fetch_add(Draw - Spent, std::memory_order_relaxed);
-  };
-
-  // Runs one assignment in this process (a wave thread or the
+  // Runs one assignment in this process (a worker thread or the
   // coordinator itself) and marks its slot Finished.
   auto RunOne = [&](const PoolWorkItem &It, ReplayArena &Arena) {
     std::size_t I = It.Index;
@@ -921,32 +826,13 @@ CampaignSummary CampaignRunner::run() {
     if (Halted.load(std::memory_order_relaxed) || WallExpired()) {
       S.Skipped = true;
     } else {
-      std::uint64_t Draw = 0;
-      if (TotalBudget)
-        Draw = ReserveUnits(It.GrantUnits ? It.GrantUnits
-                                          : Opts.ExploreBudget.WorkUnits);
-      if (TotalBudget && Draw == 0) {
-        // Ledger dry: an honest zero-path record instead of a run. The
-        // scheduler sees BudgetExhausted and can re-grant refunds; in
-        // fixed order the instruction simply went unfunded.
-        S.Rec.Instruction = Work[I].Spec->Name;
-        S.Rec.Kind = Work[I].Spec->Kind;
-        S.Rec.Attempts = 0;
-        S.Rec.BudgetExhausted = true;
-        if (Opts.Schedule.PersistYield)
-          stampYield(S.Rec);
-      } else {
-        // Per-worker buffering: events never cross threads until the
-        // merge loop drains the slot in catalog order.
-        TraceBuffer Buffer;
-        S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
-                                Observing ? &Buffer : nullptr, Arena,
-                                It.StartAttempt, It.Tier,
-                                TotalBudget ? Draw : It.GrantUnits);
-        S.Events = Buffer.take();
-        if (TotalBudget)
-          RefundUnits(Draw, S.Rec.ExploreUnits);
-      }
+      // Per-worker buffering: events never cross threads until the
+      // merge loop drains the slot in catalog order.
+      TraceBuffer Buffer;
+      S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
+                              Observing ? &Buffer : nullptr, Arena,
+                              It.StartAttempt);
+      S.Events = Buffer.take();
     }
     S.Finished = true;
     {
@@ -1096,8 +982,8 @@ CampaignSummary CampaignRunner::run() {
     return true;
   };
 
-  // The catalog-order merge cursor. Scheduling changes *when* an
-  // instruction runs, never where its record lands, so checkpoint,
+  // The catalog-order merge cursor. Topology changes *when* an
+  // instruction finishes, never where its record lands, so checkpoint,
   // incident and trace bytes keep their catalog order and land
   // incrementally as the cursor reaches them — a killed coordinator
   // resumes from everything already merged.
@@ -1109,7 +995,7 @@ CampaignSummary CampaignRunner::run() {
         ++Cursor;
         continue;
       }
-      if (!Accepted[Cursor])
+      if (!Ready[Cursor])
         break;
       if (!MergeSlot(Cursor)) {
         Halted.store(true, std::memory_order_relaxed);
@@ -1119,62 +1005,11 @@ CampaignSummary CampaignRunner::run() {
     }
   };
 
-  // A superseded run (escalation or regrant) vanishes entirely:
-  // record, incidents and buffered events are all regenerated by the
-  // re-run, which restarts attempt counting so deterministic fault
-  // arming and the event stream replay exactly as fixed order saw
-  // them.
-  auto DiscardRun = [&](std::size_t I) {
-    Slots[I] = Slot();
-    PendingWorkerIncidents[I].clear();
-    PendingWorkerEvents[I].clear();
-  };
-
-  auto FeedbackOf = [&](std::size_t I) {
-    const Slot &S = Slots[I];
-    ScheduleFeedback F;
-    F.Quarantined = S.Rec.Quarantined;
-    F.BudgetExhausted = S.Rec.BudgetExhausted;
-    F.FrontierExhausted = S.Rec.FrontierExhausted;
-    F.HadIncidents =
-        !S.Incidents.empty() || !PendingWorkerIncidents[I].empty();
-    F.UnknownNegations = S.Rec.UnknownNegations;
-    F.LadderRetries = S.Rec.LadderRetries;
-    F.Paths = S.Rec.Paths;
-    F.CapHits = S.Rec.Solver.CapHits;
-    F.SpentUnits = S.Rec.ExploreUnits;
-    return F;
-  };
-
-  // Settles one finished run on this (coordinating) thread, then merges
-  // whatever the cursor can reach. Accept exposes the slot to the
-  // cursor; Retry discards it; Hold keeps it invisible until the grant
-  // round finalises it. A skipped slot is exposed unreported so the
-  // merge sees it and halts.
-  std::vector<ScheduleAssignment> Assigned(Work.size());
+  // Hands one finished slot to the merge cursor, then merges whatever
+  // the cursor can reach. Coordinating thread only.
   auto Settle = [&](std::size_t I) {
-    if (Slots[I].Skipped) {
-      Accepted[I] = 1;
-    } else {
-      switch (Sched.report(Assigned[I], FeedbackOf(I))) {
-      case ScheduleVerdict::Accept:
-        Accepted[I] = 1;
-        break;
-      case ScheduleVerdict::Retry:
-        DiscardRun(I);
-        break;
-      case ScheduleVerdict::Hold:
-        break;
-      }
-    }
+    Ready[I] = 1;
     Advance();
-  };
-
-  // Starved items the grant round left empty-handed: their held
-  // base-budget results become final without a re-run.
-  auto PublishFinalized = [&] {
-    for (std::size_t I : Sched.takeFinalized())
-      Accepted[I] = 1;
   };
 
   // The coordinator is single-threaded, so forked results settle (and
@@ -1186,7 +1021,6 @@ CampaignSummary CampaignRunner::run() {
     Slot S;
     if (!decodeWorkerPayload(Payload, S.Rec, S.Incidents, S.Events))
       return false; // undecodable == corrupt: recycle worker, retry
-    S.Finished = true;
     Slots[I] = std::move(S);
     Settle(I);
     return true;
@@ -1227,9 +1061,6 @@ CampaignSummary CampaignRunner::run() {
     S.Rec.Kind = Work[I].Spec->Kind;
     S.Rec.Attempts = Attempts;
     S.Rec.Quarantined = true;
-    if (Opts.Schedule.PersistYield)
-      stampYield(S.Rec);
-    S.Finished = true;
     Slots[I] = std::move(S);
     Settle(I);
   };
@@ -1238,69 +1069,53 @@ CampaignSummary CampaignRunner::run() {
   };
   Hooks.OnCounter = [&](const char *Name) { Summary.Metrics.add(Name); };
 
-  // The one wave loop. Each wave runs on the forked pool, on
-  // min(Jobs, wave size) threads, or inline on this thread (which keeps
+  // The one pass. The unserved items run on the forked pool, on
+  // min(Jobs, items) threads, or inline on this thread (which keeps
   // Jobs 1 campaigns thread-free); inline runs share one arena.
-  ReplayArena InlineArena;
-  while (!Halted.load(std::memory_order_relaxed) && !Sched.done()) {
-    std::vector<ScheduleAssignment> Wave = Sched.nextWave();
-    PublishFinalized();
-    if (Wave.empty())
-      break;
-    std::vector<PoolWorkItem> Items;
-    Items.reserve(Wave.size());
-    for (const ScheduleAssignment &A : Wave) {
-      DiscardRun(A.Index); // drop any held run this re-run supersedes
-      Assigned[A.Index] = A;
-      Items.push_back({A.Index, 1, A.TierDistance, A.ExploreUnits});
-    }
-
-    const std::size_t Threads = std::min<std::size_t>(Jobs, Items.size());
-    if (Forked) {
-      // Whatever the pool could not finish (early stop, or every worker
-      // dead with respawns failing) runs inline below; StartAttempt
-      // carries over the attempts workers consumed.
-      Items = Forked->run(std::deque<PoolWorkItem>(Items.begin(), Items.end()),
-                          Hooks);
-      if (!Items.empty())
-        Summary.Metrics.add("worker.leftover_inprocess", Items.size());
-    } else if (Threads > 1) {
-      // Wave threads pull from an atomic cursor; verdicts stay on this
-      // thread, consumed in wave order as slots finish.
-      std::atomic<std::size_t> WaveNext{0};
-      // jthreads join when destroyed, so an exception out of Settle
-      // cannot leave a wave thread running.
-      std::vector<std::jthread> WaveThreads;
-      WaveThreads.reserve(Threads);
-      for (std::size_t W = 0; W < Threads; ++W)
-        WaveThreads.emplace_back([&] {
-          // One replay arena per worker thread, like the per-attempt
-          // code cache: strictly worker-local mutable state.
-          ReplayArena Arena;
-          for (std::size_t K = WaveNext.fetch_add(1, std::memory_order_relaxed);
-               K < Items.size();
-               K = WaveNext.fetch_add(1, std::memory_order_relaxed))
-            RunOne(Items[K], Arena);
-        });
-      for (const PoolWorkItem &It : Items) {
-        {
-          std::unique_lock<std::mutex> Lock(SlotMutex);
-          SlotFinished.wait(Lock, [&] { return Slots[It.Index].Finished; });
-        }
-        Settle(It.Index);
-      }
-      WaveThreads.clear(); // joins before the threads' Items go away
-      Items.clear();
-    }
+  const std::size_t Threads = std::min<std::size_t>(Jobs, Items.size());
+  if (Forked) {
+    // Whatever the pool could not finish (early stop, or every worker
+    // dead with respawns failing) runs inline below; StartAttempt
+    // carries over the attempts workers consumed.
+    Items = Forked->run(std::deque<PoolWorkItem>(Items.begin(), Items.end()),
+                        Hooks);
+    if (!Items.empty())
+      Summary.Metrics.add("worker.leftover_inprocess", Items.size());
+  } else if (Threads > 1) {
+    // Worker threads pull from an atomic cursor; the merge stays on
+    // this thread, consuming slots in catalog order as they finish.
+    std::atomic<std::size_t> Next{0};
+    // jthreads join when destroyed, so an exception out of Settle
+    // cannot leave a worker thread running.
+    std::vector<std::jthread> Workers;
+    Workers.reserve(Threads);
+    for (std::size_t W = 0; W < Threads; ++W)
+      Workers.emplace_back([&] {
+        // One replay arena per worker thread, like the per-attempt
+        // code cache: strictly worker-local mutable state.
+        ReplayArena Arena;
+        for (std::size_t K = Next.fetch_add(1, std::memory_order_relaxed);
+             K < Items.size(); K = Next.fetch_add(1, std::memory_order_relaxed))
+          RunOne(Items[K], Arena);
+      });
     for (const PoolWorkItem &It : Items) {
-      if (Halted.load(std::memory_order_relaxed))
-        break;
-      RunOne(It, InlineArena);
+      {
+        std::unique_lock<std::mutex> Lock(SlotMutex);
+        SlotFinished.wait(Lock, [&] { return Slots[It.Index].Finished; });
+      }
       Settle(It.Index);
     }
+    Workers.clear(); // joins before the threads' Items go away
+    Items.clear();
+  }
+  ReplayArena InlineArena;
+  for (const PoolWorkItem &It : Items) {
+    if (Halted.load(std::memory_order_relaxed))
+      break;
+    RunOne(It, InlineArena);
+    Settle(It.Index);
   }
   Forked.reset();
-  PublishFinalized();
   Advance();
   if (WallExpired() && Cursor < Work.size())
     Summary.Stopped = true;
@@ -1332,23 +1147,6 @@ CampaignSummary CampaignRunner::run() {
   }
   Summary.Metrics.add("campaign.quarantined", Summary.Quarantined.size());
   Summary.Metrics.add("campaign.incidents", Summary.Incidents.size());
-  if (Adaptive) {
-    Summary.ScheduleActive = true;
-    Summary.Schedule = Sched.stats();
-    const ScheduleStats &S = Summary.Schedule;
-    Summary.Metrics.add("schedule.waves", S.Waves);
-    Summary.Metrics.add("schedule.tier_escalations", S.TierEscalations);
-    Summary.Metrics.add("schedule.early_exits", S.EarlyExits);
-    Summary.Metrics.add("schedule.budget_pool.refunds", S.PoolRefunds);
-    Summary.Metrics.add("schedule.budget_pool.refund_units",
-                        S.PoolRefundUnits);
-    Summary.Metrics.add("schedule.budget_pool.transfers", S.PoolGrants);
-    Summary.Metrics.add("schedule.budget_pool.grant_units", S.PoolGrantUnits);
-    Summary.Metrics.add("schedule.priority_inversions", S.PriorityInversions);
-    Summary.Metrics.add("schedule.warm_start_entries", S.WarmStartEntries);
-    Summary.Metrics.add("schedule.discarded_runs", S.DiscardedRuns);
-    Summary.Metrics.add("schedule.discarded_units", S.DiscardedUnits);
-  }
   return Summary;
 }
 
@@ -1414,20 +1212,6 @@ ProfileReport igdt::buildCampaignProfile(const CampaignSummary &Summary,
     Report.StoreMisses = Summary.StoreMisses;
     Report.StoreStores = Summary.StoreStores;
     Report.LiveSolverQueries = Summary.LiveSolver.Queries;
-  }
-  if (Summary.ScheduleActive) {
-    Report.HasSchedule = true;
-    Report.ScheduleWaves = Summary.Schedule.Waves;
-    Report.ScheduleTierEscalations = Summary.Schedule.TierEscalations;
-    Report.ScheduleEarlyExits = Summary.Schedule.EarlyExits;
-    Report.SchedulePoolRefunds = Summary.Schedule.PoolRefunds;
-    Report.SchedulePoolRefundUnits = Summary.Schedule.PoolRefundUnits;
-    Report.SchedulePoolGrants = Summary.Schedule.PoolGrants;
-    Report.SchedulePoolGrantUnits = Summary.Schedule.PoolGrantUnits;
-    Report.SchedulePriorityInversions = Summary.Schedule.PriorityInversions;
-    Report.ScheduleWarmStartEntries = Summary.Schedule.WarmStartEntries;
-    Report.ScheduleDiscardedRuns = Summary.Schedule.DiscardedRuns;
-    Report.ScheduleDiscardedUnits = Summary.Schedule.DiscardedUnits;
   }
   Report.Metrics = Summary.Metrics;
   return Report;

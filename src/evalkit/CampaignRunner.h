@@ -30,7 +30,6 @@
 #define IGDT_EVALKIT_CAMPAIGNRUNNER_H
 
 #include "differential/DifferentialTester.h"
-#include "evalkit/CampaignScheduler.h"
 #include "faults/HarnessFaults.h"
 #include "observe/MetricsRegistry.h"
 #include "observe/Profile.h"
@@ -110,19 +109,6 @@ struct CampaignOptions {
   BudgetOptions ExploreBudget;
   /// Per-instruction replay budget (tested paths + wall clock).
   BudgetOptions ReplayBudget;
-  /// Campaign-level explore budget in work units, shared by every
-  /// instruction; 0 is unlimited. Each dispatch draws up to its
-  /// per-instruction allowance (ExploreBudget.WorkUnits, or a
-  /// scheduler grant; 0 takes everything left) from this ledger and
-  /// refunds what the run did not spend. When the ledger runs dry the
-  /// remaining instructions produce zero-path budget-exhausted records
-  /// without exploring — so fixed order spends the budget
-  /// first-come-first-served down the catalog, while the adaptive
-  /// scheduler spreads it across the highest-yield instructions first
-  /// and re-grants proven refunds. Deterministic at Jobs 1; with
-  /// concurrent workers the draw order (and therefore which
-  /// instructions starve) depends on scheduling.
-  std::uint64_t TotalExploreUnits = 0;
   /// Attempts per instruction: 1 initial + (MaxAttempts-1) fresh-heap
   /// retries before quarantine.
   unsigned MaxAttempts = 2;
@@ -143,8 +129,8 @@ struct CampaignOptions {
   /// instructions; 0 runs to completion. Simulates a killed campaign
   /// for resume tests.
   unsigned StopAfter = 0;
-  /// Worker threads exploring instructions concurrently. Each scheduler
-  /// wave runs on min(Jobs, wave size) threads, so 1 runs every wave
+  /// Worker threads exploring instructions concurrently. The campaign
+  /// runs on min(Jobs, unserved items) threads, so 1 runs everything
   /// inline on the calling thread; 0 asks the hardware
   /// (std::thread::hardware_concurrency). Any value produces the same
   /// Table 2 rows, checkpoint bytes, incident records and exit code:
@@ -195,24 +181,16 @@ struct CampaignOptions {
   /// Fold trace events into CampaignSummary::Metrics even without a
   /// trace file or extra sink (what --profile turns on).
   bool CollectMetrics = false;
-  /// Scheduling policy (see CampaignScheduler.h). "fixed" is the
-  /// one-wave schedule: catalog order, full strength, every run
-  /// accepted; "adaptive" runs priority-ordered waves with tiered
-  /// solver escalation and the provable-early-exit budget pool.
-  /// With unlimited budgets the adaptive record/incident/trace files
-  /// are byte-identical to fixed order (the merge stays catalog-order
-  /// and only provably-identical cheap-tier runs are accepted).
-  ScheduleOptions Schedule;
   /// Content-addressed verdict store (non-owning, may be null; see
   /// VerdictStore.h). Instructions whose (body, config) key hits are
   /// served by appending the stored checkpoint line *verbatim* — byte-
   /// identical to a fresh run — and never explored; clean fresh records
   /// are stored on merge. Ignored (with a "store.ineligible_config"
   /// metric) when storeEligible() says the configuration's records are
-  /// not pure functions of the key: wall budgets, the campaign ledger,
-  /// or an adaptive budget pool. Records with incidents and quarantines
-  /// are never stored, so faulted instructions re-run — and reproduce
-  /// their incidents — on every campaign.
+  /// not pure functions of the key: wall budgets. Records with
+  /// incidents and quarantines are never stored, so faulted
+  /// instructions re-run — and reproduce their incidents — on every
+  /// campaign.
   VerdictStore *Store = nullptr;
 };
 
@@ -271,12 +249,10 @@ struct InstructionRecord {
   unsigned LadderRescues = 0;
   bool BudgetExhausted = false;
   /// The explorer drained its frontier with every negation settled —
-  /// the path set is provably complete (ExplorationResult docs). The
-  /// scheduler's early-exit/budget-pool policy keys on this.
+  /// the path set is provably complete (ExplorationResult docs).
   bool FrontierExhausted = false;
   /// Explore work units the successful attempt spent
-  /// (Budget::spentUnits) — the deterministic cost figure yield stats
-  /// and the budget pool are denominated in.
+  /// (Budget::spentUnits) — the deterministic cost figure of the run.
   std::uint64_t ExploreUnits = 0;
   /// Exploration wall time of the successful attempt; 0 when
   /// CampaignOptions::RecordTimings is off (the same contract as
@@ -300,15 +276,6 @@ struct InstructionRecord {
   SimStats Sim;
   ReplayStats Replay;
   std::vector<CompilerOutcome> Compilers;
-  /// Per-instruction yield statistics, serialised as the optional
-  /// "yield" checkpoint object when ScheduleOptions::PersistYield is on
-  /// (HasYield). Derived from the deterministic fields above at record
-  /// time, so persisting them never breaks byte-identity between
-  /// scheduled and fixed campaigns run with the same toggle. Loaders
-  /// tolerate records without the object (old checkpoints).
-  YieldStats Yield;
-  bool HasYield = false;
-
   std::string toJson() const;
   static bool fromJson(const std::string &Line, InstructionRecord &Out);
 };
@@ -366,12 +333,6 @@ struct CampaignSummary {
   /// subtree is scheduling-dependent, like the SolverStats cache
   /// counters it mirrors).
   MetricsRegistry Metrics;
-  /// Adaptive-scheduling activity ("schedule.*" metrics and the
-  /// --profile "Scheduling" table). ScheduleActive is false (and the
-  /// stats all zero) for fixed-order campaigns.
-  bool ScheduleActive = false;
-  ScheduleStats Schedule;
-
   /// Nonzero only for genuine differential defects — never for harness
   /// faults, quarantines, or the structural optimisation differences
   /// that exist even in a fully fixed configuration.
@@ -399,23 +360,17 @@ private:
   /// retry, the same guarantee the historical fresh-heap-per-path
   /// construction gave. \p StartAttempt lets the out-of-process
   /// coordinator resume the attempt count after worker-level failures
-  /// already consumed earlier attempts. \p TierDistance selects the
-  /// scheduler's reduced solver caps (0 = full strength) and
-  /// \p ExploreUnitsOverride replaces the configured explore work-unit
-  /// budget (0 = configured); both stay 0 in fixed-order campaigns.
+  /// already consumed earlier attempts.
   InstructionRecord testInstruction(const InstructionSpec &Spec,
                                     std::vector<CampaignIncident> &Incidents,
                                     TraceSink *Trace, ReplayArena &Arena,
-                                    unsigned StartAttempt = 1,
-                                    unsigned TierDistance = 0,
-                                    std::uint64_t ExploreUnitsOverride = 0) const;
+                                    unsigned StartAttempt = 1) const;
 
   /// One attempt of the full pipeline; throws on harness faults.
   InstructionRecord attemptInstruction(const InstructionSpec &Spec,
                                        unsigned Attempt, Budget &ExploreBud,
                                        Budget &ReplayBud, TraceSink *Trace,
-                                       ReplayArena &Arena,
-                                       unsigned TierDistance = 0) const;
+                                       ReplayArena &Arena) const;
 
   CampaignOptions Opts;
   /// Campaign-scope solver index of proven-Unsat cases, shared by every

@@ -136,16 +136,12 @@ void ProcessPool::workerMain(int RequestFd, int ResponseFd) {
         ::_exit(82);
       unsigned long long Index = 0;
       unsigned StartAttempt = 1;
-      unsigned Tier = 0;
-      unsigned long long GrantUnits = 0;
-      if (std::sscanf(Frame.Payload.c_str(), "%llu %u %u %llu", &Index,
-                      &StartAttempt, &Tier, &GrantUnits) != 4)
+      if (std::sscanf(Frame.Payload.c_str(), "%llu %u", &Index,
+                      &StartAttempt) != 2)
         ::_exit(82);
       PoolWorkItem Assigned;
       Assigned.Index = std::size_t(Index);
       Assigned.StartAttempt = StartAttempt;
-      Assigned.Tier = Tier;
-      Assigned.GrantUnits = GrantUnits;
       PoolItemResult R;
       try {
         R = Item(Assigned);
@@ -316,7 +312,7 @@ std::vector<PoolWorkItem> ProcessPool::run(std::deque<PoolWorkItem> Items,
         Hooks.OnExhausted(It.Index, Opts.MaxAttempts);
     } else {
       Counter("worker.retries");
-      Items.push_front({It.Index, It.StartAttempt + 1, It.Tier, It.GrantUnits});
+      Items.push_front({It.Index, It.StartAttempt + 1});
     }
   };
 
@@ -337,10 +333,8 @@ std::vector<PoolWorkItem> ProcessPool::run(std::deque<PoolWorkItem> Items,
       if (!W.Alive || W.Busy)
         continue;
       PoolWorkItem It = Items.front();
-      std::string Req =
-          formatString("%llu %u %u %llu", (unsigned long long)It.Index,
-                       It.StartAttempt, It.Tier,
-                       (unsigned long long)It.GrantUnits);
+      std::string Req = formatString("%llu %u", (unsigned long long)It.Index,
+                                     It.StartAttempt);
       if (!writeAll(W.RequestFd, encodeFrame(FrameType::Assign, Req))) {
         // Died before seeing the item: no attempt consumed.
         FailWorker(W, WorkerFailureKind::Crash);

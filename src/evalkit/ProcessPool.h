@@ -81,17 +81,9 @@ struct ProcessPoolOptions {
 /// One assignment: an opaque index into the caller's worklist plus the
 /// 1-based attempt the next execution should start from (retries after
 /// a worker failure resume counting, like the in-process retry loop).
-/// Tier and GrantUnits are opaque scheduling context the adaptive
-/// campaign scheduler threads through to the worker (solver-caps
-/// distance below full strength, and a per-run explore work-unit
-/// override; both 0 in fixed-order campaigns). Worker failures retry
-/// with them intact — a re-dispatched item must re-run under the same
-/// policy it was assigned with.
 struct PoolWorkItem {
   std::size_t Index = 0;
   unsigned StartAttempt = 1;
-  unsigned Tier = 0;
-  std::uint64_t GrantUnits = 0;
 };
 
 /// What a worker computed for one item. CorruptFrame asks the send

@@ -91,24 +91,12 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts) {
   H = hashCombine64(H, Opts.Harness.SeedSimulationErrors);
   H = hashCombine64(H, Opts.ExploreBudget.WorkUnits);
   H = hashCombine64(H, Opts.ReplayBudget.WorkUnits);
-  H = hashCombine64(H, Opts.TotalExploreUnits);
   H = hashCombine64(H, Opts.MaxAttempts);
   H = hashCombine64(H, Opts.RecordTimings);
   // Keyed so a resume never serves a clock-cut record to another clock.
   H = hashCombine64(H, bitsOf(Opts.ExploreBudget.WallMillis));
   H = hashCombine64(H, bitsOf(Opts.ReplayBudget.WallMillis));
   H = hashCombine64(H, bitsOf(Opts.CampaignWallMillis));
-
-  // The schedule shapes records only by moving budget between
-  // instructions (pool regrants, ledger draws in adaptive order);
-  // otherwise its order and tiers reproduce the fixed-order bytes.
-  const ScheduleOptions &Sched = Opts.Schedule;
-  const bool Pooled = Sched.adaptive() && Sched.BudgetPool;
-  H = hashCombine64(H, Pooled);
-  if (Pooled)
-    H = hashCombine64(H, bitsOf(Sched.BudgetPoolCapFactor));
-  H = hashCombine64(H, Sched.adaptive() && Opts.TotalExploreUnits > 0);
-  H = hashCombine64(H, Sched.PersistYield);
 
   H = hashCombine64(H, Opts.Faults.Faults.size());
   for (const ArmedFault &F : Opts.Faults.Faults) {
@@ -150,15 +138,8 @@ std::uint64_t igdt::resultStoreKey(const InstructionSpec &Spec,
 }
 
 bool igdt::storeEligible(const CampaignOptions &Opts) {
-  // Wall clocks make record content timing-dependent; the campaign
-  // ledger (and an adaptive pool drawing on it) makes *which*
-  // instruction starves a scheduling fact. Neither may be cached.
-  if (Opts.ExploreBudget.WallMillis > 0 || Opts.ReplayBudget.WallMillis > 0 ||
-      Opts.CampaignWallMillis > 0)
-    return false;
-  if (Opts.TotalExploreUnits > 0)
-    return false;
-  if (Opts.Schedule.adaptive() && Opts.Schedule.BudgetPool)
-    return false;
-  return true;
+  // Wall clocks make record content timing-dependent; it may not be
+  // cached.
+  return Opts.ExploreBudget.WallMillis == 0 &&
+         Opts.ReplayBudget.WallMillis == 0 && Opts.CampaignWallMillis == 0;
 }

@@ -25,8 +25,7 @@
 ///
 /// Deliberately EXCLUDED from the key: Jobs, WorkerProcesses, worker
 /// deadlines/backoff, the EnableCodeCache / EnableReplayArena toggles,
-/// SimOptions::Engine, the schedule's order and solver tiers, and what
-/// selects the worklist (OnlyInstructions, Max*, StopAfter). Records
+/// SimOptions::Engine, and what selects the worklist (OnlyInstructions, Max*, StopAfter). Records
 /// are proven byte-identical across all of them. NativeMiscompileProbe
 /// and CrossEngineCheck ARE keyed: both change which defects a record
 /// reports. Wall-clock budgets are keyed so a resume never serves a
@@ -56,8 +55,9 @@ struct InstructionSpec;
 /// a new reader would mis-parse or a new run would not reproduce.
 /// Version 2: two removed solver layers changed the defined exploration
 /// algorithm. Version 3: values became keyed lines, and wall budgets
-/// entered the key.
-constexpr std::uint64_t VerdictSchemaVersion = 3;
+/// entered the key. Version 4: the campaign ledger, budget pool and
+/// persisted yield left the configuration.
+constexpr std::uint64_t VerdictSchemaVersion = 4;
 
 /// Stable hash of one catalog instruction's *body*: name, kind, encoded
 /// bytes, primitive index, locals, literal frame and padding. Editing
@@ -89,11 +89,9 @@ std::string keyedRecordLine(std::uint64_t Key, const std::string &RecordJson);
 bool keyedLineKey(const std::string &Line, std::uint64_t &Key);
 
 /// Whether a campaign's records are pure functions of (body, config) at
-/// all. False when a wall-clock budget or the campaign-level explore
-/// ledger (or an adaptive budget pool drawing on it) makes record
-/// content depend on clocks or cross-instruction scheduling — the
-/// runner then ignores any configured store rather than cache unstable
-/// bytes.
+/// all. False when a wall-clock budget makes record content depend on
+/// clocks — the runner then ignores any configured store rather than
+/// cache unstable bytes.
 bool storeEligible(const CampaignOptions &Opts);
 
 /// A content-addressed map from key to keyed checkpoint line.

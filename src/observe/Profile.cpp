@@ -79,25 +79,6 @@ std::string ProfileReport::render() const {
     T.addRow({"live solver queries", U64(LiveSolverQueries)});
     Out += T.render();
   }
-  if (HasSchedule) {
-    Out += "\n";
-    TablePrinter T({"scheduling", "value"});
-    auto U64 = [](std::uint64_t V) {
-      return formatString("%llu", (unsigned long long)V);
-    };
-    T.addRow({"waves", U64(ScheduleWaves)});
-    T.addRow({"tier escalations", U64(ScheduleTierEscalations)});
-    T.addRow({"early exits", U64(ScheduleEarlyExits)});
-    T.addRow({"pool refunds", U64(SchedulePoolRefunds)});
-    T.addRow({"pool refund units", U64(SchedulePoolRefundUnits)});
-    T.addRow({"pool transfers", U64(SchedulePoolGrants)});
-    T.addRow({"pool grant units", U64(SchedulePoolGrantUnits)});
-    T.addRow({"priority inversions", U64(SchedulePriorityInversions)});
-    T.addRow({"warm-start entries", U64(ScheduleWarmStartEntries)});
-    T.addRow({"discarded runs", U64(ScheduleDiscardedRuns)});
-    T.addRow({"discarded units", U64(ScheduleDiscardedUnits)});
-    Out += T.render();
-  }
   if (!Metrics.empty()) {
     Out += "\n";
     Out += Metrics.render();
@@ -149,24 +130,6 @@ JsonValue ProfileReport::toJson() const {
     StoreJson.set("stored", N(StoreStores));
     StoreJson.set("live_solver_queries", N(LiveSolverQueries));
     V.set("store", std::move(StoreJson));
-  }
-  if (HasSchedule) {
-    auto N = [](std::uint64_t V) {
-      return JsonValue::number(static_cast<double>(V));
-    };
-    JsonValue Sched = JsonValue::object();
-    Sched.set("waves", N(ScheduleWaves));
-    Sched.set("tier_escalations", N(ScheduleTierEscalations));
-    Sched.set("early_exits", N(ScheduleEarlyExits));
-    Sched.set("pool_refunds", N(SchedulePoolRefunds));
-    Sched.set("pool_refund_units", N(SchedulePoolRefundUnits));
-    Sched.set("pool_transfers", N(SchedulePoolGrants));
-    Sched.set("pool_grant_units", N(SchedulePoolGrantUnits));
-    Sched.set("priority_inversions", N(SchedulePriorityInversions));
-    Sched.set("warm_start_entries", N(ScheduleWarmStartEntries));
-    Sched.set("discarded_runs", N(ScheduleDiscardedRuns));
-    Sched.set("discarded_units", N(ScheduleDiscardedUnits));
-    V.set("scheduling", std::move(Sched));
   }
   V.set("metrics", Metrics.toJson());
   return V;

@@ -68,23 +68,6 @@ struct ProfileReport {
   std::uint64_t StoreStores = 0;
   std::uint64_t LiveSolverQueries = 0;
 
-  /// Adaptive-scheduling activity (the "Scheduling" table; only
-  /// rendered when HasSchedule — fixed-order campaigns skip it). Flat
-  /// uint64 mirrors of evalkit's ScheduleStats, to keep this header
-  /// free of evalkit types.
-  bool HasSchedule = false;
-  std::uint64_t ScheduleWaves = 0;
-  std::uint64_t ScheduleTierEscalations = 0;
-  std::uint64_t ScheduleEarlyExits = 0;
-  std::uint64_t SchedulePoolRefunds = 0;
-  std::uint64_t SchedulePoolRefundUnits = 0;
-  std::uint64_t SchedulePoolGrants = 0;
-  std::uint64_t SchedulePoolGrantUnits = 0;
-  std::uint64_t SchedulePriorityInversions = 0;
-  std::uint64_t ScheduleWarmStartEntries = 0;
-  std::uint64_t ScheduleDiscardedRuns = 0;
-  std::uint64_t ScheduleDiscardedUnits = 0;
-
   /// The merged campaign metrics (counters + histograms).
   MetricsRegistry Metrics;
 

@@ -934,7 +934,6 @@ CaseSolver::CaseStatus CaseSolver::solve(const Case &Lits, Model &Out) {
   std::vector<std::size_t> Choice(Reps.size(), 0);
   while (true) {
     if (Combos++ > Opts.MaxClassCombos) {
-      Stats.CapHits++;
       AnyUnknown = true;
       break;
     }
@@ -1073,12 +1072,6 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
 
   unsigned StartNodes = Nodes;
   bool SatFound = searchInt(0, M);
-  // A node-cap trip prunes subtrees, so even a Sat answer may differ
-  // from the un-capped search's Sat — count the trip on every outcome
-  // (the scheduler's cheap-tier acceptance requires that no cap was
-  // felt anywhere, not merely that the final status stayed definite).
-  if (Nodes > Opts.MaxSearchNodes)
-    Stats.CapHits++;
   if (SatFound)
     return CaseStatus::Sat;
   Stats.NodesExplored += Nodes - StartNodes;
@@ -1104,7 +1097,6 @@ void SolverStats::add(const SolverStats &Other) {
   CacheMisses += Other.CacheMisses;
   PrefixReuseSolves += Other.PrefixReuseSolves;
   FullSolves += Other.FullSolves;
-  CapHits += Other.CapHits;
 }
 
 void igdt::foldSolverStats(MetricsRegistry &Registry,
@@ -1118,23 +1110,6 @@ void igdt::foldSolverStats(MetricsRegistry &Registry,
   Registry.add("solver.budget_stops", Stats.BudgetStops);
   Registry.add("solver.cache.hits", Stats.CacheHits);
   Registry.add("solver.cache.misses", Stats.CacheMisses);
-  Registry.add("solver.cap_hits", Stats.CapHits);
-}
-
-SolverOptions igdt::solverTierCaps(const SolverOptions &Base,
-                                   unsigned Distance) {
-  SolverOptions Tier = Base;
-  for (unsigned I = 0; I < Distance; ++I) {
-    // 4x per rung, floored so a tier never degenerates to an empty
-    // search. Only give-up thresholds move: everything that shapes the
-    // below-cap trajectory (RandomSamples, IntegerBits, stack/slot
-    // bounds, Seed) is untouched, so CapHits == 0 at any tier proves
-    // the run identical to full strength.
-    Tier.MaxCases = std::max(4u, Tier.MaxCases / 4);
-    Tier.MaxClassCombos = std::max(8u, Tier.MaxClassCombos / 4);
-    Tier.MaxSearchNodes = std::max(256u, Tier.MaxSearchNodes / 4);
-  }
-  return Tier;
 }
 
 ConstraintSolver::ConstraintSolver(const ClassTable &Classes,
@@ -1188,7 +1163,6 @@ SolveResult ConstraintSolver::solveImpl(
   std::optional<std::vector<Case>> Cases =
       CaseExpander(Opts.MaxCases).expand(Conjuncts);
   if (!Cases) {
-    Stats.CapHits++;
     Result.Status = SolveStatus::Unknown;
     Stats.UnknownCount++;
     return Result;

@@ -135,19 +135,6 @@ struct SolverStats {
   /// Queries and BudgetStops); kept because the repository benchmark
   /// (perfbench/cpp/Workloads.cpp) reports it as solver.full_solves.
   std::uint64_t FullSolves = 0;
-  /// Times a structural cap (MaxCases burst, MaxClassCombos, or
-  /// MaxSearchNodes) actually cut a search short. This is the caps
-  /// *touched* counter the campaign scheduler's tiered escalation keys
-  /// on: below every cap, execution is bit-independent of the cap
-  /// values, so a run whose CapHits is zero under reduced caps is
-  /// provably identical to the same run at full strength. Counted even
-  /// when the query still answers Sat (a node-cap trip prunes subtrees,
-  /// so a later candidate's Sat may differ from the un-capped Sat).
-  /// Deterministic — shared-index hits only ever skip Unsat proofs,
-  /// which never trip a cap — but excluded from campaign checkpoints
-  /// like the other diagnostics: it describes solver internals, not
-  /// exploration output.
-  std::uint64_t CapHits = 0;
 
   /// Accumulates \p Other into this (deterministic reduction used when
   /// merging per-worker statistics).
@@ -161,20 +148,6 @@ struct SolverStats {
 /// per-shard stats fold per-record, and the campaign's catalog-order
 /// merge makes the combined numbers deterministic.
 void foldSolverStats(MetricsRegistry &Registry, const SolverStats &Stats);
-
-/// Derives the reduced-caps solver options for a scheduler tier
-/// \p Distance rungs below full strength (0 returns \p Base
-/// unchanged). Cuts only the pure give-up thresholds — MaxCases,
-/// MaxClassCombos, MaxSearchNodes — by 4x per rung (floored), because
-/// execution below those caps is bit-identical regardless of their
-/// value. RandomSamples (changes the candidate trajectory per node)
-/// and IntegerBits (changes interval clamps) are never touched: a
-/// cheap-tier run that finishes with SolverStats::CapHits == 0 must be
-/// byte-identical to the full-strength run, which is the scheduler's
-/// acceptance proof. Distinct from the explorer's degradation ladder
-/// (ConcolicExplorer), which *recovers* Unknown negations by
-/// weakening; this ladder *screens* whole instructions cheaply first.
-SolverOptions solverTierCaps(const SolverOptions &Base, unsigned Distance);
 
 /// The solver. Stateless between queries except for statistics.
 class ConstraintSolver {

@@ -23,9 +23,11 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,6 +69,30 @@ struct JsonValue {
                        const std::string &Default) const;
   bool boolOr(const std::string &Key, bool Default) const;
   /// @}
+
+  /// Checked integer read for untrusted input. Stores \p Key's number
+  /// in \p Out when \p T holds it exactly; fails, leaving \p Out alone,
+  /// for a number that is negative, fractional or above T's maximum,
+  /// where a plain cast is undefined ([conv.fpint]) or truncates. An
+  /// absent key, or one that is not a number, leaves \p Out alone and
+  /// succeeds, as numberOr falls back to its default.
+  template <typename T> bool readUnsigned(const std::string &Key, T &Out) const {
+    static_assert(std::is_unsigned_v<T>);
+    const JsonValue *V = find(Key);
+    if (!V || V->K != Kind::Number)
+      return true;
+    // The first value T cannot hold: 2^digits, exact in a double. NaN
+    // fails the range test; inside it the cast is defined, and a
+    // fractional number does not survive the round trip.
+    constexpr double Limit = double(std::numeric_limits<T>::max()) + 1.0;
+    if (!(V->Num >= 0 && V->Num < Limit))
+      return false;
+    T Whole = static_cast<T>(V->Num);
+    if (double(Whole) != V->Num)
+      return false;
+    Out = Whole;
+    return true;
+  }
 
   /// Serialises to compact single-line JSON.
   std::string dump() const;

@@ -3,7 +3,8 @@
 // The versioned request/response vocabulary: JSON round-trips preserve
 // every field, absent fields read tolerantly as defaults, schema
 // versions newer than this build are rejected with a diagnostic that
-// names both versions, toSessionConfig is a faithful mapping onto the
+// names both versions, retired keys that ask for removed behaviour and
+// malformed integers are refused by name, toSessionConfig is a faithful mapping onto the
 // nested option structs, and requestFromFlags parses the shared flag
 // vocabulary the benches and the client CLI speak.
 //
@@ -50,13 +51,6 @@ CampaignRequest fullyPopulated() {
   R.ExploreWorkUnits = 7000;
   R.ReplayWallMillis = 600;
   R.ReplayWorkUnits = 5000;
-  R.TotalExploreUnits = 40000;
-  R.SchedulePolicy = "adaptive";
-  R.SolverTiers = 3;
-  R.BudgetPool = true;
-  R.BudgetPoolCapFactor = 4.0;
-  R.WarmStartPath = "yield.json";
-  R.PersistYield = true;
   return R;
 }
 
@@ -83,13 +77,14 @@ void expectEqual(const CampaignRequest &A, const CampaignRequest &B) {
   EXPECT_EQ(A.ExploreWorkUnits, B.ExploreWorkUnits);
   EXPECT_EQ(A.ReplayWallMillis, B.ReplayWallMillis);
   EXPECT_EQ(A.ReplayWorkUnits, B.ReplayWorkUnits);
-  EXPECT_EQ(A.TotalExploreUnits, B.TotalExploreUnits);
-  EXPECT_EQ(A.SchedulePolicy, B.SchedulePolicy);
-  EXPECT_EQ(A.SolverTiers, B.SolverTiers);
-  EXPECT_EQ(A.BudgetPool, B.BudgetPool);
-  EXPECT_EQ(A.BudgetPoolCapFactor, B.BudgetPoolCapFactor);
-  EXPECT_EQ(A.WarmStartPath, B.WarmStartPath);
-  EXPECT_EQ(A.PersistYield, B.PersistYield);
+}
+
+/// Parses \p Text as a CampaignRequest; the error lands in \p Error.
+bool parseRequest(const char *Text, std::string &Error) {
+  std::optional<JsonValue> V = JsonValue::parse(Text);
+  EXPECT_TRUE(V.has_value()) << Text;
+  CampaignRequest Out;
+  return V && CampaignRequest::fromJson(*V, Out, &Error);
 }
 
 } // namespace
@@ -246,13 +241,6 @@ TEST(RequestsTest, ToSessionConfigIsAFaithfulMapping) {
   EXPECT_EQ(Config.Campaign.ExploreBudget.WorkUnits, 7000u);
   EXPECT_EQ(Config.Campaign.ReplayBudget.WallMillis, 600);
   EXPECT_EQ(Config.Campaign.ReplayBudget.WorkUnits, 5000u);
-  EXPECT_EQ(Config.Campaign.TotalExploreUnits, 40000u);
-  EXPECT_EQ(Config.Campaign.Schedule.Policy, "adaptive");
-  EXPECT_EQ(Config.Campaign.Schedule.SolverTiers, 3u);
-  EXPECT_TRUE(Config.Campaign.Schedule.BudgetPool);
-  EXPECT_EQ(Config.Campaign.Schedule.BudgetPoolCapFactor, 4.0);
-  EXPECT_EQ(Config.Campaign.Schedule.WarmStartPath, "yield.json");
-  EXPECT_TRUE(Config.Campaign.Schedule.PersistYield);
   EXPECT_EQ(Config.Campaign.Harness.Sim.Engine, SimEngine::Native);
   EXPECT_TRUE(Config.Campaign.Harness.CrossEngineCheck);
   // The store is process state, not configuration: never mapped here.
@@ -269,7 +257,6 @@ TEST(RequestsTest, ToSessionConfigIsAFaithfulMapping) {
   SessionConfig Defaults;
   EXPECT_EQ(Stock.Campaign.Jobs, Defaults.Campaign.Jobs);
   EXPECT_EQ(Stock.Campaign.MaxAttempts, Defaults.Campaign.MaxAttempts);
-  EXPECT_EQ(Stock.Campaign.Schedule.Policy, Defaults.Campaign.Schedule.Policy);
 }
 
 TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
@@ -286,8 +273,6 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
                         "--store",         "s.jsonl",
                         "--deterministic",
                         "--max-attempts",  "3",
-                        "--schedule",      "adaptive",
-                        "--solver-tiers",  "2",
                         "--engine",        "native",
                         "--cross-engine-check"};
   ASSERT_TRUE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
@@ -300,8 +285,96 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
   EXPECT_EQ(R.StorePath, "s.jsonl");
   EXPECT_TRUE(R.Deterministic);
   EXPECT_EQ(R.MaxAttempts, 3u);
-  EXPECT_EQ(R.SchedulePolicy, "adaptive");
-  EXPECT_EQ(R.SolverTiers, 2u);
   EXPECT_EQ(R.Engine, "native");
   EXPECT_TRUE(R.CrossEngineCheck);
+}
+
+// Campaigns run in catalog order; a frame that still asks for the
+// retired adaptive schedule is refused by name, like an unknown engine.
+TEST(RequestsTest, RetiredScheduleKeyIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"schedule\":\"adaptive\"}", Error));
+  EXPECT_NE(Error.find("'schedule'"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("adaptive"), std::string::npos) << Error;
+  // The shipped value asks for nothing retired, and the keys that never
+  // changed a fixed-order campaign are ignored like any unknown key.
+  EXPECT_TRUE(parseRequest("{\"schedule\":\"fixed\",\"solver_tiers\":2,"
+                           "\"budget_pool\":true,\"budget_pool_cap\":4,"
+                           "\"warm_start\":\"y.jsonl\"}",
+                           Error))
+      << Error;
+}
+
+TEST(RequestsTest, RetiredTotalUnitsKeyIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"total_units\":500}", Error));
+  EXPECT_NE(Error.find("'total_units'"), std::string::npos) << Error;
+  EXPECT_TRUE(parseRequest("{\"total_units\":0}", Error)) << Error;
+}
+
+TEST(RequestsTest, RetiredYieldPersistenceKeyIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"persist_yield\":true}", Error));
+  EXPECT_NE(Error.find("'persist_yield'"), std::string::npos) << Error;
+  EXPECT_TRUE(parseRequest("{\"persist_yield\":false}", Error)) << Error;
+}
+
+TEST(RequestsTest, RetiredScheduleFlagIsAnUnknownFlag) {
+  CampaignRequest R;
+  FlagParser Flags("requests_test", "test");
+  requestFromFlags(Flags, R);
+  const char *Argv[] = {"requests_test", "--schedule", "adaptive"};
+  EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
+}
+
+// Integer fields are read checked: casting a negative, huge or
+// fractional double to an unsigned type is undefined or truncates, so
+// each is refused, naming the field.
+TEST(RequestsTest, NegativeSchemaVersionIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"v\":-1}", Error));
+  EXPECT_NE(Error.find("'v'"), std::string::npos) << Error;
+}
+
+TEST(RequestsTest, NegativeJobsIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"jobs\":-1}", Error));
+  EXPECT_NE(Error.find("'jobs'"), std::string::npos) << Error;
+}
+
+TEST(RequestsTest, OutOfRangeJobsIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"jobs\":1e20}", Error));
+  EXPECT_NE(Error.find("'jobs'"), std::string::npos) << Error;
+  // The largest value the field holds is still accepted.
+  EXPECT_TRUE(parseRequest("{\"jobs\":4294967295}", Error)) << Error;
+  EXPECT_FALSE(parseRequest("{\"jobs\":4294967296}", Error));
+}
+
+TEST(RequestsTest, FractionalStopAfterIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"stop_after\":2.5}", Error));
+  EXPECT_NE(Error.find("'stop_after'"), std::string::npos) << Error;
+  // A whole number written with a fraction or exponent is still whole.
+  EXPECT_TRUE(parseRequest("{\"stop_after\":2.0}", Error)) << Error;
+  EXPECT_TRUE(parseRequest("{\"stop_after\":2e1}", Error)) << Error;
+}
+
+TEST(RequestsTest, OutOfRangeStatusExitCodeIsRefused) {
+  // exit_code is a process exit status, so it is read as 0..255.
+  for (const char *Text : {"{\"exit_code\":1e20}", "{\"exit_code\":-1}",
+                           "{\"exit_code\":2.5}", "{\"exit_code\":256}"}) {
+    std::optional<JsonValue> V = JsonValue::parse(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    StatusReply Out;
+    std::string Error;
+    EXPECT_FALSE(StatusReply::fromJson(*V, Out, &Error)) << Text;
+    EXPECT_NE(Error.find("'exit_code'"), std::string::npos) << Error;
+  }
+  std::optional<JsonValue> V = JsonValue::parse("{\"exit_code\":255}");
+  ASSERT_TRUE(V.has_value());
+  StatusReply Out;
+  std::string Error;
+  ASSERT_TRUE(StatusReply::fromJson(*V, Out, &Error)) << Error;
+  EXPECT_EQ(Out.ExitCode, 255);
 }

@@ -12,6 +12,7 @@
 #include "faults/DefectCatalog.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 using namespace igdt;
 
@@ -125,6 +126,12 @@ std::string seqTestName(const ::testing::TestParamInfo<SeqConfig> &Info) {
               : "_linearscan";
   Name += Info.param.Arm ? "_arm" : "_x64";
   return Name;
+}
+
+/// Prints a parameter as its test-name suffix, so gtest does not dump
+/// the struct's raw bytes (a pointer and padding) into the test name.
+void PrintTo(const SeqConfig &C, std::ostream *OS) {
+  *OS << seqTestName(::testing::TestParamInfo<SeqConfig>(C, 0));
 }
 
 std::vector<SeqConfig> allSeqConfigs() {

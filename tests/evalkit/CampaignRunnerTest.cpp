@@ -475,6 +475,28 @@ TEST(CampaignRunnerTest, RecordsRoundTripThroughTheCheckpointFormat) {
                   aggregateCampaignRows(S.Records));
 }
 
+TEST(CampaignRunnerTest, IncidentLinesWithABadAttemptAreRefused) {
+  // Incident lines come back from forked workers; the attempt number is
+  // read checked, so a negative, fractional or huge one refuses the
+  // line (and with it the worker's payload) instead of being cast.
+  CampaignIncident Inc;
+  Inc.Instruction = "bytecodePrim_add";
+  Inc.Stage = "explore";
+  Inc.Attempt = 2;
+  CampaignIncident Back;
+  ASSERT_TRUE(CampaignIncident::fromJson(Inc.toJson(), Back));
+  EXPECT_EQ(Back.Attempt, 2u);
+  EXPECT_EQ(Back.toJson(), Inc.toJson());
+
+  for (const char *Bad : {"-1", "2.5", "1e20"}) {
+    std::string Line = Inc.toJson();
+    std::size_t At = Line.find("\"attempt\":2");
+    ASSERT_NE(At, std::string::npos) << Line;
+    Line.replace(At, 11, std::string("\"attempt\":") + Bad);
+    EXPECT_FALSE(CampaignIncident::fromJson(Line, Back)) << Line;
+  }
+}
+
 std::string slurpFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::ostringstream Out;
@@ -489,12 +511,14 @@ TEST(CampaignRunnerTest, StoreHitsAreValidatedBeforeTheyAreServed) {
   // fresh, so the checkpoint matches a store-less run byte for byte.
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = {"bytecodePrim_add", "bytecodePrim_sub",
-                           "bytecodePrim_mul"};
+                           "bytecodePrim_mul", "bytecodePrim_div"};
   Opts.RecordTimings = false;
   Opts.CheckpointPath = tempPath("validated_reference.jsonl");
   CampaignSummary Reference = CampaignRunner(Opts).run();
   std::vector<std::string> Lines = readLines(Opts.CheckpointPath);
-  ASSERT_EQ(Lines.size(), 3u);
+  ASSERT_EQ(Lines.size(), 4u);
+  ASSERT_NE(Lines[2].find("\"bytecodePrim_mul\""), std::string::npos);
+  ASSERT_NE(Lines[3].find("\"bytecodePrim_div\""), std::string::npos);
   std::string ReferenceBytes = slurpFile(Opts.CheckpointPath);
   std::remove(Opts.CheckpointPath.c_str());
 
@@ -516,16 +540,24 @@ TEST(CampaignRunnerTest, StoreHitsAreValidatedBeforeTheyAreServed) {
   Store.put(KeyOf("bytecodePrim_sub"), "bytecodePrim_sub", Lines[2]);
   // A genuine hit.
   Store.put(KeyOf("bytecodePrim_mul"), "bytecodePrim_mul", Lines[2]);
+  // Out of range: a negative count is inside the JSON grammar, but no
+  // unsigned field holds it, and casting it would be undefined.
+  std::string Negative = Lines[3];
+  std::size_t Attempts = Negative.find("\"attempts\":1,");
+  ASSERT_NE(Attempts, std::string::npos);
+  Negative.replace(Attempts + 11, 1, "-1");
+  ASSERT_TRUE(JsonValue::parse(Negative).has_value());
+  Store.put(KeyOf("bytecodePrim_div"), "bytecodePrim_div", Negative);
 
   Opts.CheckpointPath = tempPath("validated_store.jsonl");
   CampaignSummary Served = CampaignRunner(Opts).run();
   EXPECT_EQ(Served.StoreHits, 1u);
   EXPECT_EQ(Served.StoreServed, 1u);
-  EXPECT_EQ(Served.StoreMisses, 2u);
-  EXPECT_EQ(Served.StoreStores, 2u);
+  EXPECT_EQ(Served.StoreMisses, 3u);
+  EXPECT_EQ(Served.StoreStores, 3u);
   EXPECT_GT(Served.LiveSolver.Queries, 0u);
-  ASSERT_EQ(Served.Records.size(), 3u);
-  for (std::size_t I = 0; I < 3; ++I)
+  ASSERT_EQ(Served.Records.size(), 4u);
+  for (std::size_t I = 0; I < 4; ++I)
     EXPECT_EQ(Served.Records[I].toJson(), Reference.Records[I].toJson());
   EXPECT_EQ(slurpFile(Opts.CheckpointPath), ReferenceBytes);
   std::remove(Opts.CheckpointPath.c_str());

@@ -4,9 +4,11 @@
 // frames, every worker-class fault (segfault, hard hang, pipe-message
 // corruption) is contained as an incident + quarantine, transient
 // worker faults recover on a fresh worker, records/incidents/traces
-// are byte-identical at WorkerProcesses 0/1/4 and across the
-// fork-unavailable fallback, and a SIGKILLed coordinator resumes from
-// its checkpoint to the same final records.
+// are byte-identical at Jobs 1/4 and WorkerProcesses 0/1/4 (under the
+// worker faults, under all seven harness faults, and for the full
+// catalog on a starving explore budget) and across the fork-unavailable
+// fallback, and a SIGKILLed coordinator resumes from its checkpoint to
+// the same final records.
 //
 //===----------------------------------------------------------------------===//
 
@@ -191,6 +193,29 @@ CampaignOptions workerFaultScenario() {
   return Opts;
 }
 
+/// All seven armed harness faults, one per instruction — the four
+/// stage faults, then the three worker-class ones — plus three clean
+/// instructions.
+CampaignOptions sevenFaultScenario() {
+  CampaignOptions Opts = cleanOptions();
+  Opts.OnlyInstructions = {"bytecodePrim_add",      "bytecodePrim_sub",
+                           "bytecodePrim_mul",      "bytecodePrim_div",
+                           "primitiveAdd",          "primitiveFloatAdd",
+                           "primitiveFloatSubtract", "primitiveFloatMultiply",
+                           "primitiveFloatDivide",  "primitiveFloatLessThan"};
+  Opts.Faults.Faults = {
+      {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
+      {HarnessFaultKind::SimFuelExhaustion, "bytecodePrim_sub", false},
+      {HarnessFaultKind::FrontEndThrow, "bytecodePrim_mul", false},
+      {HarnessFaultKind::HeapCorruption, "bytecodePrim_div", false},
+      {HarnessFaultKind::WorkerSegfault, "primitiveAdd", false},
+      {HarnessFaultKind::WorkerHang, "primitiveFloatAdd", false},
+      {HarnessFaultKind::PipeMessageCorruption, "primitiveFloatSubtract",
+       false},
+  };
+  return Opts;
+}
+
 void expectScenarioOutcome(const CampaignSummary &S) {
   EXPECT_EQ(S.CompletedInstructions, 6u);
   EXPECT_FALSE(S.Stopped);
@@ -267,28 +292,63 @@ TEST(ProcessPoolTest, RecordsAreByteIdenticalAcrossTopologies) {
   const Topology Topologies[] = {
       {"serial", 1, 0}, {"threads4", 4, 0}, {"procs1", 1, 1}, {"procs4", 1, 4}};
 
-  std::vector<std::string> Checkpoints;
-  std::vector<std::string> Incidents;
-  std::vector<std::string> Traces;
-  for (const Topology &T : Topologies) {
-    CampaignOptions Opts = workerFaultScenario();
-    Opts.Jobs = T.Jobs;
-    Opts.WorkerProcesses = T.WorkerProcesses;
-    Opts.CheckpointPath = tempPath(std::string(T.Name) + "_ckpt.jsonl");
-    Opts.IncidentLogPath = tempPath(std::string(T.Name) + "_inc.jsonl");
-    Opts.TracePath = tempPath(std::string(T.Name) + "_trace.jsonl");
-    expectScenarioOutcome(CampaignRunner(Opts).run());
-    Checkpoints.push_back(slurp(Opts.CheckpointPath));
-    Incidents.push_back(slurp(Opts.IncidentLogPath));
-    Traces.push_back(slurp(Opts.TracePath));
-  }
-  ASSERT_FALSE(Checkpoints[0].empty());
-  ASSERT_FALSE(Incidents[0].empty());
-  ASSERT_FALSE(Traces[0].empty());
-  for (std::size_t I = 1; I < 4; ++I) {
-    EXPECT_EQ(Checkpoints[0], Checkpoints[I]) << Topologies[I].Name;
-    EXPECT_EQ(Incidents[0], Incidents[I]) << Topologies[I].Name;
-    EXPECT_EQ(Traces[0], Traces[I]) << Topologies[I].Name;
+  // Three worklists: the worker-fault scenario above; all seven harness
+  // faults at once; and the full clean catalog under a per-instruction
+  // budget of 3 explore units, where frontiers starve and each record
+  // depends on where its own budget ran out.
+  CampaignOptions Budgeted = cleanOptions();
+  Budgeted.ExploreBudget.WorkUnits = 3;
+  const struct {
+    const char *Name;
+    CampaignOptions Base;
+    std::size_t Completed;
+    std::size_t Quarantined;
+  } Scenarios[] = {{"workers", workerFaultScenario(), 6, 4},
+                   {"seven", sevenFaultScenario(), 10, 7},
+                   {"budgeted", Budgeted, allInstructions().size(), 0}};
+
+  for (const auto &Scenario : Scenarios) {
+    std::vector<std::string> Checkpoints;
+    std::vector<std::string> Incidents;
+    std::vector<std::string> Traces;
+    for (const Topology &T : Topologies) {
+      const std::string Where = std::string(Scenario.Name) + "_" + T.Name;
+      CampaignOptions Opts = Scenario.Base;
+      Opts.Jobs = T.Jobs;
+      Opts.WorkerProcesses = T.WorkerProcesses;
+      Opts.CheckpointPath = tempPath(Where + "_ckpt.jsonl");
+      Opts.IncidentLogPath = tempPath(Where + "_inc.jsonl");
+      Opts.TracePath = tempPath(Where + "_trace.jsonl");
+      CampaignSummary S = CampaignRunner(Opts).run();
+      EXPECT_EQ(S.CompletedInstructions, Scenario.Completed) << Where;
+      EXPECT_EQ(S.Quarantined.size(), Scenario.Quarantined) << Where;
+      if (Where.starts_with("workers_"))
+        expectScenarioOutcome(S);
+      if (Scenario.Base.ExploreBudget.WorkUnits) {
+        EXPECT_TRUE(std::any_of(S.Records.begin(), S.Records.end(),
+                                [](const InstructionRecord &R) {
+                                  return R.BudgetExhausted;
+                                }))
+            << Where;
+      }
+      Checkpoints.push_back(slurp(Opts.CheckpointPath));
+      Incidents.push_back(slurp(Opts.IncidentLogPath));
+      Traces.push_back(slurp(Opts.TracePath));
+      std::remove(Opts.CheckpointPath.c_str());
+      std::remove(Opts.IncidentLogPath.c_str());
+      std::remove(Opts.TracePath.c_str());
+    }
+    ASSERT_FALSE(Checkpoints[0].empty()) << Scenario.Name;
+    ASSERT_FALSE(Traces[0].empty()) << Scenario.Name;
+    EXPECT_EQ(Incidents[0].empty(), Scenario.Quarantined == 0)
+        << Scenario.Name;
+    for (std::size_t I = 1; I < std::size(Topologies); ++I) {
+      const std::string Where =
+          std::string(Scenario.Name) + "_" + Topologies[I].Name;
+      EXPECT_EQ(Checkpoints[0], Checkpoints[I]) << Where;
+      EXPECT_EQ(Incidents[0], Incidents[I]) << Where;
+      EXPECT_EQ(Traces[0], Traces[I]) << Where;
+    }
   }
 }
 

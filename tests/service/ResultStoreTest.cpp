@@ -143,15 +143,6 @@ TEST(ResultStoreTest, ConfigFingerprintIgnoresTopologyButNotSemantics) {
   Selection.CheckpointPath = "elsewhere.jsonl";
   EXPECT_EQ(campaignConfigFingerprint(Selection), Baseline);
 
-  // Adaptive order and solver tiers reproduce the fixed-order bytes;
-  // the budget pool moves budget between instructions, so it is keyed.
-  CampaignOptions Adaptive = Base;
-  Adaptive.Schedule.Policy = "adaptive";
-  Adaptive.Schedule.SolverTiers = 2;
-  EXPECT_EQ(campaignConfigFingerprint(Adaptive), Baseline);
-  Adaptive.Schedule.BudgetPool = true;
-  EXPECT_NE(campaignConfigFingerprint(Adaptive), Baseline);
-
   // The full content address mixes body and config: same instruction
   // under a different fingerprint is a different key, and vice versa.
   const InstructionSpec *Add = findInstruction("bytecodePrim_add");
@@ -196,6 +187,40 @@ TEST(ResultStoreTest, VersionOneEntriesAreNotServed) {
   EXPECT_EQ(Run.Records[0].toJson(), Fresh.Records[0].toJson());
 }
 
+TEST(ResultStoreTest, VersionThreeCheckpointLinesReRunAsStale) {
+  // The key a version-3 binary derived for bytecodePrim_add under these
+  // options. Version 4 dropped the campaign ledger, budget pool and
+  // persisted yield from the fingerprint, so a checkpoint line under the
+  // old key re-runs, counted stale, rather than resuming.
+  constexpr std::uint64_t VersionThreeKey = 0xfaeaa0ca1687d010ull;
+  CampaignOptions Opts;
+  Opts.RecordTimings = false;
+  Opts.OnlyInstructions = {"bytecodePrim_add"};
+  const InstructionSpec *Add = findInstruction("bytecodePrim_add");
+  ASSERT_NE(Add, nullptr);
+  EXPECT_NE(resultStoreKey(*Add, campaignConfigFingerprint(Opts)),
+            VersionThreeKey);
+
+  // Plant a well-formed record under the old key, tagged so that
+  // resuming it would be visible.
+  CampaignSummary Fresh = CampaignRunner(Opts).run();
+  ASSERT_EQ(Fresh.Records.size(), 1u);
+  InstructionRecord Planted = Fresh.Records[0];
+  Planted.Paths = 999;
+  Opts.CheckpointPath = tempPath("version_three.jsonl");
+  {
+    std::ofstream Out(Opts.CheckpointPath);
+    Out << keyedRecordLine(VersionThreeKey, Planted.toJson()) << "\n";
+  }
+
+  CampaignSummary Run = CampaignRunner(Opts).run();
+  EXPECT_EQ(Run.ResumedInstructions, 0u);
+  EXPECT_EQ(Run.Metrics.counter("campaign.resume_stale"), 1u);
+  ASSERT_EQ(Run.Records.size(), 1u);
+  EXPECT_EQ(Run.Records[0].toJson(), Fresh.Records[0].toJson());
+  std::remove(Opts.CheckpointPath.c_str());
+}
+
 TEST(ResultStoreTest, StoreEligibilityRefusesTimingDependentConfigs) {
   CampaignOptions Opts;
   EXPECT_TRUE(storeEligible(Opts));
@@ -216,18 +241,6 @@ TEST(ResultStoreTest, StoreEligibilityRefusesTimingDependentConfigs) {
   Wall = CampaignOptions();
   Wall.ReplayBudget.WallMillis = 50;
   EXPECT_FALSE(storeEligible(Wall));
-
-  CampaignOptions Ledger;
-  Ledger.TotalExploreUnits = 500;
-  EXPECT_FALSE(storeEligible(Ledger));
-
-  CampaignOptions Pool;
-  Pool.Schedule.Policy = "adaptive";
-  Pool.Schedule.BudgetPool = true;
-  EXPECT_FALSE(storeEligible(Pool));
-  // Adaptive ordering alone only permutes scheduling, not record bytes.
-  Pool.Schedule.BudgetPool = false;
-  EXPECT_TRUE(storeEligible(Pool));
 }
 
 //===----------------------------------------------------------------------===//

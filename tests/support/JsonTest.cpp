@@ -2,6 +2,7 @@
 
 #include "support/Json.h"
 
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <ostream>
 #include <string_view>
@@ -201,4 +202,40 @@ TEST(JsonTest, EscapedControlBytesRoundTripToTheSameByte) {
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->Str, All);
   EXPECT_EQ(V->dump(), Line);
+}
+
+TEST(JsonTest, ReadUnsignedRefusesNegativeFractionalAndOutOfRangeNumbers) {
+  auto V = JsonValue::parse("{\"neg\":-1,\"half\":2.5,\"huge\":1e20,"
+                            "\"u32max\":4294967295,\"u32over\":4294967296,"
+                            "\"u64over\":18446744073709551616,"
+                            "\"whole\":2e1}");
+  ASSERT_TRUE(V.has_value());
+  unsigned U = 7;
+  EXPECT_FALSE(V->readUnsigned("neg", U));
+  EXPECT_FALSE(V->readUnsigned("half", U));
+  EXPECT_FALSE(V->readUnsigned("huge", U));
+  EXPECT_FALSE(V->readUnsigned("u32over", U));
+  EXPECT_EQ(U, 7u) << "a refused read leaves the target untouched";
+  EXPECT_TRUE(V->readUnsigned("u32max", U));
+  EXPECT_EQ(U, 4294967295u);
+  EXPECT_TRUE(V->readUnsigned("whole", U));
+  EXPECT_EQ(U, 20u);
+
+  std::uint64_t W = 0;
+  EXPECT_TRUE(V->readUnsigned("u32over", W));
+  EXPECT_EQ(W, 4294967296ull);
+  // 2^64 is the first value a uint64_t cannot hold.
+  EXPECT_FALSE(V->readUnsigned("u64over", W));
+  EXPECT_FALSE(V->readUnsigned("neg", W));
+}
+
+TEST(JsonTest, ReadUnsignedLeavesAbsentAndNonNumericFieldsAtTheirDefault) {
+  auto V = JsonValue::parse("{\"s\":\"3\",\"b\":true,\"n\":null}");
+  ASSERT_TRUE(V.has_value());
+  unsigned U = 5;
+  EXPECT_TRUE(V->readUnsigned("missing", U));
+  EXPECT_TRUE(V->readUnsigned("s", U));
+  EXPECT_TRUE(V->readUnsigned("b", U));
+  EXPECT_TRUE(V->readUnsigned("n", U));
+  EXPECT_EQ(U, 5u);
 }
