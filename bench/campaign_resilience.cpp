@@ -2,17 +2,16 @@
 //
 // Standalone proof that a campaign survives every injectable harness
 // malfunction: runs a clean-configuration campaign over a small
-// instruction subset with all seven fault kinds armed — the four
-// stage faults plus the worker-class trio (segfault, hard hang,
-// pipe-message corruption) — prints the quarantine accounting and the
-// incident report, and exits nonzero only if containment failed
-// (wrong quarantine set, missing incidents, or a genuine defect in
-// the fixed configuration). CI runs this after the unit suite, both
-// in-process and with --workers N forked worker processes.
+// instruction subset with all four fault kinds armed (solver hang,
+// simulator fuel exhaustion, front-end throw, heap corruption), prints
+// the quarantine accounting and the incident report, and exits nonzero
+// only if containment failed (wrong quarantine set, missing incidents,
+// or a genuine defect in the fixed configuration). CI runs this after
+// the unit suite.
 //
 // Positional arguments name a single fault kind to arm instead of the
-// default all-seven plan (CI variants); session flags (--trace,
-// --incidents, --workers, ...) are available as everywhere else.
+// default all-four plan (CI variants); session flags (--trace,
+// --incidents, --jobs, ...) are available as everywhere else.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +34,6 @@ int main(int Argc, char **Argv) {
   CampaignRequest Request;
   FlagParser Flags("campaign_resilience",
                    "Containment smoke: all harness faults armed.");
-  // Armed hangs should trip the watchdog in seconds, not the library
-  // default minute; --worker-deadline-millis still overrides.
-  Request.WorkerDeadlineMillis = 2000;
   requestFromFlags(Flags, Request);
   if (!Flags.parse(Argc, Argv))
     return Flags.helpRequested() ? 0 : 2;
@@ -59,25 +55,19 @@ int main(int Argc, char **Argv) {
   Config.harness().Cogit = cleanCogitOptions();
   Config.harness().SeedSimulationErrors = false;
   Config.Campaign.OnlyInstructions = {
-      "bytecodePrim_add",    "bytecodePrim_sub",   "bytecodePrim_mul",
-      "bytecodePrim_div",    "primitiveAdd",       "primitiveFloatAdd",
-      "bytecodePrim_bitAnd", "bytecodePrim_bitOr", "bytecodePrim_bitXor"};
+      "bytecodePrim_add", "bytecodePrim_sub", "bytecodePrim_mul",
+      "bytecodePrim_div", "primitiveAdd",     "primitiveFloatAdd"};
   Config.Campaign.Faults.Faults = {
       {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
       {HarnessFaultKind::FrontEndThrow, "bytecodePrim_sub", false},
       {HarnessFaultKind::HeapCorruption, "bytecodePrim_mul", false},
       {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
-      {HarnessFaultKind::WorkerSegfault, "bytecodePrim_bitAnd", false},
-      {HarnessFaultKind::WorkerHang, "bytecodePrim_bitOr", false},
-      {HarnessFaultKind::PipeMessageCorruption, "bytecodePrim_bitXor", false},
   };
   // Positional override for CI variants: arm only the named fault kind.
   for (const std::string &Arg : Flags.positional())
     for (HarnessFaultKind Kind :
          {HarnessFaultKind::SolverHang, HarnessFaultKind::SimFuelExhaustion,
-          HarnessFaultKind::FrontEndThrow, HarnessFaultKind::HeapCorruption,
-          HarnessFaultKind::WorkerSegfault, HarnessFaultKind::WorkerHang,
-          HarnessFaultKind::PipeMessageCorruption})
+          HarnessFaultKind::FrontEndThrow, HarnessFaultKind::HeapCorruption})
       if (Arg == harnessFaultKindName(Kind))
         Config.Campaign.Faults.Faults = {{Kind, "bytecodePrim_add", false}};
 

@@ -73,9 +73,6 @@ SessionConfig CampaignRequest::toSessionConfig() const {
                      Engine.c_str()));
   Config.Campaign.Harness.CrossEngineCheck = CrossEngineCheck;
   Config.Campaign.Jobs = Jobs;
-  Config.Campaign.WorkerProcesses = WorkerProcesses;
-  Config.Campaign.WorkerDeadlineMillis = WorkerDeadlineMillis;
-  Config.Campaign.WorkerBackoffMillis = WorkerBackoffMillis;
   Config.Campaign.Harness.MaxBytecodes = MaxBytecodes;
   Config.Campaign.Harness.MaxNativeMethods = MaxNativeMethods;
   Config.Campaign.OnlyInstructions = OnlyInstructions;
@@ -101,9 +98,6 @@ JsonValue CampaignRequest::toJson() const {
   JsonValue V = JsonValue::object();
   V.set("v", num(Version));
   V.set("jobs", num(Jobs));
-  V.set("workers", num(WorkerProcesses));
-  V.set("worker_deadline_millis", num(WorkerDeadlineMillis));
-  V.set("worker_backoff_millis", num(WorkerBackoffMillis));
   V.set("max_bytecodes", num(MaxBytecodes));
   V.set("max_native_methods", num(MaxNativeMethods));
   JsonValue Only = JsonValue::array();
@@ -137,18 +131,18 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
   auto Int = [&](const char *Key, auto &Field) {
     return readField(V, What, Key, Field, Error);
   };
-  if (!Int("jobs", R.Jobs) || !Int("workers", R.WorkerProcesses) ||
-      !Int("max_bytecodes", R.MaxBytecodes) ||
+  if (!Int("jobs", R.Jobs) || !Int("max_bytecodes", R.MaxBytecodes) ||
       !Int("max_native_methods", R.MaxNativeMethods) ||
       !Int("stop_after", R.StopAfter) || !Int("max_attempts", R.MaxAttempts) ||
       !Int("explore_work_units", R.ExploreWorkUnits) ||
       !Int("replay_work_units", R.ReplayWorkUnits))
     return false;
-  // Retired keys: campaigns run in catalog order with per-instruction
-  // budgets only. A frame that still asks for the adaptive schedule, a
-  // campaign-wide budget or persisted yield would silently get another
-  // campaign than it asked for, so it is refused; the other retired
-  // keys never changed a fixed-order campaign and are ignored.
+  // Retired keys: campaigns run in catalog order, in this process, with
+  // per-instruction budgets only. A frame that still asks for the
+  // adaptive schedule, a campaign-wide budget, persisted yield or forked
+  // worker processes would silently get another campaign than it asked
+  // for, so it is refused; the other retired keys never changed such a
+  // campaign and are ignored.
   std::string Schedule = V.stringOr("schedule", "fixed");
   if (Schedule != "fixed")
     return refuse(Error, formatString("%s: retired key 'schedule' asks for "
@@ -162,10 +156,10 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
     return refuse(Error, formatString("%s: retired key 'persist_yield' "
                                       "(records carry no yield)",
                                       What));
-  R.WorkerDeadlineMillis =
-      V.numberOr("worker_deadline_millis", R.WorkerDeadlineMillis);
-  R.WorkerBackoffMillis =
-      V.numberOr("worker_backoff_millis", R.WorkerBackoffMillis);
+  if (V.numberOr("workers", 0) != 0)
+    return refuse(Error, formatString("%s: retired key 'workers' (campaigns "
+                                      "run inline or on 'jobs' threads)",
+                                      What));
   if (const JsonValue *Only = V.find("only"))
     for (const JsonValue &Name : Only->Arr)
       if (Name.K == JsonValue::Kind::String)
@@ -325,12 +319,6 @@ bool ServiceReply::fromJson(const JsonValue &V, ServiceReply &Out,
 
 void igdt::requestFromFlags(FlagParser &Flags, CampaignRequest &Request) {
   Flags.add("jobs", &Request.Jobs, "campaign worker threads (0 = hardware)");
-  Flags.add("workers", &Request.WorkerProcesses,
-            "campaign worker processes (0 = in-process threads)");
-  Flags.add("worker-deadline-millis", &Request.WorkerDeadlineMillis,
-            "watchdog deadline per worker item in ms (0 = none)");
-  Flags.add("worker-backoff-millis", &Request.WorkerBackoffMillis,
-            "base respawn backoff after a worker failure in ms");
   Flags.add("max-bytecodes", &Request.MaxBytecodes,
             "limit byte-code instructions (0 = all)");
   Flags.add("max-native-methods", &Request.MaxNativeMethods,

@@ -48,9 +48,6 @@ struct CampaignRequest {
   /// \name Topology
   /// @{
   unsigned Jobs = 1;
-  unsigned WorkerProcesses = 0;
-  double WorkerDeadlineMillis = 60000;
-  double WorkerBackoffMillis = 25;
   /// @}
 
   /// \name Catalog selection
@@ -107,8 +104,8 @@ struct CampaignRequest {
   /// ApiSchemaVersion, an integer field that is negative, fractional or
   /// out of range, or a retired key that still asks for behaviour this
   /// build no longer has ("schedule" other than "fixed", a nonzero
-  /// "total_units", "persist_yield": true); absent fields keep their
-  /// defaults and unknown keys are ignored.
+  /// "total_units", "persist_yield": true, a nonzero "workers"); absent
+  /// fields keep their defaults and unknown keys are ignored.
   static bool fromJson(const JsonValue &V, CampaignRequest &Out,
                        std::string *Error = nullptr);
 };

@@ -54,7 +54,7 @@ struct SessionConfig {
   bool Profile = false;
   /// Force the campaign's determinism contract: turns RecordTimings
   /// off so records, incidents and traces are byte-identical at any
-  /// Jobs/WorkerProcesses topology (the --deterministic flag).
+  /// Jobs value (the --deterministic flag).
   bool Deterministic = false;
   /// Most-expensive-instruction rows in the profile.
   unsigned TopInstructions = 10;

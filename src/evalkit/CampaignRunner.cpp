@@ -2,7 +2,6 @@
 
 #include "evalkit/CampaignRunner.h"
 
-#include "evalkit/ProcessPool.h"
 #include "evalkit/VerdictStore.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -12,7 +11,6 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -76,30 +74,7 @@ std::string CampaignIncident::toJson() const {
       .set("explore_budget", JsonValue::string(ExploreBudget))
       .set("replay_budget", JsonValue::string(ReplayBudget))
       .set("quarantined", JsonValue::boolean(Quarantined));
-  // Worker/Pid are deliberately absent: they are in-memory diagnostics
-  // the merge loop blanks before any incident is recorded, so the
-  // JSONL schema stays identical across topologies.
   return V.dump();
-}
-
-bool CampaignIncident::fromJson(const std::string &Line,
-                                CampaignIncident &Out) {
-  auto V = JsonValue::parse(Line);
-  if (!V || V->K != JsonValue::Kind::Object)
-    return false;
-  Out = CampaignIncident();
-  Out.Instruction = V->stringOr("instruction", "");
-  if (Out.Instruction.empty())
-    return false;
-  Out.Stage = V->stringOr("stage", "");
-  Out.ErrorClass = V->stringOr("error_class", "");
-  Out.Error = V->stringOr("error", "");
-  if (!V->readUnsigned("attempt", Out.Attempt))
-    return false;
-  Out.ExploreBudget = V->stringOr("explore_budget", "");
-  Out.ReplayBudget = V->stringOr("replay_budget", "");
-  Out.Quarantined = V->boolOr("quarantined", false);
-  return true;
 }
 
 namespace {
@@ -122,114 +97,6 @@ std::string scrubBudgetWall(std::string Text) {
     Text.replace(Start, End - Start, "0.0");
   return Text;
 }
-
-/// \name Worker result payload
-/// What one worker process ships back per instruction: the checkpoint
-/// record (as its canonical JSONL line, so coordinator-side re-emission
-/// is byte-exact), the in-memory-only stats that never enter toJson()
-/// (solver cache diagnostics, jit/sim/replay counters), the attempt's
-/// incidents and its buffered trace events.
-/// @{
-JsonValue countersToJson(std::initializer_list<
-                         std::pair<const char *, std::uint64_t>>
-                             Fields) {
-  JsonValue V = JsonValue::object();
-  for (const auto &[Name, Value] : Fields)
-    V.set(Name, JsonValue::number(static_cast<double>(Value)));
-  return V;
-}
-
-/// Checked read of one counter: a negative, fractional or out-of-range
-/// number clears \p Ok, so the payload is refused as undecodable.
-std::uint64_t counterOr(const JsonValue *V, const char *Name, bool &Ok) {
-  std::uint64_t Out = 0;
-  if (V && !V->readUnsigned(Name, Out))
-    Ok = false;
-  return Out;
-}
-
-std::string encodeWorkerPayload(const InstructionRecord &Rec,
-                                const std::vector<CampaignIncident> &Incidents,
-                                const std::vector<TraceEvent> &Events) {
-  JsonValue V = JsonValue::object();
-  V.set("record", JsonValue::string(Rec.toJson()));
-  V.set("solver_diag",
-        countersToJson({{"cache_hits", Rec.Solver.CacheHits},
-                        {"cache_misses", Rec.Solver.CacheMisses}}));
-  V.set("jit", countersToJson({{"compiles", Rec.Jit.Compiles},
-                               {"code_cache_hits", Rec.Jit.CodeCacheHits}}));
-  V.set("sim", countersToJson({{"runs", Rec.Sim.Runs},
-                               {"predecoded", Rec.Sim.PredecodedRuns},
-                               {"reference", Rec.Sim.ReferenceRuns},
-                               {"builds", Rec.Sim.PredecodeBuilds},
-                               {"hits", Rec.Sim.PredecodeHits}}));
-  V.set("replay",
-        countersToJson({{"acquires", Rec.Replay.HeapAcquires},
-                        {"resets", Rec.Replay.HeapResets},
-                        {"bytes_reset", Rec.Replay.HeapBytesReset},
-                        {"fresh", Rec.Replay.HeapFreshBuilds},
-                        {"bytes_rebuilt", Rec.Replay.HeapBytesRebuilt},
-                        {"undo", Rec.Replay.UndoStoresReplayed},
-                        {"stack_bytes", Rec.Replay.StackBytesReset}}));
-  JsonValue Inc = JsonValue::array();
-  for (const CampaignIncident &I : Incidents)
-    Inc.push(JsonValue::string(I.toJson()));
-  V.set("incidents", std::move(Inc));
-  JsonValue Ev = JsonValue::array();
-  for (const TraceEvent &E : Events)
-    Ev.push(JsonValue::string(E.toJson()));
-  V.set("events", std::move(Ev));
-  return V.dump();
-}
-
-bool decodeWorkerPayload(const std::string &Payload, InstructionRecord &Rec,
-                         std::vector<CampaignIncident> &Incidents,
-                         std::vector<TraceEvent> &Events) {
-  auto V = JsonValue::parse(Payload);
-  if (!V || V->K != JsonValue::Kind::Object)
-    return false;
-  if (!InstructionRecord::fromJson(V->stringOr("record", ""), Rec))
-    return false;
-  bool Ok = true;
-  const JsonValue *Diag = V->find("solver_diag");
-  Rec.Solver.CacheHits = counterOr(Diag, "cache_hits", Ok);
-  Rec.Solver.CacheMisses = counterOr(Diag, "cache_misses", Ok);
-  const JsonValue *Jit = V->find("jit");
-  Rec.Jit.Compiles = counterOr(Jit, "compiles", Ok);
-  Rec.Jit.CodeCacheHits = counterOr(Jit, "code_cache_hits", Ok);
-  const JsonValue *Sim = V->find("sim");
-  Rec.Sim.Runs = counterOr(Sim, "runs", Ok);
-  Rec.Sim.PredecodedRuns = counterOr(Sim, "predecoded", Ok);
-  Rec.Sim.ReferenceRuns = counterOr(Sim, "reference", Ok);
-  Rec.Sim.PredecodeBuilds = counterOr(Sim, "builds", Ok);
-  Rec.Sim.PredecodeHits = counterOr(Sim, "hits", Ok);
-  const JsonValue *Replay = V->find("replay");
-  Rec.Replay.HeapAcquires = counterOr(Replay, "acquires", Ok);
-  Rec.Replay.HeapResets = counterOr(Replay, "resets", Ok);
-  Rec.Replay.HeapBytesReset = counterOr(Replay, "bytes_reset", Ok);
-  Rec.Replay.HeapFreshBuilds = counterOr(Replay, "fresh", Ok);
-  Rec.Replay.HeapBytesRebuilt = counterOr(Replay, "bytes_rebuilt", Ok);
-  Rec.Replay.UndoStoresReplayed = counterOr(Replay, "undo", Ok);
-  Rec.Replay.StackBytesReset = counterOr(Replay, "stack_bytes", Ok);
-  if (!Ok)
-    return false;
-  if (const JsonValue *Inc = V->find("incidents"))
-    for (const JsonValue &Line : Inc->Arr) {
-      CampaignIncident I;
-      if (!CampaignIncident::fromJson(Line.Str, I))
-        return false;
-      Incidents.push_back(std::move(I));
-    }
-  if (const JsonValue *Ev = V->find("events"))
-    for (const JsonValue &Line : Ev->Arr) {
-      TraceEvent E;
-      if (!TraceEvent::fromJson(Line.Str, E))
-        return false;
-      Events.push_back(std::move(E));
-    }
-  return true;
-}
-/// @}
 
 } // namespace
 
@@ -445,15 +312,6 @@ CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
     if (Spec.Kind != Wanted)
       continue;
 
-    // Worker-class faults fire as replay of the instruction's first
-    // compiler begins: a real signal/hang inside a forked worker, a
-    // synchronous WorkerFault in-process (see HarnessFaults.h).
-    if (Opts.Faults.armedFor(HarnessFaultKind::WorkerSegfault, Spec.Name,
-                             Attempt))
-      triggerWorkerSegfault();
-    if (Opts.Faults.armedFor(HarnessFaultKind::WorkerHang, Spec.Name, Attempt))
-      triggerWorkerHang();
-
     auto MakeConfig = [&](bool Arm) {
       DiffTestConfig Cfg = diffConfigFor(Opts.Harness, Kind, Arm);
       Cfg.Trace = Trace;
@@ -506,14 +364,14 @@ CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
 
 InstructionRecord CampaignRunner::testInstruction(
     const InstructionSpec &Spec, std::vector<CampaignIncident> &Incidents,
-    TraceSink *Trace, ReplayArena &Arena, unsigned StartAttempt) const {
+    TraceSink *Trace, ReplayArena &Arena) const {
   unsigned MaxAttempts = std::max(1u, Opts.MaxAttempts);
   std::vector<CampaignIncident> Local;
   InstructionRecord Rec;
   bool Succeeded = false;
 
-  for (unsigned Attempt = std::max(1u, StartAttempt);
-       Attempt <= MaxAttempts && !Succeeded; ++Attempt) {
+  for (unsigned Attempt = 1; Attempt <= MaxAttempts && !Succeeded;
+       ++Attempt) {
     // Fresh budgets AND a fresh exploration heap per attempt: a fault
     // must not leak state into the retry. The replay arena is reused,
     // but its reset contract makes the next acquire observably fresh
@@ -522,43 +380,12 @@ InstructionRecord CampaignRunner::testInstruction(
     Budget ReplayBud(Opts.ReplayBudget);
     // Events of a failed attempt stay in the stream: fault injection
     // is deterministic, so the partial prefix is too, and the attempt
-    // stamp tells it apart from the retry. The exception is a
-    // worker-class fault: its attempt's events can never be delivered
-    // out-of-process (they died with the worker, or travelled in a
-    // frame the coordinator refused), so the attempt is staged into
-    // its own buffer and dropped on WorkerFault — in-process
-    // topologies lose exactly the same events.
-    TraceBuffer AttemptEvents;
-    TraceScope Scope(Trace ? &AttemptEvents : nullptr, Spec.Name, Attempt,
-                     Opts.RecordTimings);
-    bool WorkerFaulted = false;
+    // stamp tells it apart from the retry.
+    TraceScope Scope(Trace, Spec.Name, Attempt, Opts.RecordTimings);
     try {
       Rec = attemptInstruction(Spec, Attempt, ExploreBud, ReplayBud,
                                Trace ? &Scope : nullptr, Arena);
-      // The in-process equivalent of a damaged response frame: the
-      // result was computed but cannot be trusted/delivered. Worker
-      // processes damage the real encoded frame instead (the send path
-      // in run() checks the same arming), so the fault exercises the
-      // actual CRC machinery there.
-      if (!inWorkerProcess() &&
-          Opts.Faults.armedFor(HarnessFaultKind::PipeMessageCorruption,
-                               Spec.Name, Attempt))
-        triggerPipeCorruption();
       Succeeded = true;
-    } catch (const WorkerFault &F) {
-      CampaignIncident I;
-      I.Instruction = Spec.Name;
-      I.Stage = F.stage();
-      I.ErrorClass = F.errorClass();
-      I.Error = F.what();
-      // The out-of-process coordinator never sees the failing
-      // attempt's budgets (they died with the worker); the in-process
-      // equivalent uses the same fixed marker so incidents match.
-      I.ExploreBudget = workerOutOfBandBudgetNote();
-      I.ReplayBudget = workerOutOfBandBudgetNote();
-      I.Attempt = Attempt;
-      Local.push_back(std::move(I));
-      WorkerFaulted = true;
     } catch (const HarnessFault &F) {
       CampaignIncident I;
       I.Instruction = Spec.Name;
@@ -580,9 +407,6 @@ InstructionRecord CampaignRunner::testInstruction(
       I.Attempt = Attempt;
       Local.push_back(std::move(I));
     }
-    if (Trace && !WorkerFaulted)
-      for (TraceEvent &Event : AttemptEvents.take())
-        Trace->emit(std::move(Event));
   }
 
   if (!Succeeded) {
@@ -637,7 +461,7 @@ CampaignSummary CampaignRunner::run() {
   // Phase 1: plan the whole worklist up-front, in catalog order, with
   // quota counting (Max* limits count resumed instructions too) and
   // StopAfter truncation (which drops everything after the limit,
-  // resumed records included). Topology then cannot change *what*
+  // resumed records included). Jobs then cannot change *what*
   // runs, only *where*. Reuse is decided here too, checkpoint first,
   // then store: a served item never reaches a worker.
   enum class Served : std::uint8_t { No, FromCheckpoint, FromStore };
@@ -713,30 +537,25 @@ CampaignSummary CampaignRunner::run() {
     ++NewPlanned;
   }
 
-  std::vector<PoolWorkItem> Items;
+  // The unserved items, in catalog order.
+  std::vector<std::size_t> Items;
   Items.reserve(Work.size());
   for (std::size_t I = 0; I < Work.size(); ++I)
     if (Work[I].Source == Served::No)
-      Items.push_back({I, 1});
-  const std::size_t NewItems = Items.size();
+      Items.push_back(I);
 
   // Phase 2: run the unserved items in catalog order. Each run fills
   // its item's slot; every exploration runs on a worker-local
   // heap/arena/solver (see ConcolicExplorer.h), so workers share
-  // nothing mutable but the slot handoff below. A worker only marks its
-  // slot Finished; the coordinator alone marks it Ready for the merge
-  // cursor.
+  // nothing mutable but the slot handoff below.
   struct Slot {
     InstructionRecord Rec;
     std::vector<CampaignIncident> Incidents;
     std::vector<TraceEvent> Events;
     bool Skipped = false; // wall clock expired before this item ran
-    bool Finished = false; // set by a worker thread, under SlotMutex
+    bool Finished = false; // set by the thread that ran it, under SlotMutex
   };
   std::vector<Slot> Slots(Work.size());
-  // Coordinator-only: the slot's run is final and the merge cursor may
-  // consume it. Kept apart from Slot so worker writes never touch it.
-  std::vector<char> Ready(Work.size(), 0);
 
   const bool Observing = !Opts.TracePath.empty() || Opts.ExtraTraceSink ||
                          Opts.CollectMetrics;
@@ -744,62 +563,6 @@ CampaignSummary CampaignRunner::run() {
   unsigned Jobs = Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
   if (Jobs == 0)
     Jobs = 1;
-
-  // Topology: out-of-process workers when requested and fork works.
-  // The pool forks here, while this process is still single-threaded —
-  // the coordinator stays single-threaded for its whole life (its poll
-  // loop shares the merge thread), so workers never inherit locks,
-  // threads or partially-written state.
-  bool UseProcs = Opts.WorkerProcesses > 0 && NewItems > 0 &&
-                  ProcessPool::available();
-  std::unique_ptr<ProcessPool> Forked;
-  if (UseProcs) {
-    ProcessPoolOptions POpts;
-    POpts.Workers =
-        unsigned(std::min<std::size_t>(Opts.WorkerProcesses, NewItems));
-    POpts.DeadlineMillis = Opts.WorkerDeadlineMillis;
-    POpts.BackoffMillis = Opts.WorkerBackoffMillis;
-    POpts.MaxAttempts = std::max(1u, Opts.MaxAttempts);
-    // One arena per worker process: constructed pre-fork, copied into
-    // each child, reused across that child's items — the same reuse
-    // the in-process pool gets from its per-thread arenas.
-    auto WorkerArena = std::make_shared<ReplayArena>();
-    Forked = std::make_unique<ProcessPool>(
-        POpts, [this, &Work, Observing, WorkerArena](const PoolWorkItem &It) {
-          PoolItemResult R;
-          std::vector<CampaignIncident> Incidents;
-          TraceBuffer Buffer;
-          InstructionRecord Rec = testInstruction(
-              *Work[It.Index].Spec, Incidents, Observing ? &Buffer : nullptr,
-              *WorkerArena, It.StartAttempt);
-          // The armed pipe-corruption fault damages the real encoded
-          // frame (post-CRC), exercising the coordinator's protocol
-          // validation rather than simulating it.
-          R.CorruptFrame =
-              !Rec.Quarantined &&
-              Opts.Faults.armedFor(HarnessFaultKind::PipeMessageCorruption,
-                                   Work[It.Index].Spec->Name, Rec.Attempts);
-          R.Payload = encodeWorkerPayload(Rec, Incidents, Buffer.take());
-          return R;
-        });
-    if (Forked->start()) {
-      Summary.Metrics.add("worker.processes", POpts.Workers);
-    } else {
-      Forked.reset();
-      UseProcs = false;
-    }
-  }
-  if (Opts.WorkerProcesses > 0 && NewItems > 0 && !UseProcs) {
-    // Graceful degradation: fork unavailable (or refused) — match the
-    // requested parallelism with in-process worker threads instead.
-    Jobs = std::max(Jobs, Opts.WorkerProcesses);
-    Summary.Metrics.add("worker.fallback_inprocess");
-  }
-  // Worker-level failure context the coordinator accumulates until the
-  // item completes; merged ahead of the slot's own incidents/events.
-  std::vector<std::vector<CampaignIncident>> PendingWorkerIncidents(
-      Work.size());
-  std::vector<std::vector<TraceEvent>> PendingWorkerEvents(Work.size());
 
   const bool HasDeadline = Opts.CampaignWallMillis > 0;
   const auto Deadline =
@@ -818,10 +581,9 @@ CampaignSummary CampaignRunner::run() {
   std::mutex SlotMutex;
   std::condition_variable SlotFinished;
 
-  // Runs one assignment in this process (a worker thread or the
-  // coordinator itself) and marks its slot Finished.
-  auto RunOne = [&](const PoolWorkItem &It, ReplayArena &Arena) {
-    std::size_t I = It.Index;
+  // Runs one item (on a worker thread or on this one) and marks its
+  // slot Finished.
+  auto RunOne = [&](std::size_t I, ReplayArena &Arena) {
     Slot S;
     if (Halted.load(std::memory_order_relaxed) || WallExpired()) {
       S.Skipped = true;
@@ -830,8 +592,7 @@ CampaignSummary CampaignRunner::run() {
       // merge loop drains the slot in catalog order.
       TraceBuffer Buffer;
       S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
-                              Observing ? &Buffer : nullptr, Arena,
-                              It.StartAttempt);
+                              Observing ? &Buffer : nullptr, Arena);
       S.Events = Buffer.take();
     }
     S.Finished = true;
@@ -862,14 +623,6 @@ CampaignSummary CampaignRunner::run() {
     // the fields.
     if (Event.Kind == TraceEventKind::SimRun) {
       Event.Aux.clear();
-      Event.Extra = 0;
-    }
-    // Worker lifecycle events carry which worker index / pid failed
-    // (Value / Extra): pure scheduling facts. Blank them so metrics
-    // and diagnostic sinks see identical streams across topologies;
-    // the deterministic trace file filters the kind out entirely.
-    if (Event.Kind == TraceEventKind::WorkerEvent) {
-      Event.Value = 0;
       Event.Extra = 0;
     }
     if (Opts.ExtraTraceSink)
@@ -907,33 +660,17 @@ CampaignSummary CampaignRunner::run() {
       Summary.Stopped = true;
       return false;
     }
-    // Worker-level failures happened before the slot's own events:
-    // merge them in front, stamped with the item's final disposition.
-    auto &PendInc = PendingWorkerIncidents[I];
-    for (CampaignIncident &Inc : PendInc)
-      Inc.Quarantined = S.Rec.Quarantined;
-    S.Incidents.insert(S.Incidents.begin(),
-                       std::make_move_iterator(PendInc.begin()),
-                       std::make_move_iterator(PendInc.end()));
-    PendInc.clear();
-    auto &PendEv = PendingWorkerEvents[I];
-    S.Events.insert(S.Events.begin(), std::make_move_iterator(PendEv.begin()),
-                    std::make_move_iterator(PendEv.end()));
-    PendEv.clear();
     // Publish the slot's event stream before its containment summary
     // events so a reader sees attempt events, then incidents, then the
     // quarantine verdict — the order the serial run experienced them.
     for (TraceEvent &Event : S.Events)
       Publish(std::move(Event));
     for (CampaignIncident &Inc : S.Incidents) {
-      // Blank the nondeterministic provenance before anything records
-      // the incident: worker index and pid are scheduling/OS facts, and
-      // the spent-wall figure in the budget strings is clock noise.
-      // With timings off this keeps incident files (and in-memory
-      // incidents) byte-comparable across topologies, mirroring the
-      // SimRun Aux/Extra blanking above.
-      Inc.Worker = -1;
-      Inc.Pid = 0;
+      // Blank the spent-wall figure in the budget strings before
+      // anything records the incident: it is clock noise. With timings
+      // off this keeps incident files (and in-memory incidents)
+      // byte-comparable across Jobs values, mirroring the SimRun
+      // Aux/Extra blanking above.
       if (!Opts.RecordTimings) {
         Inc.ExploreBudget = scrubBudgetWall(std::move(Inc.ExploreBudget));
         Inc.ReplayBudget = scrubBudgetWall(std::move(Inc.ReplayBudget));
@@ -982,22 +719,19 @@ CampaignSummary CampaignRunner::run() {
     return true;
   };
 
-  // The catalog-order merge cursor. Topology changes *when* an
+  // The catalog-order merge cursor: merges every item before End and
+  // the served items that follow them. Jobs changes *when* an
   // instruction finishes, never where its record lands, so checkpoint,
   // incident and trace bytes keep their catalog order and land
-  // incrementally as the cursor reaches them — a killed coordinator
-  // resumes from everything already merged.
+  // incrementally as the cursor reaches them — a killed campaign
+  // resumes from everything already merged. This thread only.
   std::size_t Cursor = 0;
-  auto Advance = [&] {
-    while (!Halted.load(std::memory_order_relaxed) && Cursor < Work.size()) {
+  auto MergeUpTo = [&](std::size_t End) {
+    while (Cursor < Work.size() && !Halted.load(std::memory_order_relaxed) &&
+           (Cursor < End || Work[Cursor].Source != Served::No)) {
       if (Work[Cursor].Source != Served::No) {
         MergeServed(Work[Cursor]);
-        ++Cursor;
-        continue;
-      }
-      if (!Ready[Cursor])
-        break;
-      if (!MergeSlot(Cursor)) {
+      } else if (!MergeSlot(Cursor)) {
         Halted.store(true, std::memory_order_relaxed);
         break;
       }
@@ -1005,87 +739,14 @@ CampaignSummary CampaignRunner::run() {
     }
   };
 
-  // Hands one finished slot to the merge cursor, then merges whatever
-  // the cursor can reach. Coordinating thread only.
-  auto Settle = [&](std::size_t I) {
-    Ready[I] = 1;
-    Advance();
-  };
-
-  // The coordinator is single-threaded, so forked results settle (and
-  // checkpoint) inline as they arrive.
-  ProcessPoolHooks Hooks;
-  Hooks.OnResult = [&](std::size_t I, unsigned Attempt,
-                       const std::string &Payload) {
-    (void)Attempt;
-    Slot S;
-    if (!decodeWorkerPayload(Payload, S.Rec, S.Incidents, S.Events))
-      return false; // undecodable == corrupt: recycle worker, retry
-    Slots[I] = std::move(S);
-    Settle(I);
-    return true;
-  };
-  // Worker-level failures: stash the incident/event so the merge emits
-  // them ahead of the item's own stream.
-  Hooks.OnFailure = [&](std::size_t I, unsigned Attempt,
-                        WorkerFailureKind Kind, const std::string &Error,
-                        unsigned WorkerIdx, long Pid) {
-    CampaignIncident Inc;
-    Inc.Instruction = Work[I].Spec->Name;
-    Inc.Stage = "worker";
-    Inc.ErrorClass = workerFailureKindName(Kind);
-    Inc.Error = Error;
-    Inc.ExploreBudget = workerOutOfBandBudgetNote();
-    Inc.ReplayBudget = workerOutOfBandBudgetNote();
-    Inc.Attempt = Attempt;
-    Inc.Worker = int(WorkerIdx);
-    Inc.Pid = Pid;
-    PendingWorkerIncidents[I].push_back(std::move(Inc));
-    if (Observing) {
-      TraceEvent Event;
-      Event.Kind = TraceEventKind::WorkerEvent;
-      Event.Instruction = Work[I].Spec->Name;
-      Event.Attempt = Attempt;
-      Event.Detail = workerFailureKindName(Kind);
-      Event.Aux = Error;
-      Event.Value = WorkerIdx;
-      Event.Extra = std::uint64_t(Pid > 0 ? Pid : 0);
-      PendingWorkerEvents[I].push_back(std::move(Event));
-    }
-  };
-  // Synthesise the quarantine record the in-process retry loop would
-  // have produced after the same number of failed attempts.
-  Hooks.OnExhausted = [&](std::size_t I, unsigned Attempts) {
-    Slot S;
-    S.Rec.Instruction = Work[I].Spec->Name;
-    S.Rec.Kind = Work[I].Spec->Kind;
-    S.Rec.Attempts = Attempts;
-    S.Rec.Quarantined = true;
-    Slots[I] = std::move(S);
-    Settle(I);
-  };
-  Hooks.ShouldStop = [&] {
-    return Halted.load(std::memory_order_relaxed) || WallExpired();
-  };
-  Hooks.OnCounter = [&](const char *Name) { Summary.Metrics.add(Name); };
-
-  // The one pass. The unserved items run on the forked pool, on
-  // min(Jobs, items) threads, or inline on this thread (which keeps
-  // Jobs 1 campaigns thread-free); inline runs share one arena.
+  // The one pass. The unserved items run on min(Jobs, items) threads,
+  // or inline on this thread (which keeps Jobs 1 campaigns thread-free).
   const std::size_t Threads = std::min<std::size_t>(Jobs, Items.size());
-  if (Forked) {
-    // Whatever the pool could not finish (early stop, or every worker
-    // dead with respawns failing) runs inline below; StartAttempt
-    // carries over the attempts workers consumed.
-    Items = Forked->run(std::deque<PoolWorkItem>(Items.begin(), Items.end()),
-                        Hooks);
-    if (!Items.empty())
-      Summary.Metrics.add("worker.leftover_inprocess", Items.size());
-  } else if (Threads > 1) {
+  if (Threads > 1) {
     // Worker threads pull from an atomic cursor; the merge stays on
     // this thread, consuming slots in catalog order as they finish.
     std::atomic<std::size_t> Next{0};
-    // jthreads join when destroyed, so an exception out of Settle
+    // jthreads join when destroyed, so an exception out of the merge
     // cannot leave a worker thread running.
     std::vector<std::jthread> Workers;
     Workers.reserve(Threads);
@@ -1098,25 +759,24 @@ CampaignSummary CampaignRunner::run() {
              K < Items.size(); K = Next.fetch_add(1, std::memory_order_relaxed))
           RunOne(Items[K], Arena);
       });
-    for (const PoolWorkItem &It : Items) {
+    for (std::size_t I : Items) {
       {
         std::unique_lock<std::mutex> Lock(SlotMutex);
-        SlotFinished.wait(Lock, [&] { return Slots[It.Index].Finished; });
+        SlotFinished.wait(Lock, [&] { return Slots[I].Finished; });
       }
-      Settle(It.Index);
+      MergeUpTo(I + 1);
     }
-    Workers.clear(); // joins before the threads' Items go away
-    Items.clear();
+  } else {
+    // Inline runs share one arena.
+    ReplayArena Arena;
+    for (std::size_t I : Items) {
+      if (Halted.load(std::memory_order_relaxed))
+        break;
+      RunOne(I, Arena);
+      MergeUpTo(I + 1);
+    }
   }
-  ReplayArena InlineArena;
-  for (const PoolWorkItem &It : Items) {
-    if (Halted.load(std::memory_order_relaxed))
-      break;
-    RunOne(It, InlineArena);
-    Settle(It.Index);
-  }
-  Forked.reset();
-  Advance();
+  MergeUpTo(Work.size());
   if (WallExpired() && Cursor < Work.size())
     Summary.Stopped = true;
 

@@ -138,25 +138,6 @@ struct CampaignOptions {
   /// instruction's exploration is independent of its worker (see the
   /// ownership comment in ConcolicExplorer.h).
   unsigned Jobs = 1;
-  /// Worker *processes* exploring instructions (the out-of-process
-  /// generalisation of Jobs; see ProcessPool.h). 0 keeps everything in
-  /// this process; N > 0 forks N workers and drives them over pipes,
-  /// so a worker segfault, OOM kill or hard hang becomes an incident
-  /// + quarantine instead of a lost campaign. Records, checkpoints,
-  /// incidents and traces are byte-identical to in-process runs at any
-  /// topology (same merge discipline, nondeterministic fields
-  /// blanked). When fork is unavailable the campaign degrades to the
-  /// in-process pool with max(Jobs, WorkerProcesses) threads.
-  unsigned WorkerProcesses = 0;
-  /// Per-assignment watchdog deadline for worker processes, in
-  /// milliseconds; a worker that blows it is SIGKILLed and the
-  /// instruction charged a worker-timeout incident. 0 disables (a hung
-  /// worker then hangs the campaign — only safe without WorkerHang-
-  /// style faults in play).
-  double WorkerDeadlineMillis = 60000;
-  /// Base of the exponential respawn backoff after a worker failure
-  /// (base * 2^(failures-1), capped); 0 respawns immediately.
-  double WorkerBackoffMillis = 25;
   /// Campaign-wide wall-clock ceiling in milliseconds, shared by all
   /// workers; 0 is unlimited. When it expires the campaign stops
   /// accepting new instructions (checkpointing what finished, like
@@ -198,31 +179,20 @@ struct CampaignOptions {
 struct CampaignIncident {
   std::string Instruction;
   /// Harness stage that failed ("solve", "compile", "simulate", "heap",
-  /// "explore" for faults without a finer stage, "worker" for worker-
-  /// process failures).
+  /// or "explore" for faults without a finer stage).
   std::string Stage;
-  /// "harness-fault" for HarnessFault, "exception" otherwise; worker
-  /// failures carry the coordinator's decoding ("worker-crash",
-  /// "worker-timeout", "protocol-corruption").
+  /// "harness-fault" for HarnessFault, "exception" otherwise.
   std::string ErrorClass;
   std::string Error;
-  /// Budget state of the failing attempt, from Budget::describe();
-  /// worker-level failures use the fixed out-of-band marker (the
-  /// budgets died with the worker).
+  /// Budget state of the failing attempt, from Budget::describe().
   std::string ExploreBudget;
   std::string ReplayBudget;
   /// 1-based attempt the failure happened on.
   unsigned Attempt = 1;
   /// Final disposition of the instruction after all attempts.
   bool Quarantined = false;
-  /// Worker index / pid the failure happened on (out-of-process runs
-  /// only). Diagnostics: the merge loop blanks both before recording
-  /// so incident files stay byte-comparable across topologies.
-  int Worker = -1;
-  long Pid = 0;
 
   std::string toJson() const;
-  static bool fromJson(const std::string &Line, CampaignIncident &Out);
 };
 
 /// Per-compiler outcome of one instruction (both back-ends unioned per
@@ -358,13 +328,11 @@ private:
   /// order. \p Arena is the caller's worker-local replay arena; its
   /// reset contract keeps faulted attempts from leaking state into the
   /// retry, the same guarantee the historical fresh-heap-per-path
-  /// construction gave. \p StartAttempt lets the out-of-process
-  /// coordinator resume the attempt count after worker-level failures
-  /// already consumed earlier attempts.
+  /// construction gave.
   InstructionRecord testInstruction(const InstructionSpec &Spec,
                                     std::vector<CampaignIncident> &Incidents,
-                                    TraceSink *Trace, ReplayArena &Arena,
-                                    unsigned StartAttempt = 1) const;
+                                    TraceSink *Trace,
+                                    ReplayArena &Arena) const;
 
   /// One attempt of the full pipeline; throws on harness faults.
   InstructionRecord attemptInstruction(const InstructionSpec &Spec,

@@ -3,6 +3,7 @@
 #include "evalkit/VerdictStore.h"
 
 #include "evalkit/CampaignRunner.h"
+#include "evalkit/CodeIdentity.h"
 #include "support/StringUtils.h"
 #include "vm/InstructionCatalog.h"
 
@@ -37,12 +38,16 @@ std::uint64_t igdt::instructionBodyHash(const InstructionSpec &Spec) {
   return H;
 }
 
-std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts) {
-  // Same chained-combine idiom as the solver's caps fingerprint: every
-  // field that can change a record's bytes, in a fixed order. Jobs /
-  // WorkerProcesses / deadlines / the identity-gated replay toggles are
+std::uint64_t igdt::codeIdentity() { return GeneratedCodeIdentity; }
+
+std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts,
+                                              std::uint64_t CodeIdentity) {
+  // Same chained-combine idiom as the solver's caps fingerprint: the
+  // code identity, then every field that can change a record's bytes,
+  // in a fixed order. Jobs and the identity-gated replay toggles are
   // deliberately absent (see the header's exclusion argument).
   std::uint64_t H = hashCombine64(0xCF16ull, VerdictSchemaVersion);
+  H = hashCombine64(H, CodeIdentity);
 
   const VMConfig &VM = Opts.Harness.VM;
   H = hashCombine64(H, VM.MaxOperandStack);

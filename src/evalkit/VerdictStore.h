@@ -13,9 +13,18 @@
 ///
 ///   key = h(schema version
 ///           ++ instruction body          (bytes, literals, locals, ...)
+///           ++ code identity             (the sources records come from)
 ///           ++ compiler fingerprint      (CogitOptions defect seeds)
 ///           ++ solver caps fingerprint   (SolverOptions + ladder)
 ///           ++ the remaining record-shaping config, wall budgets too)
+///
+/// The code identity is a content hash of the pipeline's sources
+/// (vm, jit, solver, symbolic, concolic, differential, faults) and of
+/// the record and key code in evalkit, generated at build time by
+/// CodeIdentity.cmake. Editing any of them re-keys every record, so a
+/// store hit or a resumed line never outlives the compiler that made
+/// it; edits elsewhere (service, api, observe, tools, bench) keep every
+/// key.
 ///
 /// A checkpoint line and a store value are the same bytes: the record's
 /// JSON with its key stamped in front (keyedRecordLine), trusted only
@@ -23,10 +32,10 @@
 /// line, so reuse is purely an optimisation, provable by diffing the
 /// checkpoints of cold, warm and resumed runs.
 ///
-/// Deliberately EXCLUDED from the key: Jobs, WorkerProcesses, worker
-/// deadlines/backoff, the EnableCodeCache / EnableReplayArena toggles,
-/// SimOptions::Engine, and what selects the worklist (OnlyInstructions, Max*, StopAfter). Records
-/// are proven byte-identical across all of them. NativeMiscompileProbe
+/// Deliberately EXCLUDED from the key: Jobs, the EnableCodeCache /
+/// EnableReplayArena toggles, SimOptions::Engine, and what selects the
+/// worklist (OnlyInstructions, Max*, StopAfter). Records are proven
+/// byte-identical across all of them. NativeMiscompileProbe
 /// and CrossEngineCheck ARE keyed: both change which defects a record
 /// reports. Wall-clock budgets are keyed so a resume never serves a
 /// clock-cut record to another budget; the store refuses them anyway
@@ -65,9 +74,16 @@ constexpr std::uint64_t VerdictSchemaVersion = 4;
 /// instruction does not.
 std::uint64_t instructionBodyHash(const InstructionSpec &Spec);
 
+/// This build's code identity (see the file comment).
+std::uint64_t codeIdentity();
+
 /// Stable fingerprint of every CampaignOptions field a record's bytes
-/// depend on (see the file comment for the exclusion argument).
-std::uint64_t campaignConfigFingerprint(const CampaignOptions &Opts);
+/// depend on (see the file comment for the exclusion argument), under
+/// \p CodeIdentity. Tests pass another identity to stand for another
+/// build; everything else keeps the default.
+std::uint64_t campaignConfigFingerprint(const CampaignOptions &Opts,
+                                        std::uint64_t CodeIdentity =
+                                            codeIdentity());
 
 /// The content address: body hash x config fingerprint x schema version.
 std::uint64_t resultStoreKey(const InstructionSpec &Spec,

@@ -3,12 +3,8 @@
 #include "faults/HarnessFaults.h"
 
 #include "support/Compiler.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <chrono>
-#include <csignal>
-#include <thread>
 
 using namespace igdt;
 
@@ -22,88 +18,8 @@ const char *igdt::harnessFaultKindName(HarnessFaultKind Kind) {
     return "front-end-throw";
   case HarnessFaultKind::HeapCorruption:
     return "heap-corruption";
-  case HarnessFaultKind::WorkerSegfault:
-    return "worker-segfault";
-  case HarnessFaultKind::WorkerHang:
-    return "worker-hang";
-  case HarnessFaultKind::PipeMessageCorruption:
-    return "pipe-corruption";
   }
   igdt_unreachable("unknown harness fault kind");
-}
-
-namespace {
-// Plain bool, not atomic: set once in the single-threaded child right
-// after fork, before any instruction (or thread) exists.
-bool InWorkerProcess = false;
-
-const char *signalName(int Signal) {
-  switch (Signal) {
-  case SIGSEGV:
-    return "SIGSEGV";
-  case SIGABRT:
-    return "SIGABRT";
-  case SIGBUS:
-    return "SIGBUS";
-  case SIGFPE:
-    return "SIGFPE";
-  case SIGILL:
-    return "SIGILL";
-  case SIGKILL:
-    return "SIGKILL";
-  case SIGTERM:
-    return "SIGTERM";
-  default:
-    return "unknown";
-  }
-}
-} // namespace
-
-void igdt::setInWorkerProcess() { InWorkerProcess = true; }
-
-bool igdt::inWorkerProcess() { return InWorkerProcess; }
-
-std::string igdt::workerSignalErrorText(int Signal) {
-  return formatString("worker killed by signal %d (%s)", Signal,
-                      signalName(Signal));
-}
-
-std::string igdt::workerExitErrorText(int Status) {
-  return formatString("worker exited unexpectedly (status %d)", Status);
-}
-
-std::string igdt::workerTimeoutErrorText() {
-  return "worker exceeded the watchdog deadline and was killed";
-}
-
-std::string igdt::protocolCorruptionErrorText() {
-  return "worker response frame failed protocol validation; worker recycled";
-}
-
-std::string igdt::workerOutOfBandBudgetNote() { return "state=out-of-band"; }
-
-void igdt::triggerWorkerSegfault() {
-  if (InWorkerProcess) {
-    // Sanitizers install their own SIGSEGV handler that would turn the
-    // crash into exit(1); restore the default action so the coordinator
-    // sees a genuine WIFSIGNALED wait status, like a real wild store.
-    std::signal(SIGSEGV, SIG_DFL);
-    std::raise(SIGSEGV);
-  }
-  throw WorkerFault("worker-crash", workerSignalErrorText(SIGSEGV));
-}
-
-void igdt::triggerWorkerHang() {
-  while (InWorkerProcess)
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  throw WorkerFault("worker-timeout", workerTimeoutErrorText());
-}
-
-void igdt::triggerPipeCorruption() {
-  // Out-of-process the worker's send path damages the encoded frame
-  // instead of calling this (the fault must corrupt real protocol
-  // bytes, not unwind); see CampaignRunner's worker item function.
-  throw WorkerFault("protocol-corruption", protocolCorruptionErrorText());
 }
 
 bool HarnessFaultPlan::armedFor(HarnessFaultKind Kind,

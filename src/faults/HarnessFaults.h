@@ -8,30 +8,16 @@
 /// Fault injection for the testing machinery itself, complementing the
 /// DefectCatalog (which seeds defects into the system *under* test). An
 /// armed harness fault makes one stage of the campaign malfunction —
-/// solver hang, simulator fuel exhaustion, compiler front-end crash,
-/// heap corruption, or (with WorkerProcesses on) a worker-process
-/// segfault, hard hang or pipe-message corruption — on a chosen
-/// instruction. The campaign self-tests use these plans to prove that
-/// every such malfunction is contained: the faulted instruction is
-/// quarantined, an incident is logged, and the rest of the campaign is
-/// unaffected.
-///
-/// The worker-class faults have two trigger behaviours so the same plan
-/// is containable in any topology. Inside a forked worker process they
-/// do the real thing — raise SIGSEGV, spin past every budget, damage
-/// the response frame — and the coordinator's wait-status/watchdog/CRC
-/// machinery turns that into an incident. In-process (no worker
-/// processes, or the fork-unavailable fallback) they throw a
-/// synchronous WorkerFault carrying the *same* canonical error class
-/// and text the coordinator would have produced, so incidents, records
-/// and checkpoints stay byte-identical across topologies.
+/// solver hang, simulator fuel exhaustion, compiler front-end crash or
+/// heap corruption — on a chosen instruction. The campaign self-tests
+/// use these plans to prove that every such malfunction is contained:
+/// the faulted instruction is quarantined, an incident is logged, and
+/// the rest of the campaign is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_FAULTS_HARNESSFAULTS_H
 #define IGDT_FAULTS_HARNESSFAULTS_H
-
-#include "support/Budget.h"
 
 #include <cstdint>
 #include <string>
@@ -51,75 +37,9 @@ enum class HarnessFaultKind : std::uint8_t {
   /// The exploration heap is poisoned; the first integrity check (on
   /// frame materialisation or allocation) throws.
   HeapCorruption,
-  /// The worker raises SIGSEGV as replay of the instruction begins
-  /// (the crash-containment path; decoded from the wait status).
-  WorkerSegfault,
-  /// The worker stops answering entirely, ignoring every cooperative
-  /// budget (the watchdog path; only SIGKILL ends it).
-  WorkerHang,
-  /// The worker's result frame is damaged in flight (the protocol
-  /// CRC/length-check path; the worker is recycled, not trusted).
-  PipeMessageCorruption,
 };
 
 const char *harnessFaultKindName(HarnessFaultKind Kind);
-
-/// A worker-class malfunction, containable in-process. Stage is always
-/// "worker"; the error class matches the coordinator's decoding of the
-/// equivalent out-of-process failure ("worker-crash", "worker-timeout",
-/// "protocol-corruption").
-class WorkerFault : public HarnessFault {
-public:
-  WorkerFault(std::string ErrorClass, const std::string &What)
-      : HarnessFault("worker", What), Class(std::move(ErrorClass)) {}
-
-  const std::string &errorClass() const { return Class; }
-
-private:
-  std::string Class;
-};
-
-/// Marks this process as a forked campaign worker. Set once by the
-/// process pool's child setup, before any instruction runs; never
-/// cleared (workers _exit).
-void setInWorkerProcess();
-/// True inside a forked campaign worker process.
-bool inWorkerProcess();
-
-/// \name Canonical worker-failure texts
-/// Shared by the coordinator's wait-status decoding and the in-process
-/// WorkerFault throwers so incident bytes match across topologies.
-/// @{
-/// "worker killed by signal N (NAME)".
-std::string workerSignalErrorText(int Signal);
-/// "worker exited unexpectedly (status N)".
-std::string workerExitErrorText(int Status);
-/// The watchdog-kill text (no numbers: deadlines are configuration).
-std::string workerTimeoutErrorText();
-/// The recycled-worker text for a frame failing CRC/length checks.
-std::string protocolCorruptionErrorText();
-/// Budget description used for worker-level incidents: the failing
-/// attempt's budgets died with the worker (or never existed, for the
-/// in-process equivalent), so a fixed out-of-band marker replaces the
-/// usual Budget::describe() string in both topologies.
-std::string workerOutOfBandBudgetNote();
-/// @}
-
-/// Fires the WorkerSegfault fault: raises a real SIGSEGV inside a
-/// worker process (default disposition restored first, so sanitizer
-/// handlers cannot soften it into an exit code), throws WorkerFault
-/// in-process.
-void triggerWorkerSegfault();
-
-/// Fires the WorkerHang fault: spins forever inside a worker process
-/// (the watchdog's SIGKILL is the only way out), throws WorkerFault
-/// with the watchdog's canonical text in-process.
-void triggerWorkerHang();
-
-/// Fires the PipeMessageCorruption fault in-process (out-of-process the
-/// worker's send path damages the frame instead): throws WorkerFault
-/// with the decoder's canonical text.
-void triggerPipeCorruption();
 
 /// One armed fault, targeted at a catalog instruction by name.
 struct ArmedFault {

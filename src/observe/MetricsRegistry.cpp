@@ -151,9 +151,6 @@ void MetricsSink::emit(TraceEvent Event) {
     if (Event.Millis > 0)
       Registry.sample("stage." + Event.Detail + ".millis", Event.Millis);
     break;
-  case TraceEventKind::WorkerEvent:
-    Registry.add("events.worker." + Event.Detail);
-    break;
   }
 }
 

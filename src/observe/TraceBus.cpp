@@ -34,19 +34,15 @@ const char *traceEventKindName(TraceEventKind Kind) {
     return "quarantine";
   case TraceEventKind::StageTime:
     return "stage-time";
-  case TraceEventKind::WorkerEvent:
-    return "worker-event";
   }
   return "unknown";
 }
 
 bool traceEventIsSchedulingDependent(TraceEventKind Kind) {
   // SharedUnsatIndex hits depend on which worker stored a proof
-  // first, and worker-process lifecycle depends on pids and wall time;
-  // everything else is a pure function of the instruction and the
-  // campaign options (see DESIGN.md "Parallel execution model").
-  return Kind == TraceEventKind::CacheLookup ||
-         Kind == TraceEventKind::WorkerEvent;
+  // first; everything else is a pure function of the instruction and
+  // the campaign options (see DESIGN.md "Parallel execution model").
+  return Kind == TraceEventKind::CacheLookup;
 }
 
 namespace {
@@ -58,7 +54,7 @@ constexpr TraceEventKind AllKinds[] = {
     TraceEventKind::ExploreDone,  TraceEventKind::Compile,
     TraceEventKind::SimRun,       TraceEventKind::PathVerdict,
     TraceEventKind::Containment,  TraceEventKind::Quarantine,
-    TraceEventKind::StageTime,    TraceEventKind::WorkerEvent,
+    TraceEventKind::StageTime,
 };
 
 } // namespace

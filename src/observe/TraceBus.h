@@ -76,22 +76,13 @@ enum class TraceEventKind : std::uint8_t {
   Quarantine,
   /// Named stage duration. Detail=stage name, Millis=duration.
   StageTime,
-  /// Worker-process lifecycle (out-of-process campaigns): a worker
-  /// crashed, hung past the watchdog or answered corruptly.
-  /// Detail=failure kind, Aux=error text, Value=worker id, Extra=pid.
-  /// Scheduling-dependent by nature (which worker, which pid); the
-  /// campaign merge loop blanks Value/Extra and the deterministic
-  /// trace file excludes the kind entirely — cross-topology byte
-  /// identity rests on the Containment/Quarantine events instead.
-  WorkerEvent,
 };
 
 /// Stable lowercase name used as the JSONL "kind" field.
 const char *traceEventKindName(TraceEventKind Kind);
 
 /// True for kinds whose emission depends on worker scheduling
-/// (CacheLookup, WorkerEvent). These never enter deterministic
-/// trace files.
+/// (CacheLookup). These never enter deterministic trace files.
 bool traceEventIsSchedulingDependent(TraceEventKind Kind);
 
 /// One typed event. Every event carries the instruction name and the

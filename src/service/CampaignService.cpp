@@ -86,7 +86,6 @@ struct CampaignService::SessionState {
   std::string Id;
   CampaignRequest Request;
   bool WantProfile = false;
-  bool WorkersDegraded = false;
   EventLog Events;
   std::thread Worker;
   /// Set by the worker as its last action, so a join cannot block.
@@ -166,15 +165,6 @@ ServiceReply CampaignService::submit(const ServiceRequest &Request) {
   }
   Metrics.add("service.submits");
 
-  // ProcessPool forks, and this daemon is multi-threaded: degrade
-  // worker processes to in-process threads unless explicitly allowed.
-  if (S->Request.WorkerProcesses > 0 && !Opts.AllowWorkerProcesses) {
-    if (S->Request.Jobs < S->Request.WorkerProcesses)
-      S->Request.Jobs = S->Request.WorkerProcesses;
-    S->Request.WorkerProcesses = 0;
-    S->WorkersDegraded = true;
-    Metrics.add("service.workers_degraded");
-  }
   if (S->Request.StorePath.empty())
     S->Request.StorePath = Opts.StorePath;
   ResultStore *Store = storeFor(S->Request.StorePath);
@@ -228,7 +218,6 @@ ServiceReply CampaignService::submit(const ServiceRequest &Request) {
 
   JsonValue Body = JsonValue::object();
   Body.set("session", JsonValue::string(S->Id));
-  Body.set("workers_degraded", JsonValue::boolean(S->WorkersDegraded));
   Body.set("store_attached", JsonValue::boolean(Store != nullptr));
   return makeOk("submit", Body.dump());
 }

@@ -16,12 +16,6 @@
 ///
 /// Verbs: submit, status, subscribe, invalidate, gc, ping, shutdown.
 ///
-/// Campaigns run with WorkerProcesses degraded to in-process threads
-/// unless ServiceOptions::AllowWorkerProcesses — ProcessPool forks, and
-/// forking a multi-threaded daemon is undefined behaviour territory.
-/// The degradation is observable (service.workers_degraded metric and
-/// the session's reply), never silent.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_SERVICE_CAMPAIGNSERVICE_H
@@ -47,9 +41,6 @@ struct ServiceOptions {
   /// Store backing submits whose request names none; empty = no
   /// default store (such submits run uncached).
   std::string StorePath;
-  /// Allow forking worker processes from the daemon (off: requests
-  /// asking for WorkerProcesses run them as threads instead).
-  bool AllowWorkerProcesses = false;
   /// Longest a subscribe long-poll blocks waiting for new events.
   unsigned SubscribeWaitMillis = 2000;
 };

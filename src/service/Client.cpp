@@ -2,7 +2,7 @@
 
 #include "service/Client.h"
 
-#include "evalkit/WireProtocol.h"
+#include "service/WireProtocol.h"
 #include "support/Json.h"
 #include "support/Socket.h"
 

@@ -2,7 +2,7 @@
 
 #include "service/Daemon.h"
 
-#include "evalkit/WireProtocol.h"
+#include "service/WireProtocol.h"
 #include "support/Socket.h"
 
 #include <utility>
@@ -40,8 +40,8 @@ void Daemon::serveConnection(int Fd) {
     FrameDecoder::Status S;
     while (Alive && (S = Decoder.next(Frame)) == FrameDecoder::Status::Frame) {
       if (Frame.Type != FrameType::Request) {
-        // A client speaking the worker-pipe frame types at the daemon
-        // is confused; drop it rather than answer.
+        // A client sending the daemon a reply frame is confused; drop
+        // it rather than answer.
         Service.metrics().add("service.bad_frames");
         Alive = false;
         break;

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The igdtd transport loop: listens on a Unix-domain socket, speaks
-/// the length-prefixed CRC-framed protocol (evalkit/WireProtocol —
+/// the length-prefixed CRC-framed protocol (service/WireProtocol —
 /// Request/Reply frames carrying api/Requests JSON), and hands every
 /// request to a CampaignService. One thread per connection; a
 /// connection whose stream fails a frame check is dropped, never
-/// guessed at (the same sticky-corruption contract the worker pipes
-/// use). The accept loop polls so a shutdown verb — or stop() from a
-/// signal handler's flag — is noticed within one poll interval.
+/// guessed at (the decoder's sticky-corruption contract). The accept
+/// loop polls so a shutdown verb — or stop() from a signal handler's
+/// flag — is noticed within one poll interval.
 ///
 //===----------------------------------------------------------------------===//
 

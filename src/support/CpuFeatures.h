@@ -16,10 +16,9 @@
 ///
 /// Both engines that need gating consult this header, so degradation
 /// decisions (Native -> Threaded -> Switch) read the same facts.
-/// `IGDT_NO_NATIVE` in the environment forces the native tier off,
-/// mirroring `IGDT_NO_FORK` for the process pool: CI and tests use it
-/// to exercise the graceful-degradation path on hosts that would
-/// otherwise support native execution.
+/// `IGDT_NO_NATIVE` in the environment forces the native tier off: CI
+/// and tests use it to exercise the graceful-degradation path on hosts
+/// that would otherwise support native execution.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,7 @@
 /// Thin POSIX Unix-domain stream socket helpers for the campaign
 /// daemon and its client: listen/accept/connect plus EINTR-safe whole-
 /// buffer writes and chunk reads. Deliberately minimal — framing,
-/// integrity and schema live in evalkit/WireProtocol and api/Requests;
+/// integrity and schema live in service/WireProtocol and api/Requests;
 /// this layer only moves bytes. On platforms without AF_UNIX support
 /// every call fails cleanly and unixSocketsAvailable() returns false,
 /// so callers can gate features instead of failing to build.

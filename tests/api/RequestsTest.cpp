@@ -30,9 +30,6 @@ namespace {
 CampaignRequest fullyPopulated() {
   CampaignRequest R;
   R.Jobs = 6;
-  R.WorkerProcesses = 3;
-  R.WorkerDeadlineMillis = 1234.5;
-  R.WorkerBackoffMillis = 7.5;
   R.MaxBytecodes = 11;
   R.MaxNativeMethods = 4;
   R.OnlyInstructions = {"bytecodePrim_add", "primitiveAdd"};
@@ -56,9 +53,6 @@ CampaignRequest fullyPopulated() {
 
 void expectEqual(const CampaignRequest &A, const CampaignRequest &B) {
   EXPECT_EQ(A.Jobs, B.Jobs);
-  EXPECT_EQ(A.WorkerProcesses, B.WorkerProcesses);
-  EXPECT_EQ(A.WorkerDeadlineMillis, B.WorkerDeadlineMillis);
-  EXPECT_EQ(A.WorkerBackoffMillis, B.WorkerBackoffMillis);
   EXPECT_EQ(A.MaxBytecodes, B.MaxBytecodes);
   EXPECT_EQ(A.MaxNativeMethods, B.MaxNativeMethods);
   EXPECT_EQ(A.OnlyInstructions, B.OnlyInstructions);
@@ -223,9 +217,6 @@ TEST(RequestsTest, ToSessionConfigIsAFaithfulMapping) {
   CampaignRequest R = fullyPopulated();
   SessionConfig Config = R.toSessionConfig();
   EXPECT_EQ(Config.Campaign.Jobs, 6u);
-  EXPECT_EQ(Config.Campaign.WorkerProcesses, 3u);
-  EXPECT_EQ(Config.Campaign.WorkerDeadlineMillis, 1234.5);
-  EXPECT_EQ(Config.Campaign.WorkerBackoffMillis, 7.5);
   EXPECT_EQ(Config.Campaign.Harness.MaxBytecodes, 11u);
   EXPECT_EQ(Config.Campaign.Harness.MaxNativeMethods, 4u);
   EXPECT_EQ(Config.Campaign.OnlyInstructions, R.OnlyInstructions);
@@ -265,7 +256,6 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
   requestFromFlags(Flags, R);
   const char *Argv[] = {"requests_test",
                         "--jobs",          "4",
-                        "--workers",       "2",
                         "--max-bytecodes", "7",
                         "--only",          "bytecodePrim_add",
                         "--only",          "primitiveAdd",
@@ -277,7 +267,6 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
                         "--cross-engine-check"};
   ASSERT_TRUE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
   EXPECT_EQ(R.Jobs, 4u);
-  EXPECT_EQ(R.WorkerProcesses, 2u);
   EXPECT_EQ(R.MaxBytecodes, 7u);
   EXPECT_EQ(R.OnlyInstructions,
             (std::vector<std::string>{"bytecodePrim_add", "primitiveAdd"}));
@@ -325,6 +314,32 @@ TEST(RequestsTest, RetiredScheduleFlagIsAnUnknownFlag) {
   requestFromFlags(Flags, R);
   const char *Argv[] = {"requests_test", "--schedule", "adaptive"};
   EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
+}
+
+// Campaigns run inline or on threads; a frame that still asks for
+// forked worker processes is refused by name. The pool's two tuning
+// keys asked for nothing on their own and are ignored like any unknown
+// key.
+TEST(RequestsTest, RetiredWorkersKeyIsRefused) {
+  std::string Error;
+  EXPECT_FALSE(parseRequest("{\"workers\":2}", Error));
+  EXPECT_NE(Error.find("'workers'"), std::string::npos) << Error;
+  EXPECT_TRUE(parseRequest("{\"workers\":0,\"worker_deadline_millis\":500,"
+                           "\"worker_backoff_millis\":10}",
+                           Error))
+      << Error;
+}
+
+TEST(RequestsTest, RetiredWorkersFlagIsAnUnknownFlag) {
+  for (const char *Flag :
+       {"--workers", "--worker-deadline-millis", "--worker-backoff-millis"}) {
+    CampaignRequest R;
+    FlagParser Flags("requests_test", "test");
+    requestFromFlags(Flags, R);
+    const char *Argv[] = {"requests_test", Flag, "2"};
+    EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)))
+        << Flag;
+  }
 }
 
 // Integer fields are read checked: casting a negative, huge or

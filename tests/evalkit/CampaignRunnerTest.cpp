@@ -2,10 +2,12 @@
 //
 // Campaign resilience self-tests: every injectable harness fault is
 // contained (quarantine, incident report, zero exit), transient faults
-// are recovered by the fresh-heap retry, checkpoint/resume reproduces
-// the uninterrupted counts and resumes only records its own
-// configuration keyed, and campaign rows agree with a serial
-// per-path replay through the Session façade on the same subset.
+// are recovered by the fresh-heap retry, records, incidents and traces
+// are byte-identical at Jobs 1/2/4, checkpoint/resume reproduces the
+// uninterrupted counts (after a SIGKILL too) and resumes only records
+// its own configuration and build keyed, and campaign rows agree with
+// a serial per-path replay through the Session façade on the same
+// subset.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +21,14 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace igdt;
 
@@ -475,28 +481,6 @@ TEST(CampaignRunnerTest, RecordsRoundTripThroughTheCheckpointFormat) {
                   aggregateCampaignRows(S.Records));
 }
 
-TEST(CampaignRunnerTest, IncidentLinesWithABadAttemptAreRefused) {
-  // Incident lines come back from forked workers; the attempt number is
-  // read checked, so a negative, fractional or huge one refuses the
-  // line (and with it the worker's payload) instead of being cast.
-  CampaignIncident Inc;
-  Inc.Instruction = "bytecodePrim_add";
-  Inc.Stage = "explore";
-  Inc.Attempt = 2;
-  CampaignIncident Back;
-  ASSERT_TRUE(CampaignIncident::fromJson(Inc.toJson(), Back));
-  EXPECT_EQ(Back.Attempt, 2u);
-  EXPECT_EQ(Back.toJson(), Inc.toJson());
-
-  for (const char *Bad : {"-1", "2.5", "1e20"}) {
-    std::string Line = Inc.toJson();
-    std::size_t At = Line.find("\"attempt\":2");
-    ASSERT_NE(At, std::string::npos) << Line;
-    Line.replace(At, 11, std::string("\"attempt\":") + Bad);
-    EXPECT_FALSE(CampaignIncident::fromJson(Line, Back)) << Line;
-  }
-}
-
 std::string slurpFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::ostringstream Out;
@@ -711,6 +695,194 @@ TEST(CampaignRunnerTest, UnkeyedCheckpointRecordsAreReRunAndCountedStale) {
   EXPECT_EQ(Again.Metrics.counter("campaign.resume_stale"), 0u);
   EXPECT_EQ(slurpFile(Opts.CheckpointPath), OldBytes + ReferenceBytes);
   std::remove(Opts.CheckpointPath.c_str());
+}
+
+TEST(CampaignRunnerTest, RecordsOfAnotherBuildAreReRunAndCountedStale) {
+  // Every key carries the code identity, a hash of the sources a record
+  // is a function of. A checkpoint line keyed under another identity
+  // stands for a record an edited compiler or solver left behind: it
+  // must re-run, never resume, even though its configuration matches.
+  CampaignOptions Opts = cleanOptions();
+  Opts.OnlyInstructions = {"bytecodePrim_add", "primitiveAdd"};
+  Opts.RecordTimings = false;
+  CampaignSummary Reference = CampaignRunner(Opts).run();
+  ASSERT_EQ(Reference.Records.size(), 2u);
+
+  // The other build's records differ from this one's, so serving one
+  // would show in the records.
+  const std::uint64_t OtherBuild =
+      campaignConfigFingerprint(Opts, codeIdentity() + 1);
+  ASSERT_NE(OtherBuild, campaignConfigFingerprint(Opts));
+  std::string OtherBytes;
+  for (InstructionRecord R : Reference.Records) {
+    R.Paths += 1;
+    OtherBytes +=
+        keyedRecordLine(resultStoreKey(*findInstruction(R.Instruction),
+                                       OtherBuild),
+                        R.toJson()) +
+        "\n";
+  }
+  Opts.CheckpointPath = tempPath("other_build.jsonl");
+  std::ofstream(Opts.CheckpointPath, std::ios::binary) << OtherBytes;
+
+  CampaignSummary S = CampaignRunner(Opts).run();
+  EXPECT_EQ(S.ResumedInstructions, 0u);
+  EXPECT_EQ(S.CompletedInstructions, 2u);
+  EXPECT_EQ(S.Metrics.counter("campaign.resume_stale"), 2u);
+  EXPECT_GT(S.LiveSolver.Queries, 0u);
+  ASSERT_EQ(S.Records.size(), 2u);
+  for (std::size_t I = 0; I < 2; ++I)
+    EXPECT_EQ(S.Records[I].toJson(), Reference.Records[I].toJson());
+  std::remove(Opts.CheckpointPath.c_str());
+}
+
+/// All four stage faults, one per instruction, plus six clean
+/// instructions.
+CampaignOptions fourFaultScenario() {
+  CampaignOptions Opts = cleanOptions();
+  Opts.RecordTimings = false;
+  Opts.OnlyInstructions = {"bytecodePrim_add",      "bytecodePrim_sub",
+                           "bytecodePrim_mul",      "bytecodePrim_div",
+                           "primitiveAdd",          "primitiveFloatAdd",
+                           "primitiveFloatSubtract", "primitiveFloatMultiply",
+                           "primitiveFloatDivide",  "primitiveFloatLessThan"};
+  Opts.Faults.Faults = {
+      {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
+      {HarnessFaultKind::SimFuelExhaustion, "bytecodePrim_sub", false},
+      {HarnessFaultKind::FrontEndThrow, "bytecodePrim_mul", false},
+      {HarnessFaultKind::HeapCorruption, "bytecodePrim_div", false},
+  };
+  return Opts;
+}
+
+TEST(CampaignRunnerTest, RecordsAreByteIdenticalAcrossTopologies) {
+  // Two worklists: all four harness faults at once; and the full clean
+  // catalog under a per-instruction budget of 3 explore units, where
+  // frontiers starve and each record depends on where its own budget
+  // ran out. Checkpoint, incident and trace files must agree byte for
+  // byte at every Jobs value.
+  CampaignOptions Budgeted = cleanOptions();
+  Budgeted.RecordTimings = false;
+  Budgeted.ExploreBudget.WorkUnits = 3;
+  const struct {
+    const char *Name;
+    CampaignOptions Base;
+    std::size_t Completed;
+    std::size_t Quarantined;
+  } Scenarios[] = {{"four", fourFaultScenario(), 10, 4},
+                   {"budgeted", Budgeted, allInstructions().size(), 0}};
+  const unsigned JobsValues[] = {1, 2, 4};
+
+  for (const auto &Scenario : Scenarios) {
+    std::vector<std::string> Checkpoints;
+    std::vector<std::string> Incidents;
+    std::vector<std::string> Traces;
+    for (unsigned Jobs : JobsValues) {
+      const std::string Where =
+          std::string(Scenario.Name) + "_j" + std::to_string(Jobs);
+      CampaignOptions Opts = Scenario.Base;
+      Opts.Jobs = Jobs;
+      Opts.CheckpointPath = tempPath(Where + "_ckpt.jsonl");
+      Opts.IncidentLogPath = tempPath(Where + "_inc.jsonl");
+      Opts.TracePath = tempPath(Where + "_trace.jsonl");
+      CampaignSummary S = CampaignRunner(Opts).run();
+      EXPECT_EQ(S.CompletedInstructions, Scenario.Completed) << Where;
+      EXPECT_EQ(S.Quarantined.size(), Scenario.Quarantined) << Where;
+      if (Scenario.Base.ExploreBudget.WorkUnits) {
+        EXPECT_TRUE(std::any_of(S.Records.begin(), S.Records.end(),
+                                [](const InstructionRecord &R) {
+                                  return R.BudgetExhausted;
+                                }))
+            << Where;
+      }
+      Checkpoints.push_back(slurpFile(Opts.CheckpointPath));
+      Incidents.push_back(slurpFile(Opts.IncidentLogPath));
+      Traces.push_back(slurpFile(Opts.TracePath));
+      std::remove(Opts.CheckpointPath.c_str());
+      std::remove(Opts.IncidentLogPath.c_str());
+      std::remove(Opts.TracePath.c_str());
+    }
+    ASSERT_FALSE(Checkpoints[0].empty()) << Scenario.Name;
+    ASSERT_FALSE(Traces[0].empty()) << Scenario.Name;
+    EXPECT_EQ(Incidents[0].empty(), Scenario.Quarantined == 0)
+        << Scenario.Name;
+    for (std::size_t I = 1; I < std::size(JobsValues); ++I) {
+      const std::string Where =
+          std::string(Scenario.Name) + "_j" + std::to_string(JobsValues[I]);
+      EXPECT_EQ(Checkpoints[0], Checkpoints[I]) << Where;
+      EXPECT_EQ(Incidents[0], Incidents[I]) << Where;
+      EXPECT_EQ(Traces[0], Traces[I]) << Where;
+    }
+  }
+}
+
+std::vector<std::string> recordLines(const CampaignSummary &S) {
+  std::vector<std::string> Lines;
+  for (const InstructionRecord &R : S.Records)
+    Lines.push_back(R.toJson());
+  return Lines;
+}
+
+std::vector<std::string> incidentLines(const CampaignSummary &S) {
+  std::vector<std::string> Lines;
+  for (const CampaignIncident &I : S.Incidents)
+    Lines.push_back(I.toJson());
+  return Lines;
+}
+
+TEST(CampaignRunnerTest, KilledCoordinatorResumesToIdenticalRecords) {
+  // The full catalog, so the kill lands while the campaign still runs:
+  // a short worklist finishes before the first poll on a fast host.
+  CampaignOptions Base = cleanOptions();
+  Base.RecordTimings = false;
+  Base.Jobs = 2;
+  const std::string Ckpt = tempPath("kill_ckpt.jsonl");
+
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    // Campaign-under-test: checkpointed, then vanish. The parent
+    // SIGKILLs us mid-run; _exit keeps gtest state untouched.
+    CampaignOptions Opts = Base;
+    Opts.CheckpointPath = Ckpt;
+    CampaignRunner(Opts).run();
+    ::_exit(0);
+  }
+
+  // Wait until at least two records hit the checkpoint (proof the
+  // incremental merge published them before campaign end), then kill
+  // the campaign outright. Tolerate the child finishing first.
+  bool Exited = false;
+  int Status = 0;
+  for (int Spin = 0; Spin < 100000 && !Exited; ++Spin) {
+    if (::waitpid(Child, &Status, WNOHANG) == Child) {
+      Exited = true;
+      break;
+    }
+    if (readLines(Ckpt).size() >= 2)
+      break;
+    ::usleep(200);
+  }
+  if (!Exited) {
+    ::kill(Child, SIGKILL);
+    while (::waitpid(Child, &Status, 0) < 0 && errno == EINTR) {
+    }
+  }
+
+  // Resume over the survivor checkpoint at the same Jobs value.
+  CampaignOptions Resume = Base;
+  Resume.CheckpointPath = Ckpt;
+  CampaignSummary Resumed = CampaignRunner(Resume).run();
+  EXPECT_EQ(Resumed.CompletedInstructions + Resumed.ResumedInstructions,
+            allInstructions().size());
+
+  // An uninterrupted inline reference run must agree record for record.
+  CampaignOptions Ref = Base;
+  Ref.Jobs = 1;
+  CampaignSummary Reference = CampaignRunner(Ref).run();
+  EXPECT_EQ(recordLines(Resumed), recordLines(Reference));
+  EXPECT_EQ(incidentLines(Resumed), incidentLines(Reference));
+  std::remove(Ckpt.c_str());
 }
 
 } // namespace

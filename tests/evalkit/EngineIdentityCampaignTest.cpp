@@ -3,7 +3,7 @@
 // The hard gate on the native execution tier: campaign records,
 // checkpoint bytes and the deterministic trace stream are byte-identical
 // across --engine switch|threaded|native, serial or parallel, with all
-// seven armed harness faults in play. The native tier is a pure
+// four armed harness faults in play. The native tier is a pure
 // accelerator; any byte it changes is a defect in the tier, not a new
 // campaign outcome.
 //
@@ -37,19 +37,17 @@ std::string slurp(const std::string &Path) {
   return Buf.str();
 }
 
-/// All seven armed harness faults, one per instruction, plus three
-/// clean instructions that actually replay: the identity claim must
+/// All four armed harness faults, one per instruction, plus six clean
+/// instructions that actually replay: the identity claim must
 /// hold through containment, retry and quarantine, and the clean runs
 /// keep the engine A/B from being vacuous (a campaign where everything
 /// quarantines never executes an engine at all).
-CampaignOptions sevenFaultBase() {
+CampaignOptions fourFaultBase() {
   CampaignOptions Opts;
   Opts.Harness.VM = cleanVMConfig();
   Opts.Harness.Cogit = cleanCogitOptions();
   Opts.Harness.SeedSimulationErrors = false;
   Opts.RecordTimings = false;
-  Opts.WorkerDeadlineMillis = 2000;
-  Opts.WorkerBackoffMillis = 1;
   Opts.OnlyInstructions = {"bytecodePrim_add",      "bytecodePrim_sub",
                            "bytecodePrim_mul",      "bytecodePrim_div",
                            "primitiveAdd",          "primitiveFloatAdd",
@@ -60,10 +58,6 @@ CampaignOptions sevenFaultBase() {
       {HarnessFaultKind::SimFuelExhaustion, "bytecodePrim_sub", false},
       {HarnessFaultKind::FrontEndThrow, "bytecodePrim_mul", false},
       {HarnessFaultKind::HeapCorruption, "bytecodePrim_div", false},
-      {HarnessFaultKind::WorkerSegfault, "primitiveAdd", false},
-      {HarnessFaultKind::WorkerHang, "primitiveFloatAdd", false},
-      {HarnessFaultKind::PipeMessageCorruption, "primitiveFloatSubtract",
-       false},
   };
   return Opts;
 }
@@ -86,7 +80,7 @@ TEST(EngineIdentityCampaignTest, RecordsTracesAndCheckpointsMatchAcrossEngines) 
   std::vector<std::string> Traces;
   std::vector<std::string> Checkpoints;
   for (const Variant &V : Variants) {
-    CampaignOptions Opts = sevenFaultBase();
+    CampaignOptions Opts = fourFaultBase();
     Opts.Harness.Sim.Engine = V.Engine;
     Opts.Jobs = V.Jobs;
     Opts.TracePath = tempPath(std::string(V.Name) + "_trace.jsonl");

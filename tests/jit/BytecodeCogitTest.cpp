@@ -1,7 +1,9 @@
 //===- tests/jit/BytecodeCogitTest.cpp -----------------------------------------===//
 //
 // The three byte-code compilers, executed in the simulator and compared
-// against each other (TEST_P sweeps over compiler kind and target).
+// against each other (TEST_P sweeps over compiler kind and target). The
+// cases about statically predicted arithmetic run only on the two
+// compilers that inline it; the simple compiler always sends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,16 @@ struct Config {
   CompilerKind Kind;
   bool Arm;
 };
+
+std::string configName(const Config &C) {
+  std::string Name = compilerKindName(C.Kind);
+  for (char &Ch : Name)
+    if (!isalnum(static_cast<unsigned char>(Ch)))
+      Ch = '_';
+  return Name + (C.Arm ? "_arm" : "_x64");
+}
+
+void PrintTo(const Config &C, std::ostream *OS) { *OS << configName(C); }
 
 class BytecodeCogitTest : public ::testing::TestWithParam<Config> {
 protected:
@@ -83,6 +95,9 @@ protected:
   CompiledCode Last;
   std::unique_ptr<MachineSim> Sim;
 };
+
+/// The cases about inlined arithmetic, for the compilers that inline it.
+class InliningCogitTest : public BytecodeCogitTest {};
 
 TEST_P(BytecodeCogitTest, PushLocal) {
   CompiledMethod M = MethodBuilder("m").numTemps(3).pushLocal(2).build();
@@ -169,9 +184,7 @@ TEST_P(BytecodeCogitTest, ArithmeticAdd) {
   }
 }
 
-TEST_P(BytecodeCogitTest, ArithmeticOverflowTakesSlowSend) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP() << "simple compiler always sends";
+TEST_P(InliningCogitTest, ArithmeticOverflowTakesSlowSend) {
   CompiledMethod M = MethodBuilder("m").arith(ArithOp::Add).build();
   MachineExit E = run(M, {smallIntOop(MaxSmallInt), smallIntOop(1)});
   EXPECT_EQ(E.Kind, MachExitKind::TrampolineCall);
@@ -183,9 +196,7 @@ TEST_P(BytecodeCogitTest, ArithmeticOverflowTakesSlowSend) {
   EXPECT_EQ(MemStack[1], smallIntOop(1));
 }
 
-TEST_P(BytecodeCogitTest, FloatOperandsTakeSlowSend) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, FloatOperandsTakeSlowSend) {
   // Optimisation difference: the byte-code compilers inline integers
   // only, while the interpreter also inlines floats.
   Oop A = Mem.allocateFloat(1.5);
@@ -195,9 +206,7 @@ TEST_P(BytecodeCogitTest, FloatOperandsTakeSlowSend) {
   EXPECT_EQ(E.Kind, MachExitKind::TrampolineCall);
 }
 
-TEST_P(BytecodeCogitTest, ArithmeticComparisons) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, ArithmeticComparisons) {
   CompiledMethod M = MethodBuilder("m").arith(ArithOp::Less).build();
   run(M, {smallIntOop(1), smallIntOop(2)});
   EXPECT_EQ(finalStack()[0], Mem.trueObject());
@@ -205,9 +214,7 @@ TEST_P(BytecodeCogitTest, ArithmeticComparisons) {
   EXPECT_EQ(finalStack()[0], Mem.falseObject());
 }
 
-TEST_P(BytecodeCogitTest, DivisionFamily) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, DivisionFamily) {
   CompiledMethod MDiv = MethodBuilder("m").arith(ArithOp::Div).build();
   run(MDiv, {smallIntOop(42), smallIntOop(7)});
   EXPECT_EQ(finalStack()[0], smallIntOop(6));
@@ -224,9 +231,7 @@ TEST_P(BytecodeCogitTest, DivisionFamily) {
   EXPECT_EQ(finalStack()[0], smallIntOop(1));
 }
 
-TEST_P(BytecodeCogitTest, SeededBitOpsAcceptNegatives) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, SeededBitOpsAcceptNegatives) {
   // Behavioural difference: compiled code computes; the interpreter
   // would fall back to a send.
   CompiledMethod M = MethodBuilder("m").arith(ArithOp::BitAnd).build();
@@ -235,18 +240,14 @@ TEST_P(BytecodeCogitTest, SeededBitOpsAcceptNegatives) {
   EXPECT_EQ(finalStack()[0], smallIntOop(4));
 }
 
-TEST_P(BytecodeCogitTest, FixedBitOpsSendOnNegatives) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, FixedBitOpsSendOnNegatives) {
   Opts.SeedBitOpsAcceptNegatives = false;
   CompiledMethod M = MethodBuilder("m").arith(ArithOp::BitAnd).build();
   EXPECT_EQ(run(M, {smallIntOop(-4), smallIntOop(7)}).Kind,
             MachExitKind::TrampolineCall);
 }
 
-TEST_P(BytecodeCogitTest, BitShift) {
-  if (GetParam().Kind == CompilerKind::SimpleStack)
-    GTEST_SKIP();
+TEST_P(InliningCogitTest, BitShift) {
   CompiledMethod M = MethodBuilder("m").arith(ArithOp::BitShift).build();
   run(M, {smallIntOop(3), smallIntOop(4)});
   EXPECT_EQ(finalStack()[0], smallIntOop(48));
@@ -331,6 +332,10 @@ TEST_P(BytecodeCogitTest, UnderflowingInputRejected) {
   EXPECT_FALSE(Cogit.compile(M, {smallIntOop(1)}).has_value());
 }
 
+std::string paramName(const ::testing::TestParamInfo<Config> &Info) {
+  return configName(Info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCompilers, BytecodeCogitTest,
     ::testing::Values(Config{CompilerKind::SimpleStack, false},
@@ -339,12 +344,14 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{CompilerKind::StackToRegister, true},
                       Config{CompilerKind::RegisterAllocating, false},
                       Config{CompilerKind::RegisterAllocating, true}),
-    [](const ::testing::TestParamInfo<Config> &Info) {
-      std::string Name = compilerKindName(Info.param.Kind);
-      for (char &C : Name)
-        if (!isalnum(static_cast<unsigned char>(C)))
-          C = '_';
-      return Name + (Info.param.Arm ? "_arm" : "_x64");
-    });
+    paramName);
+
+INSTANTIATE_TEST_SUITE_P(
+    InliningCompilers, InliningCogitTest,
+    ::testing::Values(Config{CompilerKind::StackToRegister, false},
+                      Config{CompilerKind::StackToRegister, true},
+                      Config{CompilerKind::RegisterAllocating, false},
+                      Config{CompilerKind::RegisterAllocating, true}),
+    paramName);
 
 } // namespace

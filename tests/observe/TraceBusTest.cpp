@@ -55,7 +55,7 @@ TEST(TraceBusTest, EventsRoundTripThroughJsonl) {
   EXPECT_EQ(Event, Back);
 
   // Every kind keeps its name through the round trip.
-  for (unsigned K = 0; K <= unsigned(TraceEventKind::WorkerEvent); ++K) {
+  for (unsigned K = 0; K <= unsigned(TraceEventKind::StageTime); ++K) {
     TraceEvent E;
     E.Kind = TraceEventKind(K);
     ASSERT_TRUE(TraceEvent::fromJson(E.toJson(), Back))

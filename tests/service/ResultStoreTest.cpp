@@ -83,15 +83,15 @@ TEST(ResultStoreTest, ConfigFingerprintIgnoresTopologyButNotSemantics) {
   CampaignOptions Base;
   std::uint64_t Baseline = campaignConfigFingerprint(Base);
 
-  // Topology knobs are excluded by design: records are proven
-  // byte-identical across them, so a record computed at one topology
-  // may serve any other.
+  // Jobs is excluded by design: records are proven byte-identical at
+  // any value, so a record computed at one may serve any other.
   CampaignOptions Topo = Base;
   Topo.Jobs = 8;
-  Topo.WorkerProcesses = 4;
-  Topo.WorkerDeadlineMillis = 123;
-  Topo.WorkerBackoffMillis = 7;
   EXPECT_EQ(campaignConfigFingerprint(Topo), Baseline);
+
+  // The code identity is keyed: another build's records never serve.
+  EXPECT_EQ(campaignConfigFingerprint(Base, codeIdentity()), Baseline);
+  EXPECT_NE(campaignConfigFingerprint(Base, codeIdentity() + 1), Baseline);
 
   // The execution engine is excluded for the same reason: all three
   // tiers are proven byte-identical, so a record computed on one engine

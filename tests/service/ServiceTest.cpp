@@ -2,10 +2,10 @@
 //
 // Campaign-as-a-service contracts, bottom up: the runner's store policy
 // (cache-served checkpoints byte-identical to fresh ones under every
-// armed harness fault and topology, zero live solver work when fully
+// armed harness fault and Jobs value, zero live solver work when fully
 // warm, key changes forcing re-exploration), the in-process service
-// verbs (submit/status/subscribe, version gating, worker degradation,
-// concurrent submitters sharing one store), and the daemon over a real
+// verbs (submit/status/subscribe, version gating, refusal of retired
+// request keys, concurrent submitters sharing one store), and the daemon over a real
 // socket — including SIGKILL followed by reconnect-and-resume from the
 // checkpoint.
 //
@@ -14,11 +14,11 @@
 #include "service/CampaignService.h"
 
 #include "evalkit/CampaignRunner.h"
-#include "evalkit/WireProtocol.h"
 #include "faults/DefectCatalog.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "service/ResultStore.h"
+#include "service/WireProtocol.h"
 #include "support/Json.h"
 #include "support/Socket.h"
 
@@ -81,18 +81,15 @@ const std::vector<std::string> &nineInstructions() {
   return Names;
 }
 
-/// All seven injectable harness malfunctions, one per instruction,
-/// leaving bitOr and bitXor clean (so the store has something to hit).
-HarnessFaultPlan sevenFaults() {
+/// All four injectable harness malfunctions, one per instruction,
+/// leaving the other five clean (so the store has something to hit).
+HarnessFaultPlan fourFaults() {
   HarnessFaultPlan Plan;
   Plan.Faults = {
       {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
       {HarnessFaultKind::FrontEndThrow, "bytecodePrim_sub", false},
       {HarnessFaultKind::HeapCorruption, "bytecodePrim_mul", false},
       {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
-      {HarnessFaultKind::WorkerSegfault, "bytecodePrim_div", false},
-      {HarnessFaultKind::WorkerHang, "primitiveFloatAdd", false},
-      {HarnessFaultKind::PipeMessageCorruption, "bytecodePrim_bitAnd", false},
   };
   return Plan;
 }
@@ -166,48 +163,40 @@ TEST(ServiceTest, WarmRunServesEverythingWithZeroLiveSolverWork) {
 }
 
 TEST(ServiceTest, CacheHitBytesAreIdenticalUnderFaultsAcrossTopologies) {
-  // Cold pass at the baseline topology, all seven harness faults armed:
-  // only the two clean instructions enter the store (quarantined
-  // records are never cached).
+  // Cold pass inline, all four harness faults armed: only the five
+  // clean instructions enter the store (quarantined records are never
+  // cached).
   ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
   Opts.OnlyInstructions = nineInstructions();
-  Opts.Faults = sevenFaults();
+  Opts.Faults = fourFaults();
   Opts.Store = &Store;
-  Opts.WorkerDeadlineMillis = 500;
-  Opts.WorkerBackoffMillis = 10;
   Opts.CheckpointPath = tempPath("faults_cold.jsonl");
 
   CampaignSummary Cold = CampaignRunner(Opts).run();
   EXPECT_EQ(Cold.CompletedInstructions, 9u);
-  EXPECT_EQ(Cold.Quarantined.size(), 7u);
-  EXPECT_EQ(Cold.StoreStores, 2u);
-  EXPECT_EQ(Store.size(), 2u);
+  EXPECT_EQ(Cold.Quarantined.size(), 4u);
+  EXPECT_EQ(Cold.StoreStores, 5u);
+  EXPECT_EQ(Store.size(), 5u);
   EXPECT_EQ(Cold.exitCode(), 0);
   std::string ColdBytes = slurp(Opts.CheckpointPath);
   ASSERT_FALSE(ColdBytes.empty());
   std::remove(Opts.CheckpointPath.c_str());
 
-  // Warm passes across the topology matrix. The config fingerprint
-  // deliberately excludes Jobs/WorkerProcesses, so every topology hits
-  // the same keys; the quarantined seven re-run and must reproduce
-  // their incidents byte-identically (the canonical-error-text
-  // contract), leaving the whole checkpoint equal to the cold one.
-  struct Topology {
-    unsigned Jobs, Workers;
-  };
-  for (Topology T : {Topology{1, 0}, {4, 0}, {1, 4}, {4, 4}}) {
+  // Warm passes at Jobs 1, 2 and 4. The config fingerprint
+  // deliberately excludes Jobs, so every pass hits the same keys; the
+  // quarantined four re-run and must reproduce their incidents
+  // byte-identically, leaving the whole checkpoint equal to the cold
+  // one.
+  for (unsigned Jobs : {1u, 2u, 4u}) {
     CampaignOptions WarmOpts = Opts;
-    WarmOpts.Jobs = T.Jobs;
-    WarmOpts.WorkerProcesses = T.Workers;
+    WarmOpts.Jobs = Jobs;
     WarmOpts.CheckpointPath = tempPath("faults_warm.jsonl");
     CampaignSummary Warm = CampaignRunner(WarmOpts).run();
-    EXPECT_EQ(Warm.StoreServed, 2u)
-        << "jobs=" << T.Jobs << " workers=" << T.Workers;
-    EXPECT_EQ(Warm.Quarantined.size(), 7u);
+    EXPECT_EQ(Warm.StoreServed, 5u) << "jobs=" << Jobs;
+    EXPECT_EQ(Warm.Quarantined.size(), 4u);
     EXPECT_EQ(Warm.exitCode(), 0);
-    EXPECT_EQ(ColdBytes, slurp(WarmOpts.CheckpointPath))
-        << "jobs=" << T.Jobs << " workers=" << T.Workers;
+    EXPECT_EQ(ColdBytes, slurp(WarmOpts.CheckpointPath)) << "jobs=" << Jobs;
     std::remove(WarmOpts.CheckpointPath.c_str());
   }
 }
@@ -352,19 +341,25 @@ TEST(ServiceTest, NewerSchemaVersionsAreRejectedLoudly) {
   EXPECT_FALSE(Reply.Ok);
 }
 
-TEST(ServiceTest, WorkerProcessRequestsDegradeToThreadsUnlessAllowed) {
+TEST(ServiceTest, WorkerProcessRequestsAreRefused) {
+  // Campaigns run inline or on threads. A submit that still asks for
+  // forked worker processes is refused by name and starts no session;
+  // it is never quietly run another way.
   CampaignService Service;
-  CampaignRequest Campaign;
-  Campaign.OnlyInstructions = {"bytecodePrim_add"};
-  Campaign.WorkerProcesses = 2;
-  JsonValue Body;
-  std::string SessionId = submitOk(Service, Campaign, &Body);
-  EXPECT_TRUE(Body.boolOr("workers_degraded", false))
-      << "forking from a threaded daemon must be opt-in";
-  StatusReply Status = waitDone(Service, SessionId);
-  EXPECT_EQ(Status.State, "done");
-  EXPECT_EQ(Status.Completed, 1u);
-  EXPECT_EQ(Service.metrics().counter("service.workers_degraded"), 1u);
+  ServiceRequest Req;
+  Req.Verb = "submit";
+  Req.Campaign.OnlyInstructions = {"bytecodePrim_add"};
+  std::string Json = Req.toJson().dump();
+  std::size_t At = Json.find("\"campaign\":{");
+  ASSERT_NE(At, std::string::npos) << Json;
+  Json.insert(At + 12, "\"workers\":2,");
+  ServiceReply Reply;
+  ASSERT_TRUE(
+      ServiceReply::fromJson(*JsonValue::parse(Service.handleJson(Json)), Reply));
+  EXPECT_FALSE(Reply.Ok);
+  EXPECT_NE(Reply.Error.find("'workers'"), std::string::npos) << Reply.Error;
+  EXPECT_EQ(Service.metrics().counter("service.bad_requests"), 1u);
+  EXPECT_EQ(Service.metrics().counter("service.submits"), 0u);
 }
 
 TEST(ServiceTest, ConcurrentSubmittersShareOneStoreWithoutTearing) {

@@ -47,9 +47,6 @@ int main(int Argc, char **Argv) {
   Flags.add("socket", &Opts.SocketPath, "unix-domain socket path to serve");
   Flags.add("store", &Opts.Service.StorePath,
             "default content-addressed verdict store (JSONL)");
-  Flags.add("allow-workers", &Opts.Service.AllowWorkerProcesses,
-            "permit forked worker processes (unsafe in a threaded daemon; "
-            "default degrades them to threads)");
   Flags.add("subscribe-wait-millis", &Opts.Service.SubscribeWaitMillis,
             "longest one subscribe long-poll blocks");
   Flags.add("metrics", &MetricsAtExit,
