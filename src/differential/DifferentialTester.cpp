@@ -14,6 +14,7 @@
 #include "symbolic/FrameMaterializer.h"
 #include "vm/Bytecodes.h"
 
+#include <memory>
 #include <optional>
 
 using namespace igdt;
@@ -141,6 +142,7 @@ std::vector<Oop> readFinalStack(const CompiledCode &Code, MachineSim &Sim) {
       Out.push_back(Memory[I]);
     return Out;
   }
+  Out.reserve(Code.FinalStack.size());
   std::size_t NextMem = 0;
   for (const ValueLoc &L : Code.FinalStack) {
     switch (L.K) {
@@ -178,7 +180,7 @@ struct ExpectedBytes {
 };
 
 /// Builds the engine-specific forms of a freshly compiled unit before it
-/// enters the code cache, so cache-served copies share the ready-built
+/// enters the code cache, so every cache hit runs the ready-built
 /// predecode/native code (build-once per compilation unit).
 void warmEngineForms(const DiffTestConfig &Cfg, const CompiledCode &Code) {
   bool WantNative = Cfg.Sim.Engine == SimEngine::Native || Cfg.CrossEngineCheck;
@@ -293,7 +295,10 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
     Cfg.Trace->emit(std::move(E));
   };
 
-  CompiledCode Code;
+  // The code under test, shared with the cache when one is wired: a hit
+  // copies nothing, and a miss builds the engine forms once for every
+  // later hit.
+  std::shared_ptr<const CompiledCode> Shared;
   unsigned PrimNumArgs = 0;
   if (Spec.Kind == InstructionKind::NativeMethod) {
     if (Cfg.Kind != CompilerKind::NativeMethod)
@@ -305,44 +310,41 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
       return Skip(PathTestStatus::NotReplayable,
                   "input stack too shallow for the calling convention");
     JitCodeCache::Key Key;
-    const CompiledCode *Hit = nullptr;
     if (CodeCache) {
       Key = codeCacheKey(Cfg.Kind, Cfg.UseArmBackend, Cfg.Cogit,
                          Spec.PrimitiveIndex);
-      Hit = CodeCache->lookup(Key);
-      EmitCacheLookup(Hit ? "code-hit" : "code-miss");
+      Shared = CodeCache->lookup(Key);
+      EmitCacheLookup(Shared ? "code-hit" : "code-miss");
     }
-    if (Hit) {
+    if (Shared) {
       if (Cfg.JitStats)
         ++Cfg.JitStats->CodeCacheHits;
-      Code = *Hit;
-      EmitCompile("native-method", Code.Code.size());
+      EmitCompile("native-method", Shared->Code.size());
     } else {
       if (Cfg.JitStats)
         ++Cfg.JitStats->Compiles;
       NativeMethodCogit Cogit(Mem, desc(), Cfg.Cogit);
-      Code = Cogit.compile(Spec.PrimitiveIndex);
-      warmEngineForms(Cfg, Code);
+      Shared = std::make_shared<const CompiledCode>(
+          Cogit.compile(Spec.PrimitiveIndex));
+      warmEngineForms(Cfg, *Shared);
       if (CodeCache)
-        CodeCache->store(Key, Code);
+        CodeCache->store(std::move(Key), Shared);
     }
   } else {
     if (Cfg.Kind == CompilerKind::NativeMethod)
       return Skip(PathTestStatus::NotReplayable,
                   "the native-method compiler does not compile byte-codes");
     JitCodeCache::Key Key;
-    const CompiledCode *Hit = nullptr;
     if (CodeCache) {
       Key = codeCacheKey(Cfg.Kind, Cfg.UseArmBackend, Cfg.Cogit, *R.Method,
                          MF.Concrete.Stack, R.IsSequence);
-      Hit = CodeCache->lookup(Key);
-      EmitCacheLookup(Hit ? "code-hit" : "code-miss");
+      Shared = CodeCache->lookup(Key);
+      EmitCacheLookup(Shared ? "code-hit" : "code-miss");
     }
-    if (Hit) {
+    if (Shared) {
       if (Cfg.JitStats)
         ++Cfg.JitStats->CodeCacheHits;
-      Code = *Hit;
-      EmitCompile(R.IsSequence ? "method" : "bytecode", Code.Code.size());
+      EmitCompile(R.IsSequence ? "method" : "bytecode", Shared->Code.size());
     } else {
       if (Cfg.JitStats)
         ++Cfg.JitStats->Compiles;
@@ -353,12 +355,13 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
       if (!Compiled)
         return Skip(PathTestStatus::NotReplayable,
                     "instruction underflows the replayed operand stack");
-      Code = *Compiled;
-      warmEngineForms(Cfg, Code);
+      Shared = std::make_shared<const CompiledCode>(std::move(*Compiled));
+      warmEngineForms(Cfg, *Shared);
       if (CodeCache)
-        CodeCache->store(Key, Code);
+        CodeCache->store(std::move(Key), Shared);
     }
   }
+  const CompiledCode &Code = *Shared;
 
   // Step 3 (prep): predict the outputs BEFORE executing anything.
   OutputEvaluator Evaluator(P.InputModel, MF.Bindings, Mem, P.SlotStores);
@@ -373,8 +376,10 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
   std::vector<ExpectedValue> ExpectedLocals;
   if (P.Exit == ExitKind::Success &&
       Spec.Kind == InstructionKind::Bytecode) {
+    ExpectedStack.reserve(P.Output.Stack.size());
     for (const ConcolicValue &V : P.Output.Stack)
       ExpectedStack.push_back(Evaluator.evalObj(V.S));
+    ExpectedLocals.reserve(P.Output.Locals.size());
     for (const ConcolicValue &V : P.Output.Locals)
       ExpectedLocals.push_back(Evaluator.evalObj(V.S));
   }

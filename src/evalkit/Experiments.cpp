@@ -55,8 +55,10 @@ std::string igdt::renderFigure2Trace(const ExplorationResult &R) {
     Out += "input operand stack:";
     if (P.Input.Stack.empty())
       Out += " (empty)";
-    for (const ConcolicValue &V : P.Input.Stack)
-      Out += " " + R.Memory->describe(V.C);
+    for (const ConcolicValue &V : P.Input.Stack) {
+      Out += ' ';
+      Out += R.Memory->describe(V.C);
+    }
     Out += formatString("\nexit: %s\n", exitKindName(P.Exit));
     Out += "recorded constraint path:\n";
     for (const BoolTerm *C : P.Constraints)
@@ -64,8 +66,10 @@ std::string igdt::renderFigure2Trace(const ExplorationResult &R) {
     Out += "output operand stack:";
     if (P.Output.Stack.empty())
       Out += " (empty)";
-    for (const ConcolicValue &V : P.Output.Stack)
-      Out += " " + printObjTerm(V.S);
+    for (const ConcolicValue &V : P.Output.Stack) {
+      Out += ' ';
+      Out += printObjTerm(V.S);
+    }
     Out += "\n\n";
   }
   return Out;

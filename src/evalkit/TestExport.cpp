@@ -40,8 +40,10 @@ std::string igdt::renderPathAsTest(const ExplorationResult &R,
     Out += "    operand stack = (empty)\n";
   } else {
     Out += "    operand stack (bottom to top) =";
-    for (const ConcolicValue &V : P.Input.Stack)
-      Out += " " + R.Memory->describe(V.C);
+    for (const ConcolicValue &V : P.Input.Stack) {
+      Out += ' ';
+      Out += R.Memory->describe(V.C);
+    }
     Out += "\n";
   }
 
@@ -66,8 +68,10 @@ std::string igdt::renderPathAsTest(const ExplorationResult &R,
     Out += "    operand stack =";
     if (P.Output.Stack.empty())
       Out += " (empty)";
-    for (const ConcolicValue &V : P.Output.Stack)
-      Out += " " + printObjTerm(V.S);
+    for (const ConcolicValue &V : P.Output.Stack) {
+      Out += ' ';
+      Out += printObjTerm(V.S);
+    }
     Out += "\n";
   }
   for (const SlotStoreEffect &E : P.SlotStores)

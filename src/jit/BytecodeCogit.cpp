@@ -11,8 +11,7 @@
 #include "support/Compiler.h"
 #include "vm/Bytecodes.h"
 
-#include <functional>
-#include <map>
+#include <algorithm>
 
 using namespace igdt;
 
@@ -36,10 +35,88 @@ const VReg FP = preg(MReg::FP);
 const VReg SP = preg(MReg::SP);
 const VReg R0 = preg(MReg::R0);
 
-/// Labels for jump-target PCs in whole-method (sequence) compilation;
-/// null in single-instruction mode, where taken branches end at a
-/// dedicated breakpoint instead.
-using PCLabelMap = std::map<std::uint32_t, std::int32_t>;
+/// Labels for jump-target PCs in whole-method (sequence) compilation,
+/// indexed by PC up to and including the method end: NoLabel where no
+/// jump lands. Null in single-instruction mode, where taken branches end
+/// at a dedicated breakpoint instead.
+using PCLabelMap = std::vector<std::int32_t>;
+constexpr std::int32_t NoLabel = -1;
+
+/// A parse-time stack entry.
+struct SimVal {
+  enum class K : std::uint8_t { Const, Reg, Local, Rcvr, Mem };
+  K Kind = K::Const;
+  Oop C = InvalidOop;
+  VReg R = NoVReg;
+  std::uint32_t Index = 0;
+
+  static SimVal constant(Oop V) { return {K::Const, V, NoVReg, 0}; }
+  static SimVal inReg(VReg R) { return {K::Reg, InvalidOop, R, 0}; }
+  static SimVal local(std::uint32_t I) {
+    return {K::Local, InvalidOop, NoVReg, I};
+  }
+  static SimVal receiver() { return {K::Rcvr, InvalidOop, NoVReg, 0}; }
+  static SimVal inMemory() { return {K::Mem, InvalidOop, NoVReg, 0}; }
+};
+
+/// An out-of-line block the emitters queue while compiling and emit, in
+/// queue order, after the fragment-end breakpoint.
+struct DeferredBlock {
+  enum class Kind : std::uint8_t {
+    JumpTaken,     ///< a taken branch's own breakpoint
+    MustBeBoolean, ///< re-push Value and send #mustBeBoolean
+    ArithSlowPath, ///< push FlushR and FlushA, send the Op selector
+  };
+  Kind K;
+  std::int32_t Label;
+  VReg Value = NoVReg;
+  ArithOp Op = ArithOp::Add;
+  SimVal FlushR = {};
+  SimVal FlushA = {};
+
+  static DeferredBlock jumpTaken(std::int32_t Label) {
+    return {Kind::JumpTaken, Label};
+  }
+  static DeferredBlock mustBeBoolean(std::int32_t Label, VReg Value) {
+    return {Kind::MustBeBoolean, Label, Value};
+  }
+  static DeferredBlock arithSlowPath(std::int32_t Label, ArithOp Op,
+                                     SimVal FlushR, SimVal FlushA) {
+    return {Kind::ArithSlowPath, Label, NoVReg, Op, FlushR, FlushA};
+  }
+};
+
+/// Emits a JumpTaken or MustBeBoolean block.
+void emitSharedDeferred(IRBuilder &B, const DeferredBlock &D) {
+  B.placeLabel(D.Label);
+  if (D.K == DeferredBlock::Kind::JumpTaken) {
+    B.brk(MarkerJumpTaken);
+    return;
+  }
+  assert(D.K == DeferredBlock::Kind::MustBeBoolean);
+  // The interpreter re-pushes the value and sends #mustBeBoolean.
+  B.store(D.Value, SP, 0);
+  B.addI(SP, 8);
+  B.callTramp(SelectorMustBeBoolean, 0);
+}
+
+/// Branch target for a jump to byte-code \p TargetPC: its label in
+/// sequence mode, else a fresh label whose deferred block ends the
+/// fragment at the taken breakpoint.
+std::int32_t takenLabel(IRBuilder &B, std::vector<DeferredBlock> &Deferred,
+                        const PCLabelMap *PCLabels, std::uint32_t TargetPC) {
+  if (PCLabels)
+    return (*PCLabels)[TargetPC];
+  std::int32_t Taken = B.makeLabel();
+  Deferred.push_back(DeferredBlock::jumpTaken(Taken));
+  return Taken;
+}
+
+/// Rough IR sizes, so the emitters' buffers rarely grow: the preamble
+/// and breakpoints, each input value, and each byte-code of a method.
+constexpr std::size_t IRReserveBase = 32;
+constexpr std::size_t IRReservePerInput = 3;
+constexpr std::size_t IRReservePerBytecode = 16;
 
 /// How many operand-stack values the byte-code consumes.
 unsigned popsOf(const DecodedBytecode &D) {
@@ -62,10 +139,11 @@ unsigned popsOf(const DecodedBytecode &D) {
   }
 }
 
-/// Collects the in-method jump targets of \p Method.
+/// Collects the in-method jump targets of \p Method and makes their
+/// labels, in ascending PC order.
 std::optional<PCLabelMap> jumpTargetsOf(const CompiledMethod &Method,
                                         IRFunction &F) {
-  PCLabelMap Targets;
+  PCLabelMap Targets(Method.Bytecodes.size() + 1, NoLabel);
   std::uint32_t PC = 0;
   while (PC < Method.Bytecodes.size()) {
     auto D = decodeBytecode(Method.Bytecodes, PC);
@@ -76,13 +154,19 @@ std::optional<PCLabelMap> jumpTargetsOf(const CompiledMethod &Method,
       std::int64_t Target = std::int64_t(PC) + D->Length + D->A;
       if (Target < 0 || Target > std::int64_t(Method.Bytecodes.size()))
         return std::nullopt;
-      Targets.emplace(static_cast<std::uint32_t>(Target), -1);
+      Targets[static_cast<std::size_t>(Target)] = 0; // a jump lands here
     }
     PC += D->Length;
   }
-  for (auto &[TargetPC, Label] : Targets)
-    Label = F.makeLabel();
+  for (std::int32_t &Label : Targets)
+    if (Label != NoLabel)
+      Label = F.makeLabel();
   return Targets;
+}
+
+bool hasJumps(const PCLabelMap &PCLabels) {
+  return std::any_of(PCLabels.begin(), PCLabels.end(),
+                     [](std::int32_t L) { return L != NoLabel; });
 }
 
 //===----------------------------------------------------------------------===//
@@ -120,17 +204,9 @@ private:
     B.load(V, SP, 0);
     --MemCount;
   }
-  /// Branch target for a jump to byte-code \p TargetPC.
-  std::int32_t takenLabel(const PCLabelMap *PCLabels,
-                          std::uint32_t TargetPC) {
-    if (PCLabels)
-      return PCLabels->at(TargetPC);
-    std::int32_t Taken = B.makeLabel();
-    Deferred.push_back([this, Taken] {
-      B.placeLabel(Taken);
-      B.brk(MarkerJumpTaken);
-    });
-    return Taken;
+  void emitDeferred() {
+    for (const DeferredBlock &D : Deferred)
+      emitSharedDeferred(B, D);
   }
 
   ObjectMemory &Mem;
@@ -138,7 +214,7 @@ private:
   IRBuilder B;
   CodeGenUtil U;
   int MemCount = 0;
-  std::vector<std::function<void()>> Deferred;
+  std::vector<DeferredBlock> Deferred;
 };
 
 void SimpleEmitter::genOne(const CompiledMethod &Method,
@@ -208,14 +284,14 @@ void SimpleEmitter::genOne(const CompiledMethod &Method,
     break;
   }
   case Operation::Jump:
-    B.jmp(takenLabel(PCLabels,
+    B.jmp(takenLabel(B, Deferred, PCLabels,
                      static_cast<std::uint32_t>(NextPC + D.A)));
     break;
   case Operation::JumpTrue:
   case Operation::JumpFalse: {
     bool OnTrue = D.Op == Operation::JumpTrue;
-    std::int32_t Taken =
-        takenLabel(PCLabels, static_cast<std::uint32_t>(NextPC + D.A));
+    std::int32_t Taken = takenLabel(B, Deferred, PCLabels,
+                                    static_cast<std::uint32_t>(NextPC + D.A));
     std::int32_t MustBeBool = B.makeLabel();
     popReg(T0);
     B.movRI(T1, static_cast<std::int64_t>(OnTrue ? Mem.trueObject()
@@ -227,13 +303,7 @@ void SimpleEmitter::genOne(const CompiledMethod &Method,
     B.cmp(T0, T1);
     B.jcc(MCond::Ne, MustBeBool);
     // fall through to the continuation
-    Deferred.push_back([this, MustBeBool, T0] {
-      B.placeLabel(MustBeBool);
-      // The interpreter re-pushes the value and sends #mustBeBoolean.
-      B.store(T0, SP, 0);
-      B.addI(SP, 8);
-      B.callTramp(SelectorMustBeBoolean, 0);
-    });
+    Deferred.push_back(DeferredBlock::mustBeBoolean(MustBeBool, T0));
     break;
   }
   case Operation::Send: {
@@ -264,16 +334,16 @@ void SimpleEmitter::genOne(const CompiledMethod &Method,
 
 CompiledCode SimpleEmitter::emit(const CompiledMethod &Method,
                                  const std::vector<Oop> &InputStack) {
+  F.Code.reserve(IRReserveBase + IRReservePerInput * InputStack.size());
   genPreamble(InputStack);
   auto D = decodeBytecode(Method.Bytecodes, 0);
   genOne(Method, *D, /*PCLabels=*/nullptr, D->Length);
   B.brk(MarkerFragmentEnd);
-  for (auto &Emit : Deferred)
-    Emit();
+  emitDeferred();
 
   CompiledCode Out;
-  for (int I = 0; I < MemCount; ++I)
-    Out.FinalStack.push_back(ValueLoc::onStack());
+  Out.FinalStack.assign(static_cast<std::size_t>(std::max(MemCount, 0)),
+                        ValueLoc::onStack());
   return Out;
 }
 
@@ -283,55 +353,37 @@ SimpleEmitter::emitMethod(const CompiledMethod &Method,
   auto PCLabels = jumpTargetsOf(Method, F);
   if (!PCLabels)
     return std::nullopt;
+  F.Code.reserve(IRReserveBase + IRReservePerInput * InputStack.size() +
+                 IRReservePerBytecode * Method.Bytecodes.size());
   genPreamble(InputStack);
   std::uint32_t PC = 0;
   while (PC < Method.Bytecodes.size()) {
-    auto It = PCLabels->find(PC);
-    if (It != PCLabels->end())
-      B.placeLabel(It->second);
+    if ((*PCLabels)[PC] != NoLabel)
+      B.placeLabel((*PCLabels)[PC]);
     auto D = decodeBytecode(Method.Bytecodes, PC);
     if (!D)
       return std::nullopt;
     genOne(Method, *D, &*PCLabels, PC + D->Length);
     PC += D->Length;
   }
-  auto End = PCLabels->find(PC);
-  if (End != PCLabels->end())
-    B.placeLabel(End->second); // jumps to the method end fall through
+  if ((*PCLabels)[PC] != NoLabel)
+    B.placeLabel((*PCLabels)[PC]); // jumps to the method end fall through
   B.brk(MarkerFragmentEnd);
-  for (auto &Emit : Deferred)
-    Emit();
+  emitDeferred();
 
   CompiledCode Out;
   // Control flow makes the static count unreliable; the tester reads the
   // live operand stack.
-  Out.DynamicStack = !PCLabels->empty();
+  Out.DynamicStack = hasJumps(*PCLabels);
   if (!Out.DynamicStack)
-    for (int I = 0; I < MemCount; ++I)
-      Out.FinalStack.push_back(ValueLoc::onStack());
+    Out.FinalStack.assign(static_cast<std::size_t>(std::max(MemCount, 0)),
+                          ValueLoc::onStack());
   return Out;
 }
 
 //===----------------------------------------------------------------------===//
 // StackToRegisterCogit / RegisterAllocatingCogit: parse-time sim stack.
 //===----------------------------------------------------------------------===//
-
-/// A parse-time stack entry.
-struct SimVal {
-  enum class K : std::uint8_t { Const, Reg, Local, Rcvr, Mem };
-  K Kind = K::Const;
-  Oop C = InvalidOop;
-  VReg R = NoVReg;
-  std::uint32_t Index = 0;
-
-  static SimVal constant(Oop V) { return {K::Const, V, NoVReg, 0}; }
-  static SimVal inReg(VReg R) { return {K::Reg, InvalidOop, R, 0}; }
-  static SimVal local(std::uint32_t I) {
-    return {K::Local, InvalidOop, NoVReg, I};
-  }
-  static SimVal receiver() { return {K::Rcvr, InvalidOop, NoVReg, 0}; }
-  static SimVal inMemory() { return {K::Mem, InvalidOop, NoVReg, 0}; }
-};
 
 class SimStackEmitter {
 public:
@@ -428,17 +480,7 @@ private:
               const PCLabelMap *PCLabels, std::uint32_t NextPC);
   void genArithmetic(ArithOp Op);
   void genConditionalJump(bool OnTrue, std::int32_t Taken);
-  std::int32_t takenLabel(const PCLabelMap *PCLabels,
-                          std::uint32_t TargetPC) {
-    if (PCLabels)
-      return PCLabels->at(TargetPC);
-    std::int32_t Taken = B.makeLabel();
-    Deferred.push_back([this, Taken] {
-      B.placeLabel(Taken);
-      B.brk(MarkerJumpTaken);
-    });
-    return Taken;
-  }
+  void emitDeferred();
 
   CompiledCode finish(bool Dynamic);
 
@@ -449,8 +491,24 @@ private:
   bool Virtual;
   unsigned NextPool = unsigned(MReg::R4);
   std::vector<SimVal> Sim;
-  std::vector<std::function<void()>> Deferred;
+  std::vector<DeferredBlock> Deferred;
 };
+
+void SimStackEmitter::emitDeferred() {
+  for (const DeferredBlock &D : Deferred) {
+    if (D.K != DeferredBlock::Kind::ArithSlowPath) {
+      emitSharedDeferred(B, D);
+      continue;
+    }
+    // Slow path: flush the original operands and send (paper Listing 2's
+    // "slow case first send"). Memory operands were consumed during
+    // materialisation, so their pristine register copies are pushed.
+    B.placeLabel(D.Label);
+    flushValue(D.FlushR);
+    flushValue(D.FlushA);
+    B.callTramp(arithSelector(D.Op), 1);
+  }
+}
 
 void SimStackEmitter::genArithmetic(ArithOp Op) {
   SimVal VA = Sim.back();
@@ -478,15 +536,7 @@ void SimStackEmitter::genArithmetic(ArithOp Op) {
     B.movRR(P, RA);
     FlushA = SimVal::inReg(P);
   }
-  Deferred.push_back([this, FlushR, FlushA, Op, Slow] {
-    // Slow path: flush the original operands and send (paper Listing 2's
-    // "slow case first send"). Memory operands were consumed during
-    // materialisation, so their pristine register copies are pushed.
-    B.placeLabel(Slow);
-    flushValue(FlushR);
-    flushValue(FlushA);
-    B.callTramp(arithSelector(Op), 1);
-  });
+  Deferred.push_back(DeferredBlock::arithSlowPath(Slow, Op, FlushR, FlushA));
 
   VReg T = tmpReg();
 
@@ -672,12 +722,7 @@ void SimStackEmitter::genConditionalJump(bool OnTrue, std::int32_t Taken) {
   B.cmpI(R, static_cast<std::int64_t>(OnTrue ? Mem.falseObject()
                                              : Mem.trueObject()));
   B.jcc(MCond::Ne, MustBeBool);
-  Deferred.push_back([this, MustBeBool, R] {
-    B.placeLabel(MustBeBool);
-    B.store(R, SP, 0);
-    B.addI(SP, 8);
-    B.callTramp(SelectorMustBeBoolean, 0);
-  });
+  Deferred.push_back(DeferredBlock::mustBeBoolean(MustBeBool, R));
 }
 
 void SimStackEmitter::genOne(const CompiledMethod &Method,
@@ -761,7 +806,8 @@ void SimStackEmitter::genOne(const CompiledMethod &Method,
   case Operation::Jump: {
     if (PCLabels)
       flushAll(); // merge-point invariant
-    B.jmp(takenLabel(PCLabels, static_cast<std::uint32_t>(NextPC + D.A)));
+    B.jmp(takenLabel(B, Deferred, PCLabels,
+                     static_cast<std::uint32_t>(NextPC + D.A)));
     break;
   }
   case Operation::JumpTrue:
@@ -774,7 +820,7 @@ void SimStackEmitter::genOne(const CompiledMethod &Method,
       Sim.push_back(Cond);
     }
     genConditionalJump(D.Op == Operation::JumpTrue,
-                       takenLabel(PCLabels,
+                       takenLabel(B, Deferred, PCLabels,
                                   static_cast<std::uint32_t>(NextPC + D.A)));
     break;
   }
@@ -860,14 +906,15 @@ CompiledCode SimStackEmitter::finish(bool Dynamic) {
       }
     }
   }
-  for (auto &Emit : Deferred)
-    Emit();
+  emitDeferred();
   return Out;
 }
 
 CompiledCode SimStackEmitter::emit(const CompiledMethod &Method,
                                    const std::vector<Oop> &InputStack) {
+  F.Code.reserve(IRReserveBase);
   // genPushLiteral: input values become parse-time constants — no code.
+  Sim.reserve(InputStack.size() + 1);
   for (Oop V : InputStack)
     Sim.push_back(SimVal::constant(V));
   auto D = decodeBytecode(Method.Bytecodes, 0);
@@ -881,14 +928,16 @@ SimStackEmitter::emitMethod(const CompiledMethod &Method,
   auto PCLabels = jumpTargetsOf(Method, F);
   if (!PCLabels)
     return std::nullopt;
+  F.Code.reserve(IRReserveBase +
+                 IRReservePerBytecode * Method.Bytecodes.size());
+  Sim.reserve(InputStack.size() + Method.Bytecodes.size());
   for (Oop V : InputStack)
     Sim.push_back(SimVal::constant(V));
   std::uint32_t PC = 0;
   while (PC < Method.Bytecodes.size()) {
-    auto It = PCLabels->find(PC);
-    if (It != PCLabels->end()) {
+    if ((*PCLabels)[PC] != NoLabel) {
       flushAll(); // merge-point invariant
-      B.placeLabel(It->second);
+      B.placeLabel((*PCLabels)[PC]);
     }
     auto D = decodeBytecode(Method.Bytecodes, PC);
     if (!D)
@@ -908,13 +957,42 @@ SimStackEmitter::emitMethod(const CompiledMethod &Method,
     genOne(Method, *D, &*PCLabels, PC + D->Length);
     PC += D->Length;
   }
-  auto End = PCLabels->find(PC);
-  bool Dynamic = !PCLabels->empty();
-  if (End != PCLabels->end()) {
+  if ((*PCLabels)[PC] != NoLabel) {
     flushAll();
-    B.placeLabel(End->second);
+    B.placeLabel((*PCLabels)[PC]);
   }
-  return finish(Dynamic);
+  return finish(hasJumps(*PCLabels));
+}
+
+/// Lowers the emitted \p F into \p Out, through the linear-scan
+/// allocator when \p Allocate is set; virtual registers in the final
+/// stack layout are then remapped to their machine registers or spill
+/// slots.
+void lowerInto(CompiledCode &Out, IRFunction &F, const MachineDesc &Desc,
+               bool Allocate) {
+  Out.IRLength = static_cast<unsigned>(F.Code.size());
+  if (!Allocate) {
+    Out.Code = lowerIR(F, Desc);
+    return;
+  }
+  AllocationResult Alloc = allocateRegistersLinearScan(F, Desc);
+  Out.SpillCount = Alloc.SpillCount;
+  Out.Code = lowerIR(F, Desc, Alloc.Assignment);
+  for (ValueLoc &L : Out.FinalStack) {
+    if (L.K != ValueLoc::Kind::Register)
+      continue;
+    auto V = static_cast<VReg>(L.Reg);
+    if (V < FirstVirtualReg)
+      continue;
+    assert(V < Alloc.Assignment.size() && "value lost in allocation");
+    if (Alloc.Assignment[V] != MReg::NoReg) {
+      L.Reg = Alloc.Assignment[V];
+    } else {
+      assert(Alloc.Spilled[V] != AllocationResult::NotSpilled &&
+             "value lost in allocation");
+      L = ValueLoc::spill(Alloc.Spilled[V]);
+    }
+  }
 }
 
 } // namespace
@@ -963,45 +1041,15 @@ BytecodeCogit::compileImpl(const CompiledMethod &Method,
 
   IRFunction F;
   CompiledCode Out;
-
+  bool Allocate = Kind == CompilerKind::RegisterAllocating;
   if (Kind == CompilerKind::SimpleStack) {
-    SimpleEmitter E(Mem, F);
+    Out = SimpleEmitter(Mem, F).emit(Method, InputStack);
+  } else {
+    SimStackEmitter E(Mem, F, Allocate);
+    E.CompileOpts = Opts;
     Out = E.emit(Method, InputStack);
-    Out.IRLength = static_cast<unsigned>(F.Code.size());
-    Out.Code = lowerIR(F, Desc);
-    return Out;
   }
-
-  bool Virtual = Kind == CompilerKind::RegisterAllocating;
-  SimStackEmitter E(Mem, F, Virtual);
-  E.CompileOpts = Opts;
-  Out = E.emit(Method, InputStack);
-  Out.IRLength = static_cast<unsigned>(F.Code.size());
-
-  if (!Virtual) {
-    Out.Code = lowerIR(F, Desc);
-    return Out;
-  }
-
-  AllocationResult Alloc = allocateRegistersLinearScan(F, Desc);
-  Out.SpillCount = Alloc.SpillCount;
-  Out.Code = lowerIR(F, Desc, Alloc.Assignment);
-  // Remap virtual registers in the final-stack layout.
-  for (ValueLoc &L : Out.FinalStack) {
-    if (L.K != ValueLoc::Kind::Register)
-      continue;
-    auto V = static_cast<VReg>(L.Reg);
-    if (V < FirstVirtualReg)
-      continue;
-    auto It = Alloc.Assignment.find(V);
-    if (It != Alloc.Assignment.end()) {
-      L.Reg = It->second;
-    } else {
-      auto SpillIt = Alloc.Spilled.find(V);
-      assert(SpillIt != Alloc.Spilled.end() && "value lost in allocation");
-      L = ValueLoc::spill(SpillIt->second);
-    }
-  }
+  lowerInto(Out, F, Desc, Allocate);
   return Out;
 }
 
@@ -1013,47 +1061,16 @@ BytecodeCogit::compileMethodImpl(const CompiledMethod &Method,
                        "injected front-end crash while decoding bytecode");
   IRFunction F;
   std::optional<CompiledCode> Out;
-
+  bool Allocate = Kind == CompilerKind::RegisterAllocating;
   if (Kind == CompilerKind::SimpleStack) {
-    SimpleEmitter E(Mem, F);
+    Out = SimpleEmitter(Mem, F).emitMethod(Method, InputStack);
+  } else {
+    SimStackEmitter E(Mem, F, Allocate);
+    E.CompileOpts = Opts;
     Out = E.emitMethod(Method, InputStack);
-    if (!Out)
-      return std::nullopt;
-    Out->IRLength = static_cast<unsigned>(F.Code.size());
-    Out->Code = lowerIR(F, Desc);
-    return Out;
   }
-
-  bool Virtual = Kind == CompilerKind::RegisterAllocating;
-  SimStackEmitter E(Mem, F, Virtual);
-  E.CompileOpts = Opts;
-  Out = E.emitMethod(Method, InputStack);
   if (!Out)
     return std::nullopt;
-  Out->IRLength = static_cast<unsigned>(F.Code.size());
-
-  if (!Virtual) {
-    Out->Code = lowerIR(F, Desc);
-    return Out;
-  }
-
-  AllocationResult Alloc = allocateRegistersLinearScan(F, Desc);
-  Out->SpillCount = Alloc.SpillCount;
-  Out->Code = lowerIR(F, Desc, Alloc.Assignment);
-  for (ValueLoc &L : Out->FinalStack) {
-    if (L.K != ValueLoc::Kind::Register)
-      continue;
-    auto V = static_cast<VReg>(L.Reg);
-    if (V < FirstVirtualReg)
-      continue;
-    auto It = Alloc.Assignment.find(V);
-    if (It != Alloc.Assignment.end()) {
-      L.Reg = It->second;
-    } else {
-      auto SpillIt = Alloc.Spilled.find(V);
-      assert(SpillIt != Alloc.Spilled.end() && "value lost in allocation");
-      L = ValueLoc::spill(SpillIt->second);
-    }
-  }
+  lowerInto(*Out, F, Desc, Allocate);
   return Out;
 }

@@ -17,12 +17,18 @@
 /// input shapes).
 ///
 /// Keys are exact (an injective encoding, not a hash), so a hit can
-/// never alias two different compilation units. Only *successful*
-/// compiles are stored: a std::nullopt from the byte-code cogit
-/// (operand-stack underflow) is cheap to re-derive, and the armed
-/// InjectFrontEndThrow fault throws before anything reaches the cache
-/// — the tester additionally bypasses lookups while that fault is
-/// armed so injected crashes fire deterministically on every path.
+/// never alias two different compilation units: the entries live in a
+/// hashed table, but the hash only picks the bucket and the whole key
+/// is the equality test. Entries are shared and immutable: a hit hands
+/// out the stored pointer and copies nothing, so the engine forms built
+/// on the miss (jit/PredecodedCode.h) serve every later hit.
+///
+/// Only *successful* compiles are stored: a std::nullopt from the
+/// byte-code cogit (operand-stack underflow) is cheap to re-derive, and
+/// the armed InjectFrontEndThrow fault throws before anything reaches
+/// the cache — the tester additionally bypasses lookups while that
+/// fault is armed so injected crashes fire deterministically on every
+/// path.
 ///
 /// On a hit the tester replays the cogit's Compile trace event with
 /// identical fields, so deterministic traces are byte-identical with
@@ -39,7 +45,8 @@
 #include "vm/CompiledMethod.h"
 
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace igdt {
@@ -73,16 +80,21 @@ public:
   /// An injective encoding of everything a compile depends on.
   using Key = std::vector<std::uint64_t>;
 
-  /// Null on miss.
-  const CompiledCode *lookup(const Key &K) const;
+  /// The stored code, shared with every other lookup of \p K; null on
+  /// miss.
+  std::shared_ptr<const CompiledCode> lookup(const Key &K) const;
 
-  /// Stores a successful compile.
-  void store(const Key &K, const CompiledCode &Code);
+  /// Stores a successful compile under \p K.
+  void store(Key &&K, std::shared_ptr<const CompiledCode> Code);
 
   std::size_t size() const { return Entries.size(); }
 
 private:
-  std::map<Key, CompiledCode> Entries;
+  struct KeyHash {
+    std::size_t operator()(const Key &K) const;
+  };
+  std::unordered_map<Key, std::shared_ptr<const CompiledCode>, KeyHash>
+      Entries;
 };
 
 /// Folds \p Stats into \p Registry as "jit.compiles" and

@@ -90,10 +90,9 @@ struct CompiledCode {
   unsigned IRLength = 0;
   unsigned SpillCount = 0;
   /// Threaded-dispatch form (jit/PredecodedCode.h), built lazily by
-  /// predecodedFor(). Shared across copies: the code cache stores one
-  /// entry per compilation unit and serves value copies per path, so
-  /// the pointer makes the predecode a build-once property of the unit
-  /// rather than of any copy. Mutable because building it observes the
+  /// predecodedFor(). The code cache hands every path of a compilation
+  /// unit the same shared, immutable CompiledCode, so the predecode is
+  /// built once per unit. Mutable because building it observes the
   /// code without changing it.
   mutable std::shared_ptr<const PredecodedCode> Predecoded;
   /// Native x86-64 form (jit/native/NativeCode.h), built lazily by

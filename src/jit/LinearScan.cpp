@@ -6,7 +6,7 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
 #include <vector>
 
 using namespace igdt;
@@ -73,28 +73,39 @@ struct Interval {
   std::size_t End;
 };
 
+/// Start of an interval no instruction touches, and position of a label
+/// the fragment never places.
+constexpr std::size_t Unset = ~std::size_t(0);
+
 } // namespace
 
 AllocationResult igdt::allocateRegistersLinearScan(IRFunction &F,
                                                    const MachineDesc &Desc) {
   AllocationResult Result;
 
-  // Live intervals: first position touching the vreg to the last.
-  std::map<VReg, Interval> Intervals;
+  // Live intervals, indexed by vreg id - FirstVirtualReg: first position
+  // touching the vreg to the last.
+  std::vector<Interval> Intervals(
+      F.NextVReg > FirstVirtualReg ? F.NextVReg - FirstVirtualReg : 0,
+      Interval{NoVReg, Unset, 0});
   auto Touch = [&](VReg V, std::size_t Pos) {
     if (V == NoVReg || V < FirstVirtualReg)
       return;
-    auto It = Intervals.find(V);
-    if (It == Intervals.end())
-      Intervals.emplace(V, Interval{V, Pos, Pos});
+    std::size_t Idx = V - FirstVirtualReg;
+    if (Idx >= Intervals.size())
+      Intervals.resize(Idx + 1, Interval{NoVReg, Unset, 0});
+    Interval &Iv = Intervals[Idx];
+    if (Iv.Start == Unset)
+      Iv = Interval{V, Pos, Pos};
     else
-      It->second.End = Pos;
+      Iv.End = Pos;
   };
 
-  std::map<std::int32_t, std::size_t> LabelPos;
+  std::vector<std::size_t> LabelPos(static_cast<std::size_t>(F.NumLabels),
+                                    Unset);
   for (std::size_t Pos = 0; Pos < F.Code.size(); ++Pos)
     if (F.Code[Pos].Op == IROp::Label)
-      LabelPos[F.Code[Pos].Target] = Pos;
+      LabelPos[static_cast<std::size_t>(F.Code[Pos].Target)] = Pos;
 
   for (std::size_t Pos = 0; Pos < F.Code.size(); ++Pos) {
     const IRInstr &I = F.Code[Pos];
@@ -109,33 +120,41 @@ AllocationResult igdt::allocateRegistersLinearScan(IRFunction &F,
     const IRInstr &I = F.Code[Pos];
     if (I.Op != IROp::Jmp && I.Op != IROp::Jcc)
       continue;
-    auto It = LabelPos.find(I.Target);
-    if (It == LabelPos.end() || It->second >= Pos)
+    if (I.Target < 0 || I.Target >= F.NumLabels)
       continue;
-    for (auto &[V, Iv] : Intervals)
-      if (Iv.Start <= Pos && Iv.End >= It->second && Iv.End < Pos)
+    std::size_t Target = LabelPos[static_cast<std::size_t>(I.Target)];
+    if (Target >= Pos)
+      continue; // forward, or to a label never placed
+    for (Interval &Iv : Intervals)
+      if (Iv.Start != Unset && Iv.Start <= Pos && Iv.End >= Target &&
+          Iv.End < Pos)
         Iv.End = Pos;
   }
-  Result.IntervalCount = static_cast<unsigned>(Intervals.size());
 
   // Registers the allocator may hand out: allocatable minus any machine
   // register the fragment already uses explicitly (precolored operands).
-  std::set<MReg> Reserved;
+  static_assert(FirstVirtualReg <= 32, "precolored ids index a 32-bit mask");
+  std::uint32_t Reserved = 0;
   for (const IRInstr &I : F.Code) {
     if (I.A != NoVReg && I.A < FirstVirtualReg)
-      Reserved.insert(static_cast<MReg>(I.A));
+      Reserved |= 1u << I.A;
     if (I.B != NoVReg && I.B < FirstVirtualReg)
-      Reserved.insert(static_cast<MReg>(I.B));
+      Reserved |= 1u << I.B;
   }
-  std::vector<MReg> Pool;
+  std::vector<MReg> Free;
+  Free.reserve(Desc.NumAllocatableRegs);
   for (unsigned R = 0; R < Desc.NumAllocatableRegs; ++R)
-    if (!Reserved.count(static_cast<MReg>(R)))
-      Pool.push_back(static_cast<MReg>(R));
+    if (!(Reserved >> R & 1u))
+      Free.push_back(static_cast<MReg>(R));
 
-  // Classic linear scan.
+  // Classic linear scan. std::sort is not stable: intervals sharing a
+  // start keep the order they are fed in, ascending vreg id.
   std::vector<Interval> Sorted;
-  for (const auto &[V, Iv] : Intervals)
-    Sorted.push_back(Iv);
+  Sorted.reserve(Intervals.size());
+  for (const Interval &Iv : Intervals)
+    if (Iv.Start != Unset)
+      Sorted.push_back(Iv);
+  Result.IntervalCount = static_cast<unsigned>(Sorted.size());
   std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
     return A.Start < B.Start;
   });
@@ -145,8 +164,10 @@ AllocationResult igdt::allocateRegistersLinearScan(IRFunction &F,
     MReg Reg;
   };
   std::vector<Active> ActiveList;
-  std::vector<MReg> Free = Pool;
-  std::map<VReg, unsigned> SpillSlots;
+  ActiveList.reserve(Free.size() + 1);
+  std::size_t TableSize = FirstVirtualReg + Intervals.size();
+  Result.Assignment.assign(TableSize, MReg::NoReg);
+  Result.Spilled.assign(TableSize, AllocationResult::NotSpilled);
 
   for (const Interval &Iv : Sorted) {
     // Expire finished intervals.
@@ -170,25 +191,23 @@ AllocationResult igdt::allocateRegistersLinearScan(IRFunction &F,
         ActiveList.begin(), ActiveList.end(),
         [](const Active &A, const Active &B) { return A.Iv.End < B.Iv.End; });
     if (Furthest != ActiveList.end() && Furthest->Iv.End > Iv.End) {
-      Result.Assignment[Iv.Reg] = Furthest->Reg;
-      SpillSlots[Furthest->Iv.Reg] =
-          static_cast<unsigned>(SpillSlots.size());
-      Result.Assignment.erase(Furthest->Iv.Reg);
+      MReg R = Furthest->Reg;
+      Result.Assignment[Iv.Reg] = R;
+      Result.Spilled[Furthest->Iv.Reg] = Result.SpillCount++;
+      Result.Assignment[Furthest->Iv.Reg] = MReg::NoReg;
       ActiveList.erase(Furthest);
-      ActiveList.push_back({Iv, Result.Assignment[Iv.Reg]});
+      ActiveList.push_back({Iv, R});
     } else {
-      SpillSlots[Iv.Reg] = static_cast<unsigned>(SpillSlots.size());
+      Result.Spilled[Iv.Reg] = Result.SpillCount++;
     }
   }
-  Result.SpillCount = static_cast<unsigned>(SpillSlots.size());
-  Result.Spilled = SpillSlots;
 
-  if (SpillSlots.empty())
+  if (Result.SpillCount == 0)
     return Result;
 
   // Rewrite spilled uses/defs through the scratch registers. R10 carries
   // operand A, the target scratch register carries operand B.
-  assert(SpillSlots.size() <= abi::NumSpillSlots && "spill area overflow");
+  assert(Result.SpillCount <= abi::NumSpillSlots && "spill area overflow");
   IRFunction Rewritten;
   Rewritten.NumLabels = F.NumLabels;
   Rewritten.NextVReg = F.NextVReg;
@@ -196,26 +215,28 @@ AllocationResult igdt::allocateRegistersLinearScan(IRFunction &F,
 
   const VReg ScratchA = preg(MReg::R10);
   const VReg ScratchB = preg(Desc.ScratchReg);
+  auto SlotOf = [&](VReg V) {
+    return V != NoVReg && V >= FirstVirtualReg
+               ? Result.Spilled[V]
+               : AllocationResult::NotSpilled;
+  };
 
   for (const IRInstr &I : F.Code) {
     IRInstr New = I;
-    bool ASpilled = I.A != NoVReg && I.A >= FirstVirtualReg &&
-                    SpillSlots.count(I.A);
-    bool BSpilled = usesB(I.Op) && I.B != NoVReg &&
-                    I.B >= FirstVirtualReg && SpillSlots.count(I.B);
-    if (ASpilled) {
+    unsigned SlotA = SlotOf(I.A);
+    unsigned SlotB = usesB(I.Op) ? SlotOf(I.B) : AllocationResult::NotSpilled;
+    if (SlotA != AllocationResult::NotSpilled) {
       if (readsA(I.Op))
-        RB.load(ScratchA, preg(MReg::FP),
-                abi::spillOffset(SpillSlots[I.A]));
+        RB.load(ScratchA, preg(MReg::FP), abi::spillOffset(SlotA));
       New.A = ScratchA;
     }
-    if (BSpilled) {
-      RB.load(ScratchB, preg(MReg::FP), abi::spillOffset(SpillSlots[I.B]));
+    if (SlotB != AllocationResult::NotSpilled) {
+      RB.load(ScratchB, preg(MReg::FP), abi::spillOffset(SlotB));
       New.B = ScratchB;
     }
     Rewritten.push(New);
-    if (ASpilled && writesA(I.Op))
-      RB.store(ScratchA, preg(MReg::FP), abi::spillOffset(SpillSlots[I.A]));
+    if (SlotA != AllocationResult::NotSpilled && writesA(I.Op))
+      RB.store(ScratchA, preg(MReg::FP), abi::spillOffset(SlotA));
   }
   F = std::move(Rewritten);
   return Result;

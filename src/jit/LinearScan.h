@@ -19,17 +19,23 @@
 
 #include "jit/IR.h"
 
-#include <map>
+#include <vector>
 
 namespace igdt {
 
-/// Allocation outcome.
+/// Allocation outcome: dense tables indexed by virtual register id (the
+/// entries below FirstVirtualReg are unused).
 struct AllocationResult {
-  /// Virtual register -> machine register (spilled vregs are rewritten
-  /// away and do not appear here).
-  std::map<VReg, MReg> Assignment;
-  /// Virtual register -> FP-relative spill slot for spilled vregs.
-  std::map<VReg, unsigned> Spilled;
+  /// Spilled[V] for a virtual register that was not spilled.
+  static constexpr unsigned NotSpilled = ~0u;
+
+  /// Machine register of each allocated virtual register, the table
+  /// lowerIR reads. NoReg for ids the fragment never uses and for
+  /// spilled ones, which the spill rewrite removes from the fragment.
+  std::vector<MReg> Assignment;
+  /// FP-relative spill slot of each spilled virtual register,
+  /// NotSpilled for the rest.
+  std::vector<unsigned> Spilled;
   unsigned SpillCount = 0;
   unsigned IntervalCount = 0;
 };

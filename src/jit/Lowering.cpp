@@ -136,34 +136,47 @@ bool immediateForm(IROp Op, MOp &RegForm) {
 
 std::vector<MInstr> igdt::lowerIR(const IRFunction &F,
                                   const MachineDesc &Desc,
-                                  const std::map<VReg, MReg> &Assignment) {
+                                  const std::vector<MReg> &Assignment) {
   auto MapReg = [&](VReg V) -> MReg {
     if (V == NoVReg)
       return MReg::NoReg;
     if (V < FirstVirtualReg)
       return static_cast<MReg>(V);
-    auto It = Assignment.find(V);
-    assert(It != Assignment.end() && "unassigned virtual register");
-    return It->second;
+    assert(V < Assignment.size() && Assignment[V] != MReg::NoReg &&
+           "unassigned virtual register");
+    return Assignment[V];
+  };
+  auto NeedsLegalise = [&](const IRInstr &I, MOp &RegForm) {
+    return immediateForm(I.Op, RegForm) &&
+           (I.Imm > Desc.MaxOperandImmediate ||
+            I.Imm < -Desc.MaxOperandImmediate);
   };
 
-  // Pass 1: emit instructions, remembering label positions and which
-  // emitted branches need their label id translated.
-  std::vector<MInstr> Code;
-  std::map<std::int32_t, std::int32_t> LabelPos;
-  std::vector<std::size_t> Fixups;
-
+  // Pass 1: place every label and size the code exactly. A label's
+  // position is the index of the next machine instruction.
+  std::vector<std::int32_t> LabelPos(static_cast<std::size_t>(F.NumLabels),
+                                     -1);
+  std::size_t Size = 0;
   for (const IRInstr &I : F.Code) {
+    MOp RegForm;
     if (I.Op == IROp::Label) {
-      LabelPos[I.Target] = static_cast<std::int32_t>(Code.size());
-      continue;
+      assert(I.Target >= 0 && I.Target < F.NumLabels && "unknown label");
+      LabelPos[static_cast<std::size_t>(I.Target)] =
+          static_cast<std::int32_t>(Size);
+    } else {
+      Size += NeedsLegalise(I, RegForm) ? 2 : 1;
     }
+  }
+
+  // Pass 2: emit, with branch targets resolved as they are emitted.
+  std::vector<MInstr> Code;
+  Code.reserve(Size);
+  for (const IRInstr &I : F.Code) {
+    if (I.Op == IROp::Label)
+      continue;
 
     MOp RegForm;
-    bool NeedsLegalise =
-        immediateForm(I.Op, RegForm) &&
-        (I.Imm > Desc.MaxOperandImmediate || I.Imm < -Desc.MaxOperandImmediate);
-    if (NeedsLegalise) {
+    if (NeedsLegalise(I, RegForm)) {
       // mov scratch, #imm ; op A, scratch
       MInstr Mov;
       Mov.Op = MOp::MovRI;
@@ -189,17 +202,12 @@ std::vector<MInstr> igdt::lowerIR(const IRFunction &F,
     M.Imm = I.Imm;
     M.Aux = I.Aux;
     if (I.Op == IROp::Jmp || I.Op == IROp::Jcc) {
-      M.Target = I.Target; // label id, fixed up below
-      Fixups.push_back(Code.size());
+      assert(I.Target >= 0 && I.Target < F.NumLabels &&
+             LabelPos[static_cast<std::size_t>(I.Target)] >= 0 &&
+             "branch to unplaced label");
+      M.Target = LabelPos[static_cast<std::size_t>(I.Target)];
     }
     Code.push_back(M);
-  }
-
-  // Pass 2: resolve branch targets.
-  for (std::size_t Idx : Fixups) {
-    auto It = LabelPos.find(Code[Idx].Target);
-    assert(It != LabelPos.end() && "branch to unplaced label");
-    Code[Idx].Target = It->second;
   }
   return Code;
 }

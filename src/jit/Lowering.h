@@ -19,14 +19,16 @@
 
 #include "jit/IR.h"
 
-#include <map>
+#include <vector>
 
 namespace igdt {
 
-/// Lowers \p F for \p Desc. \p Assignment maps virtual registers (ids >=
-/// FirstVirtualReg) to machine registers; precolored ids map implicitly.
+/// Lowers \p F for \p Desc. \p Assignment is indexed by virtual
+/// register id and gives the machine register of every virtual register
+/// (ids >= FirstVirtualReg) \p F uses; precolored ids map implicitly.
+/// The result holds no spare capacity.
 std::vector<MInstr> lowerIR(const IRFunction &F, const MachineDesc &Desc,
-                            const std::map<VReg, MReg> &Assignment = {});
+                            const std::vector<MReg> &Assignment = {});
 
 } // namespace igdt
 

@@ -20,12 +20,15 @@ PredecodedCode igdt::predecode(const std::vector<MInstr> &Code) {
   // instruction that can transfer or end control. Terminators are thus
   // always block-final, which is what lets the fast path charge a whole
   // block's fuel at its leader (a terminator at offset L-1 is only
-  // reached when the block had fuel for all L instructions).
-  std::vector<std::uint8_t> Leader(N, 0);
-  Leader[0] = 1;
+  // reached when the block had fuel for all L instructions). Until the
+  // block lengths are known, a nonzero BlockLen marks a leader.
+  auto Leader = [&](std::size_t I) -> std::uint32_t & {
+    return P.Instrs[I].BlockLen;
+  };
+  Leader(0) = 1;
   auto MarkTarget = [&](std::int32_t T) {
     if (T >= 0 && static_cast<std::size_t>(T) < N)
-      Leader[static_cast<std::size_t>(T)] = 1;
+      Leader(static_cast<std::size_t>(T)) = 1;
   };
   for (std::size_t I = 0; I < N; ++I) {
     switch (Code[I].Op) {
@@ -33,13 +36,13 @@ PredecodedCode igdt::predecode(const std::vector<MInstr> &Code) {
     case MOp::Jcc:
       MarkTarget(Code[I].Target);
       if (I + 1 < N)
-        Leader[I + 1] = 1;
+        Leader(I + 1) = 1;
       break;
     case MOp::Ret:
     case MOp::Brk:
     case MOp::CallTramp:
       if (I + 1 < N)
-        Leader[I + 1] = 1;
+        Leader(I + 1) = 1;
       break;
     default:
       break;
@@ -68,7 +71,7 @@ PredecodedCode igdt::predecode(const std::vector<MInstr> &Code) {
 
   for (std::size_t I = 0; I < N;) {
     std::size_t End = I + 1;
-    while (End < N && !Leader[End])
+    while (End < N && !Leader(End))
       ++End;
     P.Instrs[I].BlockLen = static_cast<std::uint32_t>(End - I);
     ++P.BlockCount;

@@ -67,12 +67,12 @@ struct PredecodedCode {
 PredecodedCode predecode(const std::vector<MInstr> &Code);
 
 /// The pre-decoded form of \p Code, building and caching it on first
-/// use. The cache lives on the CompiledCode itself (a shared_ptr shared
-/// by every copy the code cache serves), so a compilation unit is
+/// use. The cache lives on the CompiledCode itself, which the code cache
+/// shares among every path of a compilation unit, so a unit is
 /// predecoded at most once no matter how many paths replay it.
 /// Build/hit counters land in \p Stats when non-null. Not thread-safe
-/// against concurrent calls on copies sharing the pointer; owners keep
-/// compiled code worker-local like the code cache itself.
+/// against concurrent calls on one CompiledCode; owners keep compiled
+/// code worker-local like the code cache itself.
 const PredecodedCode &predecodedFor(const CompiledCode &Code,
                                     SimStats *Stats);
 

@@ -187,9 +187,16 @@ const BoolTerm *TermBuilder::internBool(BoolTerm Proto) {
 // the generic intern tables and are part of the reproducibility
 // contract. Each cache miss stamps the node's hash before publication.
 
+std::size_t TermBuilder::VarKeyHash::operator()(const VarKey &K) const {
+  std::uint64_t H = hashCombine64(static_cast<std::uint64_t>(K.Role),
+                                  static_cast<std::uint32_t>(K.Index));
+  return static_cast<std::size_t>(
+      hashCombine64(H, reinterpret_cast<std::uintptr_t>(K.Parent)));
+}
+
 const ObjTerm *TermBuilder::objVar(VarRole Role, std::int32_t Index,
                                    const ObjTerm *Parent) {
-  auto Key = std::make_tuple(Role, Index, Parent);
+  VarKey Key{Role, Index, Parent};
   auto It = VarCache.find(Key);
   if (It != VarCache.end())
     return It->second;

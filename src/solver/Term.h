@@ -325,9 +325,20 @@ private:
   const FloatTerm *internFloat(FloatTerm Proto);
   const BoolTerm *internBool(BoolTerm Proto);
 
+  /// Identity of a variable leaf. Looked up by exact key; never iterated,
+  /// so the hashed table's order cannot reach a result.
+  struct VarKey {
+    VarRole Role;
+    std::int32_t Index;
+    const ObjTerm *Parent;
+    bool operator==(const VarKey &) const = default;
+  };
+  struct VarKeyHash {
+    std::size_t operator()(const VarKey &K) const;
+  };
+
   Arena Mem;
-  std::map<std::tuple<VarRole, std::int32_t, const ObjTerm *>, const ObjTerm *>
-      VarCache;
+  std::unordered_map<VarKey, const ObjTerm *, VarKeyHash> VarCache;
   std::map<Oop, const ObjTerm *> ConstCache;
   std::map<std::int64_t, const IntTerm *> IntConstCache;
   std::map<std::pair<IntTerm::Kind, const ObjTerm *>, const IntTerm *>

@@ -133,6 +133,8 @@ MaterializedFrame FrameMaterializer::materialize(const Model &M,
   Out.Concolic.Receiver = {Receiver, RcvrVar};
   Out.Concrete.Receiver = Receiver;
 
+  Out.Concolic.Locals.reserve(Method.numLocals());
+  Out.Concrete.Locals.reserve(Method.numLocals());
   for (std::uint32_t I = 0; I < Method.numLocals(); ++I) {
     const ObjTerm *Var = B.objVar(VarRole::Local, static_cast<std::int32_t>(I));
     Oop V = materializeVar(M, Var, Out.Bindings);
@@ -141,6 +143,8 @@ MaterializedFrame FrameMaterializer::materialize(const Model &M,
   }
 
   Out.StackDepth = std::max<std::int64_t>(M.intLeafOrDefault(B.stackSize()), 0);
+  Out.Concolic.Stack.reserve(static_cast<std::size_t>(Out.StackDepth));
+  Out.Concrete.Stack.reserve(static_cast<std::size_t>(Out.StackDepth));
   for (std::int64_t I = 0; I < Out.StackDepth; ++I) {
     // Slot variables are indexed by distance from the TOP of the input
     // stack (paper Fig. 2: s1, s2 ... from the top): when a negated

@@ -10,14 +10,21 @@
 #include "evalkit/Experiments.h"
 
 #include "api/Session.h"
+#include "concolic/ConcolicExplorer.h"
+#include "concolic/SequenceCatalog.h"
+#include "differential/ReplayArena.h"
+#include "jit/BytecodeCogit.h"
+#include "jit/NativeMethodCogit.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
+#include "symbolic/FrameMaterializer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 using namespace igdt;
 
@@ -116,6 +123,113 @@ TEST_F(ExperimentsTest, FullCatalogModelsAreExact) {
   }
   EXPECT_EQ(Paths, 710u);
   EXPECT_EQ(Digest, 0xbed3829066d6806cull) << toHex(Digest);
+}
+
+/// Folds every field of \p Code into \p H: each MInstr field, the
+/// final-stack layout and the statistics the harness reports.
+std::uint64_t compiledCodeDigest(std::uint64_t H, const CompiledCode &Code) {
+  H = hashCombine64(H, Code.Code.size());
+  for (const MInstr &I : Code.Code) {
+    H = hashCombine64(H, std::uint64_t(I.Op) | std::uint64_t(I.Cond) << 8 |
+                             std::uint64_t(I.A) << 16 |
+                             std::uint64_t(I.B) << 24 |
+                             std::uint64_t(I.FA) << 32 |
+                             std::uint64_t(I.FB) << 40 |
+                             std::uint64_t(I.Aux) << 48);
+    H = hashCombine64(H, std::uint64_t(I.Imm));
+    H = hashCombine64(H, std::uint64_t(std::int64_t(I.Target)));
+  }
+  H = hashCombine64(H, Code.FinalStack.size());
+  for (const ValueLoc &L : Code.FinalStack) {
+    H = hashCombine64(H, std::uint64_t(L.K) | std::uint64_t(L.Reg) << 8 |
+                             std::uint64_t(L.Index) << 16);
+    H = hashCombine64(H, L.Const);
+  }
+  H = hashCombine64(H, Code.SpillCount);
+  H = hashCombine64(H, Code.IRLength);
+  H = hashCombine64(H, Code.DynamicStack);
+  return hashCombine64(H, Code.NotImplemented);
+}
+
+/// Compiles every replayable path of \p R with every compiler that
+/// accepts it, on both back-ends, with no code cache, and folds each
+/// CompiledCode (or its absence) into \p H.
+std::uint64_t explorationCodeDigest(std::uint64_t H, const Session &S,
+                                    const ExplorationResult &R,
+                                    ReplayArena &Arena, std::size_t &Compiles) {
+  static const CompilerKind Kinds[] = {
+      CompilerKind::NativeMethod, CompilerKind::SimpleStack,
+      CompilerKind::StackToRegister, CompilerKind::RegisterAllocating};
+  bool Native = R.Spec && R.Spec->Kind == InstructionKind::NativeMethod;
+  for (std::size_t PathIdx = 0; PathIdx < R.Paths.size(); ++PathIdx) {
+    const PathSolution &P = R.Paths[PathIdx];
+    if (!P.Curated || P.Exit == ExitKind::InvalidFrame ||
+        P.Exit == ExitKind::InvalidMemoryAccess)
+      continue;
+    ObjectMemory &Mem = Arena.acquireHeap(nullptr);
+    MaterializedFrame MF =
+        FrameMaterializer(Mem, *R.Builder).materialize(P.InputModel, *R.Method);
+    for (CompilerKind Kind : Kinds) {
+      if (Native != (Kind == CompilerKind::NativeMethod))
+        continue;
+      for (bool Arm : {false, true}) {
+        const MachineDesc &Desc = Arm ? armDesc() : x64Desc();
+        CogitOptions Opts = S.diffConfig(Kind, Arm).Cogit;
+        H = hashCombine64(H, PathIdx);
+        H = hashCombine64(H, std::uint64_t(Kind) << 1 | Arm);
+        std::optional<CompiledCode> Code;
+        if (Native)
+          Code = NativeMethodCogit(Mem, Desc, Opts)
+                     .compile(R.Spec->PrimitiveIndex);
+        else if (R.IsSequence)
+          Code = BytecodeCogit(Kind, Mem, Desc, Opts)
+                     .compileMethod(*R.Method, MF.Concrete.Stack);
+        else
+          Code = BytecodeCogit(Kind, Mem, Desc, Opts)
+                     .compile(*R.Method, MF.Concrete.Stack);
+        H = hashCombine64(H, Code.has_value());
+        if (Code) {
+          H = compiledCodeDigest(H, *Code);
+          ++Compiles;
+        }
+      }
+    }
+  }
+  return H;
+}
+
+TEST_F(ExperimentsTest, FullCatalogCompiledCodeIsExact) {
+  // The work counts pin how often the front ends run; this pins what
+  // they emit. Every replayable path of the catalog (and of the sequence
+  // catalog, whose whole-method compiles branch forwards and backwards)
+  // is compiled by every compiler on both back-ends, and every field of
+  // each CompiledCode is folded into one digest. A lowering or
+  // allocation change that moves one register, branch target or spill
+  // slot moves it.
+  Session S;
+  ReplayArena Arena;
+  std::uint64_t Digest = 0;
+  std::size_t Compiles = 0;
+  for (const InstructionSpec &Spec : allInstructions()) {
+    Digest = hashCombine64(Digest, stableHash64(Spec.Name));
+    Digest = explorationCodeDigest(Digest, S, S.explore(Spec), Arena,
+                                   Compiles);
+  }
+  EXPECT_EQ(Compiles, 2022u);
+  EXPECT_EQ(Digest, 0xb25a21d1eaadb34cull) << toHex(Digest);
+
+  VMConfig VM;
+  ConcolicExplorer Explorer(VM);
+  std::uint64_t SeqDigest = 0;
+  std::size_t SeqCompiles = 0;
+  for (const SequenceSpec &Seq : allSequences()) {
+    SeqDigest = hashCombine64(SeqDigest, stableHash64(Seq.Name));
+    SeqDigest = explorationCodeDigest(
+        SeqDigest, S, Explorer.exploreMethod(Seq.Method, Seq.Name), Arena,
+        SeqCompiles);
+  }
+  EXPECT_EQ(SeqCompiles, 216u);
+  EXPECT_EQ(SeqDigest, 0xed5826aa224a8c6full) << toHex(SeqDigest);
 }
 
 TEST_F(ExperimentsTest, ReplayLayersLeaveEveryRecordUnchanged) {

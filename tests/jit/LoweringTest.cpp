@@ -51,7 +51,8 @@ TEST(LoweringTest, MapsVirtualRegisters) {
   B.movRI(V, 5);
   B.movRR(preg(MReg::R0), V);
   B.ret();
-  std::map<VReg, MReg> Assignment = {{V, MReg::R7}};
+  std::vector<MReg> Assignment(V + 1u, MReg::NoReg);
+  Assignment[V] = MReg::R7;
   std::vector<MInstr> Code = lowerIR(F, x64Desc(), Assignment);
   EXPECT_EQ(Code[0].A, MReg::R7);
   EXPECT_EQ(Code[1].B, MReg::R7);
@@ -123,6 +124,41 @@ TEST(LoweringTest, MovRIIsNeverLegalised) {
   IRBuilder B(F);
   B.movRI(preg(MReg::R0), std::int64_t(1) << 60);
   EXPECT_EQ(lowerIR(F, armDesc()).size(), 1u);
+}
+
+TEST(LoweringTest, ResolvesLabelsPlacedOutOfCreationOrder) {
+  // Labels are placed in another order than they were made, two share a
+  // position, one is placed after the last instruction, and on arm the
+  // legalised compare shifts every later position by one.
+  IRFunction F;
+  IRBuilder B(F);
+  std::int32_t End = B.makeLabel();
+  std::int32_t Top = B.makeLabel();
+  std::int32_t Mid = B.makeLabel();
+  std::int32_t AlsoMid = B.makeLabel();
+  B.placeLabel(Top);
+  B.cmpI(preg(MReg::R0), std::int64_t(1) << 20);
+  B.jcc(MCond::Eq, End); // forward, to a label placed later
+  B.jcc(MCond::Lt, Mid); // forward, to the next instruction
+  B.placeLabel(Mid);
+  B.placeLabel(AlsoMid);
+  B.subI(preg(MReg::R0), 1);
+  B.jcc(MCond::Ne, AlsoMid); // backward
+  B.jmp(Top);                // backward, to the first instruction
+  B.placeLabel(End);
+
+  for (const MachineDesc *Desc : {&x64Desc(), &armDesc()}) {
+    std::int32_t Shift = Desc == &armDesc() ? 1 : 0;
+    std::vector<MInstr> Code = lowerIR(F, *Desc);
+    ASSERT_EQ(Code.size(), std::size_t(6 + Shift)) << Desc->Name;
+    EXPECT_EQ(Code[1 + Shift].Op, MOp::Jcc);
+    EXPECT_EQ(Code[1 + Shift].Target, 6 + Shift) << Desc->Name;
+    EXPECT_EQ(Code[2 + Shift].Target, 3 + Shift) << Desc->Name;
+    EXPECT_EQ(Code[3 + Shift].Op, MOp::SubI);
+    EXPECT_EQ(Code[4 + Shift].Target, 3 + Shift) << Desc->Name;
+    EXPECT_EQ(Code[5 + Shift].Op, MOp::Jmp);
+    EXPECT_EQ(Code[5 + Shift].Target, 0) << Desc->Name;
+  }
 }
 
 } // namespace
