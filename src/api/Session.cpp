@@ -37,7 +37,7 @@ ExplorationResult Session::explore(const InstructionSpec &Spec) {
   EOpts.Trace = &Scope;
   ConcolicExplorer Explorer(Cfg.Campaign.Harness.VM, EOpts);
   ExplorationResult Result = Explorer.explore(Spec);
-  foldSolverStats(Metrics, Result.Solver);
+  Metrics.fold(Result.Solver);
   publish(Buffer.take());
   return Result;
 }
@@ -66,27 +66,23 @@ PathTestOutcome Session::testPath(const ExplorationResult &Exploration,
   DCfg.Trace = &Scope;
   // The façade's compile-once cache spans testPath calls: replaying the
   // paths of one exploration re-compiles each distinct unit only once
-  // per session. "jit.*" metrics report the running totals.
-  JitCacheStats Before = JitStats;
-  DCfg.JitStats = &JitStats;
+  // per session. Each call's counters fold straight into the session
+  // metrics, which keep the running totals.
   if (Cfg.Campaign.Harness.EnableCodeCache)
     DCfg.CodeCache = &CodeCache;
-  // Per-call engine/arena counters fold straight into the session
-  // metrics (no running totals to subtract, unlike the jit cache).
+  JitCacheStats JitCounters;
   SimStats SimCounters;
   ReplayStats ReplayCounters;
+  DCfg.JitStats = &JitCounters;
   DCfg.SimCounters = &SimCounters;
   DCfg.Replay = &ReplayCounters;
   if (Cfg.Campaign.Harness.EnableReplayArena)
     DCfg.Arena = &Arena;
   DifferentialTester Tester(DCfg);
   PathTestOutcome Out = Tester.testPath(Exploration, PathIdx);
-  JitCacheStats Delta;
-  Delta.Compiles = JitStats.Compiles - Before.Compiles;
-  Delta.CodeCacheHits = JitStats.CodeCacheHits - Before.CodeCacheHits;
-  foldJitStats(Metrics, Delta);
-  foldSimStats(Metrics, SimCounters);
-  foldReplayStats(Metrics, ReplayCounters);
+  Metrics.fold(JitCounters);
+  Metrics.fold(SimCounters);
+  Metrics.fold(ReplayCounters);
   publish(Buffer.take());
   return Out;
 }

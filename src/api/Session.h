@@ -24,11 +24,13 @@
 ///   CampaignSummary Summary = S.runCampaign();
 /// \endcode
 ///
-/// Observability is wired automatically: every verb routes its trace
-/// events through the session's MetricsRegistry and — when
-/// SessionConfig names a trace path — a JSONL trace file. With
-/// Profile set, runCampaign() additionally builds the --profile report
-/// (see observe/Profile.h).
+/// Observability is wired automatically: every verb folds its stats
+/// counters and, through a MetricsSink, its trace events into the
+/// session's MetricsRegistry, and appends the events to a JSONL trace
+/// file when SessionConfig names a trace path. Each verb buffers its
+/// events and hands them to those two consumers in order. With Profile
+/// set, runCampaign() additionally builds the --profile report (see
+/// observe/Profile.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,8 +113,9 @@ public:
   /// harness options (exposed for callers mixing façade and layers).
   DiffTestConfig diffConfig(CompilerKind Kind, bool Arm) const;
 
-  /// Session-lifetime metrics: explore/testPath events fold in as they
-  /// happen; runCampaign merges the campaign's registry on completion.
+  /// Session-lifetime metrics: explore/testPath counters and events fold
+  /// in as they happen; runCampaign merges the campaign's registry on
+  /// completion.
   const MetricsRegistry &metrics() const { return Metrics; }
 
   /// The last runCampaign() profile; null before that, or when
@@ -139,9 +142,6 @@ private:
   /// cache serves every combination). runCampaign uses the runner's
   /// own per-attempt caches instead.
   JitCodeCache CodeCache;
-  /// Compile counters accumulated across testPath calls; folded into
-  /// the session metrics as "jit.*" after each call.
-  JitCacheStats JitStats;
   /// Session-lifetime replay arena for testPath calls, reused across
   /// explorations like the code cache. runCampaign uses the runner's
   /// own worker-local arenas instead.

@@ -2,20 +2,7 @@
 
 #include "differential/ReplayArena.h"
 
-#include "observe/MetricsRegistry.h"
-
 using namespace igdt;
-
-void igdt::foldReplayStats(MetricsRegistry &Registry,
-                           const ReplayStats &Stats) {
-  Registry.add("replay.heap.acquires", Stats.HeapAcquires);
-  Registry.add("replay.heap.resets", Stats.HeapResets);
-  Registry.add("replay.heap.bytes_reset", Stats.HeapBytesReset);
-  Registry.add("replay.heap.fresh_builds", Stats.HeapFreshBuilds);
-  Registry.add("replay.heap.bytes_rebuilt", Stats.HeapBytesRebuilt);
-  Registry.add("replay.undo_stores", Stats.UndoStoresReplayed);
-  Registry.add("replay.stack.bytes_reset", Stats.StackBytesReset);
-}
 
 ObjectMemory &ReplayArena::acquireHeap(ReplayStats *Stats) {
   if (Stats)

@@ -33,12 +33,13 @@
 
 namespace igdt {
 
-class MetricsRegistry;
-
-/// Arena/reset counters ("replay.*" metrics). Deterministic for a fixed
-/// configuration, but they describe how the harness ran rather than
-/// what the code under test did, so — like the code-cache counters —
-/// they never enter campaign records or checkpoints.
+/// Arena/reset counters ("replay.*" metrics). They describe how the
+/// harness ran rather than what the code under test did, so they never
+/// enter campaign records or checkpoints. The rollback counters are
+/// scheduling-dependent: a rollback undoes the previous path replayed on
+/// the same arena, and a campaign keeps one arena per worker thread, so
+/// which path that was (and how much it dirtied) depends on which worker
+/// ran what.
 struct ReplayStats {
   std::uint64_t HeapAcquires = 0;     ///< pooled-heap handouts
   std::uint64_t HeapResets = 0;       ///< handouts that rolled back state
@@ -47,19 +48,26 @@ struct ReplayStats {
   std::uint64_t HeapBytesRebuilt = 0; ///< capacity of those heaps, in bytes
   std::uint64_t UndoStoresReplayed = 0; ///< journalled stores undone
   std::uint64_t StackBytesReset = 0;  ///< pooled stack bytes re-zeroed
-  void add(const ReplayStats &O) {
-    HeapAcquires += O.HeapAcquires;
-    HeapResets += O.HeapResets;
-    HeapBytesReset += O.HeapBytesReset;
-    HeapFreshBuilds += O.HeapFreshBuilds;
-    HeapBytesRebuilt += O.HeapBytesRebuilt;
-    UndoStoresReplayed += O.UndoStoresReplayed;
-    StackBytesReset += O.StackBytesReset;
-  }
-};
 
-/// Publishes \p Stats into \p Registry under "replay.*".
-void foldReplayStats(MetricsRegistry &Registry, const ReplayStats &Stats);
+  static constexpr Counter<ReplayStats> Counters[] = {
+      {"replay.heap.acquires", &ReplayStats::HeapAcquires,
+       MetricClass::ConfigDependent},
+      {"replay.heap.resets", &ReplayStats::HeapResets,
+       MetricClass::SchedulingDependent},
+      {"replay.heap.bytes_reset", &ReplayStats::HeapBytesReset,
+       MetricClass::SchedulingDependent},
+      {"replay.heap.fresh_builds", &ReplayStats::HeapFreshBuilds,
+       MetricClass::ConfigDependent},
+      {"replay.heap.bytes_rebuilt", &ReplayStats::HeapBytesRebuilt,
+       MetricClass::ConfigDependent},
+      {"replay.undo_stores", &ReplayStats::UndoStoresReplayed,
+       MetricClass::SchedulingDependent},
+      {"replay.stack.bytes_reset", &ReplayStats::StackBytesReset,
+       MetricClass::SchedulingDependent},
+  };
+  void add(const ReplayStats &Other) { addCounters(*this, Other); }
+};
+static_assert(declaresEveryMember<ReplayStats>());
 
 /// Pooled replay state for one worker. Not thread-safe.
 class ReplayArena {

@@ -11,6 +11,7 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -98,6 +99,33 @@ std::string scrubBudgetWall(std::string Text) {
   return Text;
 }
 
+/// The record key of counter \p C: its name after the struct prefix
+/// ("solver.queries" -> "queries").
+template <typename Stats> const char *recordKey(const Counter<Stats> &C) {
+  return std::strchr(C.Name, '.') + 1;
+}
+
+/// The deterministic counters of \p S, in table order. Scheduling- and
+/// config-dependent ones stay out: checkpoint files must be
+/// byte-identical at any Jobs value and under every harness toggle.
+template <typename Stats> JsonValue countersToJson(const Stats &S) {
+  JsonValue V = JsonValue::object();
+  for (const Counter<Stats> &C : Stats::Counters)
+    if (C.Name && C.Class == MetricClass::Deterministic)
+      V.set(recordKey(C), JsonValue::number(double(S.*C.Member)));
+  return V;
+}
+
+/// Reads what countersToJson wrote; false on a negative, fractional or
+/// out-of-range count.
+template <typename Stats> bool countersFromJson(const JsonValue &V, Stats &S) {
+  for (const Counter<Stats> &C : Stats::Counters)
+    if (C.Name && C.Class == MetricClass::Deterministic &&
+        !V.readUnsigned(recordKey(C), S.*C.Member))
+      return false;
+  return true;
+}
+
 } // namespace
 
 std::string InstructionRecord::toJson() const {
@@ -115,18 +143,7 @@ std::string InstructionRecord::toJson() const {
       .set("frontier_exhausted", JsonValue::boolean(FrontierExhausted))
       .set("explore_units", JsonValue::number(double(ExploreUnits)))
       .set("explore_millis", JsonValue::number(ExploreMillis));
-  JsonValue Sol = JsonValue::object();
-  // Cache hit/miss counters are deliberately absent: they depend on
-  // worker scheduling, and checkpoint files must be byte-identical at
-  // any Jobs value.
-  Sol.set("queries", JsonValue::number(Solver.Queries))
-      .set("sat", JsonValue::number(Solver.SatCount))
-      .set("unsat", JsonValue::number(Solver.UnsatCount))
-      .set("unknown", JsonValue::number(Solver.UnknownCount))
-      .set("cases", JsonValue::number(Solver.CasesExplored))
-      .set("nodes", JsonValue::number(Solver.NodesExplored))
-      .set("budget_stops", JsonValue::number(Solver.BudgetStops));
-  V.set("solver", std::move(Sol));
+  V.set("solver", countersToJson(Solver));
   JsonValue Comps = JsonValue::array();
   for (const CompilerOutcome &C : Compilers) {
     JsonValue O = JsonValue::object();
@@ -175,17 +192,9 @@ bool InstructionRecord::fromJson(const std::string &Line,
   Out.BudgetExhausted = V->boolOr("budget_exhausted", false);
   Out.FrontierExhausted = V->boolOr("frontier_exhausted", false);
   Out.ExploreMillis = V->numberOr("explore_millis", 0);
-  if (const JsonValue *Sol = V->find("solver")) {
-    SolverStats &S = Out.Solver;
-    if (!Sol->readUnsigned("queries", S.Queries) ||
-        !Sol->readUnsigned("sat", S.SatCount) ||
-        !Sol->readUnsigned("unsat", S.UnsatCount) ||
-        !Sol->readUnsigned("unknown", S.UnknownCount) ||
-        !Sol->readUnsigned("cases", S.CasesExplored) ||
-        !Sol->readUnsigned("nodes", S.NodesExplored) ||
-        !Sol->readUnsigned("budget_stops", S.BudgetStops))
+  if (const JsonValue *Sol = V->find("solver"))
+    if (!countersFromJson(*Sol, Out.Solver))
       return false;
-  }
   if (const JsonValue *Comps = V->find("compilers")) {
     for (const JsonValue &O : Comps->Arr) {
       CompilerOutcome C;
@@ -789,10 +798,10 @@ CampaignSummary CampaignRunner::run() {
     Summary.Replay.add(Rec.Replay);
   }
   Summary.Rows = aggregateCampaignRows(Summary.Records);
-  foldSolverStats(Summary.Metrics, Summary.Solver);
-  foldJitStats(Summary.Metrics, Summary.Jit);
-  foldSimStats(Summary.Metrics, Summary.Sim);
-  foldReplayStats(Summary.Metrics, Summary.Replay);
+  Summary.Metrics.fold(Summary.Solver);
+  Summary.Metrics.fold(Summary.Jit);
+  Summary.Metrics.fold(Summary.Sim);
+  Summary.Metrics.fold(Summary.Replay);
   Summary.Metrics.add("campaign.instructions", Summary.CompletedInstructions);
   Summary.Metrics.add("campaign.resumed", Summary.ResumedInstructions);
   if (Checkpoint.active())
@@ -814,8 +823,7 @@ ProfileReport igdt::buildCampaignProfile(const CampaignSummary &Summary,
                                          unsigned TopN) {
   ProfileReport Report;
 
-  // Stage wall times come straight from the records (not the metrics
-  // histograms, which only fill when tracing is on): explore, then one
+  // Stage wall times come straight from the records: explore, then one
   // replay stage per compiler in the fixed AllCompilers order.
   ProfileReport::Stage Explore;
   Explore.Name = "explore";
@@ -856,23 +864,6 @@ ProfileReport igdt::buildCampaignProfile(const CampaignSummary &Summary,
   if (Costs.size() > TopN)
     Costs.resize(TopN);
   Report.TopInstructions = std::move(Costs);
-
-  Report.SolverQueries = Summary.Solver.Queries;
-  Report.CacheHits = Summary.Solver.CacheHits;
-  Report.CacheMisses = Summary.Solver.CacheMisses;
-  Report.JitCompiles = Summary.Jit.Compiles;
-  Report.JitCodeCacheHits = Summary.Jit.CodeCacheHits;
-  if (Summary.StoreActive) {
-    // Store-served (zero-work) runs keep full profiles: stage times and
-    // solver totals come from the served records — the cold run's cost
-    // figures — while LiveSolverQueries says what THIS run paid.
-    Report.HasStore = true;
-    Report.StoreServed = Summary.StoreServed;
-    Report.StoreHits = Summary.StoreHits;
-    Report.StoreMisses = Summary.StoreMisses;
-    Report.StoreStores = Summary.StoreStores;
-    Report.LiveSolverQueries = Summary.LiveSolver.Queries;
-  }
   Report.Metrics = Summary.Metrics;
   return Report;
 }

@@ -153,8 +153,9 @@ struct CampaignOptions {
   /// JSONL trace file, truncated at campaign start and written by the
   /// merge thread in catalog order (checkpoint discipline), so the file
   /// is byte-identical at any Jobs value when RecordTimings is off.
-  /// Scheduling-dependent events (CacheLookup) are filtered out; they
-  /// surface in CampaignSummary::Metrics instead. Empty disables.
+  /// Scheduling-dependent events (CacheLookup) are filtered out; their
+  /// counts are the SolverStats and JitCacheStats cache counters.
+  /// Empty disables.
   std::string TracePath;
   /// Extra in-process sink receiving the merged event stream in the
   /// same deterministic order (non-owning; tests and Session use it).
@@ -228,21 +229,14 @@ struct InstructionRecord {
   /// CampaignOptions::RecordTimings is off (the same contract as
   /// CompilerOutcome::TestMillis). Feeds the --profile per-stage table.
   double ExploreMillis = 0;
-  /// Solver activity of the successful attempt. Everything but the
-  /// cache hit/miss counters is deterministic at any Jobs value; the
-  /// cache counters depend on worker scheduling (which exploration
-  /// populated the shared Unsat index first) and are therefore kept
-  /// in memory only — never checkpointed.
+  /// Solver activity of the successful attempt. Its deterministic
+  /// counters are the record's "solver" object; the rest stay in memory.
   SolverStats Solver;
-  /// Compile-once activity of the successful attempt. Deterministic at
-  /// any Jobs value (the code cache is attempt-local), but kept out of
-  /// checkpoints like the solver reuse counters: a resumed campaign
-  /// skips the compiles a fresh one performs.
+  /// Compile, dispatch-engine and arena counters of the successful
+  /// attempt. In memory only: they say how the harness ran (and a
+  /// resumed campaign skips the work a fresh one performs). Each
+  /// counter's class is declared in its struct's table.
   JitCacheStats Jit;
-  /// Dispatch-engine and arena counters of the successful attempt.
-  /// Deterministic for a fixed configuration but config-dependent (they
-  /// say which replay engine ran, not what the code under test did), so
-  /// like JitCacheStats they never enter toJson()/checkpoints.
   SimStats Sim;
   ReplayStats Replay;
   std::vector<CompilerOutcome> Compilers;
@@ -283,25 +277,17 @@ struct CampaignSummary {
   /// True when StopAfter or the campaign wall clock ended the run
   /// before the worklist emptied.
   bool Stopped = false;
-  /// Solver counters aggregated over all records in catalog order (a
-  /// deterministic reduction). Identical at any Jobs value except for
-  /// the cache hit/miss counters, which depend on worker scheduling
-  /// and are reported as diagnostics only.
+  /// The records' stats summed in catalog order. Each counter reads the
+  /// same at any Jobs value unless its table classes it
+  /// scheduling-dependent.
   SolverStats Solver;
-  /// Compile-once counters aggregated over all records in catalog
-  /// order; surfaces in Metrics as "jit.*" and in the profile's
-  /// cache-effectiveness table.
   JitCacheStats Jit;
-  /// Replay-engine counters aggregated the same way; surface in Metrics
-  /// as "sim.*" and "replay.*".
   SimStats Sim;
   ReplayStats Replay;
-  /// Merged campaign metrics: solver counters folded under "solver.*"
-  /// (always, in catalog order — the deterministic per-shard/merged
-  /// routing of SolverStats), trace-event counters under "events.*"
-  /// (only when tracing/CollectMetrics is on; the "events.solver.cache.*"
-  /// subtree is scheduling-dependent, like the SolverStats cache
-  /// counters it mirrors).
+  /// Merged campaign metrics: the four stats structs above folded under
+  /// their declared names and classes, "campaign.*" always, "store.*"
+  /// with a store, and MetricsSink's event-derived counts when tracing
+  /// or CollectMetrics is on.
   MetricsRegistry Metrics;
   /// Nonzero only for genuine differential defects — never for harness
   /// faults, quarantines, or the structural optimisation differences
@@ -357,9 +343,8 @@ aggregateCampaignRows(const std::vector<InstructionRecord> &Records);
 
 /// Builds the --profile report from a finished campaign: per-stage wall
 /// time (explore + one test stage per compiler), the \p TopN most
-/// expensive instructions, solver-cache effectiveness and the merged
-/// metrics. Stage times are all zero when the campaign ran with
-/// RecordTimings off.
+/// expensive instructions and the merged metrics. Stage times are all
+/// zero when the campaign ran with RecordTimings off.
 ProfileReport buildCampaignProfile(const CampaignSummary &Summary,
                                    unsigned TopN = 10);
 

@@ -2,16 +2,9 @@
 
 #include "jit/CodeCache.h"
 
-#include "observe/MetricsRegistry.h"
 #include "support/StringUtils.h"
 
 using namespace igdt;
-
-void igdt::foldJitStats(MetricsRegistry &Registry,
-                        const JitCacheStats &Stats) {
-  Registry.add("jit.compiles", Stats.Compiles);
-  Registry.add("jit.code_cache.hits", Stats.CodeCacheHits);
-}
 
 namespace {
 

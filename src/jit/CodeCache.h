@@ -41,6 +41,7 @@
 #define IGDT_JIT_CODECACHE_H
 
 #include "jit/CogitOptions.h"
+#include "observe/Counters.h"
 #include "jit/CompiledCode.h"
 #include "vm/CompiledMethod.h"
 
@@ -51,12 +52,10 @@
 
 namespace igdt {
 
-class MetricsRegistry;
-
 /// Compile-once counters, reported next to SolverStats by the
-/// evaluation harness. Like the solver's reuse counters these are
-/// diagnostics: never serialised into campaign checkpoints (a resumed
-/// campaign skips the compiles a fresh one performs).
+/// evaluation harness. Never serialised into campaign checkpoints (a
+/// resumed campaign skips the compiles a fresh one performs), and
+/// config-dependent: with the code cache off every replay compiles.
 struct JitCacheStats {
   /// Front-end invocations that actually ran (cache misses + runs with
   /// no cache configured count alike: a compile is a compile).
@@ -64,11 +63,14 @@ struct JitCacheStats {
   /// Replays served from the cache instead of re-compiling.
   std::uint64_t CodeCacheHits = 0;
 
-  void add(const JitCacheStats &Other) {
-    Compiles += Other.Compiles;
-    CodeCacheHits += Other.CodeCacheHits;
-  }
+  static constexpr Counter<JitCacheStats> Counters[] = {
+      {"jit.compiles", &JitCacheStats::Compiles, MetricClass::ConfigDependent},
+      {"jit.code_cache.hits", &JitCacheStats::CodeCacheHits,
+       MetricClass::ConfigDependent},
+  };
+  void add(const JitCacheStats &Other) { addCounters(*this, Other); }
 };
+static_assert(declaresEveryMember<JitCacheStats>());
 
 /// Compile-once cache of CompiledCode per compilation unit. Holds no
 /// counters itself — the tester charges a JitCacheStats it is handed,
@@ -96,10 +98,6 @@ private:
   std::unordered_map<Key, std::shared_ptr<const CompiledCode>, KeyHash>
       Entries;
 };
-
-/// Folds \p Stats into \p Registry as "jit.compiles" and
-/// "jit.code_cache.hits" — the compile-side mirror of foldSolverStats.
-void foldJitStats(MetricsRegistry &Registry, const JitCacheStats &Stats);
 
 /// Key for a native-method (primitive) compile.
 JitCodeCache::Key codeCacheKey(CompilerKind Kind, bool ArmBackend,

@@ -5,7 +5,6 @@
 #include "jit/CompiledCode.h"
 #include "jit/PredecodedCode.h"
 #include "jit/native/NativeEngine.h"
-#include "observe/MetricsRegistry.h"
 #include "observe/TraceBus.h"
 #include "support/Compiler.h"
 #include "support/CpuFeatures.h"
@@ -59,19 +58,6 @@ void ExitNote::format(const char *Fmt, ...) {
   va_start(Args, Fmt);
   std::vsnprintf(Text, sizeof(Text), Fmt, Args);
   va_end(Args);
-}
-
-void igdt::foldSimStats(MetricsRegistry &Registry, const SimStats &Stats) {
-  Registry.add("sim.runs", Stats.Runs);
-  Registry.add("sim.runs.predecoded", Stats.PredecodedRuns);
-  Registry.add("sim.runs.reference", Stats.ReferenceRuns);
-  Registry.add("sim.predecode.builds", Stats.PredecodeBuilds);
-  Registry.add("sim.predecode.hits", Stats.PredecodeHits);
-  Registry.add("sim.runs.native", Stats.NativeRuns);
-  Registry.add("sim.native.builds", Stats.NativeBuilds);
-  Registry.add("sim.native.hits", Stats.NativeHits);
-  Registry.add("sim.native.fallbacks", Stats.NativeFallbacks);
-  Registry.add("sim.run.nanos", Stats.RunNanos);
 }
 
 const char *igdt::machExitKindName(MachExitKind Kind) {

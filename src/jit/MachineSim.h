@@ -32,6 +32,7 @@
 #include "jit/ABI.h"
 #include "jit/MachineCode.h"
 #include "jit/Trampolines.h"
+#include "observe/Counters.h"
 #include "vm/ObjectMemory.h"
 
 #include <cstdio>
@@ -44,7 +45,6 @@
 namespace igdt {
 
 class TraceSink;
-class MetricsRegistry;
 struct CompiledCode;
 struct PredecodedCode;
 
@@ -113,10 +113,9 @@ struct MachineExit {
   std::uint64_t FuelLeft = 0;
 };
 
-/// Dispatch-engine counters ("sim.*" metrics). Deterministic for a
-/// fixed configuration, but — like the code-cache counters — they
-/// describe how the harness executed, not what the code under test did,
-/// so they never enter campaign records or checkpoints.
+/// Dispatch-engine counters ("sim.*" metrics). Apart from the run count
+/// they describe how the harness executed, not what the code under test
+/// did, so they never enter campaign records or checkpoints.
 struct SimStats {
   std::uint64_t Runs = 0;            ///< total run() invocations
   std::uint64_t PredecodedRuns = 0;  ///< served by the threaded fast path
@@ -131,22 +130,28 @@ struct SimStats {
   /// SimOptions::TimeRuns is set (benches); zero otherwise so campaign
   /// runs stay free of clock reads.
   std::uint64_t RunNanos = 0;
-  void add(const SimStats &O) {
-    Runs += O.Runs;
-    PredecodedRuns += O.PredecodedRuns;
-    ReferenceRuns += O.ReferenceRuns;
-    PredecodeBuilds += O.PredecodeBuilds;
-    PredecodeHits += O.PredecodeHits;
-    NativeRuns += O.NativeRuns;
-    NativeBuilds += O.NativeBuilds;
-    NativeHits += O.NativeHits;
-    NativeFallbacks += O.NativeFallbacks;
-    RunNanos += O.RunNanos;
-  }
-};
 
-/// Publishes \p Stats into \p Registry under "sim.*".
-void foldSimStats(MetricsRegistry &Registry, const SimStats &Stats);
+  static constexpr Counter<SimStats> Counters[] = {
+      {"sim.runs", &SimStats::Runs, MetricClass::Deterministic},
+      {"sim.runs.predecoded", &SimStats::PredecodedRuns,
+       MetricClass::ConfigDependent},
+      {"sim.runs.reference", &SimStats::ReferenceRuns,
+       MetricClass::ConfigDependent},
+      {"sim.predecode.builds", &SimStats::PredecodeBuilds,
+       MetricClass::ConfigDependent},
+      {"sim.predecode.hits", &SimStats::PredecodeHits,
+       MetricClass::ConfigDependent},
+      {"sim.runs.native", &SimStats::NativeRuns, MetricClass::ConfigDependent},
+      {"sim.native.builds", &SimStats::NativeBuilds,
+       MetricClass::ConfigDependent},
+      {"sim.native.hits", &SimStats::NativeHits, MetricClass::ConfigDependent},
+      {"sim.native.fallbacks", &SimStats::NativeFallbacks,
+       MetricClass::ConfigDependent},
+      {"sim.run.nanos", &SimStats::RunNanos, MetricClass::SchedulingDependent},
+  };
+  void add(const SimStats &Other) { addCounters(*this, Other); }
+};
+static_assert(declaresEveryMember<SimStats>());
 
 /// Pooled simulator stack memory (one per replay worker, owned by
 /// differential/ReplayArena.h). A fresh MachineSim zero-fills all

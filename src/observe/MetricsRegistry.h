@@ -1,87 +1,94 @@
-//===- observe/MetricsRegistry.h - Named counters and histograms -----------===//
+//===- observe/MetricsRegistry.h - Named counters with their class ---------===//
 //
 // Part of the IGDT project: interpreter-guided differential JIT testing.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An in-process registry of named counters and duration histograms.
-/// This is the single home for pipeline statistics: SolverStats counters
-/// are folded in per-shard under "solver.*" (the campaign merge does the
-/// fold in catalog order, so per-shard and merged numbers are both
-/// correct), and trace events fold in through MetricsSink under
-/// "events.*". Names are kept in a sorted map so renderings and JSON
-/// dumps are deterministic.
+/// An in-process registry of named counters, each with its MetricClass.
+/// Every count is published from one source:
 ///
-/// Not thread-safe by design: campaign workers fold into worker-local
-/// registries (or not at all) and the merge thread combines them.
+///  - the stats structs (SolverStats, JitCacheStats, SimStats,
+///    ReplayStats) fold in through `fold`, which reads their declared
+///    counter tables (observe/Counters.h);
+///  - MetricsSink derives the counts no table carries (verdicts, exits,
+///    fuel, code bytes, containment, paths, ladder) from trace events;
+///  - the campaign and the daemon add their own `campaign.*`, `store.*`
+///    and `service.*` counters directly.
+///
+/// Names are kept in a sorted map so renderings and JSON dumps are
+/// deterministic. Not thread-safe: campaign workers never touch a
+/// registry; the merge thread fills one per campaign.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGDT_OBSERVE_METRICSREGISTRY_H
 #define IGDT_OBSERVE_METRICSREGISTRY_H
 
+#include "observe/Counters.h"
 #include "observe/TraceBus.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace igdt {
 
 struct JsonValue;
 
-/// Sorted-name registry of counters and min/mean/max histograms.
+/// Sorted-name registry of classed counters.
 class MetricsRegistry {
 public:
-  /// Aggregate of sampled values (durations, sizes).
-  struct Histogram {
-    std::uint64_t Count = 0;
-    double Total = 0;
-    double Min = 0;
-    double Max = 0;
-
-    void sample(double Value);
-    void merge(const Histogram &Other);
-    double mean() const { return Count ? Total / double(Count) : 0; }
+  struct Entry {
+    std::uint64_t Value = 0;
+    MetricClass Class = MetricClass::Deterministic;
   };
 
-  /// Adds \p Delta to the named counter, creating it at zero.
-  void add(const std::string &Name, std::uint64_t Delta = 1);
-  /// Records one sample into the named histogram.
-  void sample(const std::string &Name, double Value);
+  /// Adds \p Delta to the named counter, creating it at zero with
+  /// \p Class.
+  void add(std::string_view Name, std::uint64_t Delta = 1,
+           MetricClass Class = MetricClass::Deterministic);
+
+  /// Adds every published counter of \p S under its declared name and
+  /// class.
+  template <typename Stats> void fold(const Stats &S) {
+    for (const Counter<Stats> &C : Stats::Counters)
+      if (C.Name)
+        add(C.Name, S.*C.Member, C.Class);
+  }
 
   /// Current value of a counter; 0 when absent.
-  std::uint64_t counter(const std::string &Name) const;
+  std::uint64_t counter(std::string_view Name) const;
 
-  const std::map<std::string, std::uint64_t> &counters() const {
+  const std::map<std::string, Entry, std::less<>> &counters() const {
     return Counters;
   }
-  const std::map<std::string, Histogram> &histograms() const {
-    return Histograms;
-  }
 
-  /// Adds every counter and histogram of \p Other into this registry.
+  /// Adds every counter of \p Other into this registry.
   void merge(const MetricsRegistry &Other);
 
-  void reset();
-  bool empty() const { return Counters.empty() && Histograms.empty(); }
+  bool empty() const { return Counters.empty(); }
 
-  /// Renders counters and histograms as two aligned tables.
+  /// Renders one aligned table per class, the scheduling-dependent one
+  /// last.
   std::string render() const;
 
-  /// {"counters": {...}, "histograms": {name: {count,total,min,max}}}.
+  /// {"deterministic": {...}, "config-dependent": {...},
+  ///  "scheduling-dependent": {...}}, each a name-to-value object.
   JsonValue toJson() const;
 
 private:
-  std::map<std::string, std::uint64_t> Counters;
-  std::map<std::string, Histogram> Histograms;
+  std::map<std::string, Entry, std::less<>> Counters;
 };
 
-/// Folds trace events into a registry under "events.*" names, e.g.
-/// "events.solver.status.Sat" or "events.verdict.Difference". The
-/// campaign merge thread runs one of these over the merged stream;
-/// Session runs one over its own bus.
+/// Folds trace events into a registry: the counts no stats table
+/// carries ("verdict.*", "sim.exit.*", "sim.fuel", "compile.bytes",
+/// "compile.<compiler>", "containment.*", "paths.explored",
+/// "paths.curated", "ladder.retries", "ladder.rescues"), all
+/// deterministic. The campaign merge thread runs one of these over the
+/// merged stream; Session runs one over the events of its own verbs.
 class MetricsSink final : public TraceSink {
 public:
   explicit MetricsSink(MetricsRegistry &Registry) : Registry(Registry) {}

@@ -32,8 +32,6 @@ const char *traceEventKindName(TraceEventKind Kind) {
     return "containment";
   case TraceEventKind::Quarantine:
     return "quarantine";
-  case TraceEventKind::StageTime:
-    return "stage-time";
   }
   return "unknown";
 }
@@ -54,7 +52,6 @@ constexpr TraceEventKind AllKinds[] = {
     TraceEventKind::ExploreDone,  TraceEventKind::Compile,
     TraceEventKind::SimRun,       TraceEventKind::PathVerdict,
     TraceEventKind::Containment,  TraceEventKind::Quarantine,
-    TraceEventKind::StageTime,
 };
 
 } // namespace
@@ -88,41 +85,21 @@ bool TraceEvent::fromJson(const std::string &Line, TraceEvent &Out) {
   if (!Found)
     return false;
   Out.Instruction = V->stringOr("instruction", "");
-  Out.Attempt = static_cast<unsigned>(V->numberOr("attempt", 0));
+  Out.Attempt = 0;
+  Out.Value = Out.Extra = 0;
+  if (!V->readUnsigned("attempt", Out.Attempt) ||
+      !V->readUnsigned("value", Out.Value) ||
+      !V->readUnsigned("extra", Out.Extra))
+    return false;
   Out.Detail = V->stringOr("detail", "");
   Out.Aux = V->stringOr("aux", "");
-  Out.Value = static_cast<std::uint64_t>(V->numberOr("value", 0));
-  Out.Extra = static_cast<std::uint64_t>(V->numberOr("extra", 0));
   Out.Millis = V->numberOr("millis", 0);
   return true;
 }
 
 void JsonlTraceSink::emit(TraceEvent Event) {
-  if (!IncludeSchedulingDependent && traceEventIsSchedulingDependent(Event.Kind))
-    return;
-  Out << Event.toJson() << '\n';
-  ++Written;
-}
-
-void TraceBus::addSink(TraceSink *Sink) {
-  if (!Sink)
-    return;
-  std::lock_guard<std::mutex> Guard(Lock);
-  Sinks.push_back(Sink);
-}
-
-void TraceBus::emit(TraceEvent Event) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  if (Sinks.empty())
-    return;
-  for (std::size_t I = 0; I + 1 < Sinks.size(); ++I)
-    Sinks[I]->emit(Event);
-  Sinks.back()->emit(std::move(Event));
-}
-
-std::size_t TraceBus::sinkCount() const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  return Sinks.size();
+  if (!traceEventIsSchedulingDependent(Event.Kind))
+    Out << Event.toJson() << '\n';
 }
 
 } // namespace igdt

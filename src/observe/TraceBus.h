@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A low-overhead structured tracing bus threaded through the whole
-/// pipeline (solver, explorer, Cogit front-ends, simulator, differential
-/// tester, campaign runner). Emitters hold a nullable `TraceSink *`; the
+/// Low-overhead structured tracing threaded through the whole pipeline
+/// (solver, explorer, Cogit front-ends, simulator, differential tester,
+/// campaign runner). Emitters hold a nullable `TraceSink *`; the
 /// disabled-path cost is exactly one branch on that pointer, so tier-1
 /// timings are unaffected when nobody is listening.
 ///
@@ -15,10 +15,10 @@
 /// worker-local `TraceBuffer` and the campaign's single merge thread
 /// flushes buffers in catalog order — the same discipline checkpoints and
 /// incidents already follow — so the JSONL trace is byte-identical at any
-/// job count. The one deliberately scheduling-dependent event kind
-/// (CacheLookup: SharedUnsatIndex hits vary with worker timing) is
-/// filtered out of the deterministic trace file and only feeds diagnostic
-/// metrics.
+/// job count. The one scheduling-dependent event kind (CacheLookup:
+/// SharedUnsatIndex hits vary with worker timing) never enters a trace
+/// file; the SolverStats and JitCacheStats counter tables carry its
+/// counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #define IGDT_OBSERVE_TRACEBUS_H
 
 #include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -74,8 +73,6 @@ enum class TraceEventKind : std::uint8_t {
   Containment,
   /// CampaignRunner quarantined an instruction. Value=attempts used.
   Quarantine,
-  /// Named stage duration. Detail=stage name, Millis=duration.
-  StageTime,
 };
 
 /// Stable lowercase name used as the JSONL "kind" field.
@@ -123,13 +120,6 @@ public:
   virtual void emit(TraceEvent Event) = 0;
 };
 
-/// Discards every event. Exists so callers can keep a non-null sink
-/// wired while measuring the enabled-but-empty overhead.
-class NullTraceSink final : public TraceSink {
-public:
-  void emit(TraceEvent) override {}
-};
-
 /// Worker-local accumulator. Not thread-safe by design: each campaign
 /// worker owns one per instruction attempt, and the merge thread drains
 /// them in catalog order.
@@ -174,44 +164,17 @@ private:
   bool RecordTimings;
 };
 
-/// Writes one JSON object per line to a stream. By default applies the
-/// determinism filter (drops scheduling-dependent kinds) so the file is
-/// byte-identical across job counts; pass IncludeSchedulingDependent to
-/// get the full diagnostic stream instead.
+/// Writes one JSON object per line to a stream, dropping the
+/// scheduling-dependent kinds so the file is byte-identical across job
+/// counts.
 class JsonlTraceSink final : public TraceSink {
 public:
-  explicit JsonlTraceSink(std::ostream &Out,
-                          bool IncludeSchedulingDependent = false)
-      : Out(Out), IncludeSchedulingDependent(IncludeSchedulingDependent) {}
+  explicit JsonlTraceSink(std::ostream &Out) : Out(Out) {}
 
   void emit(TraceEvent Event) override;
-
-  /// Lines actually written (post-filter).
-  std::uint64_t written() const { return Written; }
 
 private:
   std::ostream &Out;
-  bool IncludeSchedulingDependent;
-  std::uint64_t Written = 0;
-};
-
-/// Fans events out to several sinks. The only thread-safe sink: campaign
-/// code never shares it across workers (each worker buffers locally),
-/// but Session wires it where a user sink and the metrics sink both
-/// listen, and guards against future concurrent use.
-class TraceBus final : public TraceSink {
-public:
-  /// Registers \p Sink (non-owning). Null is ignored.
-  void addSink(TraceSink *Sink);
-
-  void emit(TraceEvent Event) override;
-
-  /// Number of registered sinks.
-  std::size_t sinkCount() const;
-
-private:
-  mutable std::mutex Lock;
-  std::vector<TraceSink *> Sinks;
 };
 
 } // namespace igdt

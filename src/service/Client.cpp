@@ -125,7 +125,10 @@ bool ServiceClient::subscribe(const std::string &SessionId,
     for (const JsonValue &Line : Batch->Arr)
       if (Line.K == JsonValue::Kind::String)
         Events.push_back(Line.Str);
-  Cursor = std::uint64_t(Body->numberOr("next", double(Cursor)));
+  if (!Body->readUnsigned("next", Cursor)) {
+    setError(Error, "malformed subscribe body: bad \"next\"");
+    return false;
+  }
   Done = Body->boolOr("done", false);
   return true;
 }
@@ -157,9 +160,15 @@ bool ServiceClient::invalidate(const std::string &StorePath,
     return false;
   }
   std::optional<JsonValue> Body = JsonValue::parse(Reply.Body);
-  if (!Body)
+  if (!Body) {
+    setError(Error, "malformed invalidate body");
     return false;
-  Removed = std::size_t(Body->numberOr("removed", 0));
+  }
+  Removed = 0;
+  if (!Body->readUnsigned("removed", Removed)) {
+    setError(Error, "malformed invalidate body: bad \"removed\"");
+    return false;
+  }
   return true;
 }
 
@@ -176,10 +185,19 @@ bool ServiceClient::gc(const std::string &StorePath, std::size_t &Kept,
     return false;
   }
   std::optional<JsonValue> Body = JsonValue::parse(Reply.Body);
-  if (!Body)
+  if (!Body) {
+    setError(Error, "malformed gc body");
     return false;
-  Kept = std::size_t(Body->numberOr("kept", 0));
-  Dropped = std::size_t(Body->numberOr("dropped", 0));
+  }
+  Kept = Dropped = 0;
+  if (!Body->readUnsigned("kept", Kept)) {
+    setError(Error, "malformed gc body: bad \"kept\"");
+    return false;
+  }
+  if (!Body->readUnsigned("dropped", Dropped)) {
+    setError(Error, "malformed gc body: bad \"dropped\"");
+    return false;
+  }
   return true;
 }
 

@@ -38,7 +38,8 @@ ResultStore::ResultStore(std::string PathArg)
   forEachJsonlLine(Path, [&](std::string &Line) {
     std::optional<JsonValue> V = JsonValue::parse(Line);
     std::uint64_t Key = 0;
-    if (!V || unsigned(V->numberOr("v", 0)) > FormatVersion ||
+    unsigned Version = 0;
+    if (!V || !V->readUnsigned("v", Version) || Version > FormatVersion ||
         !parseResultKeyHex(V->stringOr("key", ""), Key)) {
       ++DeadLines;
       return;

@@ -2,7 +2,6 @@
 
 #include "solver/Solver.h"
 
-#include "observe/MetricsRegistry.h"
 #include "observe/TraceBus.h"
 #include "solver/TermEval.h"
 #include "support/Compiler.h"
@@ -1084,33 +1083,6 @@ CaseSolver::CaseStatus CaseSolver::numericSolve(Model &M) {
 }
 
 } // namespace
-
-void SolverStats::add(const SolverStats &Other) {
-  Queries += Other.Queries;
-  SatCount += Other.SatCount;
-  UnsatCount += Other.UnsatCount;
-  UnknownCount += Other.UnknownCount;
-  CasesExplored += Other.CasesExplored;
-  NodesExplored += Other.NodesExplored;
-  BudgetStops += Other.BudgetStops;
-  CacheHits += Other.CacheHits;
-  CacheMisses += Other.CacheMisses;
-  PrefixReuseSolves += Other.PrefixReuseSolves;
-  FullSolves += Other.FullSolves;
-}
-
-void igdt::foldSolverStats(MetricsRegistry &Registry,
-                           const SolverStats &Stats) {
-  Registry.add("solver.queries", Stats.Queries);
-  Registry.add("solver.sat", Stats.SatCount);
-  Registry.add("solver.unsat", Stats.UnsatCount);
-  Registry.add("solver.unknown", Stats.UnknownCount);
-  Registry.add("solver.cases", Stats.CasesExplored);
-  Registry.add("solver.nodes", Stats.NodesExplored);
-  Registry.add("solver.budget_stops", Stats.BudgetStops);
-  Registry.add("solver.cache.hits", Stats.CacheHits);
-  Registry.add("solver.cache.misses", Stats.CacheMisses);
-}
 
 ConstraintSolver::ConstraintSolver(const ClassTable &Classes,
                                    SolverOptions Options)

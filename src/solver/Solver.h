@@ -30,6 +30,7 @@
 #ifndef IGDT_SOLVER_SOLVER_H
 #define IGDT_SOLVER_SOLVER_H
 
+#include "observe/Counters.h"
 #include "solver/Model.h"
 #include "solver/SolverCache.h"
 #include "support/Budget.h"
@@ -41,7 +42,6 @@
 namespace igdt {
 
 class TraceSink;
-class MetricsRegistry;
 
 /// Outcome of a solver query.
 enum class SolveStatus : std::uint8_t {
@@ -107,7 +107,9 @@ struct SolverOptions {
   TraceSink *Trace = nullptr;
 };
 
-/// Running counters, reported by the evaluation harness.
+/// Running counters, reported by the evaluation harness. The
+/// deterministic ones are also the campaign record's "solver" object,
+/// keyed by their names after "solver.".
 struct SolverStats {
   std::uint64_t Queries = 0;
   std::uint64_t SatCount = 0;
@@ -117,11 +119,9 @@ struct SolverStats {
   std::uint64_t NodesExplored = 0;
   /// Queries cut short (turned Unknown) by an exhausted shared budget.
   std::uint64_t BudgetStops = 0;
-  /// Case lookups answered by a proof in the shared Unsat index.
-  /// Unlike every other counter, the two cache counters depend on
-  /// worker scheduling (which exploration populated the shared index
-  /// first), so they are diagnostics only: excluded from campaign
-  /// checkpoints and from byte-identity guarantees.
+  /// Case lookups answered by a proof in the shared Unsat index. Which
+  /// exploration populated the index first depends on worker
+  /// scheduling, so neither cache counter enters campaign records.
   std::uint64_t CacheHits = 0;
   /// Case lookups that consulted the shared index and had to search.
   std::uint64_t CacheMisses = 0;
@@ -130,24 +130,34 @@ struct SolverStats {
   /// reports it as solver.prefix_reuse_solves.
   std::uint64_t PrefixReuseSolves = 0;
   /// Queries that case-expanded their conjunct vector: every query not
-  /// cut short by an exhausted budget. In-process only (not carried in
-  /// worker payloads, profiles or metrics, which can derive it from
-  /// Queries and BudgetStops); kept because the repository benchmark
-  /// (perfbench/cpp/Workloads.cpp) reports it as solver.full_solves.
+  /// cut short by an exhausted budget. In-process only (the metrics can
+  /// derive it from Queries and BudgetStops); kept because the
+  /// repository benchmark (perfbench/cpp/Workloads.cpp) reports it as
+  /// solver.full_solves.
   std::uint64_t FullSolves = 0;
 
-  /// Accumulates \p Other into this (deterministic reduction used when
-  /// merging per-worker statistics).
-  void add(const SolverStats &Other);
+  static constexpr Counter<SolverStats> Counters[] = {
+      {"solver.queries", &SolverStats::Queries, MetricClass::Deterministic},
+      {"solver.sat", &SolverStats::SatCount, MetricClass::Deterministic},
+      {"solver.unsat", &SolverStats::UnsatCount, MetricClass::Deterministic},
+      {"solver.unknown", &SolverStats::UnknownCount,
+       MetricClass::Deterministic},
+      {"solver.cases", &SolverStats::CasesExplored, MetricClass::Deterministic},
+      // Nodes of case searches that ended Unsat or Unknown only: a Sat
+      // search returns before its nodes are added.
+      {"solver.nodes", &SolverStats::NodesExplored, MetricClass::Deterministic},
+      {"solver.budget_stops", &SolverStats::BudgetStops,
+       MetricClass::Deterministic},
+      {"solver.cache.hits", &SolverStats::CacheHits,
+       MetricClass::SchedulingDependent},
+      {"solver.cache.misses", &SolverStats::CacheMisses,
+       MetricClass::SchedulingDependent},
+      {nullptr, &SolverStats::PrefixReuseSolves, MetricClass::Deterministic},
+      {nullptr, &SolverStats::FullSolves, MetricClass::Deterministic},
+  };
+  void add(const SolverStats &Other) { addCounters(*this, Other); }
 };
-
-/// Folds \p Stats into \p Registry under "solver.*" counter names
-/// (queries, sat, unsat, unknown, cases, nodes, budget_stops) and
-/// "solver.cache.*" for the scheduling-dependent diagnostics (hits,
-/// misses). This is how SolverStats surfaces in the metrics layer:
-/// per-shard stats fold per-record, and the campaign's catalog-order
-/// merge makes the combined numbers deterministic.
-void foldSolverStats(MetricsRegistry &Registry, const SolverStats &Stats);
+static_assert(declaresEveryMember<SolverStats>());
 
 /// The solver. Stateless between queries except for statistics.
 class ConstraintSolver {

@@ -47,7 +47,7 @@ TEST(SessionTest, ExploreMatchesTheLayeredExplorerAndFeedsMetrics) {
 
   // The verb fed the session registry: solver counters and events.
   EXPECT_EQ(S.metrics().counter("solver.queries"), Paths.Solver.Queries);
-  EXPECT_EQ(S.metrics().counter("events.paths.explored"), Paths.Paths.size());
+  EXPECT_EQ(S.metrics().counter("paths.explored"), Paths.Paths.size());
 
   EXPECT_THROW(S.explore("noSuchInstruction"), std::invalid_argument);
 }
@@ -65,7 +65,11 @@ TEST(SessionTest, TestPathMatchesTheLayeredTesterAndCountsVerdicts) {
     EXPECT_EQ(A.Status, B.Status) << "path " << I;
     EXPECT_EQ(A.CauseKey, B.CauseKey) << "path " << I;
   }
-  EXPECT_EQ(S.metrics().counter("events.path-verdict"), Paths.Paths.size());
+  std::uint64_t Verdicts = 0;
+  for (const auto &[Name, E] : S.metrics().counters())
+    if (Name.rfind("verdict.", 0) == 0)
+      Verdicts += E.Value;
+  EXPECT_EQ(Verdicts, Paths.Paths.size());
 }
 
 TEST(SessionTest, RunCampaignMatchesTheRunnerAndBuildsTheProfile) {
@@ -91,7 +95,7 @@ TEST(SessionTest, RunCampaignMatchesTheRunnerAndBuildsTheProfile) {
   EXPECT_EQ(Report->Stages[0].Name, "explore");
   EXPECT_EQ(Report->Stages[0].Count, 3u);
   EXPECT_LE(Report->TopInstructions.size(), Config.TopInstructions);
-  EXPECT_EQ(Report->SolverQueries, Summary.Solver.Queries);
+  EXPECT_EQ(Report->Metrics.counter("solver.queries"), Summary.Solver.Queries);
   EXPECT_EQ(S.metrics().counter("campaign.instructions"), 3u);
   EXPECT_FALSE(Report->render().empty());
 }
@@ -104,20 +108,34 @@ TEST(SessionTest, CacheEffectivenessSurfacesInProfileAndMetrics) {
   Session S(Config);
   CampaignSummary Summary = S.runCampaign();
 
-  // The cache counters surface in the profile report, bit-equal to the
-  // campaign's own counters...
+  // The cache counters surface in the profile's registry, bit-equal to
+  // the campaign's own counters and under their declared classes...
   const ProfileReport *Report = S.profile();
   ASSERT_NE(Report, nullptr);
-  EXPECT_EQ(Report->CacheHits, Summary.Solver.CacheHits);
-  EXPECT_EQ(Report->JitCompiles, Summary.Jit.Compiles);
-  EXPECT_EQ(Report->JitCodeCacheHits, Summary.Jit.CodeCacheHits);
-  EXPECT_GT(Report->JitCompiles, 0u);
-  EXPECT_GT(Report->JitCodeCacheHits, 0u)
+  const auto &Counters = Report->Metrics.counters();
+  EXPECT_EQ(Counters.at("solver.cache.hits").Value, Summary.Solver.CacheHits);
+  EXPECT_EQ(Counters.at("solver.cache.hits").Class,
+            MetricClass::SchedulingDependent);
+  EXPECT_EQ(Counters.at("jit.compiles").Value, Summary.Jit.Compiles);
+  EXPECT_EQ(Counters.at("jit.code_cache.hits").Value,
+            Summary.Jit.CodeCacheHits);
+  EXPECT_EQ(Counters.at("jit.compiles").Class, MetricClass::ConfigDependent);
+  EXPECT_GT(Summary.Jit.Compiles, 0u);
+  EXPECT_GT(Summary.Jit.CodeCacheHits, 0u)
       << "replaying several paths of one instruction must reuse code";
-  EXPECT_NE(Report->render().find("code cache"), std::string::npos);
-  EXPECT_NE(Report->render().find("solver cache"), std::string::npos);
+  // ...rendered one table per class, the scheduling-dependent one last.
+  std::string Text = Report->render();
+  std::size_t Det = Text.find("| deterministic counter");
+  std::size_t Cfg = Text.find("| config-dependent counter");
+  std::size_t Sched = Text.find("| scheduling-dependent counter");
+  ASSERT_NE(Det, std::string::npos);
+  ASSERT_NE(Cfg, std::string::npos);
+  ASSERT_NE(Sched, std::string::npos);
+  EXPECT_LT(Det, Cfg);
+  EXPECT_LT(Cfg, Sched);
+  EXPECT_GT(Text.find("solver.cache.hits"), Sched);
 
-  // ...and in the session metrics registry under the stable names.
+  // ...and in the session metrics registry under the same names.
   EXPECT_EQ(S.metrics().counter("jit.compiles"), Summary.Jit.Compiles);
   EXPECT_EQ(S.metrics().counter("jit.code_cache.hits"),
             Summary.Jit.CodeCacheHits);
@@ -145,8 +163,6 @@ TEST(SessionTest, TestPathReusesCompilesAcrossCallsViaTheSessionCache) {
   // the compile step, i.e. the first sweep's compiles + hits again.
   EXPECT_EQ(S.metrics().counter("jit.code_cache.hits"),
             2 * FirstSweepHits + Compiles);
-  // The cache-lookup diagnostics flow through the metrics sink too.
-  EXPECT_GT(S.metrics().counter("events.jit.cache.code-hit"), 0u);
 }
 
 TEST(SessionTest, SessionTraceFileCapturesExploreAndCampaignEvents) {

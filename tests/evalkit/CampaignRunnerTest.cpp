@@ -211,7 +211,7 @@ TEST(CampaignRunnerTest, ContainmentAndQuarantineSurfaceInTheTrace) {
   EXPECT_EQ(S.Metrics.counter("campaign.quarantined"), S.Quarantined.size());
   EXPECT_EQ(S.Metrics.counter("campaign.incidents"), S.Incidents.size());
   EXPECT_EQ(S.Metrics.counter("solver.queries"), S.Solver.Queries);
-  EXPECT_GT(S.Metrics.counter("events.path-verdict"), 0u);
+  EXPECT_GT(S.Metrics.counter("paths.explored"), 0u);
 }
 
 TEST(CampaignRunnerTest, TransientFaultIsRecoveredByTheFreshHeapRetry) {

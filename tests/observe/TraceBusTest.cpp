@@ -1,9 +1,11 @@
 //===- tests/observe/TraceBusTest.cpp ------------------------------------------===//
 //
-// Observability bus contracts: JSONL round-trips through the support
-// JSON parser, sinks filter scheduling-dependent events, TraceScope
-// stamps identity and honours the timing switch, and a campaign's
-// merged trace file is byte-identical at any Jobs value.
+// Tracing contracts: JSONL round-trips through the support JSON parser
+// and hostile lines are refused, the trace file drops
+// scheduling-dependent events, TraceScope stamps identity and honours
+// the timing switch, MetricsSink derives only the counts no stats table
+// carries, and a campaign's merged trace file is byte-identical at any
+// Jobs value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +57,7 @@ TEST(TraceBusTest, EventsRoundTripThroughJsonl) {
   EXPECT_EQ(Event, Back);
 
   // Every kind keeps its name through the round trip.
-  for (unsigned K = 0; K <= unsigned(TraceEventKind::StageTime); ++K) {
+  for (unsigned K = 0; K <= unsigned(TraceEventKind::Quarantine); ++K) {
     TraceEvent E;
     E.Kind = TraceEventKind(K);
     ASSERT_TRUE(TraceEvent::fromJson(E.toJson(), Back))
@@ -65,6 +67,29 @@ TEST(TraceBusTest, EventsRoundTripThroughJsonl) {
 
   EXPECT_FALSE(TraceEvent::fromJson("not json", Back));
   EXPECT_FALSE(TraceEvent::fromJson("{\"kind\":\"no-such-kind\"}", Back));
+}
+
+TEST(TraceBusTest, FromJsonRefusesCountsNoIntegerFieldCanHold) {
+  // Trace lines are read back from files: a negative, fractional or
+  // out-of-range count is a malformed line, not a cast.
+  const char *Fields[] = {"attempt", "value", "extra"};
+  const char *Bad[] = {"-1", "0.5", "1e20", "1e300"};
+  for (const char *Field : Fields)
+    for (const char *Number : Bad) {
+      std::string Line = std::string("{\"kind\":\"sim-run\",\"") + Field +
+                         "\":" + Number + "}";
+      TraceEvent Out;
+      EXPECT_FALSE(TraceEvent::fromJson(Line, Out)) << Line;
+    }
+  // attempt is 32-bit: 2^32 does not fit, 2^32 - 1 does.
+  TraceEvent Out;
+  EXPECT_FALSE(TraceEvent::fromJson(
+      "{\"kind\":\"sim-run\",\"attempt\":4294967296}", Out));
+  ASSERT_TRUE(TraceEvent::fromJson(
+      "{\"kind\":\"sim-run\",\"attempt\":4294967295,\"value\":7}", Out));
+  EXPECT_EQ(Out.Attempt, 4294967295u);
+  EXPECT_EQ(Out.Value, 7u);
+  EXPECT_EQ(Out.Extra, 0u);
 }
 
 TEST(TraceBusTest, JsonlSinkFiltersSchedulingDependentEvents) {
@@ -77,14 +102,7 @@ TEST(TraceBusTest, JsonlSinkFiltersSchedulingDependentEvents) {
   JsonlTraceSink Sink(Deterministic);
   Sink.emit(Hit);
   Sink.emit(sampleEvent());
-  EXPECT_EQ(Sink.written(), 1u);
-  EXPECT_EQ(Deterministic.str().find("cache-lookup"), std::string::npos);
-
-  std::ostringstream Full;
-  JsonlTraceSink Diagnostic(Full, /*IncludeSchedulingDependent=*/true);
-  Diagnostic.emit(Hit);
-  EXPECT_EQ(Diagnostic.written(), 1u);
-  EXPECT_NE(Full.str().find("cache-lookup"), std::string::npos);
+  EXPECT_EQ(Deterministic.str(), sampleEvent().toJson() + "\n");
 }
 
 TEST(TraceBusTest, TraceScopeStampsIdentityAndZeroesUntimedMillis) {
@@ -104,39 +122,39 @@ TEST(TraceBusTest, TraceScopeStampsIdentityAndZeroesUntimedMillis) {
   // A null downstream swallows everything (the disabled path).
   TraceScope Null(nullptr, "primitiveAdd", 1);
   Null.emit(sampleEvent());
-
-  NullTraceSink Sink;
-  Sink.emit(sampleEvent());
-}
-
-TEST(TraceBusTest, BusFansOutToEverySink) {
-  TraceBuffer A;
-  TraceBuffer B;
-  TraceBus Bus;
-  Bus.addSink(&A);
-  Bus.addSink(&B);
-  EXPECT_EQ(Bus.sinkCount(), 2u);
-  Bus.emit(sampleEvent());
-  ASSERT_EQ(A.events().size(), 1u);
-  ASSERT_EQ(B.events().size(), 1u);
-  EXPECT_EQ(A.events()[0], B.events()[0]);
 }
 
 TEST(TraceBusTest, MetricsSinkFoldsEventsIntoTheRegistry) {
   MetricsRegistry Registry;
   MetricsSink Sink(Registry);
+  // A solver query repeats SolverStats counters: the sink adds nothing.
   Sink.emit(sampleEvent());
-  EXPECT_EQ(Registry.counter("events.solver-query"), 1u);
-  EXPECT_EQ(Registry.counter("events.solver.status.sat"), 1u);
-  EXPECT_EQ(Registry.counter("events.solver.nodes"), 41u);
-  EXPECT_EQ(Registry.counter("events.solver.cases"), 7u);
+  EXPECT_TRUE(Registry.empty());
 
+  TraceEvent Run;
+  Run.Kind = TraceEventKind::SimRun;
+  Run.Detail = "returned";
+  Run.Value = 12;
+  Sink.emit(Run);
+  Sink.emit(Run);
+  TraceEvent Verdict;
+  Verdict.Kind = TraceEventKind::PathVerdict;
+  Verdict.Detail = "match";
+  Sink.emit(Verdict);
+  EXPECT_EQ(Registry.counter("sim.exit.returned"), 2u);
+  EXPECT_EQ(Registry.counter("sim.fuel"), 24u);
+  EXPECT_EQ(Registry.counter("verdict.match"), 1u);
+  for (const auto &[Name, E] : Registry.counters())
+    EXPECT_EQ(E.Class, MetricClass::Deterministic) << Name;
+
+  // Merging adds values and keeps each counter's class.
   MetricsRegistry Other;
-  Other.add("events.solver.nodes", 9);
-  Other.sample("stage.explore.millis", 2.0);
+  Other.add("sim.fuel", 6);
+  Other.add("solver.cache.hits", 3, MetricClass::SchedulingDependent);
   Registry.merge(Other);
-  EXPECT_EQ(Registry.counter("events.solver.nodes"), 50u);
-  ASSERT_EQ(Registry.histograms().count("stage.explore.millis"), 1u);
+  EXPECT_EQ(Registry.counter("sim.fuel"), 30u);
+  EXPECT_EQ(Registry.counters().at("solver.cache.hits").Class,
+            MetricClass::SchedulingDependent);
 }
 
 TEST(TraceBusTest, CampaignTraceIsByteIdenticalAcrossJobs) {

@@ -410,3 +410,35 @@ TEST(ResultStoreTest, MalformedLinesAreSkippedNotFatal) {
   EXPECT_EQ(Reloaded.size(), 2u);
   std::remove(Path.c_str());
 }
+
+TEST(ResultStoreTest, HostileVersionNumbersAreDeadLinesNeverServed) {
+  // A version no unsigned holds, or a fractional one, is a corrupt line:
+  // it counts as dead weight for gc and its record is never served.
+  std::string Path = tempPath("hostile_version.jsonl");
+  {
+    ResultStore Store(Path);
+    Store.put(7, "bytecodePrim_add", "{\"r\":\"keep\"}");
+  }
+  const char *Versions[] = {"-1", "1e20", "0.5", "4294967296"};
+  {
+    std::ofstream Out(Path, std::ios::app);
+    std::uint64_t Key = 9;
+    for (const char *V : Versions)
+      Out << "{\"v\":" << V << ",\"key\":\"" << resultKeyHex(Key++)
+          << "\",\"instruction\":\"x\",\"record\":\"{}\"}\n";
+    // The same line with a valid version loads.
+    Out << "{\"v\":1,\"key\":\"" << resultKeyHex(20)
+        << "\",\"instruction\":\"x\",\"record\":\"{}\"}\n";
+  }
+  ResultStore Store(Path);
+  EXPECT_EQ(Store.size(), 2u);
+  std::string Line;
+  for (std::uint64_t Key = 9; Key < 9 + std::size(Versions); ++Key)
+    EXPECT_FALSE(Store.lookup(Key, Line)) << Key;
+  EXPECT_TRUE(Store.lookup(20, Line));
+  ResultStore::GcStats Stats = Store.gc();
+  EXPECT_TRUE(Stats.Error.empty()) << Stats.Error;
+  EXPECT_EQ(Stats.Kept, 2u);
+  EXPECT_EQ(Stats.Dropped, std::size(Versions));
+  std::remove(Path.c_str());
+}
