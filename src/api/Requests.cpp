@@ -83,11 +83,8 @@ SessionConfig CampaignRequest::toSessionConfig() const {
   Config.Deterministic = Deterministic;
   Config.Campaign.StopAfter = StopAfter;
   Config.Campaign.MaxAttempts = MaxAttempts;
-  Config.Campaign.CampaignWallMillis = CampaignWallMillis;
-  Config.Campaign.ExploreBudget.WallMillis = ExploreWallMillis;
-  Config.Campaign.ExploreBudget.WorkUnits = ExploreWorkUnits;
-  Config.Campaign.ReplayBudget.WallMillis = ReplayWallMillis;
-  Config.Campaign.ReplayBudget.WorkUnits = ReplayWorkUnits;
+  Config.Campaign.ExploreWorkUnits = ExploreWorkUnits;
+  Config.Campaign.ReplayWorkUnits = ReplayWorkUnits;
   // StorePath is not mapped here: a VerdictStore is process state, not
   // configuration. Session::runCampaign(const CampaignRequest&) and the
   // daemon open/attach the store themselves.
@@ -114,10 +111,7 @@ JsonValue CampaignRequest::toJson() const {
   V.set("max_attempts", num(MaxAttempts));
   V.set("engine", JsonValue::string(Engine));
   V.set("cross_engine_check", JsonValue::boolean(CrossEngineCheck));
-  V.set("campaign_wall_millis", num(CampaignWallMillis));
-  V.set("explore_wall_millis", num(ExploreWallMillis));
   V.set("explore_work_units", numU64(ExploreWorkUnits));
-  V.set("replay_wall_millis", num(ReplayWallMillis));
   V.set("replay_work_units", numU64(ReplayWorkUnits));
   return V;
 }
@@ -138,11 +132,11 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
       !Int("replay_work_units", R.ReplayWorkUnits))
     return false;
   // Retired keys: campaigns run in catalog order, in this process, with
-  // per-instruction budgets only. A frame that still asks for the
-  // adaptive schedule, a campaign-wide budget, persisted yield or forked
-  // worker processes would silently get another campaign than it asked
-  // for, so it is refused; the other retired keys never changed such a
-  // campaign and are ignored.
+  // per-instruction work budgets only. A frame that still asks for the
+  // adaptive schedule, a campaign-wide budget, persisted yield, forked
+  // worker processes or a wall-clock budget would silently get another
+  // campaign than it asked for, so it is refused; the other retired
+  // keys never changed such a campaign and are ignored.
   std::string Schedule = V.stringOr("schedule", "fixed");
   if (Schedule != "fixed")
     return refuse(Error, formatString("%s: retired key 'schedule' asks for "
@@ -160,6 +154,12 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
     return refuse(Error, formatString("%s: retired key 'workers' (campaigns "
                                       "run inline or on 'jobs' threads)",
                                       What));
+  for (const char *Key :
+       {"campaign_wall_millis", "explore_wall_millis", "replay_wall_millis"})
+    if (V.numberOr(Key, 0) != 0)
+      return refuse(Error, formatString("%s: retired key '%s' (budgets count "
+                                        "work units, not time)",
+                                        What, Key));
   if (const JsonValue *Only = V.find("only"))
     for (const JsonValue &Name : Only->Arr)
       if (Name.K == JsonValue::Kind::String)
@@ -177,31 +177,6 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
                                       "switch, threaded, or native)",
                                       What, R.Engine.c_str()));
   R.CrossEngineCheck = V.boolOr("cross_engine_check", R.CrossEngineCheck);
-  R.CampaignWallMillis =
-      V.numberOr("campaign_wall_millis", R.CampaignWallMillis);
-  R.ExploreWallMillis = V.numberOr("explore_wall_millis", R.ExploreWallMillis);
-  R.ReplayWallMillis = V.numberOr("replay_wall_millis", R.ReplayWallMillis);
-  Out = std::move(R);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// ExploreRequest
-//===----------------------------------------------------------------------===//
-
-JsonValue ExploreRequest::toJson() const {
-  JsonValue V = JsonValue::object();
-  V.set("v", num(Version));
-  V.set("instruction", JsonValue::string(Instruction));
-  return V;
-}
-
-bool ExploreRequest::fromJson(const JsonValue &V, ExploreRequest &Out,
-                              std::string *Error) {
-  ExploreRequest R;
-  if (!checkEnvelope(V, "ExploreRequest", R.Version, Error))
-    return false;
-  R.Instruction = V.stringOr("instruction", "");
   Out = std::move(R);
   return true;
 }
@@ -348,14 +323,8 @@ void igdt::requestFromFlags(FlagParser &Flags, CampaignRequest &Request) {
   Flags.add("cross-engine-check", &Request.CrossEngineCheck,
             "run every path through the native tier as well and report "
             "native-vs-simulator divergence as a defect");
-  Flags.add("campaign-wall-millis", &Request.CampaignWallMillis,
-            "campaign wall-clock ceiling in ms (0 = unlimited)");
-  Flags.add("explore-wall-millis", &Request.ExploreWallMillis,
-            "per-instruction exploration wall budget in ms");
   Flags.add("explore-work-units", &Request.ExploreWorkUnits,
             "per-instruction exploration work budget (solver nodes)");
-  Flags.add("replay-wall-millis", &Request.ReplayWallMillis,
-            "per-instruction replay wall budget in ms");
   Flags.add("replay-work-units", &Request.ReplayWorkUnits,
             "per-instruction replay work budget (tested paths)");
 }

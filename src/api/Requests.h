@@ -7,7 +7,7 @@
 /// \file
 /// The versioned request/response vocabulary shared by the Session
 /// façade, the campaign daemon's wire protocol, and every bench/example
-/// command line. A caller no longer wires nine option structs or thirty
+/// command line. A caller no longer wires eight option structs or thirty
 /// flags by hand: it fills one CampaignRequest — by hand, from JSON, or
 /// from argv via requestFromFlags() — and submits it. SessionConfig
 /// keeps owning the nested option structs internally; toSessionConfig()
@@ -83,12 +83,9 @@ struct CampaignRequest {
   bool CrossEngineCheck = false;
   /// @}
 
-  /// \name Budgets
+  /// \name Budgets (work units; 0 = unlimited)
   /// @{
-  double CampaignWallMillis = 0;
-  double ExploreWallMillis = 0;
   std::uint64_t ExploreWorkUnits = 0;
-  double ReplayWallMillis = 0;
   std::uint64_t ReplayWorkUnits = 0;
   /// @}
 
@@ -104,20 +101,11 @@ struct CampaignRequest {
   /// ApiSchemaVersion, an integer field that is negative, fractional or
   /// out of range, or a retired key that still asks for behaviour this
   /// build no longer has ("schedule" other than "fixed", a nonzero
-  /// "total_units", "persist_yield": true, a nonzero "workers"); absent
-  /// fields keep their defaults and unknown keys are ignored.
+  /// "total_units", "persist_yield": true, a nonzero "workers",
+  /// "campaign_wall_millis", "explore_wall_millis" or
+  /// "replay_wall_millis"); absent fields keep their defaults and
+  /// unknown keys are ignored.
   static bool fromJson(const JsonValue &V, CampaignRequest &Out,
-                       std::string *Error = nullptr);
-};
-
-/// A single-instruction exploration request (the Session::explore verb
-/// over the wire).
-struct ExploreRequest {
-  unsigned Version = ApiSchemaVersion;
-  std::string Instruction;
-
-  JsonValue toJson() const;
-  static bool fromJson(const JsonValue &V, ExploreRequest &Out,
                        std::string *Error = nullptr);
 };
 

@@ -76,8 +76,7 @@ PathTestOutcome Session::testPath(const ExplorationResult &Exploration,
   DCfg.JitStats = &JitCounters;
   DCfg.SimCounters = &SimCounters;
   DCfg.Replay = &ReplayCounters;
-  if (Cfg.Campaign.Harness.EnableReplayArena)
-    DCfg.Arena = &Arena;
+  DCfg.Arena = &Arena;
   DifferentialTester Tester(DCfg);
   PathTestOutcome Out = Tester.testPath(Exploration, PathIdx);
   Metrics.fold(JitCounters);

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The Session façade: one object, one configuration, the whole
-/// pipeline. Before it, a caller wired nine option structs by hand
+/// pipeline. Before it, a caller wired eight option structs by hand
 /// (VMConfig, SolverOptions, ExplorerOptions, CogitOptions, SimOptions,
-/// DiffTestConfig, HarnessOptions, BudgetOptions, CampaignOptions) and
+/// DiffTestConfig, HarnessOptions, CampaignOptions) and
 /// chose between three entry points (ConcolicExplorer,
 /// DifferentialTester, CampaignRunner). A Session owns the structs —
 /// they stay exactly what they were, nested, reachable through
@@ -70,8 +70,6 @@ struct SessionConfig {
   SolverOptions &solver() { return Campaign.Harness.Explorer.Solver; }
   CogitOptions &cogit() { return Campaign.Harness.Cogit; }
   SimOptions &sim() { return Campaign.Harness.Sim; }
-  BudgetOptions &exploreBudget() { return Campaign.ExploreBudget; }
-  BudgetOptions &replayBudget() { return Campaign.ReplayBudget; }
   /// @}
 };
 

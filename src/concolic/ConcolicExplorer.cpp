@@ -114,8 +114,8 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   if (Opts.InjectHeapCorruption)
     Result.Memory->poison("injected corruption before exploration");
 
-  Budget LocalBudget(Opts.InstructionBudget);
-  Budget &Bud = Opts.ExternalBudget ? *Opts.ExternalBudget : LocalBudget;
+  Budget Unlimited;
+  Budget &Bud = Opts.ExternalBudget ? *Opts.ExternalBudget : Unlimited;
 
   auto ExploreStart = std::chrono::steady_clock::now();
 
@@ -147,9 +147,9 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
 
   while (!Queue.empty() && Result.Iterations < Opts.MaxIterations &&
          Result.Paths.size() < Opts.MaxPaths) {
-    // One work unit per concolic execution. The charge also polls the
-    // wall clock, so an expired deadline stops the frontier between
-    // solver calls; the paths retained so far stay valid.
+    // One work unit per concolic execution, so an expired budget stops
+    // the frontier between solver calls; the paths retained so far stay
+    // valid.
     if (!Bud.charge()) {
       Result.BudgetExhausted = true;
       break;
@@ -276,7 +276,6 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   Result.Solver.add(LadderStats);
   if (Bud.expired())
     Result.BudgetExhausted = true;
-  Result.FinalBudget = Bud.state();
   // Provable exhaustion: the loop drained its frontier (not an
   // iteration/path cap with work still queued), nothing was cut short
   // by budget, and every negation got a definite answer.

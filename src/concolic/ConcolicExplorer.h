@@ -41,13 +41,11 @@ struct ExplorerOptions {
   /// are curated out (paper §5.2).
   std::int64_t MaxReplayStackDepth = 8;
   SolverOptions Solver;
-  /// Per-instruction exploration budget (a zero field is unlimited).
-  /// One work unit is one solver search node; the explorer and solver
-  /// poll it cooperatively and stop with a partial result on expiry.
-  BudgetOptions InstructionBudget;
-  /// External budget used instead of InstructionBudget when non-null
-  /// (non-owning), so a campaign layer can read the budget state after
-  /// a fault unwound the exploration.
+  /// Per-instruction exploration budget (non-owning; null is
+  /// unlimited). One work unit is one concolic execution or solver
+  /// search node; the explorer and solver charge it cooperatively and
+  /// stop with a partial result on expiry. The caller owns it so it can
+  /// read the budget state after a fault unwound the exploration.
   Budget *ExternalBudget = nullptr;
   /// Degradation-ladder depth: how many progressively cheaper solver
   /// configurations to retry an Unknown negation with before recording
@@ -91,8 +89,6 @@ struct ExplorationResult {
   /// The instruction budget expired before the frontier emptied; the
   /// retained paths are still valid (just incomplete coverage).
   bool BudgetExhausted = false;
-  /// State of the exploration budget when exploration stopped.
-  BudgetState FinalBudget = BudgetState::Active;
   /// Degradation-ladder activity: cheaper-rung retries attempted, and
   /// how many turned an Unknown negation into a definite answer.
   unsigned LadderRetries = 0;

@@ -248,22 +248,9 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
     return Out;
   }
 
-  // Step 1: re-create the concrete input frame from the constraints.
-  // Pooled mode reuses the arena's heap, rolled back to pristine;
-  // otherwise a throwaway heap is built for this path alone.
-  std::optional<ObjectMemory> FreshMem;
-  ObjectMemory *MemPtr;
-  if (Cfg.Arena) {
-    MemPtr = &Cfg.Arena->acquireHeap(Cfg.Replay);
-  } else {
-    FreshMem.emplace(ReplayArena::HeapBytes);
-    if (Cfg.Replay) {
-      ++Cfg.Replay->HeapFreshBuilds;
-      Cfg.Replay->HeapBytesRebuilt += ReplayArena::HeapBytes;
-    }
-    MemPtr = &*FreshMem;
-  }
-  ObjectMemory &Mem = *MemPtr;
+  // Step 1: re-create the concrete input frame from the constraints, on
+  // the arena's heap rolled back to pristine.
+  ObjectMemory &Mem = Cfg.Arena->acquireHeap(Cfg.Replay);
   FrameMaterializer Materializer(Mem, *R.Builder);
   MaterializedFrame MF = Materializer.materialize(P.InputModel, *R.Method);
 
@@ -516,10 +503,9 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
     Mem.resetTo(CheckMark);
   }
 
-  std::uint64_t StackResetBefore =
-      Cfg.Arena ? Cfg.Arena->stackPool().bytesReset() : 0;
+  std::uint64_t StackResetBefore = Cfg.Arena->stackPool().bytesReset();
   MachineSim Sim(Mem, Cfg.Sim);
-  if (Cfg.Arena && Cfg.Replay)
+  if (Cfg.Replay)
     Cfg.Replay->StackBytesReset +=
         Cfg.Arena->stackPool().bytesReset() - StackResetBefore;
   std::size_t Watermark = Sim.heapWatermark();

@@ -33,6 +33,7 @@
 #include "jit/CogitOptions.h"
 #include "jit/MachineSim.h"
 
+#include <memory>
 #include <string>
 
 namespace igdt {
@@ -79,15 +80,13 @@ struct DiffTestConfig {
   /// on cache-served replays, so "issued vs avoided" reads directly off
   /// one struct.
   JitCacheStats *JitStats = nullptr;
-  /// Pooled replay state (non-owning, may be null). When set, the path's
-  /// heap and simulator stack come from the arena instead of being
-  /// built fresh; the arena's reset contract keeps outcomes
-  /// byte-identical either way. Not thread-safe; owners keep it
-  /// worker-local like the code cache.
+  /// Pooled replay state (non-owning, may be null): every path's heap
+  /// and simulator stack come from the arena, whose reset contract
+  /// makes each acquire observably fresh. A tester built without one
+  /// owns one. Not thread-safe; owners keep it worker-local like the
+  /// code cache.
   ReplayArena *Arena = nullptr;
-  /// Arena/reset counters (non-owning, may be null). Fresh-heap builds
-  /// are charged here too when no arena is wired, so an on/off A-B run
-  /// reads "reset vs rebuilt" off one struct.
+  /// Arena/reset counters (non-owning, may be null).
   ReplayStats *Replay = nullptr;
   /// Dispatch-engine counters (non-owning, may be null); the
   /// constructor propagates them into Sim.Stats the way Trace is
@@ -128,8 +127,11 @@ public:
     }
     if (Cfg.SimCounters)
       Cfg.Sim.Stats = Cfg.SimCounters;
-    if (Cfg.Arena)
-      Cfg.Sim.StackPool = &Cfg.Arena->stackPool();
+    if (!Cfg.Arena) {
+      OwnArena = std::make_unique<ReplayArena>();
+      Cfg.Arena = OwnArena.get();
+    }
+    Cfg.Sim.StackPool = &Cfg.Arena->stackPool();
   }
 
   /// Tests path \p PathIdx of \p Exploration.
@@ -147,6 +149,8 @@ private:
                                std::size_t PathIdx);
 
   DiffTestConfig Cfg;
+  /// The arena of a tester configured without one.
+  std::unique_ptr<ReplayArena> OwnArena;
 };
 
 } // namespace igdt

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -79,25 +78,6 @@ std::string CampaignIncident::toJson() const {
 }
 
 namespace {
-
-/// Replaces the spent-milliseconds number in a Budget::describe()
-/// string ("wall=12.3ms/unlimited" -> "wall=0.0ms/unlimited") so
-/// incident files are byte-comparable when timings are off. The limit
-/// side is configuration, hence deterministic, and is kept.
-std::string scrubBudgetWall(std::string Text) {
-  std::size_t Pos = Text.find("wall=");
-  if (Pos == std::string::npos)
-    return Text;
-  std::size_t Start = Pos + 5;
-  std::size_t End = Start;
-  while (End < Text.size() &&
-         (std::isdigit(static_cast<unsigned char>(Text[End])) ||
-          Text[End] == '.'))
-    ++End;
-  if (End > Start)
-    Text.replace(Start, End - Start, "0.0");
-  return Text;
-}
 
 /// The record key of counter \p C: its name after the struct prefix
 /// ("solver.queries" -> "queries").
@@ -330,8 +310,7 @@ CampaignRunner::attemptInstruction(const InstructionSpec &Spec,
       Cfg.Replay = &Rec.Replay;
       if (Opts.Harness.EnableCodeCache)
         Cfg.CodeCache = &CodeCache;
-      if (Opts.Harness.EnableReplayArena)
-        Cfg.Arena = &Arena;
+      Cfg.Arena = &Arena;
       if (Opts.Faults.armedFor(HarnessFaultKind::FrontEndThrow, Spec.Name,
                                Attempt))
         Cfg.Cogit.InjectFrontEndThrow = true;
@@ -385,8 +364,8 @@ InstructionRecord CampaignRunner::testInstruction(
     // must not leak state into the retry. The replay arena is reused,
     // but its reset contract makes the next acquire observably fresh
     // (poison included), so the guarantee carries over.
-    Budget ExploreBud(Opts.ExploreBudget);
-    Budget ReplayBud(Opts.ReplayBudget);
+    Budget ExploreBud(Opts.ExploreWorkUnits);
+    Budget ReplayBud(Opts.ReplayWorkUnits);
     // Events of a failed attempt stay in the stream: fault injection
     // is deterministic, so the partial prefix is too, and the attempt
     // stamp tells it apart from the retry.
@@ -439,16 +418,9 @@ CampaignSummary CampaignRunner::run() {
   JsonlAppender Checkpoint(Opts.CheckpointPath);
   JsonlAppender IncidentLog(Opts.IncidentLogPath);
 
-  // Content-addressed store: refused for configurations whose records
-  // are not pure functions of the key (VerdictStore.h).
-  VerdictStore *Store =
-      Opts.Store && storeEligible(Opts) ? Opts.Store : nullptr;
-  if (Opts.Store)
-    Summary.Metrics.add(Store ? "store.enabled" : "store.ineligible_config");
-  Summary.StoreActive = Store != nullptr;
   // Every reuse, resume and store hit alike, is a lookup under the
   // store's content address, so keys are derived whenever either is set.
-  const bool Keyed = Store || Checkpoint.active();
+  const bool Keyed = Opts.Store || Checkpoint.active();
   const std::uint64_t ConfigFp = Keyed ? campaignConfigFingerprint(Opts) : 0;
 
   // Resume: the checkpoint's records by key, later lines winning (a
@@ -531,13 +503,13 @@ CampaignSummary CampaignRunner::run() {
     }
     ResumeStale += CheckpointNames.count(Spec.Name);
     std::uint64_t Stamp;
-    if (Store && Store->lookup(Item.Key, Item.StoreLine) &&
+    if (Opts.Store && Opts.Store->lookup(Item.Key, Item.StoreLine) &&
         keyedLineKey(Item.StoreLine, Stamp) && Stamp == Item.Key &&
         InstructionRecord::fromJson(Item.StoreLine, Item.Record) &&
         Item.Record.Instruction == Spec.Name) {
       ++Summary.StoreHits;
       Item.Source = Served::FromStore;
-    } else if (Store) {
+    } else if (Opts.Store) {
       ++Summary.StoreMisses;
     }
     Work.push_back(std::move(Item));
@@ -561,7 +533,6 @@ CampaignSummary CampaignRunner::run() {
     InstructionRecord Rec;
     std::vector<CampaignIncident> Incidents;
     std::vector<TraceEvent> Events;
-    bool Skipped = false; // wall clock expired before this item ran
     bool Finished = false; // set by the thread that ran it, under SlotMutex
   };
   std::vector<Slot> Slots(Work.size());
@@ -573,20 +544,6 @@ CampaignSummary CampaignRunner::run() {
   if (Jobs == 0)
     Jobs = 1;
 
-  const bool HasDeadline = Opts.CampaignWallMillis > 0;
-  const auto Deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              HasDeadline ? Opts.CampaignWallMillis : 0));
-  // Stateless check on purpose: Budget mutates state in expired() and
-  // is not safe to share across threads.
-  auto WallExpired = [&] {
-    return HasDeadline && std::chrono::steady_clock::now() >= Deadline;
-  };
-
-  // Set once the merge reaches a skipped slot; later runs are skipped.
-  std::atomic<bool> Halted{false};
   std::mutex SlotMutex;
   std::condition_variable SlotFinished;
 
@@ -594,16 +551,12 @@ CampaignSummary CampaignRunner::run() {
   // slot Finished.
   auto RunOne = [&](std::size_t I, ReplayArena &Arena) {
     Slot S;
-    if (Halted.load(std::memory_order_relaxed) || WallExpired()) {
-      S.Skipped = true;
-    } else {
-      // Per-worker buffering: events never cross threads until the
-      // merge loop drains the slot in catalog order.
-      TraceBuffer Buffer;
-      S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
-                              Observing ? &Buffer : nullptr, Arena);
-      S.Events = Buffer.take();
-    }
+    // Per-worker buffering: events never cross threads until the merge
+    // loop drains the slot in catalog order.
+    TraceBuffer Buffer;
+    S.Rec = testInstruction(*Work[I].Spec, S.Incidents,
+                            Observing ? &Buffer : nullptr, Arena);
+    S.Events = Buffer.take();
     S.Finished = true;
     {
       std::lock_guard<std::mutex> Lock(SlotMutex);
@@ -660,30 +613,15 @@ CampaignSummary CampaignRunner::run() {
     Summary.Records.push_back(std::move(W.Record));
   };
 
-  // Merges one finished slot; false when the shared wall clock marked
-  // it skipped — stop merging, drop the tail (mirroring the serial
-  // StopAfter break) and let the workers wind down.
-  auto MergeSlot = [&](std::size_t I) -> bool {
+  // Merges one finished slot.
+  auto MergeSlot = [&](std::size_t I) {
     Slot &S = Slots[I];
-    if (S.Skipped) {
-      Summary.Stopped = true;
-      return false;
-    }
     // Publish the slot's event stream before its containment summary
     // events so a reader sees attempt events, then incidents, then the
     // quarantine verdict — the order the serial run experienced them.
     for (TraceEvent &Event : S.Events)
       Publish(std::move(Event));
     for (CampaignIncident &Inc : S.Incidents) {
-      // Blank the spent-wall figure in the budget strings before
-      // anything records the incident: it is clock noise. With timings
-      // off this keeps incident files (and in-memory incidents)
-      // byte-comparable across Jobs values, mirroring the SimRun
-      // Aux/Extra blanking above.
-      if (!Opts.RecordTimings) {
-        Inc.ExploreBudget = scrubBudgetWall(std::move(Inc.ExploreBudget));
-        Inc.ReplayBudget = scrubBudgetWall(std::move(Inc.ReplayBudget));
-      }
       if (Observing) {
         TraceEvent Event;
         Event.Kind = TraceEventKind::Containment;
@@ -714,18 +652,18 @@ CampaignSummary CampaignRunner::run() {
     // containment (or was quarantined) must re-run on the next campaign
     // so its incidents are reproduced alongside it — serving the record
     // without the incidents would break incident-file identity.
-    const bool Storable = Store && !S.Rec.Quarantined && S.Incidents.empty();
+    const bool Storable =
+        Opts.Store && !S.Rec.Quarantined && S.Incidents.empty();
     // Serialised only when a store or checkpoint takes the line.
     if (Storable || Checkpoint.active()) {
       std::string Line = keyedRecordLine(Work[I].Key, S.Rec.toJson());
       if (Storable) {
-        Store->put(Work[I].Key, S.Rec.Instruction, Line);
+        Opts.Store->put(Work[I].Key, S.Rec.Instruction, Line);
         ++Summary.StoreStores;
       }
       Checkpoint.append(Line);
     }
     Summary.Records.push_back(std::move(S.Rec));
-    return true;
   };
 
   // The catalog-order merge cursor: merges every item before End and
@@ -736,15 +674,13 @@ CampaignSummary CampaignRunner::run() {
   // resumes from everything already merged. This thread only.
   std::size_t Cursor = 0;
   auto MergeUpTo = [&](std::size_t End) {
-    while (Cursor < Work.size() && !Halted.load(std::memory_order_relaxed) &&
-           (Cursor < End || Work[Cursor].Source != Served::No)) {
-      if (Work[Cursor].Source != Served::No) {
+    for (; Cursor < Work.size() &&
+           (Cursor < End || Work[Cursor].Source != Served::No);
+         ++Cursor) {
+      if (Work[Cursor].Source != Served::No)
         MergeServed(Work[Cursor]);
-      } else if (!MergeSlot(Cursor)) {
-        Halted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      ++Cursor;
+      else
+        MergeSlot(Cursor);
     }
   };
 
@@ -779,15 +715,11 @@ CampaignSummary CampaignRunner::run() {
     // Inline runs share one arena.
     ReplayArena Arena;
     for (std::size_t I : Items) {
-      if (Halted.load(std::memory_order_relaxed))
-        break;
       RunOne(I, Arena);
       MergeUpTo(I + 1);
     }
   }
   MergeUpTo(Work.size());
-  if (WallExpired() && Cursor < Work.size())
-    Summary.Stopped = true;
 
   // Deterministic reduction: catalog order, independent of which
   // worker produced which record.

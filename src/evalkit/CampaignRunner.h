@@ -10,9 +10,9 @@
 /// figure of the evaluation, wrapped in fault containment so a
 /// full-catalog run survives harness malfunctions.
 ///
-///  - Every stage runs under a cooperative Budget (wall clock + work
-///    units), so a pathological instruction degrades into a partial
-///    result instead of stalling the campaign.
+///  - Every stage runs under a cooperative work Budget (solver nodes,
+///    replayed paths), so a pathological instruction degrades into a
+///    partial result instead of stalling the campaign.
 ///  - A HarnessFault (or any std::exception) thrown while processing an
 ///    instruction is contained: the instruction is retried once with a
 ///    fresh heap, and quarantined — never fatal — if it fails again.
@@ -83,11 +83,6 @@ struct HarnessOptions {
   /// cache key, and a hit replays the Compile trace event, so every
   /// output is byte-identical with the cache on or off.
   bool EnableCodeCache = true;
-  /// Reuse one pooled heap + simulator stack per worker instead of
-  /// building fresh ones per path (differential/ReplayArena.h). Like
-  /// the code cache this is purely an optimisation: the arena's reset
-  /// contract keeps every outcome byte-identical on or off.
-  bool EnableReplayArena = true;
   /// Limit instructions per kind (0 = all); used by quick tests.
   unsigned MaxBytecodes = 0;
   unsigned MaxNativeMethods = 0;
@@ -105,10 +100,11 @@ DiffTestConfig diffConfigFor(const HarnessOptions &Harness, CompilerKind Kind,
 struct CampaignOptions {
   /// Exploration / compiler configuration of every instruction.
   HarnessOptions Harness;
-  /// Per-instruction exploration budget (solver nodes + wall clock).
-  BudgetOptions ExploreBudget;
-  /// Per-instruction replay budget (tested paths + wall clock).
-  BudgetOptions ReplayBudget;
+  /// Per-instruction exploration budget in work units (concolic
+  /// executions + solver search nodes); 0 is unlimited.
+  std::uint64_t ExploreWorkUnits = 0;
+  /// Per-instruction replay budget in tested paths; 0 is unlimited.
+  std::uint64_t ReplayWorkUnits = 0;
   /// Attempts per instruction: 1 initial + (MaxAttempts-1) fresh-heap
   /// retries before quarantine.
   unsigned MaxAttempts = 2;
@@ -138,13 +134,6 @@ struct CampaignOptions {
   /// instruction's exploration is independent of its worker (see the
   /// ownership comment in ConcolicExplorer.h).
   unsigned Jobs = 1;
-  /// Campaign-wide wall-clock ceiling in milliseconds, shared by all
-  /// workers; 0 is unlimited. When it expires the campaign stops
-  /// accepting new instructions (checkpointing what finished, like
-  /// StopAfter), so a stuck fleet degrades into a resumable partial
-  /// run. Inherently non-deterministic — leave it 0 when comparing
-  /// runs byte-for-byte.
-  double CampaignWallMillis = 0;
   /// Record per-compiler wall-clock timings in checkpoint records.
   /// Disable to make checkpoint files byte-comparable across runs
   /// (timings are the one nondeterministic field; with it off, trace
@@ -167,12 +156,9 @@ struct CampaignOptions {
   /// VerdictStore.h). Instructions whose (body, config) key hits are
   /// served by appending the stored checkpoint line *verbatim* — byte-
   /// identical to a fresh run — and never explored; clean fresh records
-  /// are stored on merge. Ignored (with a "store.ineligible_config"
-  /// metric) when storeEligible() says the configuration's records are
-  /// not pure functions of the key: wall budgets. Records with
-  /// incidents and quarantines are never stored, so faulted
-  /// instructions re-run — and reproduce their incidents — on every
-  /// campaign.
+  /// are stored on merge. Records with incidents and quarantines are
+  /// never stored, so faulted instructions re-run — and reproduce their
+  /// incidents — on every campaign.
   VerdictStore *Store = nullptr;
 };
 
@@ -261,9 +247,6 @@ struct CampaignSummary {
   /// Instructions served verbatim from the content-addressed store
   /// (counted inside CompletedInstructions, like fresh ones).
   unsigned StoreServed = 0;
-  /// True when a store was configured and the configuration was
-  /// cache-eligible (VerdictStore.h's storeEligible).
-  bool StoreActive = false;
   /// Store activity of this run: planning lookups that hit / missed,
   /// and fresh clean records written back.
   std::uint64_t StoreHits = 0;
@@ -274,8 +257,7 @@ struct CampaignSummary {
   /// Equals Solver on a cold run; Queries == 0 on a fully warm one —
   /// the acceptance gate for incremental re-exploration.
   SolverStats LiveSolver;
-  /// True when StopAfter or the campaign wall clock ended the run
-  /// before the worklist emptied.
+  /// True when StopAfter ended the run before the worklist emptied.
   bool Stopped = false;
   /// The records' stats summed in catalog order. Each counter reads the
   /// same at any Jobs value unless its table classes it
@@ -313,8 +295,7 @@ private:
   /// worker-local TraceBuffer the merge thread later drains in catalog
   /// order. \p Arena is the caller's worker-local replay arena; its
   /// reset contract keeps faulted attempts from leaking state into the
-  /// retry, the same guarantee the historical fresh-heap-per-path
-  /// construction gave.
+  /// retry, as a fresh heap per path would.
   InstructionRecord testInstruction(const InstructionSpec &Spec,
                                     std::vector<CampaignIncident> &Incidents,
                                     TraceSink *Trace,

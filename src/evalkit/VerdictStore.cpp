@@ -8,19 +8,8 @@
 #include "vm/InstructionCatalog.h"
 
 #include <charconv>
-#include <cstring>
 
 using namespace igdt;
-
-namespace {
-
-std::uint64_t bitsOf(double Value) {
-  std::uint64_t Bits = 0;
-  std::memcpy(&Bits, &Value, sizeof Bits);
-  return Bits;
-}
-
-} // namespace
 
 std::uint64_t igdt::instructionBodyHash(const InstructionSpec &Spec) {
   std::uint64_t H = hashCombine64(0xB0D7ull, VerdictSchemaVersion);
@@ -94,14 +83,10 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts,
   H = hashCombine64(H, Opts.Harness.CrossEngineCheck);
 
   H = hashCombine64(H, Opts.Harness.SeedSimulationErrors);
-  H = hashCombine64(H, Opts.ExploreBudget.WorkUnits);
-  H = hashCombine64(H, Opts.ReplayBudget.WorkUnits);
+  H = hashCombine64(H, Opts.ExploreWorkUnits);
+  H = hashCombine64(H, Opts.ReplayWorkUnits);
   H = hashCombine64(H, Opts.MaxAttempts);
   H = hashCombine64(H, Opts.RecordTimings);
-  // Keyed so a resume never serves a clock-cut record to another clock.
-  H = hashCombine64(H, bitsOf(Opts.ExploreBudget.WallMillis));
-  H = hashCombine64(H, bitsOf(Opts.ReplayBudget.WallMillis));
-  H = hashCombine64(H, bitsOf(Opts.CampaignWallMillis));
 
   H = hashCombine64(H, Opts.Faults.Faults.size());
   for (const ArmedFault &F : Opts.Faults.Faults) {
@@ -140,11 +125,4 @@ bool igdt::keyedLineKey(const std::string &Line, std::uint64_t &Key) {
 std::uint64_t igdt::resultStoreKey(const InstructionSpec &Spec,
                                    std::uint64_t ConfigFingerprint) {
   return hashCombine64(instructionBodyHash(Spec), ConfigFingerprint);
-}
-
-bool igdt::storeEligible(const CampaignOptions &Opts) {
-  // Wall clocks make record content timing-dependent; it may not be
-  // cached.
-  return Opts.ExploreBudget.WallMillis == 0 &&
-         Opts.ReplayBudget.WallMillis == 0 && Opts.CampaignWallMillis == 0;
 }

@@ -16,7 +16,7 @@
 ///           ++ code identity             (the sources records come from)
 ///           ++ compiler fingerprint      (CogitOptions defect seeds)
 ///           ++ solver caps fingerprint   (SolverOptions + ladder)
-///           ++ the remaining record-shaping config, wall budgets too)
+///           ++ the remaining record-shaping config, work budgets too)
 ///
 /// The code identity is a content hash of the pipeline's sources
 /// (vm, jit, solver, symbolic, concolic, differential, faults) and of
@@ -32,14 +32,13 @@
 /// line, so reuse is purely an optimisation, provable by diffing the
 /// checkpoints of cold, warm and resumed runs.
 ///
-/// Deliberately EXCLUDED from the key: Jobs, the EnableCodeCache /
-/// EnableReplayArena toggles, SimOptions::Engine, and what selects the
-/// worklist (OnlyInstructions, Max*, StopAfter). Records are proven
+/// Deliberately EXCLUDED from the key: Jobs, the EnableCodeCache
+/// toggle, SimOptions::Engine, and what selects the worklist
+/// (OnlyInstructions, Max*, StopAfter). Records are proven
 /// byte-identical across all of them. NativeMiscompileProbe
 /// and CrossEngineCheck ARE keyed: both change which defects a record
-/// reports. Wall-clock budgets are keyed so a resume never serves a
-/// clock-cut record to another budget; the store refuses them anyway
-/// (storeEligible).
+/// reports. Every budget counts work, not time, so every record is a
+/// pure function of its key and every configuration may use the store.
 ///
 /// This header owns the abstract interface plus the key derivation (so
 /// evalkit never depends on src/service); the JSONL-backed ResultStore
@@ -65,8 +64,9 @@ struct InstructionSpec;
 /// Version 2: two removed solver layers changed the defined exploration
 /// algorithm. Version 3: values became keyed lines, and wall budgets
 /// entered the key. Version 4: the campaign ledger, budget pool and
-/// persisted yield left the configuration.
-constexpr std::uint64_t VerdictSchemaVersion = 4;
+/// persisted yield left the configuration. Version 5: the wall-clock
+/// budgets left the configuration.
+constexpr std::uint64_t VerdictSchemaVersion = 5;
 
 /// Stable hash of one catalog instruction's *body*: name, kind, encoded
 /// bytes, primitive index, locals, literal frame and padding. Editing
@@ -103,12 +103,6 @@ std::string keyedRecordLine(std::uint64_t Key, const std::string &RecordJson);
 /// Reads the key keyedRecordLine stamped on \p Line into \p Key; false
 /// for a line without one.
 bool keyedLineKey(const std::string &Line, std::uint64_t &Key);
-
-/// Whether a campaign's records are pure functions of (body, config) at
-/// all. False when a wall-clock budget makes record content depend on
-/// clocks — the runner then ignores any configured store rather than
-/// cache unstable bytes.
-bool storeEligible(const CampaignOptions &Opts);
 
 /// A content-addressed map from key to keyed checkpoint line.
 /// Implementations must be safe to share across concurrent campaigns

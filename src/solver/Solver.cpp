@@ -1124,7 +1124,7 @@ SolveResult ConstraintSolver::solveImpl(
   SolveResult Result;
   if (Opts.SharedBudget && Opts.SharedBudget->expired()) {
     // The instruction's budget is already gone: answer Unknown without
-    // burning more wall time.
+    // searching.
     Stats.UnknownCount++;
     Stats.BudgetStops++;
     Result.Status = SolveStatus::Unknown;

@@ -1,4 +1,4 @@
-//===- support/Budget.cpp - Wall-clock/work budgets and harness faults --------===//
+//===- support/Budget.cpp - Work budgets and harness faults -------------------===//
 
 #include "support/Budget.h"
 
@@ -11,67 +11,24 @@ const char *igdt::budgetStateName(BudgetState State) {
   switch (State) {
   case BudgetState::Active:
     return "active";
-  case BudgetState::WallExpired:
-    return "wall-expired";
   case BudgetState::WorkExpired:
     return "work-expired";
-  case BudgetState::Cancelled:
-    return "cancelled";
   }
   igdt_unreachable("unknown budget state");
 }
 
-Budget::Budget(BudgetOptions Options)
-    : Opts(Options), Start(std::chrono::steady_clock::now()) {}
-
-void Budget::checkWall() {
-  if (State != BudgetState::Active || Opts.WallMillis <= 0)
-    return;
-  if (spentMillis() > Opts.WallMillis)
-    State = BudgetState::WallExpired;
-}
-
 bool Budget::charge(std::uint64_t Units) {
   Spent += Units;
-  if (State != BudgetState::Active)
-    return false;
-  if (Opts.WorkUnits && Spent > Opts.WorkUnits) {
+  if (State == BudgetState::Active && Limit && Spent > Limit)
     State = BudgetState::WorkExpired;
-    return false;
-  }
-  // Wall polls are amortised: clock reads are ~20ns but charge() sits on
-  // the solver's per-node hot path.
-  if ((++PollTick & 0xFF) == 0)
-    checkWall();
   return State == BudgetState::Active;
-}
-
-bool Budget::expired() {
-  checkWall();
-  return State != BudgetState::Active;
-}
-
-void Budget::forceExpire(BudgetState Why) {
-  if (State == BudgetState::Active)
-    State = Why;
-}
-
-double Budget::spentMillis() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
 }
 
 std::string Budget::describe() const {
   std::string Units =
-      Opts.WorkUnits
-          ? formatString("%llu/%llu", (unsigned long long)Spent,
-                         (unsigned long long)Opts.WorkUnits)
-          : formatString("%llu/unlimited", (unsigned long long)Spent);
-  std::string Wall = Opts.WallMillis > 0
-                         ? formatString("%.1fms/%.1fms", spentMillis(),
-                                        Opts.WallMillis)
-                         : formatString("%.1fms/unlimited", spentMillis());
-  return formatString("state=%s units=%s wall=%s", budgetStateName(State),
-                      Units.c_str(), Wall.c_str());
+      Limit ? formatString("%llu/%llu", (unsigned long long)Spent,
+                           (unsigned long long)Limit)
+            : formatString("%llu/unlimited", (unsigned long long)Spent);
+  return formatString("state=%s units=%s", budgetStateName(State),
+                      Units.c_str());
 }

@@ -1,4 +1,4 @@
-//===- support/Budget.h - Wall-clock/work budgets and harness faults ----------===//
+//===- support/Budget.h - Work budgets and harness faults ---------------------===//
 //
 // Part of the IGDT project: interpreter-guided differential JIT testing.
 //
@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Cooperative budgets for the long-running campaign stages. A Budget
-/// combines a wall-clock deadline with a work-unit allowance (solver
-/// search nodes, replayed paths); the stage under budget polls charge()
-/// or expired() at its loop heads instead of running open-loop, so a
-/// pathological instruction degrades into a partial result rather than
-/// stalling the whole campaign.
+/// is a work-unit allowance (solver search nodes, replayed paths); the
+/// stage under budget charges it at its loop heads instead of running
+/// open-loop, so a pathological instruction degrades into a partial
+/// result rather than stalling the whole campaign. Budgets count work,
+/// never time: a budgeted run stops at the same point on every machine
+/// and at every Jobs value, so its records stay pure functions of their
+/// configuration.
 ///
 /// HarnessFault is the exception class thrown by harness-fault injection
 /// sites (and by genuine harness malfunctions such as a poisoned heap):
@@ -23,7 +25,6 @@
 #ifndef IGDT_SUPPORT_BUDGET_H
 #define IGDT_SUPPORT_BUDGET_H
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -45,21 +46,10 @@ private:
   std::string Stage;
 };
 
-/// Budget limits. A zero field means unlimited.
-struct BudgetOptions {
-  /// Wall-clock allowance in milliseconds.
-  double WallMillis = 0;
-  /// Work-unit allowance; the meaning of one unit is the charging
-  /// stage's (solver search nodes, replayed paths, ...).
-  std::uint64_t WorkUnits = 0;
-};
-
-/// Why a budget stopped being Active.
+/// Whether a budget has run out.
 enum class BudgetState : std::uint8_t {
   Active,
-  WallExpired,
   WorkExpired,
-  Cancelled,
 };
 
 const char *budgetStateName(BudgetState State);
@@ -67,40 +57,27 @@ const char *budgetStateName(BudgetState State);
 /// A running budget. Not thread-safe; one budget per campaign stage.
 class Budget {
 public:
-  /// An unlimited budget.
-  Budget() : Budget(BudgetOptions{}) {}
-  explicit Budget(BudgetOptions Options);
+  /// A budget of \p WorkUnits units; 0 is unlimited. The meaning of one
+  /// unit is the charging stage's (solver search nodes, replayed paths).
+  explicit Budget(std::uint64_t WorkUnits = 0) : Limit(WorkUnits) {}
 
-  /// Charges \p Units of work and polls the deadline. Returns true while
-  /// the budget is still active; callers stop (cooperatively) on false.
+  /// Charges \p Units of work. Returns true while the budget is still
+  /// active; callers stop (cooperatively) on false.
   bool charge(std::uint64_t Units = 1);
 
-  /// Polls the deadline without charging work.
-  bool expired();
+  /// True once a charge overran the allowance.
+  bool expired() const { return State != BudgetState::Active; }
 
   BudgetState state() const { return State; }
-
-  /// External cancellation (operator interrupt, campaign shutdown).
-  void cancel() { State = BudgetState::Cancelled; }
-
-  /// Expires the budget immediately (tests, fault injection).
-  void forceExpire(BudgetState Why = BudgetState::WallExpired);
-
-  double spentMillis() const;
   std::uint64_t spentUnits() const { return Spent; }
-  const BudgetOptions &options() const { return Opts; }
 
   /// One-line state description for incident reports, e.g.
-  /// "state=work-expired units=1201/1200 wall=3.2ms/unlimited".
+  /// "state=work-expired units=1201/1200".
   std::string describe() const;
 
 private:
-  void checkWall();
-
-  BudgetOptions Opts;
-  std::chrono::steady_clock::time_point Start;
+  std::uint64_t Limit;
   std::uint64_t Spent = 0;
-  std::uint64_t PollTick = 0;
   BudgetState State = BudgetState::Active;
 };
 

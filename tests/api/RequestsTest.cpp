@@ -43,10 +43,7 @@ CampaignRequest fullyPopulated() {
   R.MaxAttempts = 3;
   R.Engine = "native";
   R.CrossEngineCheck = true;
-  R.CampaignWallMillis = 9000;
-  R.ExploreWallMillis = 800;
   R.ExploreWorkUnits = 7000;
-  R.ReplayWallMillis = 600;
   R.ReplayWorkUnits = 5000;
   return R;
 }
@@ -66,10 +63,7 @@ void expectEqual(const CampaignRequest &A, const CampaignRequest &B) {
   EXPECT_EQ(A.MaxAttempts, B.MaxAttempts);
   EXPECT_EQ(A.Engine, B.Engine);
   EXPECT_EQ(A.CrossEngineCheck, B.CrossEngineCheck);
-  EXPECT_EQ(A.CampaignWallMillis, B.CampaignWallMillis);
-  EXPECT_EQ(A.ExploreWallMillis, B.ExploreWallMillis);
   EXPECT_EQ(A.ExploreWorkUnits, B.ExploreWorkUnits);
-  EXPECT_EQ(A.ReplayWallMillis, B.ReplayWallMillis);
   EXPECT_EQ(A.ReplayWorkUnits, B.ReplayWorkUnits);
 }
 
@@ -147,9 +141,6 @@ TEST(RequestsTest, NewerSchemaVersionsAreRejectedNamingBothVersions) {
   ServiceReply Reply;
   EXPECT_FALSE(ServiceReply::fromJson(*JsonValue::parse("{\"v\":7}"), Reply,
                                       &Error));
-  ExploreRequest Explore;
-  EXPECT_FALSE(ExploreRequest::fromJson(*JsonValue::parse("{\"v\":7}"),
-                                        Explore, &Error));
 }
 
 TEST(RequestsTest, ServiceEnvelopesRoundTrip) {
@@ -227,11 +218,8 @@ TEST(RequestsTest, ToSessionConfigIsAFaithfulMapping) {
   EXPECT_TRUE(Config.Deterministic);
   EXPECT_EQ(Config.Campaign.StopAfter, 5u);
   EXPECT_EQ(Config.Campaign.MaxAttempts, 3u);
-  EXPECT_EQ(Config.Campaign.CampaignWallMillis, 9000);
-  EXPECT_EQ(Config.Campaign.ExploreBudget.WallMillis, 800);
-  EXPECT_EQ(Config.Campaign.ExploreBudget.WorkUnits, 7000u);
-  EXPECT_EQ(Config.Campaign.ReplayBudget.WallMillis, 600);
-  EXPECT_EQ(Config.Campaign.ReplayBudget.WorkUnits, 5000u);
+  EXPECT_EQ(Config.Campaign.ExploreWorkUnits, 7000u);
+  EXPECT_EQ(Config.Campaign.ReplayWorkUnits, 5000u);
   EXPECT_EQ(Config.Campaign.Harness.Sim.Engine, SimEngine::Native);
   EXPECT_TRUE(Config.Campaign.Harness.CrossEngineCheck);
   // The store is process state, not configuration: never mapped here.
@@ -337,6 +325,34 @@ TEST(RequestsTest, RetiredWorkersFlagIsAnUnknownFlag) {
     FlagParser Flags("requests_test", "test");
     requestFromFlags(Flags, R);
     const char *Argv[] = {"requests_test", Flag, "2"};
+    EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)))
+        << Flag;
+  }
+}
+
+// Budgets count work, not time; a frame that still asks for a
+// wall-clock budget is refused by name, and a zero (what older clients
+// send for "unlimited") asks for nothing.
+TEST(RequestsTest, RetiredWallClockKeysAreRefused) {
+  for (const char *Key :
+       {"campaign_wall_millis", "explore_wall_millis", "replay_wall_millis"}) {
+    std::string Error;
+    std::string Nonzero = std::string("{\"") + Key + "\":50}";
+    EXPECT_FALSE(parseRequest(Nonzero.c_str(), Error)) << Key;
+    EXPECT_NE(Error.find(std::string("'") + Key + "'"), std::string::npos)
+        << Error;
+    std::string Zero = std::string("{\"") + Key + "\":0}";
+    EXPECT_TRUE(parseRequest(Zero.c_str(), Error)) << Key << ": " << Error;
+  }
+}
+
+TEST(RequestsTest, RetiredWallClockFlagsAreUnknownFlags) {
+  for (const char *Flag : {"--campaign-wall-millis", "--explore-wall-millis",
+                           "--replay-wall-millis"}) {
+    CampaignRequest R;
+    FlagParser Flags("requests_test", "test");
+    requestFromFlags(Flags, R);
+    const char *Argv[] = {"requests_test", Flag, "5"};
     EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)))
         << Flag;
   }

@@ -35,12 +35,12 @@ TEST_F(BudgetExhaustionTest, TinyWorkBudgetYieldsPartialResult) {
   // nowhere near enough for the frontier (a full exploration of the
   // add byte-code spends ~21 units: one per execution plus one per
   // solver search node).
-  Opts.InstructionBudget.WorkUnits = 10;
+  Budget Bud(10);
+  Opts.ExternalBudget = &Bud;
   Opts.LadderRungs = 0;
   ExplorationResult R = explore("bytecodePrim_add", Opts);
 
   EXPECT_TRUE(R.BudgetExhausted);
-  EXPECT_EQ(R.FinalBudget, BudgetState::WorkExpired);
   // Partial, but non-empty: the first execution always lands a path.
   EXPECT_GE(R.Paths.size(), 1u);
 
@@ -51,7 +51,8 @@ TEST_F(BudgetExhaustionTest, TinyWorkBudgetYieldsPartialResult) {
 
 TEST_F(BudgetExhaustionTest, UnansweredNegationsAreCountedAsUnknown) {
   ExplorerOptions Opts;
-  Opts.InstructionBudget.WorkUnits = 10;
+  Budget Bud(10);
+  Opts.ExternalBudget = &Bud;
   Opts.LadderRungs = 0;
   ExplorationResult R = explore("bytecodePrim_add", Opts);
 
@@ -64,7 +65,8 @@ TEST_F(BudgetExhaustionTest, UnansweredNegationsAreCountedAsUnknown) {
 
 TEST_F(BudgetExhaustionTest, RetainedPathsOfAPartialResultStayReplayable) {
   ExplorerOptions Opts;
-  Opts.InstructionBudget.WorkUnits = 12;
+  Budget Bud(12);
+  Opts.ExternalBudget = &Bud;
   ExplorationResult R = explore("bytecodePrim_add", Opts);
   ASSERT_GE(R.Paths.size(), 1u);
 
@@ -84,16 +86,8 @@ TEST_F(BudgetExhaustionTest, RetainedPathsOfAPartialResultStayReplayable) {
   }
 }
 
-TEST_F(BudgetExhaustionTest, ExpiredWallClockStopsExploration) {
-  ExplorerOptions Opts;
-  Opts.InstructionBudget.WallMillis = 0.0001; // expired essentially at once
-  ExplorationResult R = explore("bytecodePrim_add", Opts);
-  EXPECT_TRUE(R.BudgetExhausted);
-  EXPECT_EQ(R.FinalBudget, BudgetState::WallExpired);
-}
-
 TEST_F(BudgetExhaustionTest, ExternalBudgetIsSharedAndReadableAfterwards) {
-  Budget Shared(BudgetOptions{0, 10});
+  Budget Shared(10);
   ExplorerOptions Opts;
   Opts.ExternalBudget = &Shared;
   Opts.LadderRungs = 0;
@@ -102,6 +96,26 @@ TEST_F(BudgetExhaustionTest, ExternalBudgetIsSharedAndReadableAfterwards) {
   // The campaign layer reads the budget it handed in.
   EXPECT_EQ(Shared.state(), BudgetState::WorkExpired);
   EXPECT_GT(Shared.spentUnits(), 10u);
+}
+
+TEST_F(BudgetExhaustionTest, UnlimitedExternalBudgetOnlyCounts) {
+  // With no budget the explorer runs to its frontier; an unlimited
+  // budget changes nothing about that but counts the work it took.
+  ExplorerOptions None;
+  ExplorationResult Unbudgeted = explore("bytecodePrim_add", None);
+
+  Budget Counting;
+  ExplorerOptions Opts;
+  Opts.ExternalBudget = &Counting;
+  ExplorationResult Counted = explore("bytecodePrim_add", Opts);
+
+  EXPECT_FALSE(Unbudgeted.BudgetExhausted);
+  EXPECT_FALSE(Counted.BudgetExhausted);
+  EXPECT_EQ(Counted.Paths.size(), Unbudgeted.Paths.size());
+  EXPECT_EQ(Counted.UnknownNegations, Unbudgeted.UnknownNegations);
+  EXPECT_EQ(Counting.state(), BudgetState::Active);
+  // At least one unit per concrete execution.
+  EXPECT_GE(Counting.spentUnits(), Counted.Paths.size());
 }
 
 TEST_F(BudgetExhaustionTest, LadderRetriesUnknownNegationsWithCheaperRungs) {
@@ -130,7 +144,6 @@ TEST_F(BudgetExhaustionTest, LadderLeavesFullyBudgetedRunsAlone) {
   EXPECT_EQ(R.UnknownNegations, 0u);
   EXPECT_EQ(R.LadderRetries, 0u) << "no Unknowns, nothing to retry";
   EXPECT_FALSE(R.BudgetExhausted);
-  EXPECT_EQ(R.FinalBudget, BudgetState::Active);
 }
 
 } // namespace

@@ -2,10 +2,10 @@
 //
 // Pooled replay state: a heap rolled back through mark/resetTo is
 // observably identical to a freshly constructed one, the pooled stack
-// re-zeroes only dirtied bytes, arena-backed differential replays agree
-// with fresh-heap replays verdict for verdict, and campaign records are
-// byte-identical with every engine/arena layer toggled, at any job
-// count, under all four armed harness faults.
+// re-zeroes only dirtied bytes, replays on one reused arena agree with
+// replays on a new arena per path verdict for verdict, and campaign
+// records are byte-identical on every engine, at any job count, under
+// all four armed harness faults.
 //
 //===----------------------------------------------------------------------===//
 
@@ -129,7 +129,7 @@ TEST(ReplayArenaTest, StackPoolReZeroesOnlyDirtyBytes) {
 }
 
 //===--------------------------------------------------------------------===//
-// Arena-backed replay vs fresh-heap replay
+// Reused-arena replay vs new-arena replay
 //===--------------------------------------------------------------------===//
 
 void expectOutcomesIdentical(const PathTestOutcome &A,
@@ -183,25 +183,47 @@ TEST(ReplayArenaTest, ArenaBackedReplayMatchesFreshHeapReplay) {
     DiffTestConfig WithFresh;
     WithFresh.Kind = C.Kind;
     WithFresh.Replay = &FreshStats;
-    DifferentialTester Fresh(WithFresh);
 
     for (std::size_t I = 0; I < R.Paths.size(); ++I) {
       PathTestOutcome A = Pooled.testPath(R, I);
-      PathTestOutcome B = Fresh.testPath(R, I);
+      // A tester built without an arena owns a new one: this path is the
+      // first its heap and stack ever see.
+      PathTestOutcome B = DifferentialTester(WithFresh).testPath(R, I);
       expectOutcomesIdentical(A, B, std::string(C.Name) + " path " +
                                         std::to_string(I));
     }
   }
 
   // The A/B is not vacuous: the pooled side really rolled back state
-  // and the fresh side really rebuilt heaps.
+  // and the fresh side never did.
   EXPECT_GT(ArenaStats.HeapAcquires, 1u);
   EXPECT_GT(ArenaStats.HeapResets, 0u);
-  EXPECT_EQ(ArenaStats.HeapFreshBuilds, 0u);
-  EXPECT_GT(FreshStats.HeapFreshBuilds, 0u);
+  EXPECT_EQ(FreshStats.HeapAcquires, ArenaStats.HeapAcquires);
   EXPECT_EQ(FreshStats.HeapResets, 0u);
-  EXPECT_EQ(FreshStats.HeapBytesRebuilt,
-            FreshStats.HeapFreshBuilds * ReplayArena::HeapBytes);
+}
+
+TEST(ReplayArenaTest, TesterWithoutAnArenaReusesItsOwn) {
+  // There is no fresh-heap replay mode: a tester configured without an
+  // arena builds one and rolls it back between paths, exactly like a
+  // campaign worker's slot arena.
+  const InstructionSpec *Spec = findInstruction("bytecodePrim_add");
+  ASSERT_NE(Spec, nullptr);
+  VMConfig VM;
+  ExplorationResult R = ConcolicExplorer(VM).explore(*Spec);
+  ASSERT_GT(R.Paths.size(), 1u);
+
+  ReplayStats Stats;
+  DiffTestConfig Config;
+  Config.Kind = CompilerKind::StackToRegister;
+  Config.Replay = &Stats;
+  DifferentialTester Tester(Config);
+  for (std::size_t I = 0; I < R.Paths.size(); ++I)
+    Tester.testPath(R, I);
+
+  EXPECT_GT(Stats.HeapAcquires, 1u);
+  EXPECT_GT(Stats.HeapResets, 0u) << "later paths reuse the first heap";
+  EXPECT_LT(Stats.HeapResets, Stats.HeapAcquires)
+      << "the first acquire has nothing to roll back";
 }
 
 //===--------------------------------------------------------------------===//
@@ -209,11 +231,11 @@ TEST(ReplayArenaTest, ArenaBackedReplayMatchesFreshHeapReplay) {
 //===--------------------------------------------------------------------===//
 
 TEST(ReplayArenaTest, CampaignRecordsAreByteIdenticalAcrossToggles) {
-  // The tentpole contract: pre-decoded dispatch and pooled arenas are
-  // pure accelerators. Records, incident rows, quarantine decisions and
-  // the deterministic trace stream must be byte-identical with each
-  // layer on or off, serial or parallel, with all four harness faults
-  // armed (containment and retry must not observe the pools either).
+  // Pre-decoded dispatch is a pure accelerator and the pooled arenas
+  // are unobservable. Records, incident rows, quarantine decisions and
+  // the deterministic trace stream must be byte-identical on either
+  // engine, serial or parallel, with all four harness faults armed
+  // (containment and retry must not observe the pools either).
   CampaignOptions Base;
   Base.Harness.VM = cleanVMConfig();
   Base.Harness.Cogit = cleanCogitOptions();
@@ -233,13 +255,13 @@ TEST(ReplayArenaTest, CampaignRecordsAreByteIdenticalAcrossToggles) {
   struct Variant {
     const char *Name;
     bool Predecode;
-    bool Arena;
     unsigned Jobs;
   };
   const Variant Variants[] = {
-      {"off_j1", false, false, 1}, {"arena_j1", false, true, 1},
-      {"pre_j1", true, false, 1},  {"on_j1", true, true, 1},
-      {"on_j4", true, true, 4},    {"off_j4", false, false, 4},
+      {"off_j1", false, 1},
+      {"on_j1", true, 1},
+      {"on_j4", true, 4},
+      {"off_j4", false, 4},
   };
 
   std::vector<CampaignSummary> Summaries;
@@ -248,7 +270,6 @@ TEST(ReplayArenaTest, CampaignRecordsAreByteIdenticalAcrossToggles) {
     CampaignOptions Opts = Base;
     Opts.Harness.Sim.Engine =
         V.Predecode ? SimEngine::Threaded : SimEngine::Switch;
-    Opts.Harness.EnableReplayArena = V.Arena;
     Opts.Jobs = V.Jobs;
     Opts.TracePath = tempPath(std::string(V.Name) + ".jsonl");
     Summaries.push_back(CampaignRunner(Opts).run());
@@ -278,20 +299,18 @@ TEST(ReplayArenaTest, CampaignRecordsAreByteIdenticalAcrossToggles) {
                                                "files must be byte-identical";
   }
 
-  // The A/B is not vacuous: each layer demonstrably engaged when on and
-  // stayed out when off.
-  const CampaignSummary &AllOn = Summaries[3];
-  const CampaignSummary &AllOff = Summaries[0];
+  // The A/B is not vacuous: pre-decoding demonstrably engaged when on
+  // and stayed out when off, and the arenas were reused throughout.
+  const CampaignSummary &On = Summaries[1];
+  const CampaignSummary &Off = Summaries[0];
   if (simThreadedDispatchSupported()) {
-    EXPECT_GT(AllOn.Sim.PredecodedRuns, 0u);
-    EXPECT_EQ(AllOn.Sim.ReferenceRuns, 0u);
+    EXPECT_GT(On.Sim.PredecodedRuns, 0u);
+    EXPECT_EQ(On.Sim.ReferenceRuns, 0u);
   }
-  EXPECT_EQ(AllOff.Sim.PredecodedRuns, 0u);
-  EXPECT_GT(AllOff.Sim.ReferenceRuns, 0u);
-  EXPECT_GT(AllOn.Replay.HeapResets, 0u);
-  EXPECT_EQ(AllOn.Replay.HeapFreshBuilds, 0u);
-  EXPECT_GT(AllOff.Replay.HeapFreshBuilds, 0u);
-  EXPECT_EQ(AllOff.Replay.HeapResets, 0u);
+  EXPECT_EQ(Off.Sim.PredecodedRuns, 0u);
+  EXPECT_GT(Off.Sim.ReferenceRuns, 0u);
+  EXPECT_GT(On.Replay.HeapResets, 0u);
+  EXPECT_GT(Off.Replay.HeapResets, 0u);
 }
 
 } // namespace

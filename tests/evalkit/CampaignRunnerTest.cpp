@@ -387,17 +387,11 @@ TEST(CampaignRunnerTest, ParallelCampaignIsByteIdenticalToSerial) {
   EXPECT_EQ(Serial.exitCode(), Parallel.exitCode());
   EXPECT_EQ(Serial.CompletedInstructions, Parallel.CompletedInstructions);
 
-  // Incidents merge in catalog order, so the sequences agree field by
-  // field (budget descriptions embed wall-clock millis, so records are
-  // compared structurally, not as raw bytes).
+  // Incidents merge in catalog order, and their budget descriptions
+  // count work only, so the two sequences agree byte for byte.
   ASSERT_EQ(Serial.Incidents.size(), Parallel.Incidents.size());
-  for (std::size_t I = 0; I < Serial.Incidents.size(); ++I) {
-    EXPECT_EQ(Serial.Incidents[I].Instruction, Parallel.Incidents[I].Instruction);
-    EXPECT_EQ(Serial.Incidents[I].Stage, Parallel.Incidents[I].Stage);
-    EXPECT_EQ(Serial.Incidents[I].ErrorClass, Parallel.Incidents[I].ErrorClass);
-    EXPECT_EQ(Serial.Incidents[I].Attempt, Parallel.Incidents[I].Attempt);
-    EXPECT_EQ(Serial.Incidents[I].Quarantined, Parallel.Incidents[I].Quarantined);
-  }
+  for (std::size_t I = 0; I < Serial.Incidents.size(); ++I)
+    EXPECT_EQ(Serial.Incidents[I].toJson(), Parallel.Incidents[I].toJson());
 
   // Per-instruction path counts are identical at any Jobs value: each
   // exploration is a pure function of (instruction name, base seed),
@@ -426,6 +420,42 @@ TEST(CampaignRunnerTest, ParallelCampaignIsByteIdenticalToSerial) {
 
   std::remove(SerialOpts.CheckpointPath.c_str());
   std::remove(ParallelOpts.CheckpointPath.c_str());
+}
+
+TEST(CampaignRunnerTest, IncidentLogsAreByteIdenticalAcrossJobsWithTimingsOn) {
+  // Incident rows carry no clock: their budget descriptions count work
+  // only, so the incident log is the same file at any Jobs value even
+  // with timings recorded (the checkpoint would differ in its millis).
+  CampaignOptions Base = cleanOptions();
+  Base.Harness.MaxBytecodes = 6;
+  Base.Harness.MaxNativeMethods = 2;
+  Base.RecordTimings = true;
+  Base.ReplayWorkUnits = 1000;
+  Base.Faults.Faults = {
+      {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
+      {HarnessFaultKind::FrontEndThrow, "bytecodePrim_sub", false},
+      {HarnessFaultKind::HeapCorruption, "bytecodePrim_mul", false},
+      {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
+  };
+
+  std::vector<std::vector<std::string>> Logs;
+  for (unsigned Jobs : {1u, 4u}) {
+    CampaignOptions Opts = Base;
+    Opts.Jobs = Jobs;
+    Opts.IncidentLogPath = tempPath("incidents_j" + std::to_string(Jobs) +
+                                    ".jsonl");
+    CampaignSummary S = CampaignRunner(Opts).run();
+    EXPECT_EQ(S.exitCode(), 0) << "jobs=" << Jobs;
+    Logs.push_back(readLines(Opts.IncidentLogPath));
+    std::remove(Opts.IncidentLogPath.c_str());
+  }
+
+  ASSERT_FALSE(Logs[0].empty());
+  EXPECT_EQ(Logs[0], Logs[1]);
+  for (const std::string &Line : Logs[0]) {
+    EXPECT_NE(Line.find("units="), std::string::npos) << Line;
+    EXPECT_EQ(Line.find("wall="), std::string::npos) << Line;
+  }
 }
 
 TEST(CampaignRunnerTest, ParallelResumeAfterStopAfterMatchesSerial) {
@@ -763,7 +793,7 @@ TEST(CampaignRunnerTest, RecordsAreByteIdenticalAcrossTopologies) {
   // byte at every Jobs value.
   CampaignOptions Budgeted = cleanOptions();
   Budgeted.RecordTimings = false;
-  Budgeted.ExploreBudget.WorkUnits = 3;
+  Budgeted.ExploreWorkUnits = 3;
   const struct {
     const char *Name;
     CampaignOptions Base;
@@ -788,7 +818,7 @@ TEST(CampaignRunnerTest, RecordsAreByteIdenticalAcrossTopologies) {
       CampaignSummary S = CampaignRunner(Opts).run();
       EXPECT_EQ(S.CompletedInstructions, Scenario.Completed) << Where;
       EXPECT_EQ(S.Quarantined.size(), Scenario.Quarantined) << Where;
-      if (Scenario.Base.ExploreBudget.WorkUnits) {
+      if (Scenario.Base.ExploreWorkUnits) {
         EXPECT_TRUE(std::any_of(S.Records.begin(), S.Records.end(),
                                 [](const InstructionRecord &R) {
                                   return R.BudgetExhausted;

@@ -233,16 +233,13 @@ TEST_F(ExperimentsTest, FullCatalogCompiledCodeIsExact) {
 }
 
 TEST_F(ExperimentsTest, ReplayLayersLeaveEveryRecordUnchanged) {
-  // The pre-decoded engine and the replay arena are accelerators, never
-  // oracles: with both off, every record is the same but for its wall
-  // clocks.
+  // The pre-decoded engine is an accelerator, never an oracle: on the
+  // switch engine every record is the same but for its wall clocks.
   SessionConfig Off;
   Off.sim().Engine = SimEngine::Switch;
-  Off.harness().EnableReplayArena = false;
   CampaignSummary Plain = Session(Off).runCampaign();
   const CampaignSummary &Layered = sharedSummary();
-  EXPECT_GT(Layered.Replay.HeapResets, 0u);
-  EXPECT_EQ(Plain.Replay.HeapResets, 0u);
+  EXPECT_EQ(Plain.Sim.PredecodedRuns, 0u);
   EXPECT_EQ(Plain.Sim.Runs, Layered.Sim.Runs);
   auto Untimed = [](InstructionRecord R) {
     R.ExploreMillis = 0;
@@ -314,11 +311,15 @@ TEST_F(ExperimentsTest, Figure5NativeMethodsHaveMorePaths) {
 }
 
 TEST_F(ExperimentsTest, Figure6NativeMethodsTakeLongerToExplore) {
+  // Figure 6's shape in work, not wall time (a descheduled exploration
+  // can flip a clock comparison; fig6_concolic_time shows the clocks):
+  // native methods spend about 28 explore units on average, byte-codes
+  // about 11.
   SampleStats BC = computeStats(
-      samples(InstructionKind::Bytecode, &InstructionRecord::ExploreMillis));
+      samples(InstructionKind::Bytecode, &InstructionRecord::ExploreUnits));
   SampleStats NM = computeStats(samples(InstructionKind::NativeMethod,
-                                        &InstructionRecord::ExploreMillis));
-  EXPECT_GT(NM.Mean, BC.Mean);
+                                        &InstructionRecord::ExploreUnits));
+  EXPECT_GT(NM.Mean, BC.Mean * 2);
 }
 
 TEST_F(ExperimentsTest, Table3ListsAllSixFamilies) {

@@ -123,17 +123,14 @@ TEST(ResultStoreTest, ConfigFingerprintIgnoresTopologyButNotSemantics) {
   Semantic.Harness.SeedSimulationErrors = !Semantic.Harness.SeedSimulationErrors;
   EXPECT_NE(campaignConfigFingerprint(Semantic), Baseline);
 
-  // Wall budgets are keyed too: a record a clock cut short must never
-  // resume into (or be served to) a campaign without that clock.
-  CampaignOptions Wall = Base;
-  Wall.ExploreBudget.WallMillis = 50;
-  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
-  Wall = Base;
-  Wall.ReplayBudget.WallMillis = 50;
-  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
-  Wall = Base;
-  Wall.CampaignWallMillis = 1000;
-  EXPECT_NE(campaignConfigFingerprint(Wall), Baseline);
+  // Work budgets are keyed too: a record a budget cut short must never
+  // resume into (or be served to) a campaign with another budget.
+  CampaignOptions Budgeted = Base;
+  Budgeted.ExploreWorkUnits = 50;
+  EXPECT_NE(campaignConfigFingerprint(Budgeted), Baseline);
+  Budgeted = Base;
+  Budgeted.ReplayWorkUnits = 50;
+  EXPECT_NE(campaignConfigFingerprint(Budgeted), Baseline);
 
   // What selects the worklist, and where records are written, shapes no
   // record: a checkpoint resumes across them.
@@ -219,28 +216,6 @@ TEST(ResultStoreTest, VersionThreeCheckpointLinesReRunAsStale) {
   ASSERT_EQ(Run.Records.size(), 1u);
   EXPECT_EQ(Run.Records[0].toJson(), Fresh.Records[0].toJson());
   std::remove(Opts.CheckpointPath.c_str());
-}
-
-TEST(ResultStoreTest, StoreEligibilityRefusesTimingDependentConfigs) {
-  CampaignOptions Opts;
-  EXPECT_TRUE(storeEligible(Opts));
-
-  // Work-unit budgets are deterministic and allowed.
-  Opts.ExploreBudget.WorkUnits = 1000;
-  Opts.ReplayBudget.WorkUnits = 1000;
-  EXPECT_TRUE(storeEligible(Opts));
-
-  CampaignOptions Wall;
-  Wall.CampaignWallMillis = 1000;
-  EXPECT_FALSE(storeEligible(Wall));
-
-  Wall = CampaignOptions();
-  Wall.ExploreBudget.WallMillis = 50;
-  EXPECT_FALSE(storeEligible(Wall));
-
-  Wall = CampaignOptions();
-  Wall.ReplayBudget.WallMillis = 50;
-  EXPECT_FALSE(storeEligible(Wall));
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,6 +22,7 @@
 #include "support/Json.h"
 #include "support/Socket.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -138,7 +139,6 @@ TEST(ServiceTest, WarmRunServesEverythingWithZeroLiveSolverWork) {
   Opts.CheckpointPath = tempPath("warm_cold.jsonl");
 
   CampaignSummary Cold = CampaignRunner(Opts).run();
-  EXPECT_TRUE(Cold.StoreActive);
   EXPECT_EQ(Cold.StoreServed, 0u);
   EXPECT_EQ(Cold.StoreStores, 9u);
   EXPECT_GT(Cold.Solver.Queries, 0u);
@@ -243,16 +243,43 @@ TEST(ServiceTest, KeyChangesForceReexplorationAndInvalidationIsExact) {
   std::remove(Incremental.CheckpointPath.c_str());
 }
 
-TEST(ServiceTest, IneligibleConfigsBypassTheStoreEntirely) {
+TEST(ServiceTest, WorkBudgetedCampaignsAreStoredAndServedWarm) {
+  // Budgets count work, so a budget-cut record is as reproducible as an
+  // unbudgeted one: it is stored, served byte-for-byte, and keyed apart
+  // from the records of any other budget.
   ResultStore Store(""); // in memory
   CampaignOptions Opts = cleanOptions();
-  Opts.OnlyInstructions = {"bytecodePrim_add"};
+  Opts.OnlyInstructions = nineInstructions();
   Opts.Store = &Store;
-  Opts.CampaignWallMillis = 60000;
-  CampaignSummary S = CampaignRunner(Opts).run();
-  EXPECT_FALSE(S.StoreActive);
-  EXPECT_EQ(S.StoreServed, 0u);
-  EXPECT_EQ(Store.size(), 0u) << "timing-dependent records must not be cached";
+  Opts.ExploreWorkUnits = 3;
+  Opts.CheckpointPath = tempPath("budget_cold.jsonl");
+
+  CampaignSummary Cold = CampaignRunner(Opts).run();
+  EXPECT_EQ(Cold.StoreStores, 9u);
+  EXPECT_TRUE(std::all_of(
+      Cold.Records.begin(), Cold.Records.end(),
+      [](const InstructionRecord &R) { return R.BudgetExhausted; }))
+      << "three units cut every exploration short";
+
+  std::string ColdCheckpoint = Opts.CheckpointPath;
+  Opts.CheckpointPath = tempPath("budget_warm.jsonl");
+  CampaignSummary Warm = CampaignRunner(Opts).run();
+  EXPECT_EQ(Warm.StoreServed, 9u);
+  EXPECT_EQ(Warm.LiveSolver.Queries, 0u);
+  std::string ColdBytes = slurp(ColdCheckpoint);
+  ASSERT_FALSE(ColdBytes.empty());
+  EXPECT_EQ(ColdBytes, slurp(Opts.CheckpointPath));
+
+  // Another allowance is another configuration: nothing is served.
+  CampaignOptions Wider = Opts;
+  Wider.ExploreWorkUnits = 4;
+  Wider.CheckpointPath.clear();
+  CampaignSummary Other = CampaignRunner(Wider).run();
+  EXPECT_EQ(Other.StoreServed, 0u);
+  EXPECT_EQ(Other.StoreMisses, 9u);
+
+  std::remove(ColdCheckpoint.c_str());
+  std::remove(Opts.CheckpointPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,6 +386,34 @@ TEST(ServiceTest, WorkerProcessRequestsAreRefused) {
   EXPECT_FALSE(Reply.Ok);
   EXPECT_NE(Reply.Error.find("'workers'"), std::string::npos) << Reply.Error;
   EXPECT_EQ(Service.metrics().counter("service.bad_requests"), 1u);
+  EXPECT_EQ(Service.metrics().counter("service.submits"), 0u);
+}
+
+TEST(ServiceTest, WallClockBudgetRequestsAreRefused) {
+  // Budgets count work only. A submit that still asks for a wall-clock
+  // budget is refused by name and starts no session; it is never run
+  // unbudgeted in its place.
+  CampaignService Service;
+  ServiceRequest Req;
+  Req.Verb = "submit";
+  Req.Campaign.OnlyInstructions = {"bytecodePrim_add"};
+  const std::string Json = Req.toJson().dump();
+  const std::size_t At = Json.find("\"campaign\":{");
+  ASSERT_NE(At, std::string::npos) << Json;
+  std::uint64_t Refused = 0;
+  for (const char *Key :
+       {"campaign_wall_millis", "explore_wall_millis", "replay_wall_millis"}) {
+    std::string Frame = Json;
+    Frame.insert(At + 12, std::string("\"") + Key + "\":50,");
+    ServiceReply Reply;
+    ASSERT_TRUE(ServiceReply::fromJson(
+        *JsonValue::parse(Service.handleJson(Frame)), Reply));
+    EXPECT_FALSE(Reply.Ok) << Key;
+    EXPECT_NE(Reply.Error.find(std::string("'") + Key + "'"),
+              std::string::npos)
+        << Reply.Error;
+    EXPECT_EQ(Service.metrics().counter("service.bad_requests"), ++Refused);
+  }
   EXPECT_EQ(Service.metrics().counter("service.submits"), 0u);
 }
 

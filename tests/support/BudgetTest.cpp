@@ -16,7 +16,7 @@ TEST(BudgetTest, UnlimitedBudgetNeverExpires) {
 }
 
 TEST(BudgetTest, WorkUnitsExpireExactlyAtTheAllowance) {
-  Budget B(BudgetOptions{0, 10});
+  Budget B(10);
   for (int I = 0; I < 10; ++I)
     EXPECT_TRUE(B.charge()) << "charge " << I;
   EXPECT_FALSE(B.charge());
@@ -28,48 +28,19 @@ TEST(BudgetTest, WorkUnitsExpireExactlyAtTheAllowance) {
 }
 
 TEST(BudgetTest, BulkChargeCanOvershootTheAllowance) {
-  Budget B(BudgetOptions{0, 10});
+  Budget B(10);
   EXPECT_FALSE(B.charge(100));
   EXPECT_EQ(B.state(), BudgetState::WorkExpired);
 }
 
-TEST(BudgetTest, WallClockDeadlineExpires) {
-  Budget B(BudgetOptions{0.01, 0});
-  // expired() polls the clock directly (no amortisation), so this
-  // terminates as soon as 0.01ms have elapsed.
-  while (!B.expired()) {
-  }
-  EXPECT_EQ(B.state(), BudgetState::WallExpired);
-  EXPECT_FALSE(B.charge());
-}
-
-TEST(BudgetTest, CancellationWinsOverCharges) {
-  Budget B(BudgetOptions{0, 1000});
-  EXPECT_TRUE(B.charge());
-  B.cancel();
-  EXPECT_TRUE(B.expired());
-  EXPECT_FALSE(B.charge());
-  EXPECT_EQ(B.state(), BudgetState::Cancelled);
-}
-
-TEST(BudgetTest, ForceExpireOnlyDowngradesActiveBudgets) {
-  Budget B;
-  B.forceExpire(BudgetState::WorkExpired);
-  EXPECT_EQ(B.state(), BudgetState::WorkExpired);
-  B.forceExpire(BudgetState::Cancelled);
-  EXPECT_EQ(B.state(), BudgetState::WorkExpired) << "first expiry sticks";
-}
-
-TEST(BudgetTest, DescribeReportsStateUnitsAndWall) {
-  Budget B(BudgetOptions{0, 3});
+TEST(BudgetTest, DescribeReportsStateAndUnits) {
+  Budget B(3);
   B.charge(4);
-  std::string D = B.describe();
-  EXPECT_NE(D.find("state=work-expired"), std::string::npos) << D;
-  EXPECT_NE(D.find("units=4/3"), std::string::npos) << D;
-  EXPECT_NE(D.find("wall="), std::string::npos) << D;
+  // Work only: the description is the same on every run and machine.
+  EXPECT_EQ(B.describe(), "state=work-expired units=4/3");
 
   Budget Unlimited;
-  EXPECT_NE(Unlimited.describe().find("unlimited"), std::string::npos);
+  EXPECT_EQ(Unlimited.describe(), "state=active units=0/unlimited");
 }
 
 TEST(BudgetTest, HarnessFaultCarriesStageAndMessage) {
