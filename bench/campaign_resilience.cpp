@@ -10,8 +10,9 @@
 // the unit suite.
 //
 // Positional arguments name a single fault kind to arm instead of the
-// default all-four plan (CI variants); session flags (--trace,
-// --incidents, --jobs, ...) are available as everywhere else.
+// default all-four plan (CI variants); any other positional exits 2.
+// Session flags (--trace, --incidents, --jobs, ...) are available as
+// everywhere else.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +26,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
-#include <stdexcept>
 
 using namespace igdt;
 
@@ -38,13 +39,7 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return Flags.helpRequested() ? 0 : 2;
 
-  SessionConfig Config;
-  try {
-    Config = Request.toSessionConfig();
-  } catch (const std::invalid_argument &E) {
-    std::fprintf(stderr, "%s\n", E.what());
-    return 2;
-  }
+  SessionConfig Config = Request.toSessionConfig();
   std::unique_ptr<ResultStore> Store;
   if (!Request.StorePath.empty()) {
     Store = std::make_unique<ResultStore>(Request.StorePath);
@@ -64,12 +59,25 @@ int main(int Argc, char **Argv) {
       {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
   };
   // Positional override for CI variants: arm only the named fault kind.
-  for (const std::string &Arg : Flags.positional())
+  // A name that matches no kind exits 2, like an unknown flag, rather
+  // than silently running the all-four plan.
+  for (const std::string &Arg : Flags.positional()) {
+    std::optional<HarnessFaultKind> Named;
     for (HarnessFaultKind Kind :
          {HarnessFaultKind::SolverHang, HarnessFaultKind::SimFuelExhaustion,
           HarnessFaultKind::FrontEndThrow, HarnessFaultKind::HeapCorruption})
       if (Arg == harnessFaultKindName(Kind))
-        Config.Campaign.Faults.Faults = {{Kind, "bytecodePrim_add", false}};
+        Named = Kind;
+    if (!Named) {
+      std::fprintf(stderr,
+                   "campaign_resilience: '%s' names no fault kind (expected "
+                   "solver-hang, sim-fuel-exhaustion, front-end-throw or "
+                   "heap-corruption)\n",
+                   Arg.c_str());
+      return 2;
+    }
+    Config.Campaign.Faults.Faults = {{*Named, "bytecodePrim_add", false}};
+  }
 
   Session Sess(Config);
   CampaignSummary S = Sess.runCampaign();

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 
 using namespace igdt;
 
@@ -29,13 +28,7 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return Flags.helpRequested() ? 0 : 2;
 
-  SessionConfig Config;
-  try {
-    Config = Request.toSessionConfig();
-  } catch (const std::invalid_argument &E) {
-    std::fprintf(stderr, "%s\n", E.what());
-    return 2;
-  }
+  SessionConfig Config = Request.toSessionConfig();
   std::unique_ptr<ResultStore> Store;
   if (!Request.StorePath.empty()) {
     Store = std::make_unique<ResultStore>(Request.StorePath);

@@ -3,14 +3,12 @@
 #include "api/Requests.h"
 
 #include "api/Session.h"
-#include "jit/MachineSim.h"
 #include "support/Flags.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 
 using namespace igdt;
 
@@ -66,11 +64,6 @@ JsonValue numU64(std::uint64_t Value) {
 
 SessionConfig CampaignRequest::toSessionConfig() const {
   SessionConfig Config;
-  if (!simEngineFromName(Engine, Config.Campaign.Harness.Sim.Engine))
-    throw std::invalid_argument(
-        formatString("unknown engine '%s' (expected switch, threaded, or "
-                     "native)",
-                     Engine.c_str()));
   Config.Campaign.Harness.CrossEngineCheck = CrossEngineCheck;
   Config.Campaign.Jobs = Jobs;
   Config.Campaign.Harness.MaxBytecodes = MaxBytecodes;
@@ -109,7 +102,6 @@ JsonValue CampaignRequest::toJson() const {
   V.set("deterministic", JsonValue::boolean(Deterministic));
   V.set("stop_after", num(StopAfter));
   V.set("max_attempts", num(MaxAttempts));
-  V.set("engine", JsonValue::string(Engine));
   V.set("cross_engine_check", JsonValue::boolean(CrossEngineCheck));
   V.set("explore_work_units", numU64(ExploreWorkUnits));
   V.set("replay_work_units", numU64(ReplayWorkUnits));
@@ -132,11 +124,12 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
       !Int("replay_work_units", R.ReplayWorkUnits))
     return false;
   // Retired keys: campaigns run in catalog order, in this process, with
-  // per-instruction work budgets only. A frame that still asks for the
-  // adaptive schedule, a campaign-wide budget, persisted yield, forked
-  // worker processes or a wall-clock budget would silently get another
-  // campaign than it asked for, so it is refused; the other retired
-  // keys never changed such a campaign and are ignored.
+  // per-instruction work budgets only, replaying on the simulator. A
+  // frame that still asks for the adaptive schedule, a campaign-wide
+  // budget, persisted yield, forked worker processes, a wall-clock
+  // budget or another replay engine would silently get another campaign
+  // than it asked for, so it is refused; the other retired keys never
+  // changed such a campaign and are ignored.
   std::string Schedule = V.stringOr("schedule", "fixed");
   if (Schedule != "fixed")
     return refuse(Error, formatString("%s: retired key 'schedule' asks for "
@@ -160,6 +153,14 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
       return refuse(Error, formatString("%s: retired key '%s' (budgets count "
                                         "work units, not time)",
                                         What, Key));
+  // "threaded" is what every older client's toJson sends.
+  std::string Engine = V.stringOr("engine", "threaded");
+  if (Engine != "threaded")
+    return refuse(Error, formatString("%s: retired key 'engine' asks for "
+                                      "'%s' (replays run on the simulator; "
+                                      "the native tier is the "
+                                      "cross_engine_check oracle)",
+                                      What, Engine.c_str()));
   if (const JsonValue *Only = V.find("only"))
     for (const JsonValue &Name : Only->Arr)
       if (Name.K == JsonValue::Kind::String)
@@ -170,12 +171,6 @@ bool CampaignRequest::fromJson(const JsonValue &V, CampaignRequest &Out,
   R.StorePath = V.stringOr("store", R.StorePath);
   R.Profile = V.boolOr("profile", R.Profile);
   R.Deterministic = V.boolOr("deterministic", R.Deterministic);
-  R.Engine = V.stringOr("engine", R.Engine);
-  SimEngine Parsed;
-  if (!simEngineFromName(R.Engine, Parsed))
-    return refuse(Error, formatString("%s: unknown engine '%s' (expected "
-                                      "switch, threaded, or native)",
-                                      What, R.Engine.c_str()));
   R.CrossEngineCheck = V.boolOr("cross_engine_check", R.CrossEngineCheck);
   Out = std::move(R);
   return true;
@@ -317,9 +312,6 @@ void igdt::requestFromFlags(FlagParser &Flags, CampaignRequest &Request) {
             "stop after N new instructions (0 = run to completion)");
   Flags.add("max-attempts", &Request.MaxAttempts,
             "attempts per instruction before quarantine");
-  Flags.add("engine", &Request.Engine,
-            "replay execution engine: switch, threaded, or native "
-            "(unsupported tiers degrade gracefully at run time)");
   Flags.add("cross-engine-check", &Request.CrossEngineCheck,
             "run every path through the native tier as well and report "
             "native-vs-simulator divergence as a defect");

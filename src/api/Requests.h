@@ -73,13 +73,10 @@ struct CampaignRequest {
   bool Deterministic = false;
   unsigned StopAfter = 0;
   unsigned MaxAttempts = 2;
-  /// Execution engine for every replay: "switch", "threaded", or
-  /// "native" (jit/MachineSim.h SimEngine). Unsupported engines degrade
-  /// gracefully at run time; unknown names are rejected loudly by
-  /// toSessionConfig/fromJson.
-  std::string Engine = "threaded";
   /// Run every path through the native tier as well and report
-  /// divergence from the simulator as a first-class defect family.
+  /// divergence from the simulator as a first-class defect family. The
+  /// native tier runs only as this oracle; replays always run on the
+  /// simulator, so a request names no engine.
   bool CrossEngineCheck = false;
   /// @}
 
@@ -103,8 +100,8 @@ struct CampaignRequest {
   /// build no longer has ("schedule" other than "fixed", a nonzero
   /// "total_units", "persist_yield": true, a nonzero "workers",
   /// "campaign_wall_millis", "explore_wall_millis" or
-  /// "replay_wall_millis"); absent fields keep their defaults and
-  /// unknown keys are ignored.
+  /// "replay_wall_millis", "engine" other than "threaded"); absent
+  /// fields keep their defaults and unknown keys are ignored.
   static bool fromJson(const JsonValue &V, CampaignRequest &Out,
                        std::string *Error = nullptr);
 };

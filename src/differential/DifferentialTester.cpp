@@ -7,6 +7,7 @@
 #include "jit/NativeMethodCogit.h"
 #include "jit/PredecodedCode.h"
 #include "jit/native/NativeCode.h"
+#include "jit/native/NativeEngine.h"
 #include "observe/TraceBus.h"
 #include "support/Compiler.h"
 #include "support/CpuFeatures.h"
@@ -179,15 +180,14 @@ struct ExpectedBytes {
   bool Valid = false;
 };
 
-/// Builds the engine-specific forms of a freshly compiled unit before it
-/// enters the code cache, so every cache hit runs the ready-built
-/// predecode/native code (build-once per compilation unit).
+/// Builds the forms a freshly compiled unit will run in before it enters
+/// the code cache, so every cache hit runs the ready-built predecode and,
+/// under the cross-engine oracle, native code (build-once per
+/// compilation unit).
 void warmEngineForms(const DiffTestConfig &Cfg, const CompiledCode &Code) {
-  bool WantNative = Cfg.Sim.Engine == SimEngine::Native || Cfg.CrossEngineCheck;
-  if (Cfg.Sim.Engine == SimEngine::Switch && !WantNative)
-    return;
-  (void)predecodedFor(Code, Cfg.Sim.Stats);
-  if (WantNative && nativeTierSupported())
+  if (Cfg.Sim.Engine == SimEngine::Threaded)
+    (void)predecodedFor(Code, Cfg.Sim.Stats);
+  if (Cfg.CrossEngineCheck && nativeTierSupported())
     (void)nativeFor(Code, Cfg.Sim.Stats, Cfg.Sim.NativeMiscompileProbe);
 }
 
@@ -467,6 +467,10 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
   // Cross-engine probe: run the same code and inputs through the native
   // tier on a marked heap first, snapshot everything observable, roll
   // the heap back, then compare against the authoritative run below.
+  // A host without the tier runs no probe. A native method never sets
+  // up a frame, so its outcome has no operand stack to compare; the
+  // registers and the stack-bytes hash cover it.
+  bool HasFrame = Spec.Kind == InstructionKind::Bytecode;
   struct ProbeObservation {
     MachineExit Exit;
     std::uint64_t Regs[16];
@@ -476,11 +480,10 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
     std::uint64_t HeapHash = 0;
   };
   std::optional<ProbeObservation> Probe;
-  if (Cfg.CrossEngineCheck) {
+  if (Cfg.CrossEngineCheck && nativeTierSupported()) {
     HeapMark CheckMark = Mem.mark();
     {
       SimOptions ProbeOpts = Cfg.Sim;
-      ProbeOpts.Engine = SimEngine::Native;
       // Fresh zero-filled stack (identical to a pool acquire) and no
       // trace: probe runs are an oracle detail, not replay events.
       ProbeOpts.StackPool = nullptr;
@@ -488,14 +491,15 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
       MachineSim ProbeSim(Mem, ProbeOpts);
       SetUpFrame(ProbeSim);
       ProbeObservation O;
-      O.Exit = ProbeSim.run(Code);
+      O.Exit = runNativeTier(ProbeSim, Code);
       for (unsigned I = 0; I < 16; ++I)
         O.Regs[I] = ProbeSim.reg(static_cast<MReg>(I));
       for (unsigned I = 0; I < 8; ++I) {
         double D = ProbeSim.freg(static_cast<FReg>(I));
         std::memcpy(&O.FRegBits[I], &D, 8);
       }
-      O.Stack = ProbeSim.operandStack();
+      if (HasFrame)
+        O.Stack = ProbeSim.operandStack();
       O.StackHash = ProbeSim.stackHash();
       O.HeapHash = Mem.contentHash();
       Probe = std::move(O);
@@ -539,7 +543,7 @@ PathTestOutcome DifferentialTester::testPathImpl(const ExplorationResult &R,
       if (Probe->FRegBits[I] != Bits)
         Divergence = formatString("f%u bit pattern differs", I);
     }
-    if (Divergence.empty() && Probe->Stack != Sim.operandStack())
+    if (Divergence.empty() && HasFrame && Probe->Stack != Sim.operandStack())
       Divergence = "operand stack differs";
     if (Divergence.empty() && Probe->StackHash != Sim.stackHash())
       Divergence = "stack bytes differ";

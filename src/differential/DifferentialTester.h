@@ -52,11 +52,11 @@ struct DiffTestConfig {
   /// Cross-engine oracle: before the authoritative simulator run, each
   /// path is executed once through the native x86-64 tier on a marked
   /// heap, the heap is rolled back, and every observable (exit record,
-  /// registers, operand stack, stack bytes, heap contents) is compared
-  /// against the simulator's. A disagreement is reported as the
-  /// CrossEngineDivergence defect family — it indicts the native code
-  /// generator, not the VM under test. On hosts without the native tier
-  /// the probe degrades to the simulator and trivially agrees.
+  /// registers, operand stack of a byte-code frame, stack bytes, heap
+  /// contents) is compared against the simulator's. A disagreement is
+  /// reported as the CrossEngineDivergence defect family — it indicts
+  /// the native code generator, not the VM under test. On hosts without
+  /// the native tier no probe runs, so none can diverge.
   bool CrossEngineCheck = false;
   /// Campaign mode: report simulator fuel exhaustion as a harness fault
   /// (a thrown HarnessFault) rather than as a compiled-code defect.

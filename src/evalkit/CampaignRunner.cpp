@@ -577,16 +577,6 @@ CampaignSummary CampaignRunner::run() {
   }
   MetricsSink EventMetrics(Summary.Metrics);
   auto Publish = [&](TraceEvent Event) {
-    // SimRun diagnostics (Aux = dispatch engine, Extra = predecode
-    // cache hit) describe how the harness replayed, not what the code
-    // under test did, and they change with the predecode/arena toggles.
-    // Blank them here so campaign trace files and metrics stay
-    // byte-identical across configurations; Session-level traces keep
-    // the fields.
-    if (Event.Kind == TraceEventKind::SimRun) {
-      Event.Aux.clear();
-      Event.Extra = 0;
-    }
     if (Opts.ExtraTraceSink)
       Opts.ExtraTraceSink->emit(Event);
     if (Observing)

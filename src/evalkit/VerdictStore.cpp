@@ -74,11 +74,11 @@ std::uint64_t igdt::campaignConfigFingerprint(const CampaignOptions &Opts,
   H = hashCombine64(H, Sim.MissingFPAccessors.size());
   for (std::uint8_t Reg : Sim.MissingFPAccessors)
     H = hashCombine64(H, Reg);
-  // Sim.Engine is deliberately absent: the three engines are proven
-  // byte-identical (the tier-identity gate), so a record computed under
-  // one may serve any other — the same argument that keeps the replay
-  // toggles out. The probe and the cross-engine oracle DO shape record
-  // bytes (extra defect family rows), so they are config.
+  // Sim.Engine is deliberately absent: the two engines are proven
+  // byte-identical (the engine-identity gate), so a record computed
+  // under one may serve the other — the same argument that keeps the
+  // replay toggles out. The probe and the cross-engine oracle DO shape
+  // record bytes (extra defect family rows), so they are config.
   H = hashCombine64(H, Sim.NativeMiscompileProbe);
   H = hashCombine64(H, Opts.Harness.CrossEngineCheck);
 

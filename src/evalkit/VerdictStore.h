@@ -33,10 +33,10 @@
 /// checkpoints of cold, warm and resumed runs.
 ///
 /// Deliberately EXCLUDED from the key: Jobs, the EnableCodeCache
-/// toggle, SimOptions::Engine, and what selects the worklist
-/// (OnlyInstructions, Max*, StopAfter). Records are proven
-/// byte-identical across all of them. NativeMiscompileProbe
-/// and CrossEngineCheck ARE keyed: both change which defects a record
+/// toggle, SimOptions::Engine (switch or threaded), and what selects
+/// the worklist (OnlyInstructions, Max*, StopAfter). Records are proven
+/// byte-identical across all of them. NativeMiscompileProbe and
+/// CrossEngineCheck ARE keyed: both change which defects a record
 /// reports. Every budget counts work, not time, so every record is a
 /// pure function of its key and every configuration may use the store.
 ///

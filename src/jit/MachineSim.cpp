@@ -4,7 +4,6 @@
 
 #include "jit/CompiledCode.h"
 #include "jit/PredecodedCode.h"
-#include "jit/native/NativeEngine.h"
 #include "observe/TraceBus.h"
 #include "support/Compiler.h"
 #include "support/CpuFeatures.h"
@@ -28,30 +27,6 @@ using namespace igdt;
 #else
 #define IGDT_SIM_THREADED 0
 #endif
-
-const char *igdt::simEngineName(SimEngine E) {
-  switch (E) {
-  case SimEngine::Switch:
-    return "switch";
-  case SimEngine::Threaded:
-    return "threaded";
-  case SimEngine::Native:
-    return "native";
-  }
-  igdt_unreachable("unknown sim engine");
-}
-
-bool igdt::simEngineFromName(const std::string &Name, SimEngine &Out) {
-  if (Name == "switch")
-    Out = SimEngine::Switch;
-  else if (Name == "threaded")
-    Out = SimEngine::Threaded;
-  else if (Name == "native")
-    Out = SimEngine::Native;
-  else
-    return false;
-  return true;
-}
 
 void ExitNote::format(const char *Fmt, ...) {
   va_list Args;
@@ -332,8 +307,7 @@ bool MachineSim::runtimeCall(RTFunc Func) {
   return false;
 }
 
-void MachineSim::finishRun(MachineExit &E, const char *Engine,
-                           std::uint64_t PredecodeHit) {
+void MachineSim::finishRun(MachineExit &E) {
   // Stamp the fuel state onto every exit so callers can report it; a
   // FuelExhausted exit additionally explains itself.
   E.FuelLeft = FuelRemaining;
@@ -344,9 +318,7 @@ void MachineSim::finishRun(MachineExit &E, const char *Engine,
     TraceEvent T;
     T.Kind = TraceEventKind::SimRun;
     T.Detail = machExitKindName(E.Kind);
-    T.Aux = Engine;
     T.Value = Opts.Fuel - FuelRemaining;
-    T.Extra = PredecodeHit;
     Opts.Trace->emit(std::move(T));
   }
 }
@@ -358,23 +330,16 @@ MachineExit MachineSim::run(const std::vector<MInstr> &Code) {
   }
   FuelRemaining = Opts.Fuel;
   MachineExit E = runLoop(Code, 0);
-  finishRun(E, "reference", 0);
+  finishRun(E);
   return E;
 }
 
 MachineExit MachineSim::run(const CompiledCode &Code) {
-  // Degradation ladder: an unsupported selection silently steps down to
-  // the next engine, so a campaign configured --engine native on a
-  // non-x86-64 host (or under IGDT_NO_NATIVE) still runs — identically,
-  // since the engines are proven byte-equal.
-  SimEngine Engine = Opts.Engine;
-  if (Engine == SimEngine::Native && !nativeTierSupported())
-    Engine = SimEngine::Threaded;
-  if (Engine == SimEngine::Threaded && !simThreadedDispatchSupported())
-    Engine = SimEngine::Switch;
-
-  if (Engine == SimEngine::Native)
-    return runNativeTier(*this, Code);
+  // A toolchain without computed goto runs the switch loop instead of
+  // the threaded engine — identically, since the engines are proven
+  // byte-equal.
+  bool Threaded =
+      Opts.Engine == SimEngine::Threaded && simThreadedDispatchSupported();
 
   auto Timed = [&](auto &&Body) {
     if (!Opts.TimeRuns || !Opts.Stats)
@@ -388,18 +353,17 @@ MachineExit MachineSim::run(const CompiledCode &Code) {
     return E;
   };
 
-  if (Engine == SimEngine::Switch) {
+  if (!Threaded) {
     if (Opts.Stats) {
       ++Opts.Stats->Runs;
       ++Opts.Stats->ReferenceRuns;
     }
     FuelRemaining = Opts.Fuel;
     MachineExit E = Timed([&] { return runLoop(Code.Code, 0); });
-    finishRun(E, "reference", 0);
+    finishRun(E);
     return E;
   }
 
-  bool Hit = Code.Predecoded != nullptr;
   const PredecodedCode &P = predecodedFor(Code, Opts.Stats);
   if (Opts.Stats) {
     ++Opts.Stats->Runs;
@@ -407,7 +371,7 @@ MachineExit MachineSim::run(const CompiledCode &Code) {
   }
   FuelRemaining = Opts.Fuel;
   MachineExit E = Timed([&] { return runThreaded(P, Code.Code); });
-  finishRun(E, "predecoded", Hit ? 1 : 0);
+  finishRun(E);
   return E;
 }
 
@@ -436,7 +400,7 @@ MachineExit MachineSim::runPredecoded(const PredecodedCode &P,
   }
   FuelRemaining = Opts.Fuel;
   MachineExit E = runThreaded(P, Reference);
-  finishRun(E, "predecoded", 0);
+  finishRun(E);
   return E;
 }
 

@@ -15,14 +15,14 @@
 /// runtime; entries can be deliberately removed to reproduce the paper's
 /// two *simulation error* findings (§5.3).
 ///
-/// Three execution engines share these semantics: the reference switch
-/// loop (authoritative, per-instruction fuel), a pre-decoded threaded
-/// fast path (jit/PredecodedCode.h, block-level fuel), and a native
-/// x86-64 tier that runs generated machine code on real hardware
-/// (jit/native/, block-level fuel with mid-run fallback to the switch
-/// loop). They produce byte-identical MachineExit and heap/stack
-/// effects; SimOptions::Engine selects between them per run, degrading
-/// gracefully when a tier is unsupported on the host.
+/// Two execution engines share these semantics: the reference switch
+/// loop (authoritative, per-instruction fuel) and a pre-decoded threaded
+/// fast path (jit/PredecodedCode.h, block-level fuel); SimOptions::Engine
+/// selects between them per run. A third executor, the native x86-64
+/// tier (jit/native/), is not an engine but the cross-engine oracle's
+/// probe: runNativeTier runs generated machine code on real hardware
+/// against the same MachineSim state. All three produce byte-identical
+/// MachineExit and heap/stack effects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,23 +189,14 @@ private:
   std::uint64_t TotalBytesReset = 0;
 };
 
-/// Which engine executes run(const CompiledCode&). All three produce
+/// Which engine executes run(const CompiledCode&). Both produce
 /// byte-identical exits and heap/stack effects (verified by
-/// PredecodeTest and NativeEngineTest); the switch loop remains the
-/// authoritative semantics. Unsupported selections degrade silently:
-/// Native falls back to Threaded when the host lacks the native tier
-/// (non-x86-64, missing SSE4.1, or IGDT_NO_NATIVE set), and Threaded
-/// falls back to Switch on toolchains without computed goto.
+/// PredecodeTest); the switch loop remains the authoritative semantics.
+/// Threaded falls back to Switch on toolchains without computed goto.
 enum class SimEngine : std::uint8_t {
   Switch,   ///< reference switch loop (authoritative)
-  Threaded, ///< pre-decoded computed-goto dispatch (PR 5)
-  Native,   ///< x86-64 code run on real hardware (jit/native/)
+  Threaded, ///< pre-decoded computed-goto dispatch
 };
-
-const char *simEngineName(SimEngine E);
-/// Parses "switch" / "threaded" / "native" into \p Out; false (with
-/// \p Out untouched) on anything else.
-bool simEngineFromName(const std::string &Name, SimEngine &Out);
 
 /// Simulator configuration, including the simulation-error seeds.
 struct SimOptions {
@@ -215,8 +206,7 @@ struct SimOptions {
   std::set<std::uint8_t> MissingGPAccessors;
   std::set<std::uint8_t> MissingFPAccessors;
   std::uint64_t Fuel = 100000;
-  /// Execution engine for run(const CompiledCode&); see SimEngine for
-  /// the degradation ladder.
+  /// Execution engine for run(const CompiledCode&); see SimEngine.
   SimEngine Engine = SimEngine::Threaded;
   /// Deliberately miscompile AddI in the native tier (off-by-one on the
   /// immediate). Exists solely so tests and benches can prove the
@@ -233,7 +223,7 @@ struct SimOptions {
   /// Dispatch-engine counters (non-owning, may be null).
   SimStats *Stats = nullptr;
   /// Observability sink (non-owning, may be null). Each run emits one
-  /// SimRun event (exit kind, fuel consumed, engine).
+  /// SimRun event (exit kind, fuel consumed).
   TraceSink *Trace = nullptr;
 };
 
@@ -304,8 +294,7 @@ public:
   /// through the reference switch loop.
   MachineExit run(const std::vector<MInstr> &Code);
   /// Executes a compilation unit through the engine Opts.Engine selects
-  /// (building or reusing Code.Predecoded / Code.Native), degrading to
-  /// a supported engine when the host lacks the requested tier.
+  /// (building or reusing Code.Predecoded).
   MachineExit run(const CompiledCode &Code);
   /// Runs an already-built predecode with block-level fuel accounting.
   /// \p Reference is the originating MInstr vector (index-compatible by
@@ -344,8 +333,7 @@ private:
   MachineExit runLoop(const std::vector<MInstr> &Code, std::size_t PC);
   MachineExit runThreaded(const PredecodedCode &P,
                           const std::vector<MInstr> &Reference);
-  void finishRun(MachineExit &E, const char *Engine,
-                 std::uint64_t PredecodeHit);
+  void finishRun(MachineExit &E);
 
   ObjectMemory &Heap;
   SimOptions Opts;

@@ -87,8 +87,6 @@ struct NativeEngineAccess {
 MachineExit NativeEngineAccess::run(MachineSim &Sim,
                                     const CompiledCode &Code) {
   SimOptions &Opts = Sim.Opts;
-  bool Hit = Code.Native != nullptr &&
-             Code.Native->MiscompileProbe == Opts.NativeMiscompileProbe;
   const NativeCode &N =
       nativeFor(Code, Opts.Stats, Opts.NativeMiscompileProbe);
 
@@ -101,7 +99,7 @@ MachineExit NativeEngineAccess::run(MachineSim &Sim,
     }
     Sim.FuelRemaining = Opts.Fuel;
     MachineExit E = Sim.runLoop(Code.Code, 0);
-    Sim.finishRun(E, "reference", 0);
+    Sim.finishRun(E);
     return E;
   }
 
@@ -202,7 +200,7 @@ MachineExit NativeEngineAccess::run(MachineSim &Sim,
     break;
   }
   StopTimer();
-  Sim.finishRun(E, "native", Hit ? 1 : 0);
+  Sim.finishRun(E);
   return E;
 }
 

@@ -8,8 +8,11 @@
 /// The MachineSim-facing door into the native tier: runNativeTier
 /// executes one compilation unit on real hardware and returns the same
 /// MachineExit (and heap/stack/register effects) the simulator engines
-/// produce. Callers must have checked nativeTierSupported() — that is
-/// what MachineSim::run's degradation ladder does.
+/// produce. The tier is not a replay engine: outside its tests, its one
+/// caller is the cross-engine oracle (DiffTestConfig::CrossEngineCheck),
+/// which runs it as a probe beside the simulator and skips the probe
+/// when nativeTierSupported() is false. Every caller must check that
+/// first.
 ///
 //===----------------------------------------------------------------------===//
 

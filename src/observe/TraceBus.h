@@ -59,11 +59,8 @@ enum class TraceEventKind : std::uint8_t {
   /// (bytecode|method|native-method), Value=machine code bytes.
   Compile,
   /// MachineSim executed compiled code. Detail=machine exit kind,
-  /// Value=fuel consumed, Aux=dispatch engine (reference|predecoded),
-  /// Extra=1 when the predecoded form was served from the code cache.
-  /// The campaign merge loop blanks Aux/Extra so deterministic trace
-  /// files stay byte-identical across predecode/arena configurations;
-  /// Session-level traces keep them.
+  /// Value=fuel consumed. Nothing names the engine, so trace files are
+  /// byte-identical whichever engine replayed.
   SimRun,
   /// DifferentialTester classified one path. Detail=path status,
   /// Aux=compiler/backend, Value=path index.

@@ -6,19 +6,19 @@
 ///
 /// \file
 /// One place that answers "what can this host actually run?" for every
-/// execution engine. Two kinds of answers live here:
+/// executor. Two kinds of answers live here:
 ///
 ///  - Compile-time toolchain capabilities (does this build carry the
-///    labels-as-values threaded dispatcher?), which are constants.
+///    labels-as-values threaded dispatcher?), which are constants. The
+///    simulator's one fallback (Threaded -> Switch) reads this.
 ///  - Runtime hardware/OS capabilities (is this an x86-64 unix host
 ///    whose CPU has the SSE4.1 instructions the native tier emits?),
-///    which are probed once via CPUID and cached.
+///    which are probed once via CPUID and cached. The cross-engine
+///    oracle reads this: without the tier it runs no probe.
 ///
-/// Both engines that need gating consult this header, so degradation
-/// decisions (Native -> Threaded -> Switch) read the same facts.
 /// `IGDT_NO_NATIVE` in the environment forces the native tier off: CI
-/// and tests use it to exercise the graceful-degradation path on hosts
-/// that would otherwise support native execution.
+/// and tests use it to exercise the no-probe path on hosts that would
+/// otherwise support native execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +35,8 @@ bool simThreadedDispatchSupported();
 /// True when the native x86-64 execution tier can run on this host:
 /// an x86-64 unix build, a CPU reporting SSE4.1 (the generated code
 /// uses roundsd), and no `IGDT_NO_NATIVE` environment override. The
-/// probe runs once and is cached; engines that see `false` degrade to
-/// the threaded dispatcher (or the switch loop) with identical
-/// observable behaviour.
+/// probe runs once and is cached; on `false` the cross-engine oracle
+/// runs no native probe, and replays are unaffected either way.
 bool nativeTierSupported();
 
 /// Re-probes the environment override and CPU features. Tests that

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 using namespace igdt;
 
 namespace {
@@ -41,7 +39,6 @@ CampaignRequest fullyPopulated() {
   R.Deterministic = true;
   R.StopAfter = 5;
   R.MaxAttempts = 3;
-  R.Engine = "native";
   R.CrossEngineCheck = true;
   R.ExploreWorkUnits = 7000;
   R.ReplayWorkUnits = 5000;
@@ -61,7 +58,6 @@ void expectEqual(const CampaignRequest &A, const CampaignRequest &B) {
   EXPECT_EQ(A.Deterministic, B.Deterministic);
   EXPECT_EQ(A.StopAfter, B.StopAfter);
   EXPECT_EQ(A.MaxAttempts, B.MaxAttempts);
-  EXPECT_EQ(A.Engine, B.Engine);
   EXPECT_EQ(A.CrossEngineCheck, B.CrossEngineCheck);
   EXPECT_EQ(A.ExploreWorkUnits, B.ExploreWorkUnits);
   EXPECT_EQ(A.ReplayWorkUnits, B.ReplayWorkUnits);
@@ -112,16 +108,6 @@ TEST(RequestsTest, AbsentFieldsReadAsDefaultsAndBadInputIsRejected) {
   EXPECT_FALSE(
       CampaignRequest::fromJson(*JsonValue::parse("[1,2]"), Minimal, &Error));
   EXPECT_FALSE(Error.empty());
-
-  // Unknown engine names are rejected loudly rather than silently
-  // falling back to a default tier.
-  EXPECT_FALSE(CampaignRequest::fromJson(
-      *JsonValue::parse("{\"engine\":\"turbo\"}"), Minimal, &Error));
-  EXPECT_NE(Error.find("turbo"), std::string::npos) << Error;
-  EXPECT_TRUE(CampaignRequest::fromJson(
-      *JsonValue::parse("{\"engine\":\"switch\"}"), Minimal, &Error))
-      << Error;
-  EXPECT_EQ(Minimal.Engine, "switch");
 }
 
 TEST(RequestsTest, NewerSchemaVersionsAreRejectedNamingBothVersions) {
@@ -220,16 +206,11 @@ TEST(RequestsTest, ToSessionConfigIsAFaithfulMapping) {
   EXPECT_EQ(Config.Campaign.MaxAttempts, 3u);
   EXPECT_EQ(Config.Campaign.ExploreWorkUnits, 7000u);
   EXPECT_EQ(Config.Campaign.ReplayWorkUnits, 5000u);
-  EXPECT_EQ(Config.Campaign.Harness.Sim.Engine, SimEngine::Native);
   EXPECT_TRUE(Config.Campaign.Harness.CrossEngineCheck);
+  // Replays always run on the default engine; a request names none.
+  EXPECT_EQ(Config.Campaign.Harness.Sim.Engine, SimEngine::Threaded);
   // The store is process state, not configuration: never mapped here.
   EXPECT_EQ(Config.Campaign.Store, nullptr);
-
-  // An unknown engine fails the mapping loudly rather than running a
-  // tier the caller never asked for.
-  CampaignRequest Bad;
-  Bad.Engine = "turbo";
-  EXPECT_THROW((void)Bad.toSessionConfig(), std::invalid_argument);
 
   // The empty request is the stock campaign.
   SessionConfig Stock = CampaignRequest().toSessionConfig();
@@ -251,7 +232,6 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
                         "--store",         "s.jsonl",
                         "--deterministic",
                         "--max-attempts",  "3",
-                        "--engine",        "native",
                         "--cross-engine-check"};
   ASSERT_TRUE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
   EXPECT_EQ(R.Jobs, 4u);
@@ -262,12 +242,11 @@ TEST(RequestsTest, RequestFromFlagsParsesTheSharedVocabulary) {
   EXPECT_EQ(R.StorePath, "s.jsonl");
   EXPECT_TRUE(R.Deterministic);
   EXPECT_EQ(R.MaxAttempts, 3u);
-  EXPECT_EQ(R.Engine, "native");
   EXPECT_TRUE(R.CrossEngineCheck);
 }
 
 // Campaigns run in catalog order; a frame that still asks for the
-// retired adaptive schedule is refused by name, like an unknown engine.
+// retired adaptive schedule is refused by name.
 TEST(RequestsTest, RetiredScheduleKeyIsRefused) {
   std::string Error;
   EXPECT_FALSE(parseRequest("{\"schedule\":\"adaptive\"}", Error));
@@ -356,6 +335,29 @@ TEST(RequestsTest, RetiredWallClockFlagsAreUnknownFlags) {
     EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)))
         << Flag;
   }
+}
+
+// Replays run on the simulator and the native tier runs only as the
+// cross-engine oracle; a frame that asks for another replay engine is
+// refused by name. "threaded" is what every older client sends, so it
+// asks for nothing.
+TEST(RequestsTest, RetiredEngineKeyIsRefused) {
+  std::string Error;
+  EXPECT_TRUE(parseRequest("{\"engine\":\"threaded\"}", Error)) << Error;
+  for (const char *Engine : {"switch", "native", "turbo"}) {
+    std::string Frame = std::string("{\"engine\":\"") + Engine + "\"}";
+    EXPECT_FALSE(parseRequest(Frame.c_str(), Error)) << Engine;
+    EXPECT_NE(Error.find("'engine'"), std::string::npos) << Error;
+    EXPECT_NE(Error.find(Engine), std::string::npos) << Error;
+  }
+}
+
+TEST(RequestsTest, RetiredEngineFlagIsAnUnknownFlag) {
+  CampaignRequest R;
+  FlagParser Flags("requests_test", "test");
+  requestFromFlags(Flags, R);
+  const char *Argv[] = {"requests_test", "--engine", "threaded"};
+  EXPECT_FALSE(Flags.parse(int(std::size(Argv)), const_cast<char **>(Argv)));
 }
 
 // Integer fields are read checked: casting a negative, huge or

@@ -59,9 +59,8 @@ Summary runWithCheck(const std::string &Name, bool MiscompileProbe) {
 }
 
 TEST(CrossEngineCheckTest, CleanInstructionsHaveZeroDivergences) {
-  // The check degrades gracefully off-x86-64 (the probe run lands on
-  // the threaded engine), so "no divergence on clean code" holds on
-  // every host.
+  // Off x86-64 no probe runs, so "no divergence on clean code" holds
+  // on every host.
   for (const char *Name :
        {"bytecodePrim_add", "pushLocal3", "primitiveAdd"}) {
     Summary S = runWithCheck(Name, /*MiscompileProbe=*/false);

@@ -2,42 +2,22 @@
 //
 // Pooled replay state: a heap rolled back through mark/resetTo is
 // observably identical to a freshly constructed one, the pooled stack
-// re-zeroes only dirtied bytes, replays on one reused arena agree with
-// replays on a new arena per path verdict for verdict, and campaign
-// records are byte-identical on every engine, at any job count, under
-// all four armed harness faults.
+// re-zeroes only dirtied bytes, and replays on one reused arena agree
+// with replays on a new arena per path verdict for verdict. Campaign
+// byte-identity across engines and job counts, with all four harness
+// faults armed, is EngineIdentityCampaignTest's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "differential/ReplayArena.h"
 
 #include "differential/DifferentialTester.h"
-#include "evalkit/CampaignRunner.h"
-#include "faults/DefectCatalog.h"
-#include "support/CpuFeatures.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace igdt;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  std::string Path = ::testing::TempDir() + "igdt_replay_" + Name;
-  std::remove(Path.c_str());
-  return Path;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
 
 //===--------------------------------------------------------------------===//
 // The reset contract
@@ -224,93 +204,6 @@ TEST(ReplayArenaTest, TesterWithoutAnArenaReusesItsOwn) {
   EXPECT_GT(Stats.HeapResets, 0u) << "later paths reuse the first heap";
   EXPECT_LT(Stats.HeapResets, Stats.HeapAcquires)
       << "the first acquire has nothing to roll back";
-}
-
-//===--------------------------------------------------------------------===//
-// Campaign-level byte-identity
-//===--------------------------------------------------------------------===//
-
-TEST(ReplayArenaTest, CampaignRecordsAreByteIdenticalAcrossToggles) {
-  // Pre-decoded dispatch is a pure accelerator and the pooled arenas
-  // are unobservable. Records, incident rows, quarantine decisions and
-  // the deterministic trace stream must be byte-identical on either
-  // engine, serial or parallel, with all four harness faults armed
-  // (containment and retry must not observe the pools either).
-  CampaignOptions Base;
-  Base.Harness.VM = cleanVMConfig();
-  Base.Harness.Cogit = cleanCogitOptions();
-  Base.Harness.SeedSimulationErrors = false;
-  // Timings vary run to run; everything else in a record must not.
-  Base.RecordTimings = false;
-  Base.OnlyInstructions = {"bytecodePrim_add", "bytecodePrim_sub",
-                           "bytecodePrim_mul", "primitiveAdd",
-                           "primitiveFloatAdd"};
-  Base.Faults.Faults = {
-      {HarnessFaultKind::SolverHang, "bytecodePrim_add", false},
-      {HarnessFaultKind::FrontEndThrow, "bytecodePrim_sub", false},
-      {HarnessFaultKind::HeapCorruption, "bytecodePrim_mul", false},
-      {HarnessFaultKind::SimFuelExhaustion, "primitiveAdd", false},
-  };
-
-  struct Variant {
-    const char *Name;
-    bool Predecode;
-    unsigned Jobs;
-  };
-  const Variant Variants[] = {
-      {"off_j1", false, 1},
-      {"on_j1", true, 1},
-      {"on_j4", true, 4},
-      {"off_j4", false, 4},
-  };
-
-  std::vector<CampaignSummary> Summaries;
-  std::vector<std::string> Traces;
-  for (const Variant &V : Variants) {
-    CampaignOptions Opts = Base;
-    Opts.Harness.Sim.Engine =
-        V.Predecode ? SimEngine::Threaded : SimEngine::Switch;
-    Opts.Jobs = V.Jobs;
-    Opts.TracePath = tempPath(std::string(V.Name) + ".jsonl");
-    Summaries.push_back(CampaignRunner(Opts).run());
-    Traces.push_back(slurp(Opts.TracePath));
-    ASSERT_FALSE(Traces.back().empty()) << V.Name;
-  }
-
-  const CampaignSummary &Ref = Summaries.front();
-  for (std::size_t S = 1; S < Summaries.size(); ++S) {
-    const CampaignSummary &Cur = Summaries[S];
-    const char *Name = Variants[S].Name;
-    // Checkpoint rows serialise everything deterministic about a
-    // record, so string equality is the byte-identity claim.
-    ASSERT_EQ(Cur.Records.size(), Ref.Records.size()) << Name;
-    for (std::size_t I = 0; I < Ref.Records.size(); ++I)
-      EXPECT_EQ(Cur.Records[I].toJson(), Ref.Records[I].toJson())
-          << Name << " record " << I;
-    ASSERT_EQ(Cur.Rows.size(), Ref.Rows.size()) << Name;
-    for (std::size_t I = 0; I < Ref.Rows.size(); ++I) {
-      EXPECT_EQ(Cur.Rows[I].DifferingPaths, Ref.Rows[I].DifferingPaths)
-          << Name;
-      EXPECT_EQ(Cur.Rows[I].Causes, Ref.Rows[I].Causes) << Name;
-    }
-    EXPECT_EQ(Cur.Quarantined, Ref.Quarantined) << Name;
-    EXPECT_EQ(Cur.exitCode(), Ref.exitCode()) << Name;
-    EXPECT_EQ(Traces[S], Traces[0]) << Name << ": deterministic trace "
-                                               "files must be byte-identical";
-  }
-
-  // The A/B is not vacuous: pre-decoding demonstrably engaged when on
-  // and stayed out when off, and the arenas were reused throughout.
-  const CampaignSummary &On = Summaries[1];
-  const CampaignSummary &Off = Summaries[0];
-  if (simThreadedDispatchSupported()) {
-    EXPECT_GT(On.Sim.PredecodedRuns, 0u);
-    EXPECT_EQ(On.Sim.ReferenceRuns, 0u);
-  }
-  EXPECT_EQ(Off.Sim.PredecodedRuns, 0u);
-  EXPECT_GT(Off.Sim.ReferenceRuns, 0u);
-  EXPECT_GT(On.Replay.HeapResets, 0u);
-  EXPECT_GT(Off.Replay.HeapResets, 0u);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 //===- tests/evalkit/EngineIdentityCampaignTest.cpp ----------------------------===//
 //
-// The hard gate on the native execution tier: campaign records,
-// checkpoint bytes and the deterministic trace stream are byte-identical
-// across --engine switch|threaded|native, serial or parallel, with all
-// four armed harness faults in play. The native tier is a pure
-// accelerator; any byte it changes is a defect in the tier, not a new
-// campaign outcome.
+// The hard gates on how replays execute. Campaign records, checkpoint
+// bytes and the deterministic trace stream are byte-identical on the
+// switch and threaded engines, serial or parallel, with all four armed
+// harness faults in play. And the native tier, which runs only as the
+// cross-engine oracle, agrees with the simulator on every path of the
+// seeded catalog and changes no record. Any byte either changes is a
+// defect in the harness, not a new campaign outcome.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,9 +72,8 @@ TEST(EngineIdentityCampaignTest, RecordsTracesAndCheckpointsMatchAcrossEngines) 
   const Variant Variants[] = {
       {"switch_j1", SimEngine::Switch, 1},
       {"threaded_j1", SimEngine::Threaded, 1},
-      {"native_j1", SimEngine::Native, 1},
-      {"native_j4", SimEngine::Native, 4},
       {"threaded_j4", SimEngine::Threaded, 4},
+      {"switch_j4", SimEngine::Switch, 4},
   };
 
   std::vector<CampaignSummary> Summaries;
@@ -108,18 +108,44 @@ TEST(EngineIdentityCampaignTest, RecordsTracesAndCheckpointsMatchAcrossEngines) 
         << Name << ": deterministic trace files must be byte-identical";
   }
 
-  // The A/B is not vacuous: when the host has the native tier, the
-  // native variants really executed on it (and only them).
-  if (nativeTierSupported()) {
-    EXPECT_GT(Summaries[2].Sim.NativeRuns, 0u);
-    EXPECT_GT(Summaries[2].Sim.NativeBuilds, 0u);
-    EXPECT_GT(Summaries[3].Sim.NativeRuns, 0u);
-    EXPECT_EQ(Summaries[0].Sim.NativeRuns, 0u);
-    EXPECT_EQ(Summaries[1].Sim.NativeRuns, 0u);
-  }
+  // The A/B is not vacuous: each engine really ran (a toolchain without
+  // computed goto runs the switch loop for both), on pooled arenas.
   EXPECT_GT(Summaries[0].Sim.ReferenceRuns, 0u);
-  // Native code is built at most once per compilation unit.
-  EXPECT_LE(Summaries[2].Sim.NativeBuilds, Summaries[2].Jit.Compiles);
+  EXPECT_EQ(Summaries[0].Sim.PredecodedRuns, 0u);
+  if (simThreadedDispatchSupported()) {
+    EXPECT_GT(Summaries[1].Sim.PredecodedRuns, 0u);
+    EXPECT_EQ(Summaries[1].Sim.ReferenceRuns, 0u);
+  }
+  EXPECT_GT(Summaries[0].Replay.HeapResets, 0u);
+  EXPECT_GT(Summaries[1].Replay.HeapResets, 0u);
+}
+
+TEST(EngineIdentityCampaignTest, CrossEngineOracleAgreesOnTheSeededCatalog) {
+  CampaignOptions Base;
+  Base.RecordTimings = false;
+  CampaignSummary Default = CampaignRunner(Base).run();
+
+  for (unsigned Jobs : {1u, 4u}) {
+    CampaignOptions Opts = Base;
+    Opts.Jobs = Jobs;
+    Opts.Harness.CrossEngineCheck = true;
+    CampaignSummary Checked = CampaignRunner(Opts).run();
+    ASSERT_EQ(Checked.Records.size(), Default.Records.size()) << Jobs;
+    for (std::size_t I = 0; I < Default.Records.size(); ++I) {
+      for (const CompilerOutcome &C : Checked.Records[I].Compilers)
+        for (const auto &[Cause, Family] : C.Causes)
+          EXPECT_NE(Family, DefectFamily::CrossEngineDivergence) << Cause;
+      EXPECT_EQ(Checked.Records[I].toJson(), Default.Records[I].toJson())
+          << "jobs " << Jobs << " record " << I;
+    }
+    EXPECT_EQ(Checked.exitCode(), Default.exitCode()) << Jobs;
+    // Where the host has the tier, the oracle really ran on it, and
+    // built native code at most once per compilation unit.
+    if (nativeTierSupported()) {
+      EXPECT_GT(Checked.Sim.NativeRuns, 0u) << Jobs;
+      EXPECT_LE(Checked.Sim.NativeBuilds, Checked.Jit.Compiles) << Jobs;
+    }
+  }
 }
 
 } // namespace

@@ -1,19 +1,22 @@
 //===- tests/jit/NativeEngineTest.cpp ------------------------------------------===//
 //
-// The native x86-64 execution tier against the reference switch loop and
-// the threaded dispatcher: byte-identical exits, register files, fuel
-// accounting, heap/stack effects, plus the NativeCode build/cache
-// machinery, the IGDT_NO_NATIVE degradation path and the deliberate
-// miscompile probe the cross-engine oracle is validated with.
+// The native x86-64 tier (runNativeTier, the cross-engine oracle's
+// probe) against the reference switch loop and the threaded dispatcher:
+// byte-identical exits, register files, fuel accounting, heap/stack
+// effects, plus the NativeCode build/cache machinery, the IGDT_NO_NATIVE
+// no-probe path and the deliberate miscompile probe the cross-engine
+// oracle is validated with.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jit/native/NativeCode.h"
 
+#include "differential/DifferentialTester.h"
 #include "jit/CompiledCode.h"
 #include "jit/IR.h"
 #include "jit/Lowering.h"
 #include "jit/MachineSim.h"
+#include "jit/native/NativeEngine.h"
 #include "support/CpuFeatures.h"
 #include "support/IntMath.h"
 
@@ -23,6 +26,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <string>
 
 using namespace igdt;
 
@@ -41,16 +46,34 @@ struct EngineRun {
 using SimSetup = std::function<void(MachineSim &, ObjectMemory &)>;
 using SimProbe = std::function<std::uint64_t(MachineSim &, ObjectMemory &)>;
 
-EngineRun runOne(SimEngine Engine, const CompiledCode &Code, SimOptions Opts,
+/// What executes a run: the two simulator engines, or the native tier
+/// the cross-engine oracle probes with.
+enum class Tier { Switch, Threaded, Native };
+
+const char *tierName(Tier T) {
+  return T == Tier::Switch ? "switch" : T == Tier::Threaded ? "threaded"
+                                                            : "native";
+}
+
+/// Runs \p Code once on \p T. The native tier is entered through
+/// runNativeTier, as the oracle enters it; a host without the tier runs
+/// the threaded engine instead, so identity claims hold everywhere.
+MachineExit runOn(Tier T, MachineSim &Sim, const CompiledCode &Code) {
+  if (T == Tier::Native && nativeTierSupported())
+    return runNativeTier(Sim, Code);
+  return Sim.run(Code);
+}
+
+EngineRun runOne(Tier T, const CompiledCode &Code, SimOptions Opts,
                  const SimSetup &Setup = nullptr,
                  const SimProbe &Probe = nullptr) {
-  Opts.Engine = Engine;
+  Opts.Engine = T == Tier::Switch ? SimEngine::Switch : SimEngine::Threaded;
   ObjectMemory Mem(256 * 1024);
   MachineSim Sim(Mem, Opts);
   if (Setup)
     Setup(Sim, Mem);
   EngineRun R;
-  R.E = Sim.run(Code);
+  R.E = runOn(T, Sim, Code);
   for (unsigned I = 0; I < 16; ++I)
     R.Regs[I] = Sim.reg(static_cast<MReg>(I));
   for (unsigned I = 0; I < 8; ++I) {
@@ -64,19 +87,19 @@ EngineRun runOne(SimEngine Engine, const CompiledCode &Code, SimOptions Opts,
   return R;
 }
 
-/// Runs \p Code through all three engines (each on its own deterministic
-/// heap) and asserts every observable is identical. Returns the
-/// reference run for additional assertions. On hosts without the native
-/// tier the Native run degrades to Threaded, so the identity claim
-/// stays meaningful (and trivially true) everywhere.
+/// Runs \p Code on all three tiers (each on its own deterministic heap)
+/// and asserts every observable is identical. Returns the reference run
+/// for additional assertions. On hosts without the native tier the
+/// Native run is a second threaded run, so the identity claim stays
+/// meaningful (and trivially true) everywhere.
 EngineRun expectTierIdentity(const CompiledCode &Code,
                              const SimOptions &Opts = SimOptions(),
                              const SimSetup &Setup = nullptr,
                              const SimProbe &Probe = nullptr) {
-  EngineRun Ref = runOne(SimEngine::Switch, Code, Opts, Setup, Probe);
-  for (SimEngine E : {SimEngine::Threaded, SimEngine::Native}) {
-    EngineRun Run = runOne(E, Code, Opts, Setup, Probe);
-    const char *Name = simEngineName(E);
+  EngineRun Ref = runOne(Tier::Switch, Code, Opts, Setup, Probe);
+  for (Tier T : {Tier::Threaded, Tier::Native}) {
+    EngineRun Run = runOne(T, Code, Opts, Setup, Probe);
+    const char *Name = tierName(T);
     EXPECT_EQ(int(Ref.E.Kind), int(Run.E.Kind))
         << Name << ": " << machExitKindName(Ref.E.Kind) << " vs "
         << machExitKindName(Run.E.Kind);
@@ -258,12 +281,11 @@ TEST(NativeEngineTest, FuelFallbackRoutesThroughTheSwitchLoop) {
   CompiledCode Code = countdownLoop();
   SimStats Stats;
   SimOptions Opts;
-  Opts.Engine = SimEngine::Native;
   Opts.Stats = &Stats;
   Opts.Fuel = 10;
   ObjectMemory Mem(256 * 1024);
   MachineSim Sim(Mem, Opts);
-  MachineExit E = Sim.run(Code);
+  MachineExit E = runNativeTier(Sim, Code);
   EXPECT_EQ(E.Kind, MachExitKind::FuelExhausted);
   EXPECT_EQ(Stats.NativeRuns, 1u);
   EXPECT_GE(Stats.NativeFallbacks, 1u);
@@ -455,12 +477,11 @@ TEST(NativeEngineTest, NativeCodeIsBuiltOnceThenCached) {
   CompiledCode Code = countdownLoop();
   SimStats Stats;
   SimOptions Opts;
-  Opts.Engine = SimEngine::Native;
   Opts.Stats = &Stats;
   ObjectMemory Mem(256 * 1024);
   for (int I = 0; I < 3; ++I) {
     MachineSim Sim(Mem, Opts);
-    MachineExit E = Sim.run(Code);
+    MachineExit E = runNativeTier(Sim, Code);
     EXPECT_EQ(E.Kind, MachExitKind::Returned);
     EXPECT_EQ(Sim.reg(MReg::R0), 15u);
   }
@@ -472,29 +493,55 @@ TEST(NativeEngineTest, NativeCodeIsBuiltOnceThenCached) {
   // The cache is shared across CompiledCode copies (code-cache hits).
   CompiledCode Copy = Code;
   MachineSim Sim(Mem, Opts);
-  EXPECT_EQ(Sim.run(Copy).Kind, MachExitKind::Returned);
+  EXPECT_EQ(runNativeTier(Sim, Copy).Kind, MachExitKind::Returned);
   EXPECT_EQ(Stats.NativeBuilds, 1u);
   EXPECT_EQ(Stats.NativeHits, 3u);
 }
 
 TEST(NativeEngineTest, NoNativeEnvironmentOverrideDegradesGracefully) {
+  // Under IGDT_NO_NATIVE a checking tester runs no probe. Even with the
+  // miscompile probe armed, which diverges wherever the tier runs (see
+  // CrossEngineCheckTest), it reports no divergence and counts no
+  // native run or build.
+  const InstructionSpec *Spec = findInstruction("bytecodePrim_add");
+  ASSERT_NE(Spec, nullptr);
+  VMConfig VM;
+  ConcolicExplorer Explorer(VM);
+  ExplorationResult R = Explorer.explore(*Spec);
+
+  // The caller's setting comes back afterwards: a suite run under
+  // IGDT_NO_NATIVE keeps the tier off for every later test.
+  const char *Caller = std::getenv("IGDT_NO_NATIVE");
+  std::optional<std::string> Saved;
+  if (Caller)
+    Saved = Caller;
   setenv("IGDT_NO_NATIVE", "1", 1);
   refreshCpuFeatureCacheForTesting();
   EXPECT_FALSE(nativeTierSupported());
-  CompiledCode Code = countdownLoop();
   SimStats Stats;
-  SimOptions Opts;
-  Opts.Engine = SimEngine::Native;
-  Opts.Stats = &Stats;
-  ObjectMemory Mem(256 * 1024);
-  MachineSim Sim(Mem, Opts);
-  MachineExit E = Sim.run(Code);
-  EXPECT_EQ(E.Kind, MachExitKind::Returned);
-  EXPECT_EQ(Sim.reg(MReg::R0), 15u);
-  EXPECT_EQ(Stats.NativeRuns, 0u); // degraded to threaded (or switch)
-  EXPECT_EQ(Stats.Runs, 1u);
-  unsetenv("IGDT_NO_NATIVE");
+  DiffTestConfig Cfg;
+  Cfg.Kind = CompilerKind::StackToRegister;
+  Cfg.CrossEngineCheck = true;
+  Cfg.Sim.NativeMiscompileProbe = true;
+  Cfg.Sim.Stats = &Stats;
+  DifferentialTester Tester(Cfg);
+  unsigned Matches = 0;
+  for (std::size_t I = 0; I < R.Paths.size(); ++I) {
+    PathTestOutcome O = Tester.testPath(R, I);
+    if (O.Status == PathTestStatus::Difference) {
+      EXPECT_NE(O.Family, DefectFamily::CrossEngineDivergence) << O.Details;
+    }
+    Matches += O.Status == PathTestStatus::Match;
+  }
+  if (Saved)
+    setenv("IGDT_NO_NATIVE", Saved->c_str(), 1);
+  else
+    unsetenv("IGDT_NO_NATIVE");
   refreshCpuFeatureCacheForTesting();
+  EXPECT_GT(Matches, 0u);
+  EXPECT_GT(Stats.Runs, 0u);
+  EXPECT_EQ(Stats.NativeRuns, 0u);
+  EXPECT_EQ(Stats.NativeBuilds, 0u);
 }
 
 TEST(NativeEngineTest, MiscompileProbeActuallyMiscompiles) {
@@ -510,13 +557,12 @@ TEST(NativeEngineTest, MiscompileProbeActuallyMiscompiles) {
   CompiledCode Code = compile(F);
   SimStats Stats;
   SimOptions Opts;
-  Opts.Engine = SimEngine::Native;
   Opts.Stats = &Stats;
   Opts.NativeMiscompileProbe = true;
   ObjectMemory Mem(256 * 1024);
   {
     MachineSim Sim(Mem, Opts);
-    EXPECT_EQ(Sim.run(Code).Kind, MachExitKind::Returned);
+    EXPECT_EQ(runNativeTier(Sim, Code).Kind, MachExitKind::Returned);
     EXPECT_EQ(Sim.reg(MReg::R0), 43u); // 40 + (2+1)
   }
   // Turning the probe off rebuilds honest code rather than serving the
@@ -524,7 +570,7 @@ TEST(NativeEngineTest, MiscompileProbeActuallyMiscompiles) {
   Opts.NativeMiscompileProbe = false;
   {
     MachineSim Sim(Mem, Opts);
-    EXPECT_EQ(Sim.run(Code).Kind, MachExitKind::Returned);
+    EXPECT_EQ(runNativeTier(Sim, Code).Kind, MachExitKind::Returned);
     EXPECT_EQ(Sim.reg(MReg::R0), 42u);
   }
   EXPECT_EQ(Stats.NativeBuilds, 2u);
@@ -543,30 +589,17 @@ TEST(NativeEngineTest, PooledStackIsIdenticalToOwnedStack) {
   B.ret();
   CompiledCode Code = compile(F);
   SimStackPool Pool;
-  for (SimEngine E : {SimEngine::Switch, SimEngine::Native}) {
+  for (Tier T : {Tier::Switch, Tier::Native}) {
     SimOptions Opts;
-    Opts.Engine = E;
+    Opts.Engine = SimEngine::Switch;
     Opts.StackPool = &Pool;
     ObjectMemory Mem(256 * 1024);
     MachineSim Sim(Mem, Opts);
-    MachineExit Exit = Sim.run(Code);
+    MachineExit Exit = runOn(T, Sim, Code);
     EXPECT_EQ(Exit.Kind, MachExitKind::Returned);
-    EXPECT_EQ(Sim.reg(MReg::R2), 0u) << simEngineName(E);
+    EXPECT_EQ(Sim.reg(MReg::R2), 0u) << tierName(T);
   }
   EXPECT_GT(Pool.bytesReset(), 0u);
-}
-
-TEST(NativeEngineTest, EngineNamesRoundTrip) {
-  SimEngine E = SimEngine::Switch;
-  EXPECT_TRUE(simEngineFromName("threaded", E));
-  EXPECT_EQ(E, SimEngine::Threaded);
-  EXPECT_TRUE(simEngineFromName("native", E));
-  EXPECT_EQ(E, SimEngine::Native);
-  EXPECT_TRUE(simEngineFromName("switch", E));
-  EXPECT_EQ(E, SimEngine::Switch);
-  EXPECT_FALSE(simEngineFromName("turbo", E));
-  EXPECT_EQ(E, SimEngine::Switch); // untouched on failure
-  EXPECT_STREQ(simEngineName(SimEngine::Native), "native");
 }
 
 } // namespace
